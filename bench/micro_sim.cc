@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/base/random.h"
 #include "src/base/time_units.h"
 #include "src/sim/awaitables.h"
 #include "src/sim/engine.h"
@@ -35,6 +36,36 @@ void BM_EngineScheduleFireBatch1k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineScheduleFireBatch1k);
+
+// The shape of the queue in a running rig: hundreds of sleeping threads keep
+// about 500 events pending, and about 7% of scheduled events (NAK timers,
+// timeouts) are cancelled before they fire. Each iteration schedules one
+// event and fires the earliest live one, so the queue holds steady.
+void BM_EngineStandingQueue(benchmark::State& state) {
+  constexpr int kPending = 500;
+  constexpr std::uint64_t kHorizonNs = 20'000'000;  // wakeups up to 20 ms out
+  crsim::Engine engine;
+  crbase::Rng rng(1);
+  std::int64_t fired = 0;
+  auto schedule = [&] {
+    return engine.ScheduleAfter(1 + static_cast<crbase::Duration>(rng.NextBelow(kHorizonNs)),
+                                [&fired] { ++fired; });
+  };
+  for (int i = 0; i < kPending; ++i) {
+    schedule();
+  }
+  for (auto _ : state) {
+    const crsim::EventId id = schedule();
+    if (rng.NextBelow(100) < 7) {
+      engine.Cancel(id);
+      schedule();
+    }
+    engine.Step();
+  }
+  state.SetItemsProcessed(state.iterations());
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EngineStandingQueue);
 
 crsim::Task SleepLoop(crsim::Engine& engine, std::int64_t rounds, std::int64_t* count) {
   for (std::int64_t i = 0; i < rounds; ++i) {

@@ -1481,11 +1481,13 @@ crobs::SessionTrace* CrasServer::FrameTrace(SessionId id) const {
 }
 
 crbase::Time CrasServer::LogicalNow(SessionId id) const {
+  const LogicalClock* clock = SessionClock(id);
+  return clock == nullptr ? 0 : clock->Now();
+}
+
+const LogicalClock* CrasServer::SessionClock(SessionId id) const {
   const Session* session = FindSession(id);
-  if (session == nullptr) {
-    return 0;
-  }
-  return session->clock->Now();
+  return session == nullptr ? nullptr : session->clock.get();
 }
 
 crbase::Status CrasServer::PutChunk(SessionId id, std::int64_t chunk) {

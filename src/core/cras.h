@@ -301,6 +301,9 @@ class CrasServer {
   // Direct shared-buffer access; no IPC, exactly as in the paper.
   std::optional<BufferedChunk> Get(SessionId id, crbase::Time logical);
   crbase::Time LogicalNow(SessionId id) const;
+  // Session `id`'s logical clock, or nullptr once the session is gone
+  // (closed, reaped or shed). Valid until the session closes.
+  const LogicalClock* SessionClock(SessionId id) const;
 
   // Session `id`'s frame-trace ring, or nullptr (unknown session, or frame
   // tracing disabled). The delivery layer — local player, NPS sender, group

@@ -27,11 +27,16 @@ class LogicalClock {
   double rate() const { return rate_; }
 
   // Current logical time. May be negative while an initial delay elapses.
-  Time Now() const {
+  Time Now() const { return At(engine_->Now()); }
+
+  // The reading at real time `real`, rounded exactly as Now() would round it
+  // then, provided nobody starts, stops, seeks or re-rates the clock in
+  // between. Lets a waiter compute when the clock reaches a logical time.
+  Time At(Time real) const {
     if (!running_) {
       return base_logical_;
     }
-    const Duration real_elapsed = engine_->Now() - base_real_;
+    const Duration real_elapsed = real - base_real_;
     return base_logical_ + static_cast<Duration>(rate_ * static_cast<double>(real_elapsed));
   }
 

@@ -1,6 +1,7 @@
 #include "src/net/nps.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -48,7 +49,7 @@ void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   if (fragment.retransmit) {
     ++stats_.retransmitted_fragments;
   }
-  if (done_.count(fragment.seq) != 0) {
+  if (IsDone(fragment.seq)) {
     ++stats_.duplicate_fragments;  // late retransmit of a finished chunk
     return;
   }
@@ -57,7 +58,7 @@ void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   // its NAK timer starts running.
   if (fragment.seq >= expected_next_) {
     for (std::uint64_t seq = expected_next_; seq < fragment.seq; ++seq) {
-      EnsureEntry(seq);
+      ArmTimer(seq, EnsureEntry(seq), options_.nak_delay);
     }
     expected_next_ = fragment.seq + 1;
   }
@@ -87,6 +88,10 @@ void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   }
   if (entry.received == entry.frag_count) {
     Complete(fragment.seq, entry);
+  } else if (!entry.timer_armed) {
+    // The first fragment of a chunk that is still incomplete starts the
+    // reordering grace; a chunk that completes at once never needs a timer.
+    ArmTimer(fragment.seq, entry, options_.nak_delay);
   }
 }
 
@@ -96,15 +101,29 @@ NpsReceiver::Reassembly& NpsReceiver::EnsureEntry(std::uint64_t seq) {
   if (inserted) {
     entry.created_at = kernel_->Now();
     entry.backoff = options_.nak_delay;
-    ArmTimer(seq, options_.nak_delay);
   }
   return entry;
 }
 
-void NpsReceiver::ArmTimer(std::uint64_t seq, crbase::Duration delay) {
-  Reassembly& entry = pending_.at(seq);
+void NpsReceiver::ArmTimer(std::uint64_t seq, Reassembly& entry, crbase::Duration delay) {
   entry.timer = kernel_->engine().ScheduleAfter(delay, [this, seq] { OnTimer(seq); });
   entry.timer_armed = true;
+}
+
+bool NpsReceiver::IsDone(std::uint64_t seq) const {
+  return seq < done_below_ || done_above_.count(seq) != 0;
+}
+
+void NpsReceiver::MarkDone(std::uint64_t seq) {
+  if (seq != done_below_) {
+    done_above_.insert(seq);
+    return;
+  }
+  ++done_below_;
+  while (!done_above_.empty() && *done_above_.begin() == done_below_) {
+    done_above_.erase(done_above_.begin());
+    ++done_below_;
+  }
 }
 
 void NpsReceiver::OnTimer(std::uint64_t seq) {
@@ -151,7 +170,7 @@ void NpsReceiver::OnTimer(std::uint64_t seq) {
   NpsSender* sender = sender_;
   reverse_->Send(options_.nak_bytes, [sender, nak] { sender->OnNak(nak); });
   entry.backoff = std::min(entry.backoff * 2, options_.nak_backoff_cap);
-  ArmTimer(seq, entry.backoff);
+  ArmTimer(seq, entry, entry.backoff);
 }
 
 void NpsReceiver::Complete(std::uint64_t seq, Reassembly& entry) {
@@ -179,7 +198,7 @@ void NpsReceiver::Complete(std::uint64_t seq, Reassembly& entry) {
     obs_->chunks_received->Add();
     obs_->reassembly_ms->Record(crobs::ToMillis(now - entry.sent_at));
   }
-  done_.insert(seq);
+  MarkDone(seq);
   pending_.erase(seq);
 }
 
@@ -211,7 +230,7 @@ void NpsReceiver::Abandon(std::uint64_t seq, Reassembly& entry) {
                                                     : crobs::FrameStage::kArrived);
     }
   }
-  done_.insert(seq);
+  MarkDone(seq);
   pending_.erase(seq);
 }
 
@@ -328,14 +347,50 @@ void NpsSender::OnNak(const NpsNak& nak) {
   }
 }
 
+namespace {
+
+// The number of `poll` ticks from `now` to the first tick at which `clock`
+// reads at least `logical`: the tick a loop of one-poll sleeps would wake on.
+// A stopped clock gets there only once someone restarts it, so it is
+// checked again after one poll.
+std::int64_t PollsUntil(const cras::LogicalClock& clock, crbase::Time now, crbase::Time logical,
+                        crbase::Duration poll) {
+  if (!clock.running()) {
+    return 1;
+  }
+  // Estimate from the rate, then settle on the exact tick with At(), which
+  // rounds as the loop's Now() calls would.
+  const double real = static_cast<double>(logical - clock.At(now)) / clock.rate();
+  std::int64_t ticks = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(real / static_cast<double>(poll))));
+  while (ticks > 1 && clock.At(now + (ticks - 1) * poll) >= logical) {
+    --ticks;
+  }
+  while (clock.At(now + ticks * poll) < logical) {
+    ++ticks;
+  }
+  return ticks;
+}
+
+}  // namespace
+
 crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId session,
                                     const crmedia::ChunkIndex* index) {
   for (std::size_t cursor = 0; cursor < index->count(); ++cursor) {
     const crmedia::Chunk& chunk = index->at(cursor);
-    // Ship each chunk `lookahead` before its logical due time. The logical
-    // clock may still be negative during the stream's initial delay.
-    while (server_->LogicalNow(session) < chunk.timestamp - options_.lookahead) {
-      co_await ctx.Sleep(options_.poll);
+    // Ship each chunk `lookahead` before its logical due time, on the first
+    // `poll` tick at which the clock has got there. The logical clock may
+    // still be negative during the stream's initial delay.
+    const crbase::Time ship_at = chunk.timestamp - options_.lookahead;
+    for (;;) {
+      const cras::LogicalClock* clock = server_->SessionClock(session);
+      if (clock == nullptr) {
+        co_return;  // closed, reaped or shed: nobody will play the rest
+      }
+      if (clock->Now() >= ship_at) {
+        break;
+      }
+      co_await ctx.Sleep(PollsUntil(*clock, ctx.Now(), ship_at, options_.poll) * options_.poll);
     }
     // Drop retained chunks whose playout deadline has passed: a NAK for
     // them would be refused anyway.
@@ -355,7 +410,11 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
       if (buffered.has_value()) {
         break;
       }
-      if (server_->LogicalNow(session) > ChunkDeadline(chunk)) {
+      const cras::LogicalClock* clock = server_->SessionClock(session);
+      if (clock == nullptr) {
+        co_return;
+      }
+      if (clock->Now() > ChunkDeadline(chunk)) {
         break;
       }
       co_await ctx.Sleep(options_.poll);

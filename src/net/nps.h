@@ -179,14 +179,18 @@ class NpsReceiver {
     crobs::Histogram* reassembly_ms = nullptr;
   };
 
-  // Ensures a pending entry exists for `seq` with its first NAK timer
-  // armed; used for both gap placeholders and fragment-carrying entries.
+  // Ensures a pending entry exists for `seq`; used for both gap
+  // placeholders and fragment-carrying entries. The caller arms the first
+  // NAK timer.
   Reassembly& EnsureEntry(std::uint64_t seq);
-  void ArmTimer(std::uint64_t seq, crbase::Duration delay);
+  void ArmTimer(std::uint64_t seq, Reassembly& entry, crbase::Duration delay);
   // NAK timer body: give up, or request repair and re-arm with backoff.
   void OnTimer(std::uint64_t seq);
   void Complete(std::uint64_t seq, Reassembly& entry);
   void Abandon(std::uint64_t seq, Reassembly& entry);
+  // Delivered or abandoned sequence numbers.
+  bool IsDone(std::uint64_t seq) const;
+  void MarkDone(std::uint64_t seq);
 
   crrt::Kernel* kernel_;
   Options options_;
@@ -195,7 +199,11 @@ class NpsReceiver {
   Link* reverse_ = nullptr;
   NpsSender* sender_ = nullptr;
   std::map<std::uint64_t, Reassembly> pending_;
-  std::set<std::uint64_t> done_;  // delivered or abandoned
+  // Done sequence numbers: every one below the low-water mark, plus the few
+  // above it that finished ahead of an older, still pending chunk. Stays
+  // bounded by the reassembly window however long the stream runs.
+  std::uint64_t done_below_ = 0;
+  std::set<std::uint64_t> done_above_;
   std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
   NpsReceiverStats stats_;
   std::unique_ptr<ObsState> obs_;
@@ -220,6 +228,11 @@ class NpsSender {
     // How far ahead of the session's logical clock chunks are shipped;
     // hides the network serialization + propagation latency.
     crbase::Duration lookahead = crbase::Milliseconds(250);
+    // The sender's tick. It sleeps straight to the first tick at which the
+    // session clock reaches a chunk's send time (computed from the clock's
+    // rate, so a seek or rate change is seen only at that tick), or one
+    // tick while the clock is stopped or the chunk has not reached the
+    // shared buffer yet.
     crbase::Duration poll = crbase::Milliseconds(5);
     std::int64_t max_packet_bytes = 8 * 1024;  // fragmentation threshold
     crbase::Duration cpu_per_chunk = crbase::Microseconds(150);
@@ -233,7 +246,9 @@ class NpsSender {
   NpsSender& operator=(const NpsSender&) = delete;
 
   // Spawns the transmitter thread for `session`, walking `index` to its
-  // end. The returned task may be awaited or dropped.
+  // end, or until the session is gone (closed, reaped or shed; a session
+  // resumed by Reconnect needs a fresh Start). The returned task may be
+  // awaited or dropped.
   crsim::Task Start(cras::SessionId session, const crmedia::ChunkIndex* index);
 
   // Retain sent chunks (until their playout deadline) so NAKs can be

@@ -1,5 +1,6 @@
 #include "src/sim/engine.h"
 
+#include <limits>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -12,63 +13,115 @@ Engine::~Engine() {
   // release semaphores or send to ports and thereby schedule fresh events —
   // hence the loop keeps draining until the heap is truly empty.
   while (!heap_.empty()) {
-    const Event& top = heap_.top();
-    const std::coroutine_handle<> parked = top.parked;
-    const bool live = !cancelled_.contains(top.id);
+    const std::uint32_t index = heap_.top().slot;
     heap_.pop();
-    if (parked && live) {
+    const Slot& slot = slots_[index];
+    const std::coroutine_handle<> parked = slot.cancelled ? nullptr : slot.parked;
+    Release(index);
+    if (parked) {
       DestroyParkedChain(parked);
     }
   }
 }
 
-EventId Engine::ScheduleAt(Time t, Callback cb) { return ScheduleAt(t, std::move(cb), {}); }
+EventId Engine::ScheduleAt(Time t, Callback cb) {
+  CRAS_CHECK(cb != nullptr);
+  return Push(t, std::move(cb), {});
+}
 
 EventId Engine::ScheduleAt(Time t, Callback cb, std::coroutine_handle<> parked) {
   CRAS_CHECK(cb != nullptr);
-  if (t < now_) {
-    t = now_;
-  }
-  const EventId id = next_id_++;
-  heap_.push(Event{t, id, std::move(cb), parked});
-  return id;
+  return Push(t, std::move(cb), parked);
 }
 
 EventId Engine::ScheduleAfter(Duration d, Callback cb) {
-  return ScheduleAfter(d, std::move(cb), {});
+  CRAS_CHECK(cb != nullptr);
+  return Push(now_ + (d < 0 ? 0 : d), std::move(cb), {});
 }
 
 EventId Engine::ScheduleAfter(Duration d, Callback cb, std::coroutine_handle<> parked) {
-  if (d < 0) {
-    d = 0;
+  CRAS_CHECK(cb != nullptr);
+  return Push(now_ + (d < 0 ? 0 : d), std::move(cb), parked);
+}
+
+EventId Engine::ScheduleResumeAt(Time t, std::coroutine_handle<> h) {
+  CRAS_CHECK(h);
+  return Push(t, nullptr, h);
+}
+
+EventId Engine::Push(Time t, Callback&& cb, std::coroutine_handle<> parked) {
+  if (t < now_) {
+    t = now_;
   }
-  return ScheduleAt(now_ + d, std::move(cb), parked);
+  std::uint32_t index;
+  if (free_.empty()) {
+    CRAS_CHECK(slots_.size() < std::numeric_limits<std::uint32_t>::max());
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.cb = std::move(cb);
+  slot.parked = parked;
+  ++slot.generation;
+  heap_.push(Key{t, next_seq_++, index});
+  return (EventId{slot.generation} << 32) | index;
+}
+
+void Engine::Release(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  slot.cb = nullptr;
+  slot.parked = {};
+  slot.cancelled = false;
+  if (++slot.generation != 0) {
+    free_.push_back(index);
+  }
 }
 
 void Engine::Cancel(EventId id) {
-  if (id != kInvalidEventId) {
-    cancelled_.insert(id);
+  const auto index = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if (index >= slots_.size() || generation % 2 == 0) {
+    return;
+  }
+  Slot& slot = slots_[index];
+  if (slot.generation == generation && !slot.cancelled) {
+    slot.cancelled = true;
+    ++cancelled_;
   }
 }
 
-void Engine::FireTop() {
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
+bool Engine::FireTop() {
+  const Key key = heap_.top();
   heap_.pop();
-  if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-    cancelled_.erase(it);
-    return;
+  Slot& slot = slots_[key.slot];
+  if (slot.cancelled) {
+    --cancelled_;
+    Release(key.slot);
+    return false;
   }
-  CRAS_CHECK(ev.time >= now_) << "event time went backwards";
-  now_ = ev.time;
+  CRAS_CHECK(key.time >= now_) << "event time went backwards";
+  now_ = key.time;
   ++events_fired_;
-  ev.cb();
+  // The slot is free again before the event runs: the callback may schedule
+  // (and so reuse it), and cancelling its own id is a no-op.
+  if (slot.cb) {
+    const Callback cb = std::move(slot.cb);
+    Release(key.slot);
+    cb();
+  } else {
+    const std::coroutine_handle<> h = slot.parked;
+    Release(key.slot);
+    h.resume();
+  }
+  return true;
 }
 
 bool Engine::Step() {
   while (!heap_.empty()) {
-    const bool was_cancelled = cancelled_.contains(heap_.top().id);
-    FireTop();
-    if (!was_cancelled) {
+    if (FireTop()) {
       return true;
     }
   }

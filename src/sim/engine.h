@@ -5,6 +5,12 @@
 // wakeups, disk completions, CPU slice expirations — is an event. Execution
 // is strictly deterministic: events at equal timestamps fire in scheduling
 // order (FIFO by sequence number).
+//
+// Layout: the binary heap orders small trivially copyable keys (time,
+// schedule sequence, slot). Each event's payload — its callback or the
+// coroutine it resumes — sits in a slot of a vector recycled through a free
+// list, so sifting the heap never moves a callback, and cancelling marks the
+// slot rather than consulting a side table.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -13,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/time_units.h"
@@ -23,7 +28,10 @@ namespace crsim {
 using crbase::Duration;
 using crbase::Time;
 
-// Identifies a scheduled event so it can be cancelled.
+// Identifies a scheduled event so it can be cancelled: the event's slot in
+// the low 32 bits, and in the high 32 the slot's generation, which changes
+// every time the slot is taken or released, so an id never names a later
+// event that reuses its slot.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -57,17 +65,16 @@ class Engine {
   EventId ScheduleAt(Time t, Callback cb, std::coroutine_handle<> parked);
   EventId ScheduleAfter(Duration d, Callback cb, std::coroutine_handle<> parked);
 
-  // The common pure-wakeup form: the event just resumes `h`.
-  EventId ScheduleResumeAt(Time t, std::coroutine_handle<> h) {
-    return ScheduleAt(t, [h] { h.resume(); }, h);
-  }
+  // The common pure-wakeup form: the event just resumes `h` (no callback is
+  // stored).
+  EventId ScheduleResumeAt(Time t, std::coroutine_handle<> h);
   EventId ScheduleResumeAfter(Duration d, std::coroutine_handle<> h) {
-    return ScheduleAfter(d, [h] { h.resume(); }, h);
+    return ScheduleResumeAt(now_ + (d < 0 ? 0 : d), h);
   }
 
-  // Cancels a pending event. Cancelling an already-fired or unknown id is a
-  // no-op (events self-expire), which keeps "cancel my timeout" call sites
-  // simple.
+  // Cancels a pending event. Cancelling an already-fired, already-cancelled
+  // or unknown id is a no-op (events self-expire), which keeps "cancel my
+  // timeout" call sites simple.
   void Cancel(EventId id);
 
   // Runs the single next event. Returns false if the queue is empty.
@@ -85,34 +92,48 @@ class Engine {
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
-  std::size_t pending_events() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending_events() const { return heap_.size() - cancelled_; }
   std::uint64_t events_fired() const { return events_fired_; }
 
  private:
-  struct Event {
+  struct Key {
     Time time;
-    EventId id;
-    Callback cb;
-    std::coroutine_handle<> parked{};  // frame waiting on this event, if any
+    std::uint64_t seq;   // schedule order: breaks time ties FIFO
+    std::uint32_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
+  struct Slot {
+    Callback cb;  // empty: the event resumes `parked`
+    std::coroutine_handle<> parked{};  // frame waiting on this event, if any
+    // Odd while the slot holds a pending event, even while it is free; an
+    // EventId carries the odd value it was issued with.
+    std::uint32_t generation = 0;
+    bool cancelled = false;
+  };
 
-  // Pops and runs the top event; assumes the queue is non-empty.
-  void FireTop();
+  EventId Push(Time t, Callback&& cb, std::coroutine_handle<> parked);
+  // Frees `index` for reuse. A slot whose generation wraps is retired
+  // instead, so that no id can ever match it again.
+  void Release(std::uint32_t index);
+  // Pops the top event and runs it unless it was cancelled; returns whether
+  // it ran. Assumes the queue is non-empty.
+  bool FireTop();
 
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
+  std::size_t cancelled_ = 0;  // keys in heap_ whose slot is cancelled
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace crsim

@@ -294,6 +294,49 @@ TEST(NpsReassembly, SequenceGapOpensPlaceholderForLostChunk) {
   EXPECT_EQ(rig.receiver.incomplete_chunks(), 1u);  // the placeholder
 }
 
+TEST(NpsReassembly, NakTimersPendOnlyForIncompleteChunks) {
+  RxRig rig;
+  crsim::Engine& engine = rig.kernel.engine();
+  rig.receiver.OnFragment(rig.Frag(0, 0, 1));
+  EXPECT_EQ(engine.pending_events(), 0u);  // complete on arrival
+  rig.receiver.OnFragment(rig.Frag(1, 0, 2));
+  EXPECT_EQ(engine.pending_events(), 1u);  // waits for fragment 1
+  rig.receiver.OnFragment(rig.Frag(3, 0, 1));
+  EXPECT_EQ(engine.pending_events(), 2u);  // placeholder for lost chunk 2
+  rig.receiver.OnFragment(rig.Frag(1, 1, 2));
+  EXPECT_EQ(engine.pending_events(), 1u);
+}
+
+TEST(NpsReassembly, LateRetransmitOfLongFinishedChunkIsADuplicate) {
+  RxRig rig;
+  // Chunk 1 finishes while chunk 0 is still missing a fragment, then chunk 0
+  // completes and a long run of chunks follows.
+  rig.receiver.OnFragment(rig.Frag(0, 0, 2));
+  rig.receiver.OnFragment(rig.Frag(1, 0, 1));
+  rig.receiver.OnFragment(rig.Frag(1, 0, 1));  // done, though chunk 0 is not
+  EXPECT_EQ(rig.receiver.stats().duplicate_fragments, 1);
+  rig.receiver.OnFragment(rig.Frag(0, 1, 2));
+  constexpr std::uint64_t kChunks = 64;
+  for (std::uint64_t seq = 2; seq < kChunks; ++seq) {
+    rig.receiver.OnFragment(rig.Frag(seq, 0, 1));
+  }
+  EXPECT_EQ(rig.receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+  EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
+  const std::int64_t bytes = rig.receiver.stats().bytes_received;
+
+  // Retransmits of finished chunks, from far behind and just behind the
+  // newest: counted, never reassembled or delivered again.
+  for (std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}, kChunks - 1}) {
+    NpsFragment late = rig.Frag(seq, 0, seq == 0 ? 2 : 1);
+    late.retransmit = true;
+    rig.receiver.OnFragment(late);
+  }
+  EXPECT_EQ(rig.receiver.stats().duplicate_fragments, 4);
+  EXPECT_EQ(rig.receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+  EXPECT_EQ(rig.receiver.stats().bytes_received, bytes);
+  EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
+}
+
 TEST(NpsReassembly, BestEffortAbandonsIncompleteChunkAfterGrace) {
   // Without a reverse link there is no repair: an incomplete chunk is
   // abandoned once the reordering grace expires.

@@ -119,26 +119,24 @@ struct QtPlayRig {
   NpsReceiver receiver;
   NpsSender sender;
 
-  QtPlayRig()
+  explicit QtPlayRig(const NpsSender::Options& sender_options = {})
       : client_host(server_host.engine(), crrt::Kernel::Options{}),
         ethernet(server_host.engine()),
         receiver(client_host),
-        sender(server_host.kernel, server_host.cras_server, ethernet, receiver) {
+        sender(server_host.kernel, server_host.cras_server, ethernet, receiver, sender_options) {
     server_host.StartServers();
   }
 };
 
-TEST(Nps, StreamsAMovieAcrossTheLink) {
-  QtPlayRig rig;
-  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
-  ASSERT_TRUE(movie.ok());
-
+// Opens `movie` on the rig's server and starts its clock; returns the
+// session.
+cras::SessionId OpenAndStart(QtPlayRig& rig, const crmedia::MediaFile& movie) {
   cras::SessionId session = cras::kInvalidSession;
   crsim::Task opener = rig.server_host.kernel.Spawn(
       "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
         cras::OpenParams params;
-        params.inode = movie->inode;
-        params.index = movie->index;
+        params.inode = movie.inode;
+        params.index = movie.index;
         auto opened = co_await rig.server_host.cras_server.Open(std::move(params));
         CRAS_CHECK(opened.ok());
         session = *opened;
@@ -146,7 +144,15 @@ TEST(Nps, StreamsAMovieAcrossTheLink) {
             session, rig.server_host.cras_server.SuggestedInitialDelay());
       });
   rig.server_host.engine().RunFor(Milliseconds(50));
-  ASSERT_NE(session, cras::kInvalidSession);
+  CRAS_CHECK(session != cras::kInvalidSession);
+  return session;
+}
+
+TEST(Nps, StreamsAMovieAcrossTheLink) {
+  QtPlayRig rig;
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  const cras::SessionId session = OpenAndStart(rig, *movie);
   crsim::Task sender_task = rig.sender.Start(session, &movie->index);
 
   // Remote consumption: start the receiver clock with enough delay for the
@@ -185,24 +191,99 @@ TEST(Nps, StreamsAMovieAcrossTheLink) {
   EXPECT_LT(rig.receiver.stats().max_network_latency, Milliseconds(60));
 }
 
+TEST(Nps, SenderExitsWhenItsSessionCloses) {
+  QtPlayRig rig;
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  const cras::SessionId session = OpenAndStart(rig, *movie);
+  crsim::Task sender_task = rig.sender.Start(session, &movie->index);
+  rig.server_host.engine().RunFor(Seconds(2));
+  ASSERT_FALSE(sender_task.done());
+
+  crsim::Task closer = rig.server_host.kernel.Spawn(
+      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+        EXPECT_TRUE((co_await rig.server_host.cras_server.Close(session)).ok());
+      });
+  rig.server_host.engine().RunFor(Milliseconds(100));
+  // The sender noticed on its next wake and returned, instead of polling a
+  // clock that no longer exists for the rest of the run.
+  EXPECT_TRUE(sender_task.done());
+  const std::int64_t sent = rig.sender.stats().chunks_sent;
+  EXPECT_GT(sent, 0);
+  EXPECT_LT(sent, static_cast<std::int64_t>(movie->index.count()));
+  rig.server_host.engine().RunFor(Seconds(2));
+  EXPECT_EQ(rig.sender.stats().chunks_sent, sent);
+}
+
+TEST(Nps, SenderResumesWithinOnePollOfARestart) {
+  // With no lookahead a chunk falls due when CRAS guarantees its data is in
+  // the shared buffer, so the send times show the wake rule alone. The
+  // stream resumes with no initial delay (the stopped stream kept its
+  // buffered data), so the next chunk falls due right after the restart.
+  NpsSender::Options options;
+  options.lookahead = 0;
+  QtPlayRig rig(options);
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(5));
+  ASSERT_TRUE(movie.ok());
+  const cras::SessionId session = OpenAndStart(rig, *movie);
+  crsim::Task sender_task = rig.sender.Start(session, &movie->index);
+  crsim::Engine& engine = rig.server_host.engine();
+  engine.RunFor(Seconds(2));
+
+  auto control = [&](bool start) {
+    return rig.server_host.kernel.Spawn(
+        "qtserver", crrt::kPriorityClient, [&, start](crrt::ThreadContext&) -> crsim::Task {
+          cras::CrasServer& server = rig.server_host.cras_server;
+          if (start) {
+            EXPECT_TRUE((co_await server.StartStream(session, 0)).ok());
+          } else {
+            EXPECT_TRUE((co_await server.StopStream(session)).ok());
+          }
+        });
+  };
+  crsim::Task stopper = control(false);
+  engine.RunFor(Milliseconds(100));
+  const std::int64_t sent_before = rig.sender.stats().chunks_sent;
+  engine.RunFor(Seconds(1));
+  EXPECT_EQ(rig.sender.stats().chunks_sent, sent_before) << "shipped on a stopped clock";
+
+  crsim::Task starter = control(true);
+  const cras::LogicalClock* clock = rig.server_host.cras_server.SessionClock(session);
+  ASSERT_NE(clock, nullptr);
+  while (!clock->running()) {
+    ASSERT_TRUE(engine.Step());
+  }
+  // From here the clock runs at rate 1: chunk c's send time, timestamp -
+  // lookahead, falls due at this real time.
+  auto due_at = [&](std::size_t c) {
+    return engine.Now() + (movie->index.at(c).timestamp - options.lookahead) - clock->Now();
+  };
+  std::vector<crbase::Time> due;
+  for (std::size_t c = static_cast<std::size_t>(sent_before); c < movie->index.count(); ++c) {
+    due.push_back(due_at(c));
+  }
+  // Each chunk goes out on the first poll tick at or after its send time,
+  // plus its compute on the server CPU.
+  std::size_t next = 0;
+  std::int64_t sent = sent_before;
+  while (!sender_task.done() && engine.Step()) {
+    for (; sent < rig.sender.stats().chunks_sent; ++sent, ++next) {
+      ASSERT_LT(next, due.size());
+      EXPECT_GE(engine.Now(), due[next]) << "chunk " << sent << " shipped early";
+      EXPECT_LE(engine.Now() - due[next], options.poll + Milliseconds(1))
+          << "chunk " << sent << " shipped late";
+    }
+  }
+  EXPECT_EQ(rig.sender.stats().chunks_sent, static_cast<std::int64_t>(movie->index.count()));
+  EXPECT_EQ(rig.sender.stats().chunks_skipped, 0);
+}
+
 TEST(Nps, FragmentsLargeChunks) {
   QtPlayRig rig;
   // 6 Mb/s stream: 25000-byte frames fragment into 4 packets at 8 KiB.
   auto movie = crmedia::WriteMpeg2File(rig.server_host.fs, "hd", Seconds(2));
   ASSERT_TRUE(movie.ok());
-  cras::SessionId session = cras::kInvalidSession;
-  crsim::Task opener = rig.server_host.kernel.Spawn(
-      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
-        cras::OpenParams params;
-        params.inode = movie->inode;
-        params.index = movie->index;
-        auto opened = co_await rig.server_host.cras_server.Open(std::move(params));
-        CRAS_CHECK(opened.ok());
-        session = *opened;
-        (void)co_await rig.server_host.cras_server.StartStream(
-            session, rig.server_host.cras_server.SuggestedInitialDelay());
-      });
-  rig.server_host.engine().RunFor(Milliseconds(50));
+  const cras::SessionId session = OpenAndStart(rig, *movie);
   crsim::Task sender_task = rig.sender.Start(session, &movie->index);
   rig.server_host.engine().RunFor(Seconds(6));
   EXPECT_EQ(rig.sender.stats().chunks_sent, static_cast<std::int64_t>(movie->index.count()));
@@ -234,21 +315,7 @@ TEST(StatsQuery, SnapshotOverLinkMatchesServerStats) {
   stats.Start();
   auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(4));
   ASSERT_TRUE(movie.ok());
-
-  cras::SessionId session = cras::kInvalidSession;
-  crsim::Task opener = rig.server_host.kernel.Spawn(
-      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
-        cras::OpenParams params;
-        params.inode = movie->inode;
-        params.index = movie->index;
-        auto opened = co_await rig.server_host.cras_server.Open(std::move(params));
-        CRAS_CHECK(opened.ok());
-        session = *opened;
-        (void)co_await rig.server_host.cras_server.StartStream(
-            session, rig.server_host.cras_server.SuggestedInitialDelay());
-      });
-  rig.server_host.engine().RunFor(Milliseconds(50));
-  ASSERT_NE(session, cras::kInvalidSession);
+  const cras::SessionId session = OpenAndStart(rig, *movie);
   crsim::Task sender_task = rig.sender.Start(session, &movie->index);
   // Let the whole stream drain so the server's counters are quiescent, then
   // query: the snapshot must agree exactly with the server's own ledger.

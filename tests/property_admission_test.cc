@@ -127,7 +127,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SoundnessCase{"capacity_mpeg1", 0.5, 14, 0, false},
                       SoundnessCase{"overload_mpeg1", 0.5, 20, 0, false},
                       SoundnessCase{"mpeg2_pair", 1.0, 0, 2, false},
-                      SoundnessCase{"mixed", 1.0, 6, 2, false},
+                      SoundnessCase{"mixed_unloaded", 1.0, 6, 2, false},
                       SoundnessCase{"mixed_loaded", 1.0, 6, 2, true},
                       SoundnessCase{"long_interval", 3.0, 10, 1, true}),
     [](const ::testing::TestParamInfo<SoundnessCase>& info) { return info.param.name; });

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "src/base/random.h"
@@ -55,6 +56,10 @@ struct CpuCase {
   std::uint64_t seed;
   int jobs;
 };
+
+// Without this gtest prints the raw bytes, pointer and padding included, so
+// the listed test name would change from build to build and run to run.
+void PrintTo(const CpuCase& c, std::ostream* os) { *os << c.name; }
 
 class CpuConservation : public ::testing::TestWithParam<CpuCase> {};
 

@@ -76,9 +76,55 @@ TEST(Engine, CancelUnknownIdIsNoop) {
   e.Cancel(kInvalidEventId);
   e.Cancel(9999);
   bool fired = false;
-  e.ScheduleAfter(0, [&] { fired = true; });
+  const EventId first = e.ScheduleAfter(0, [&] { fired = true; });
   e.Run();
   EXPECT_TRUE(fired);
+  EXPECT_EQ(e.pending_events(), 0u);
+
+  // A fired id, an unknown id, and a twice-cancelled id change nothing.
+  e.Cancel(first);
+  e.Cancel(9999);
+  EXPECT_EQ(e.pending_events(), 0u);
+  int fired_later = 0;
+  const EventId doomed = e.ScheduleAfter(1, [&] { ++fired_later; });
+  e.Cancel(doomed);
+  e.Cancel(doomed);
+  EXPECT_EQ(e.pending_events(), 0u);
+  e.Run();
+  EXPECT_EQ(e.pending_events(), 0u);
+
+  // Stale ids: the next event reuses the freed slot, yet neither the fired
+  // nor the cancelled id names it.
+  const EventId reused = e.ScheduleAfter(1, [&] { ++fired_later; });
+  EXPECT_NE(reused, first);
+  EXPECT_NE(reused, doomed);
+  e.Cancel(first);
+  e.Cancel(doomed);
+  EXPECT_EQ(e.pending_events(), 1u);
+  e.Run();
+  EXPECT_EQ(fired_later, 1);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(Engine, EqualTimesFireInScheduleOrderAfterSlotReuse) {
+  Engine e;
+  // Churn the slot free list so that later events land in recycled slots in
+  // an order unrelated to their scheduling order.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(e.ScheduleAt(Milliseconds(1 + i), [] {}));
+  }
+  for (int i : {5, 1, 6, 2}) {
+    e.Cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  e.Run();
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) {
+    e.ScheduleAt(Milliseconds(20), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(e.pending_events(), 10u);
+  e.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(Engine, RunUntilAdvancesClockExactly) {
