@@ -7,6 +7,7 @@
 #include "src/base/random.h"
 #include "src/base/time_units.h"
 #include "src/sim/awaitables.h"
+#include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/port.h"
 #include "src/sim/task.h"
@@ -84,6 +85,31 @@ void BM_CoroutineSleepWake(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoroutineSleepWake);
+
+// A local player's frame: a short CPU burst on an otherwise idle processor,
+// then a sleep until the next frame is due.
+crsim::Task FrameLoop(crsim::Engine& engine, crsim::Cpu& cpu, std::int64_t frames,
+                      std::int64_t* count) {
+  for (std::int64_t i = 0; i < frames; ++i) {
+    co_await cpu.Run(20, crbase::Microseconds(200));
+    co_await crsim::Sleep(engine, crbase::Milliseconds(33));
+    ++*count;
+  }
+}
+
+void BM_CpuBurst(benchmark::State& state) {
+  constexpr std::int64_t kFrames = 1000;
+  for (auto _ : state) {
+    crsim::Engine engine;
+    crsim::Cpu cpu(engine, crsim::SchedPolicy::kFixedPriority);
+    std::int64_t count = 0;
+    crsim::Task t = FrameLoop(engine, cpu, kFrames, &count);
+    engine.Run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * kFrames);
+}
+BENCHMARK(BM_CpuBurst);
 
 crsim::Task Echo(crsim::Port<int>& in, crsim::Port<int>& out, std::int64_t rounds) {
   for (std::int64_t i = 0; i < rounds; ++i) {

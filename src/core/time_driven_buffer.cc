@@ -54,22 +54,28 @@ void TimeDrivenBuffer::RecordOccupancy() {
   }
 }
 
+void TimeDrivenBuffer::PopFront() {
+  ++head_;
+  if (head_ > chunks_.size() - head_) {
+    chunks_.erase(chunks_.begin(), LiveBegin());
+    head_ = 0;
+  }
+}
+
 void TimeDrivenBuffer::DiscardObsolete(Time logical_now) {
   const Time discard_before = logical_now - jitter_allowance_;
-  auto it = chunks_.begin();
   std::int64_t discarded = 0;
-  while (it != chunks_.end()) {
-    const BufferedChunk& c = it->second.chunk;
-    if (c.timestamp + c.duration <= discard_before) {
-      resident_bytes_ -= c.size;
-      ++stats_.discarded_obsolete;
-      ++discarded;
-      NoteDropped(it->second);
-      it = chunks_.erase(it);
-    } else {
-      // Keyed by timestamp: everything later is still live.
-      break;
+  while (head_ < chunks_.size()) {
+    const Entry& oldest = *LiveBegin();
+    const BufferedChunk& c = oldest.chunk;
+    if (c.timestamp + c.duration > discard_before) {
+      break;  // in timestamp order: everything later is still live
     }
+    resident_bytes_ -= c.size;
+    ++stats_.discarded_obsolete;
+    ++discarded;
+    NoteDropped(oldest);
+    PopFront();
   }
   if (discarded > 0 && obs_ != nullptr) {
     obs_->discarded->Add(discarded);
@@ -88,25 +94,37 @@ void TimeDrivenBuffer::Put(const BufferedChunk& chunk, Time logical_now) {
     }
     return;
   }
-  // A duplicate put (e.g. after a seek re-fetches a window) replaces the
-  // resident copy.
-  auto existing = chunks_.find(chunk.timestamp);
-  if (existing != chunks_.end()) {
-    resident_bytes_ -= existing->second.chunk.size;
-    chunks_.erase(existing);
-    ++stats_.replaced;
+  // Chunks normally arrive in timestamp order and append. One that does not
+  // goes into its place, and a duplicate put (e.g. after a seek re-fetches a
+  // window) replaces the resident copy.
+  auto before = [](const Entry& entry, Time t) { return entry.chunk.timestamp < t; };
+  const bool append =
+      head_ == chunks_.size() || chunks_.back().chunk.timestamp < chunk.timestamp;
+  if (!append) {
+    auto existing = std::lower_bound(LiveBegin(), chunks_.end(), chunk.timestamp, before);
+    if (existing->chunk.timestamp == chunk.timestamp) {
+      resident_bytes_ -= existing->chunk.size;
+      chunks_.erase(existing);
+      ++stats_.replaced;
+    }
   }
-  while (resident_bytes_ + chunk.size > capacity_bytes_ && !chunks_.empty()) {
-    auto oldest = chunks_.begin();
-    resident_bytes_ -= oldest->second.chunk.size;
-    NoteDropped(oldest->second);
-    chunks_.erase(oldest);
+  while (resident_bytes_ + chunk.size > capacity_bytes_ && head_ < chunks_.size()) {
+    const Entry& oldest = *LiveBegin();
+    resident_bytes_ -= oldest.chunk.size;
+    NoteDropped(oldest);
+    PopFront();
     ++stats_.overflow_evictions;
     if (obs_ != nullptr) {
       obs_->evictions->Add();
     }
   }
-  chunks_.emplace(chunk.timestamp, Entry{chunk, false});
+  if (append) {
+    chunks_.push_back(Entry{chunk, false});
+  } else {
+    // Rare, so shifting the later chunks up is fine.
+    chunks_.insert(std::lower_bound(LiveBegin(), chunks_.end(), chunk.timestamp, before),
+                   Entry{chunk, false});
+  }
   resident_bytes_ += chunk.size;
   stats_.max_resident_bytes = std::max(stats_.max_resident_bytes, resident_bytes_);
   ++stats_.puts;
@@ -118,24 +136,27 @@ void TimeDrivenBuffer::Put(const BufferedChunk& chunk, Time logical_now) {
 
 std::optional<BufferedChunk> TimeDrivenBuffer::Get(Time t) {
   // Last chunk with timestamp <= t whose interval covers t.
-  auto it = chunks_.upper_bound(t);
-  if (it == chunks_.begin()) {
+  auto it = std::upper_bound(
+      LiveBegin(), chunks_.end(), t,
+      [](Time time, const Entry& entry) { return time < entry.chunk.timestamp; });
+  if (it == LiveBegin()) {
     ++stats_.get_misses;
     return std::nullopt;
   }
   --it;
-  const BufferedChunk& c = it->second.chunk;
+  const BufferedChunk& c = it->chunk;
   if (t >= c.timestamp + c.duration) {
     ++stats_.get_misses;
     return std::nullopt;
   }
-  it->second.taken = true;
+  it->taken = true;
   ++stats_.get_hits;
   return c;
 }
 
 void TimeDrivenBuffer::Clear() {
   chunks_.clear();
+  head_ = 0;
   resident_bytes_ = 0;
   RecordOccupancy();
 }

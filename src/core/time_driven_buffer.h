@@ -16,10 +16,10 @@
 #define SRC_CORE_TIME_DRIVEN_BUFFER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/base/time_units.h"
 #include "src/obs/obs.h"
@@ -58,7 +58,7 @@ class TimeDrivenBuffer {
 
   std::int64_t capacity_bytes() const { return capacity_bytes_; }
   std::int64_t resident_bytes() const { return resident_bytes_; }
-  std::size_t resident_chunks() const { return chunks_.size(); }
+  std::size_t resident_chunks() const { return chunks_.size() - head_; }
   Duration jitter_allowance() const { return jitter_allowance_; }
   const TimeDrivenBufferStats& stats() const { return stats_; }
 
@@ -111,10 +111,21 @@ class TimeDrivenBuffer {
   void RecordOccupancy();
   // Frame-trace a chunk leaving the buffer unconsumed (no-op otherwise).
   void NoteDropped(const Entry& entry);
+  // Removes the oldest resident chunk from chunks_ (accounting is the
+  // caller's), compacting the dead prefix once it outgrows the live part.
+  void PopFront();
+  // The first (oldest) resident chunk.
+  std::vector<Entry>::iterator LiveBegin() {
+    return chunks_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
 
   std::int64_t capacity_bytes_;
   Duration jitter_allowance_;
-  std::map<Time, Entry> chunks_;  // keyed by timestamp
+  // Resident chunks in strictly increasing timestamp order from head_ on;
+  // entries before head_ are dead. Puts append in the common in-order case,
+  // so after warm-up the buffer stops allocating.
+  std::vector<Entry> chunks_;
+  std::size_t head_ = 0;
   std::int64_t resident_bytes_ = 0;
   TimeDrivenBufferStats stats_;
   std::unique_ptr<ObsState> obs_;

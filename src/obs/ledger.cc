@@ -2,28 +2,12 @@
 
 #include <algorithm>
 
+#include "src/base/logging.h"
 #include "src/obs/json.h"
 
 namespace crobs {
 
 namespace {
-
-// One utilization histogram per (disk, term) pair; families are shared, so
-// lookups go through the registry each emit (cold path: once per interval).
-Histogram* UtilHistogram(Registry* metrics, int disk, const char* term) {
-  return metrics->GetHistogram(
-      "ledger.util_pct",
-      {{"disk", "disk" + std::to_string(disk)}, {"term", term}},
-      UtilizationBucketsPct());
-}
-
-void RecordUtil(Registry* metrics, int disk, const char* term, double actual_ms,
-                double predicted_ms) {
-  if (predicted_ms <= 0) {
-    return;  // term absent from this interval's budget; nothing to audit
-  }
-  UtilHistogram(metrics, disk, term)->Record(100.0 * actual_ms / predicted_ms);
-}
 
 void WriteTerms(std::ostream& out, const BudgetTerms& terms) {
   out << "{\"command_ms\": ";
@@ -42,6 +26,27 @@ void WriteTerms(std::ostream& out, const BudgetTerms& terms) {
 }
 
 }  // namespace
+
+void BudgetLedger::RecordUtil(int disk, UtilTerm term, double actual_ms, double predicted_ms) {
+  if (predicted_ms <= 0) {
+    return;  // term absent from this interval's budget; nothing to audit
+  }
+  CRAS_CHECK(disk >= 0);
+  if (static_cast<std::size_t>(disk) >= util_.size()) {
+    util_.resize(static_cast<std::size_t>(disk) + 1);
+  }
+  // Resolved on first use only, so a series appears in the registry exactly
+  // when it first gets a sample.
+  Histogram*& hist = util_[static_cast<std::size_t>(disk)][term];
+  if (hist == nullptr) {
+    static constexpr const char* kNames[kUtilTerms] = {"command", "seek", "rotation",
+                                                       "transfer", "total"};
+    hist = metrics_->GetHistogram(
+        "ledger.util_pct", {{"disk", "disk" + std::to_string(disk)}, {"term", kNames[term]}},
+        UtilizationBucketsPct());
+  }
+  hist->Record(100.0 * actual_ms / predicted_ms);
+}
 
 BudgetLedger::BudgetLedger(Registry* metrics) : BudgetLedger(metrics, Options{}) {}
 
@@ -127,11 +132,11 @@ void BudgetLedger::EmitRow(const IntervalRow& row) {
   ++intervals_closed_;
   c_intervals_->Add();
   for (const DiskRow& d : row.disks) {
-    RecordUtil(metrics_, d.disk, "command", d.actual.command_ms, d.predicted.command_ms);
-    RecordUtil(metrics_, d.disk, "seek", d.actual.seek_ms, d.predicted.seek_ms);
-    RecordUtil(metrics_, d.disk, "rotation", d.actual.rotation_ms, d.predicted.rotation_ms);
-    RecordUtil(metrics_, d.disk, "transfer", d.actual.transfer_ms, d.predicted.transfer_ms);
-    RecordUtil(metrics_, d.disk, "total", d.actual.total_ms(), d.predicted.total_ms());
+    RecordUtil(d.disk, kCommand, d.actual.command_ms, d.predicted.command_ms);
+    RecordUtil(d.disk, kSeek, d.actual.seek_ms, d.predicted.seek_ms);
+    RecordUtil(d.disk, kRotation, d.actual.rotation_ms, d.predicted.rotation_ms);
+    RecordUtil(d.disk, kTransfer, d.actual.transfer_ms, d.predicted.transfer_ms);
+    RecordUtil(d.disk, kTotal, d.actual.total_ms(), d.predicted.total_ms());
     if (d.overrun()) {
       ++overruns_;
       c_overruns_->Add();

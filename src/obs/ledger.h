@@ -21,6 +21,7 @@
 #ifndef SRC_OBS_LEDGER_H_
 #define SRC_OBS_LEDGER_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <ostream>
@@ -103,9 +104,13 @@ class BudgetLedger {
   void WriteJsonTail(std::ostream& out, std::size_t max_rows) const;
 
  private:
+  // The audited terms, each with a ledger.util_pct{disk, term} histogram.
+  enum UtilTerm { kCommand, kSeek, kRotation, kTransfer, kTotal, kUtilTerms };
+
   IntervalRow* FindRow(std::int64_t slot);
   DiskRow* FindDisk(IntervalRow& row, int disk, bool create);
   void EmitRow(const IntervalRow& row);
+  void RecordUtil(int disk, UtilTerm term, double actual_ms, double predicted_ms);
 
   Registry* metrics_;
   Options options_;
@@ -116,6 +121,7 @@ class BudgetLedger {
   Counter* c_intervals_ = nullptr;
   Counter* c_overruns_ = nullptr;
   Counter* c_late_ = nullptr;
+  std::vector<std::array<Histogram*, kUtilTerms>> util_;  // [disk][term], null until used
 };
 
 }  // namespace crobs

@@ -97,7 +97,9 @@ class Cpu {
   void Dispatch();
   // Removes the running request from the processor, charging elapsed time.
   void PreemptRunning();
-  void OnSliceEnd(std::uint64_t generation);
+  // Completes the running slice. A finished request is resumed inside this
+  // event, after the next request is dispatched (see cpu.cc).
+  void OnSliceEnd();
   // Picks (and removes) the next request to run from ready_.
   Request PopNext();
 
@@ -110,7 +112,7 @@ class Cpu {
   Request current_{};
   Time slice_start_ = 0;
   Duration slice_len_ = 0;
-  std::uint64_t generation_ = 0;  // invalidates stale slice-end events
+  EventId slice_end_ = kInvalidEventId;  // cancelled when the slice is preempted
   std::uint64_t next_seq_ = 0;
   Duration busy_time_ = 0;
 };

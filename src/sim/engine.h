@@ -95,6 +95,11 @@ class Engine {
   std::size_t pending_events() const { return heap_.size() - cancelled_; }
   std::uint64_t events_fired() const { return events_fired_; }
 
+  // Whether the earliest queued event is due at Now(), so it runs before
+  // anything scheduled from here on at Now(). A cancelled key still at the
+  // top counts, which errs on the side of queueing.
+  bool HasEventNow() const { return !heap_.empty() && heap_.top().time == now_; }
+
  private:
   struct Key {
     Time time;

@@ -150,5 +150,37 @@ TEST(Mutex, NoInheritanceKeepsHolderPriority) {
   kernel.engine().RunFor(Milliseconds(5));
 }
 
+// Bumps a counter when the coroutine frame holding it is destroyed.
+struct FrameGuard {
+  int* destroyed;
+  ~FrameGuard() { ++*destroyed; }
+};
+
+TEST(Mutex, TeardownReclaimsWaiterHandedTheLock) {
+  int destroyed = 0;
+  bool acquired = false;
+  {
+    Kernel kernel;
+    Mutex mutex(kernel, Mutex::Protocol::kNone);
+    crsim::Task holder = kernel.Spawn("holder", 5, [&](ThreadContext& ctx) -> crsim::Task {
+      co_await mutex.Lock(ctx);
+      co_await ctx.Sleep(Milliseconds(10));
+      mutex.Unlock();
+      // Stop with the waiter's handoff wakeup still queued.
+      ctx.kernel().engine().Stop();
+    });
+    crsim::Task waiter = kernel.Spawn("waiter", 5, [&](ThreadContext& ctx) -> crsim::Task {
+      FrameGuard guard{&destroyed};
+      co_await mutex.Lock(ctx);
+      acquired = true;
+      mutex.Unlock();
+    });
+    kernel.engine().Run();
+    EXPECT_FALSE(acquired);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
 }  // namespace
 }  // namespace crrt

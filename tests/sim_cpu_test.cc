@@ -175,5 +175,108 @@ TEST(Cpu, LoadReportsQueuedAndRunning) {
   EXPECT_EQ(cpu.load(), 0u);
 }
 
+// The burst rule: a burst that ends with nothing else due at that instant
+// resumes its worker inside the slice-end event.
+TEST(Cpu, BurstOnIdleCpuIsOneEvent) {
+  Engine e;
+  Cpu cpu(e, SchedPolicy::kFixedPriority);
+  std::vector<Completion> log;
+  Task t = Work(cpu, 5, Milliseconds(30), "a", e, &log);
+  e.Run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].at, Milliseconds(30));
+  EXPECT_EQ(e.events_fired(), 1u);
+}
+
+TEST(Cpu, PreemptedBurstLeavesNoStaleEvent) {
+  Engine e;
+  Cpu cpu(e, SchedPolicy::kFixedPriority);
+  std::vector<Completion> log;
+  Task lo = Work(cpu, 1, Milliseconds(100), "lo", e, &log);
+  Task hi = [](Engine& eng, Cpu& c, std::vector<Completion>* l) -> Task {
+    co_await Sleep(eng, Milliseconds(10));
+    co_await c.Run(9, Milliseconds(5));
+    l->push_back({"hi", eng.Now()});
+  }(e, cpu, &log);
+  e.RunUntil(Milliseconds(10));
+  // Only hi's slice end is pending: lo's was cancelled, not left to fire.
+  EXPECT_EQ(e.pending_events(), 1u);
+  e.Run();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].at, Milliseconds(15));
+  EXPECT_EQ(log[1].at, Milliseconds(105));
+  // hi's wakeup, hi's slice end, lo's slice end.
+  EXPECT_EQ(e.events_fired(), 3u);
+}
+
+TEST(Cpu, EventsDueAsBurstEndsRunBeforeWorkerResumes) {
+  Engine e;
+  Cpu cpu(e, SchedPolicy::kFixedPriority);
+  std::vector<Completion> log;
+  // Due at 30 ms, scheduled before the burst's slice end: fires ahead of it.
+  e.ScheduleAt(Milliseconds(30), [&] { log.push_back({"before", e.Now()}); });
+  Task t = Work(cpu, 5, Milliseconds(30), "worker", e, &log);
+  // Due at 30 ms but scheduled after the slice end: still queued when the
+  // burst ends, so the worker's wakeup is queued behind it.
+  e.ScheduleAt(Milliseconds(30), [&] { log.push_back({"after", e.Now()}); });
+  e.Run();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].name, "before");
+  EXPECT_EQ(log[1].name, "after");
+  EXPECT_EQ(log[2].name, "worker");
+  EXPECT_EQ(log[2].at, Milliseconds(30));
+  // Both scheduled events, the slice end and the queued wakeup.
+  EXPECT_EQ(e.events_fired(), 4u);
+}
+
+// Bumps a counter when the coroutine frame holding it is destroyed.
+struct FrameGuard {
+  int* destroyed;
+  ~FrameGuard() { ++*destroyed; }
+};
+
+TEST(Cpu, TeardownReclaimsWorkerWithQueuedWakeup) {
+  int destroyed = 0;
+  bool resumed = false;
+  {
+    Engine e;
+    Cpu cpu(e, SchedPolicy::kFixedPriority);
+    Task t = [](Cpu& c, int* destroyed, bool* resumed) -> Task {
+      FrameGuard guard{destroyed};
+      co_await c.Run(5, Milliseconds(1));
+      *resumed = true;
+    }(cpu, &destroyed, &resumed);
+    // Due as the burst ends, so the worker's wakeup queues behind it; the
+    // run then stops with that wakeup still pending.
+    e.ScheduleAt(Milliseconds(1), [&e] { e.Stop(); });
+    e.Run();
+    EXPECT_FALSE(resumed);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Cpu, TeardownReclaimsWorkerDoneAtPreemption) {
+  int destroyed = 0;
+  {
+    Engine e;
+    Cpu cpu(e, SchedPolicy::kFixedPriority);
+    // Fires at 1 ms ahead of the burst's slice end: a higher-priority request
+    // preempts the burst just as its work runs out, which queues the
+    // worker's wakeup, and the run stops before that wakeup fires.
+    e.ScheduleAt(Milliseconds(1), [&e, &cpu] {
+      Task hi = [](Cpu& c) -> Task { co_await c.Run(9, Milliseconds(1)); }(cpu);
+      e.Stop();
+    });
+    Task lo = [](Cpu& c, int* destroyed) -> Task {
+      FrameGuard guard{destroyed};
+      co_await c.Run(5, Milliseconds(1));
+    }(cpu, &destroyed);
+    e.Run();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
 }  // namespace
 }  // namespace crsim
