@@ -13,8 +13,8 @@
 
 namespace {
 
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 using crbase::Seconds;
 
 struct Outcome {
@@ -24,10 +24,10 @@ struct Outcome {
 };
 
 Outcome RunOne(crdisk::QueueDiscipline discipline, bool server_sorts, int streams) {
-  TestbedOptions options;
-  options.driver.discipline = discipline;
+  VolumeTestbedOptions options;
+  options.volume.driver.discipline = discipline;
   options.cras.sort_requests_by_cylinder = server_sorts;
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, streams, Seconds(18));
   // Shuffle the session-open order relative to on-disk placement: files are
@@ -60,7 +60,7 @@ Outcome RunOne(crdisk::QueueDiscipline discipline, bool server_sorts, int stream
   outcome.actual_io_ms_per_interval = actual.mean();
   outcome.seek_ms_per_interval =
       intervals == 0 ? 0
-                     : crbase::ToMilliseconds(bed.device.stats().seek_time) /
+                     : crbase::ToMilliseconds(bed.volume.device(0).stats().seek_time) /
                            static_cast<double>(intervals);
   outcome.deadline_misses = bed.cras_server.stats().deadline_misses;
   return outcome;

@@ -14,8 +14,8 @@ namespace {
 
 using cras::PlayerOptions;
 using cras::PlayerStats;
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 using crbase::Seconds;
 
 constexpr crbase::Duration kPlayLength = crbase::Seconds(20);
@@ -28,9 +28,9 @@ struct Outcome {
 };
 
 Outcome RunOne(bool unified_queue, int streams) {
-  TestbedOptions options;
-  options.driver.unified_queue = unified_queue;
-  Testbed bed(options);
+  VolumeTestbedOptions options;
+  options.volume.driver.unified_queue = unified_queue;
+  VolumeTestbed bed(options);
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, streams, kPlayLength + Seconds(3));
   // Two cats plus a deep asynchronous backlog (16 outstanding non-RT
@@ -59,7 +59,7 @@ Outcome RunOne(bool unified_queue, int streams) {
   outcome.mean_delay_ms = delays.mean();
   outcome.max_delay_ms = delays.max();
   const crdisk::DriverQueueStats& queue_stats =
-      unified_queue ? bed.driver.normal_stats() : bed.driver.realtime_stats();
+      unified_queue ? bed.volume.driver(0).normal_stats() : bed.volume.driver(0).realtime_stats();
   outcome.rt_max_queue_ms =
       static_cast<std::int64_t>(crbase::ToMilliseconds(queue_stats.max_queue_time));
   return outcome;

@@ -10,7 +10,7 @@
 
 namespace {
 
-using cras::Testbed;
+using cras::VolumeTestbed;
 using crbase::Seconds;
 
 struct Outcome {
@@ -36,7 +36,7 @@ const char* LayoutName(Layout layout) {
 }
 
 Outcome RunOne(Layout layout, int streams) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, streams, Seconds(15));
   if (layout != Layout::kContiguous) {

@@ -5,13 +5,13 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/core/admission.h"
 #include "src/stats/summary.h"
+#include "src/volume/admission.h"
 
 namespace {
 
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 using crbase::Seconds;
 
 struct Outcome {
@@ -22,10 +22,10 @@ struct Outcome {
 
 Outcome RunOne(std::int64_t max_read_bytes) {
   constexpr int kFixedStreams = 3;
-  TestbedOptions options;
+  VolumeTestbedOptions options;
   options.cras.interval = crbase::MillisecondsF(1500);
   options.cras.max_read_bytes = max_read_bytes;
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
 
   Outcome outcome;

@@ -13,7 +13,7 @@
 
 namespace {
 
-using cras::Testbed;
+using cras::VolumeTestbed;
 using crbase::Seconds;
 
 struct Outcome {
@@ -24,7 +24,7 @@ struct Outcome {
 };
 
 Outcome RunOne(int streams) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, streams, Seconds(14));
   auto cats = crbench::SpawnBackgroundCats(bed);  // greedy non-RT readers
@@ -48,8 +48,9 @@ Outcome RunOne(int streams) {
   outcome.background_mbps = crbench::ToMBps(
       static_cast<double>(bed.unix_server.stats().blocks_from_disk * bed.fs.block_size()) /
       crbase::ToSeconds(window));
-  outcome.disk_utilization_pct = 100.0 * static_cast<double>(bed.device.stats().busy_time) /
-                                 static_cast<double>(window);
+  outcome.disk_utilization_pct =
+      100.0 * static_cast<double>(bed.volume.device(0).stats().busy_time) /
+      static_cast<double>(window);
   for (const auto& s : stats) {
     outcome.frames_missed += s->frames_missed;
   }

@@ -10,11 +10,11 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/core/admission.h"
+#include "src/volume/admission.h"
 
 namespace {
 
-using cras::Testbed;
+using cras::VolumeTestbed;
 using crbase::Seconds;
 
 struct Outcome {
@@ -27,7 +27,7 @@ struct Outcome {
 };
 
 Outcome RunOne(double cv, std::uint64_t seed) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crbase::Rng rng(seed);
   crmedia::ChunkIndex index =

@@ -10,12 +10,12 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/core/admission.h"
+#include "src/volume/admission.h"
 
 namespace {
 
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 using crbase::Seconds;
 
 struct Outcome {
@@ -27,11 +27,10 @@ struct Outcome {
 };
 
 Outcome RunOne(bool inner_placement, bool worst_case_admission) {
-  TestbedOptions options;
-  options.device.geometry = crdisk::St32550nZonedGeometry();
-  options.ufs.geometry = options.device.geometry;
+  VolumeTestbedOptions options;
+  options.volume.device.geometry = crdisk::St32550nZonedGeometry();
   if (worst_case_admission) {
-    options.cras.disk_params.transfer_rate = options.device.geometry.MinTransferRate();
+    options.cras.disk_params.transfer_rate = options.volume.device.geometry.MinTransferRate();
   } else {
     // The paper's Table 4 average figure.
     options.cras.disk_params.transfer_rate = 6.5e6;
@@ -40,7 +39,7 @@ Outcome RunOne(bool inner_placement, bool worst_case_admission) {
   // A transfer-dominated interval narrows the seek/rotation slack that
   // would otherwise mask the zone-rate optimism.
   options.cras.interval = crbase::MillisecondsF(1500);
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
 
   if (inner_placement) {

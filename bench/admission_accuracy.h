@@ -13,28 +13,13 @@
 
 namespace crbench {
 
-// Creates N MPEG1 movie files ("movie0", ...) on a bare file system — the
-// volume-rig counterpart of MakeMpeg1Files, which wants a full Testbed.
-inline std::vector<crmedia::MediaFile> MakeMovieFiles(crufs::Ufs& fs, int count,
-                                                      crbase::Duration length) {
-  std::vector<crmedia::MediaFile> files;
-  files.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    auto file = crmedia::WriteMpeg1File(fs, "movie" + std::to_string(i), length);
-    CRAS_CHECK(file.ok()) << file.status().ToString();
-    files.push_back(std::move(*file));
-  }
-  return files;
-}
-
 // Opens one-of-each MPEG1 streams on a fresh rig until the admission test
 // rejects one; returns the admitted count. `candidates` must exceed the
 // rig's capacity (the sweep CHECKs that a rejection was actually seen).
 inline int CountAdmittedStreams(const cras::VolumeTestbedOptions& rig_options, int candidates) {
   cras::VolumeTestbed bed(rig_options);
   bed.StartServers();
-  const std::vector<crmedia::MediaFile> files =
-      MakeMovieFiles(bed.fs, candidates, crbase::Seconds(4));
+  const std::vector<crmedia::MediaFile> files = MakeMpeg1Files(bed, candidates, crbase::Seconds(4));
   int accepted = 0;
   bool rejected = false;
   crsim::Task opener = bed.kernel.Spawn(
@@ -71,9 +56,9 @@ struct AccuracyConfig {
 };
 
 inline AccuracyResult MeasureAdmissionAccuracy(const AccuracyConfig& config) {
-  cras::TestbedOptions options;
+  cras::VolumeTestbedOptions options;
   options.cras.interval = config.interval;
-  cras::Testbed bed(options);
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   const crbase::Duration stream_length = config.run_length + crbase::Seconds(4);
   auto files = config.mpeg2 ? MakeMpeg2Files(bed, config.streams, stream_length)

@@ -95,7 +95,7 @@ void MeasureAudit(int streams, AuditPoint* point, const std::string& dump_path) 
   cras::VolumeTestbed bed(rig_options);
   bed.StartServers();
   const std::vector<crmedia::MediaFile> files =
-      crbench::MakeMovieFiles(bed.fs, streams, crbase::Seconds(10));
+      crbench::MakeMpeg1Files(bed, streams, crbase::Seconds(10));
   const crbase::Duration play_length = crbase::Seconds(6);
   std::vector<std::unique_ptr<cras::PlayerStats>> stats;
   std::vector<crsim::Task> players;

@@ -86,7 +86,7 @@ inline void PrintMetricsSnapshot(const crobs::RegistrySnapshot& snap, bool csv) 
 }
 
 // Creates N MPEG1 movie files of the given length ("movie0", "movie1", ...).
-inline std::vector<crmedia::MediaFile> MakeMpeg1Files(cras::Testbed& bed, int count,
+inline std::vector<crmedia::MediaFile> MakeMpeg1Files(cras::VolumeTestbed& bed, int count,
                                                       crbase::Duration length) {
   std::vector<crmedia::MediaFile> files;
   files.reserve(static_cast<std::size_t>(count));
@@ -98,7 +98,7 @@ inline std::vector<crmedia::MediaFile> MakeMpeg1Files(cras::Testbed& bed, int co
   return files;
 }
 
-inline std::vector<crmedia::MediaFile> MakeMpeg2Files(cras::Testbed& bed, int count,
+inline std::vector<crmedia::MediaFile> MakeMpeg2Files(cras::VolumeTestbed& bed, int count,
                                                       crbase::Duration length) {
   std::vector<crmedia::MediaFile> files;
   files.reserve(static_cast<std::size_t>(count));
@@ -114,7 +114,7 @@ inline std::vector<crmedia::MediaFile> MakeMpeg2Files(cras::Testbed& bed, int co
 // files through the Unix file system. Returns the tasks (keep them alive).
 // `think_time` > 0 paces the readers (bursty contention instead of full
 // saturation).
-inline std::vector<crsim::Task> SpawnBackgroundCats(cras::Testbed& bed, int count = 2,
+inline std::vector<crsim::Task> SpawnBackgroundCats(cras::VolumeTestbed& bed, int count = 2,
                                                     crbase::Duration think_time = 0) {
   std::vector<crsim::Task> cats;
   for (int i = 0; i < count; ++i) {
@@ -136,7 +136,7 @@ inline double ToMBps(double bytes_per_sec) { return bytes_per_sec / 1e6; }
 // driver at all times. Unlike a synchronous `cat`, this builds a deep
 // normal-queue backlog — the situation the dual-queue driver modification
 // exists for.
-inline std::vector<crsim::Task> SpawnBulkIo(cras::Testbed& bed, int outstanding,
+inline std::vector<crsim::Task> SpawnBulkIo(cras::VolumeTestbed& bed, int outstanding,
                                             std::uint64_t seed = 99) {
   std::vector<crsim::Task> tasks;
   for (int i = 0; i < outstanding; ++i) {
@@ -145,13 +145,13 @@ inline std::vector<crsim::Task> SpawnBulkIo(cras::Testbed& bed, int outstanding,
         [&bed, seed, i](crrt::ThreadContext&) -> crsim::Task {
           crbase::Rng rng(seed + static_cast<std::uint64_t>(i));
           const std::int64_t sectors = 128;  // 64 KiB
-          const std::int64_t span = bed.device.geometry().total_sectors() - sectors;
+          const std::int64_t span = bed.volume.device(0).geometry().total_sectors() - sectors;
           for (;;) {
             crdisk::DiskRequest req;
             req.lba = static_cast<crdisk::Lba>(rng.NextBelow(static_cast<std::uint64_t>(span)));
             req.sectors = sectors;
             req.realtime = false;
-            (void)co_await bed.driver.Execute(std::move(req));
+            (void)co_await bed.volume.driver(0).Execute(std::move(req));
           }
         }));
   }

@@ -59,7 +59,7 @@ SweepPoint MeasurePoint(std::int64_t cache_bytes, double alpha) {
   point.cache_mib = cache_bytes / crbase::kMiB;
   point.alpha = alpha;
 
-  cras::TestbedOptions options;
+  cras::VolumeTestbedOptions options;
   // Generous wired budget: the cache, not stream buffers, is the binding
   // constraint being swept.
   options.cras.memory_budget_bytes = 256 * crbase::kMiB;
@@ -67,7 +67,7 @@ SweepPoint MeasurePoint(std::int64_t cache_bytes, double alpha) {
   options.cras.cache.prefix_length = crbase::Seconds(12);
   options.cras.cache.prefix_pool_bytes = cache_bytes * 3 / 8;
   options.cras.cache.interval_pool_bytes = cache_bytes * 5 / 8;
-  cras::Testbed bed(options);
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   const auto files = crbench::MakeMpeg1Files(bed, kTitles, crbase::Seconds(60));
 

@@ -12,12 +12,12 @@
 namespace {
 
 using cras::SessionId;
-using cras::Testbed;
+using cras::VolumeTestbed;
 using crbase::Seconds;
 
 constexpr crbase::Duration kRecordLength = crbase::Seconds(12);
 
-crsim::Task SpawnRecorder(Testbed& bed, crufs::InodeNumber inode,
+crsim::Task SpawnRecorder(VolumeTestbed& bed, crufs::InodeNumber inode,
                           const crmedia::ChunkIndex* index, SessionId* id_out, bool* rejected) {
   return bed.kernel.Spawn(
       "recorder", crrt::kPriorityClient,
@@ -56,7 +56,7 @@ struct Outcome {
 };
 
 Outcome RunOne(int recorders, bool mpeg2, bool with_player) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   std::vector<crmedia::ChunkIndex> indexes;
   std::vector<crufs::InodeNumber> inodes;

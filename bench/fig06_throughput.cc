@@ -13,14 +13,14 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/core/admission.h"
+#include "src/volume/admission.h"
 
 namespace {
 
 using cras::PlayerOptions;
 using cras::PlayerStats;
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 using crbase::Seconds;
 
 constexpr crbase::Duration kPlayLength = crbase::Seconds(10);
@@ -46,7 +46,7 @@ struct ObsCapture {
 
 Run RunCras(int streams, bool load, crbase::Duration interval,
             std::int64_t memory_budget = 0, ObsCapture* obs = nullptr) {
-  TestbedOptions options;
+  VolumeTestbedOptions options;
   options.cras.interval = interval;
   if (memory_budget > 0) {
     options.cras.memory_budget_bytes = memory_budget;
@@ -55,7 +55,7 @@ Run RunCras(int streams, bool load, crbase::Duration interval,
     options.obs.trace.enabled = true;
     options.obs.trace.capacity = 1 << 18;  // keep the whole run, ~260k events
   }
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, streams, kPlayLength + Seconds(3));
   std::vector<crsim::Task> cats;
@@ -96,8 +96,8 @@ Run RunCras(int streams, bool load, crbase::Duration interval,
 }
 
 Run RunUfs(int streams, bool load) {
-  TestbedOptions options;
-  Testbed bed(options);
+  VolumeTestbedOptions options;
+  VolumeTestbed bed(options);
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, streams, kPlayLength + Seconds(3));
   std::vector<crsim::Task> cats;
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     const std::int64_t sweep_budget = 24 * crbase::kMiB;
     // The derived worst-case MPEG1 rate over a window is slightly above the
     // nominal 187.5 KB/s; use the real stream index to match the server.
-    Testbed probe;
+    VolumeTestbed probe;
     auto probe_file = crmedia::WriteMpeg1File(probe.fs, "probe", Seconds(2));
     cras::StreamDemand demand{probe_file->index.WorstRate(interval),
                               probe_file->index.max_chunk_bytes()};

@@ -13,13 +13,13 @@ namespace {
 
 using cras::PlayerOptions;
 using cras::PlayerStats;
-using cras::Testbed;
+using cras::VolumeTestbed;
 using crbase::Seconds;
 
 constexpr crbase::Duration kPlayLength = crbase::Seconds(30);
 
 PlayerStats RunOne(bool use_cras) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", kPlayLength + Seconds(3));
   CRAS_CHECK(file.ok());

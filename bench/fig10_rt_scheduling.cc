@@ -15,18 +15,18 @@ namespace {
 
 using cras::PlayerOptions;
 using cras::PlayerStats;
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 using crbase::Seconds;
 
 constexpr crbase::Duration kPlayLength = crbase::Seconds(30);
 constexpr int kCpuHogs = 3;
 
 PlayerStats RunWithPolicy(crsim::SchedPolicy policy) {
-  TestbedOptions options;
+  VolumeTestbedOptions options;
   options.kernel.policy = policy;
   options.kernel.quantum = crbase::Milliseconds(10);
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", kPlayLength + Seconds(3));
   CRAS_CHECK(file.ok());

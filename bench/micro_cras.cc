@@ -3,16 +3,16 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/core/admission.h"
 #include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/media/media_file.h"
+#include "src/volume/admission.h"
 
 namespace {
 
 // A testbed with one started stream, advanced until data is resident.
 struct PreparedStream {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   cras::SessionId id = cras::kInvalidSession;
   crmedia::MediaFile file;
 
@@ -81,7 +81,7 @@ void BM_SimulatedSecondOfPlayback(benchmark::State& state) {
   // (server threads, disk, player) — the end-to-end harness speed.
   for (auto _ : state) {
     state.PauseTiming();
-    cras::Testbed bed;
+    cras::VolumeTestbed bed;
     bed.StartServers();
     auto file = crmedia::WriteMpeg1File(bed.fs, "movie", crbase::Seconds(5));
     cras::PlayerStats stats;

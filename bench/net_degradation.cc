@@ -53,9 +53,9 @@ struct NetPoint {
 // Streams one movie through a fresh server-host/client-host pair over a
 // link with the given i.i.d. loss probability.
 NetPoint RunPoint(double loss_probability, bool reliability) {
-  cras::TestbedOptions bed_options;
+  cras::VolumeTestbedOptions bed_options;
   bed_options.obs.frames.enabled = true;
-  cras::Testbed bed(bed_options);
+  cras::VolumeTestbed bed(bed_options);
   crrt::Kernel client_host(bed.engine(), crrt::Kernel::Options{});
   crnet::Link::Options forward_options;  // the default 10 Mb/s Ethernet
   forward_options.impairments.loss_probability = loss_probability;

@@ -26,8 +26,8 @@ namespace {
 
 using cras::PlayerOptions;
 using cras::PlayerStats;
-using cras::Testbed;
-using cras::TestbedOptions;
+using cras::VolumeTestbed;
+using cras::VolumeTestbedOptions;
 
 constexpr int kStreams = 10;
 constexpr crbase::Duration kPlayLength = crbase::Seconds(10);
@@ -48,7 +48,7 @@ struct ModeResult {
 };
 
 ModeResult RunMode(const std::string& mode) {
-  TestbedOptions options;
+  VolumeTestbedOptions options;
   options.cras.interval = crbase::Milliseconds(500);
   if (mode == "off") {
     options.attach_obs = false;
@@ -60,7 +60,7 @@ ModeResult RunMode(const std::string& mode) {
   } else {
     CRAS_CHECK(mode == "metrics");
   }
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
   auto files = crbench::MakeMpeg1Files(bed, kStreams, kPlayLength + crbase::Seconds(3));
   std::vector<crsim::Task> cats = crbench::SpawnBackgroundCats(bed);

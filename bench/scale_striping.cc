@@ -79,7 +79,7 @@ void MeasureDelivery(int disks, int streams, ScalePoint* point, ObsCapture* obs 
   cras::VolumeTestbed bed(rig_options);
   bed.StartServers();
   const std::vector<crmedia::MediaFile> files =
-      crbench::MakeMovieFiles(bed.fs, streams, crbase::Seconds(10));
+      crbench::MakeMpeg1Files(bed, streams, crbase::Seconds(10));
   const crbase::Duration play_length = crbase::Seconds(6);
   std::vector<std::unique_ptr<cras::PlayerStats>> stats;
   std::vector<crsim::Task> players;
@@ -184,7 +184,7 @@ void MeasureDegraded(int disks, const crfault::FaultEvent& fail, DegradedPoint* 
   bed.StartServers();
   const int streams = point->healthy_admitted;
   const std::vector<crmedia::MediaFile> files =
-      crbench::MakeMovieFiles(bed.fs, streams, crbase::Seconds(10));
+      crbench::MakeMpeg1Files(bed, streams, crbase::Seconds(10));
   point->degraded_capacity =
       DegradedCapacity(disks, rig_options, bed.volume, files.front(), fail.disk);
 
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
       fail_spec = arg.substr(std::string("--fail-disk=").size());
     }
   }
-  const auto fail_event = crfault::FaultPlan::ParseFailStopSpec(fail_spec);
+  const auto fail_event = crfault::FaultPlan::ParseSpec(fail_spec);
   CRAS_CHECK(fail_event.ok()) << "--fail-disk wants <disk>@<t_ms>: "
                               << fail_event.status().ToString();
 

@@ -14,8 +14,8 @@
 #include <cstdlib>
 
 #include "src/base/bytes.h"
-#include "src/core/admission.h"
 #include "src/stats/table.h"
+#include "src/volume/admission.h"
 
 int main(int argc, char** argv) {
   double mbps = 1.5;

@@ -9,31 +9,30 @@
 //   $ ./embedded_server
 
 #include <cstdio>
+#include <memory>
 
 #include "src/core/cras.h"
 #include "src/core/player.h"
-#include "src/disk/device.h"
-#include "src/disk/driver.h"
 #include "src/media/media_file.h"
 #include "src/rtmach/kernel.h"
 #include "src/ufs/ufs.h"
+#include "src/volume/volume.h"
 
 using crbase::Seconds;
 
 int main() {
-  // No Testbed, no UnixServer: just the microkernel, the disk, the shared
-  // on-disk layout, and CRAS in-process.
+  // No VolumeTestbed, no UnixServer: just the microkernel, the disk (a
+  // one-member volume), the shared on-disk layout, and CRAS in-process.
   crrt::Kernel kernel;
-  crdisk::DiskDevice::Options device_options;
-  device_options.geometry = crdisk::St32550nGeometry();
-  crdisk::DiskDevice device(kernel.engine(), device_options);
-  crdisk::DiskDriver driver(kernel.engine(), device);
+  crvol::VolumeOptions volume_options;
+  volume_options.device.geometry = crdisk::St32550nGeometry();
+  std::unique_ptr<crvol::Volume> volume = crvol::MakeVolume(kernel.engine(), volume_options);
   crufs::Ufs fs;
 
   cras::CrasServer::Options server_options;
   server_options.interval = crbase::Milliseconds(250);  // small appliance: low latency
   server_options.memory_budget_bytes = 2 * crbase::kMiB;  // tight embedded memory
-  cras::CrasServer server(kernel, driver, fs, server_options);
+  cras::CrasServer server(kernel, *volume, fs, server_options);
   server.Start();
   std::printf("embedded CRAS: interval %s, wired memory %s\n",
               crbase::FormatDuration(server_options.interval).c_str(),

@@ -18,7 +18,7 @@ using crbase::Seconds;
 
 namespace {
 
-crsim::Task Player(cras::Testbed& bed, const crmedia::MediaFile& movie) {
+crsim::Task Player(cras::VolumeTestbed& bed, const crmedia::MediaFile& movie) {
   return bed.kernel.Spawn("movie-player", crrt::kPriorityClient,
                           [&](crrt::ThreadContext& ctx) -> crsim::Task {
     cras::CrasServer& server = bed.cras_server;
@@ -87,7 +87,7 @@ crsim::Task Player(cras::Testbed& bed, const crmedia::MediaFile& movie) {
 }  // namespace
 
 int main() {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   auto movie = crmedia::WriteMpeg1File(bed.fs, "feature.mpg", Seconds(14));
   CRAS_CHECK(movie.ok());

@@ -59,7 +59,7 @@ crsim::Task SpawnSink(crrt::Kernel& host, crnet::NpsReceiver& receiver,
 
 int main() {
   // qtserver host: the full testbed (CRAS + UFS + disk).
-  cras::Testbed qtserver;
+  cras::VolumeTestbed qtserver;
   qtserver.StartServers();
   // qtclient host: its own processor on the shared timeline.
   crrt::Kernel qtclient(qtserver.engine(), crrt::Kernel::Options{});

@@ -17,7 +17,7 @@ using crbase::Seconds;
 
 namespace {
 
-crsim::Task Client(cras::Testbed& bed, const crmedia::MediaFile& movie) {
+crsim::Task Client(cras::VolumeTestbed& bed, const crmedia::MediaFile& movie) {
   return bed.kernel.Spawn("quickstart", crrt::kPriorityClient,
                           [&](crrt::ThreadContext& ctx) -> crsim::Task {
     cras::CrasServer& server = bed.cras_server;
@@ -72,7 +72,7 @@ crsim::Task Client(cras::Testbed& bed, const crmedia::MediaFile& movie) {
 }  // namespace
 
 int main() {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
 
   auto movie = crmedia::WriteMpeg1File(bed.fs, "clip.mpg", Seconds(10));

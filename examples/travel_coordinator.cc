@@ -25,7 +25,7 @@ namespace {
 
 // The conferencing tool: appends meeting state and reads shared documents
 // through the Unix server every 200 ms — ordinary, non-real-time disk use.
-crsim::Task SpawnConferencingTool(cras::Testbed& bed, crufs::InodeNumber doc) {
+crsim::Task SpawnConferencingTool(cras::VolumeTestbed& bed, crufs::InodeNumber doc) {
   return bed.kernel.Spawn("conference-tool", crrt::kPriorityTimesharing,
                           [&bed, doc](crrt::ThreadContext& ctx) -> crsim::Task {
     std::int64_t offset = 0;
@@ -41,7 +41,7 @@ crsim::Task SpawnConferencingTool(cras::Testbed& bed, crufs::InodeNumber doc) {
 }  // namespace
 
 int main() {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
 
   // The video database: sightseeing clips, plus a shared document store.

@@ -17,43 +17,6 @@ crbase::Duration ScaleDuration(crbase::Duration d, double factor) {
 
 }  // namespace
 
-CrasServer::CrasServer(crrt::Kernel& kernel, crdisk::DiskDriver& driver, crufs::Ufs& fs)
-    : CrasServer(kernel, driver, fs, Options{}) {}
-
-CrasServer::CrasServer(crrt::Kernel& kernel, crdisk::DiskDriver& driver, crufs::Ufs& fs,
-                       const Options& options)
-    : kernel_(&kernel),
-      owned_volume_(std::make_unique<crvol::StripedVolume>(driver)),
-      volume_(owned_volume_.get()),
-      fs_(&fs),
-      options_(options),
-      admission_(options.disk_params, options.interval, options.max_read_bytes),
-      volume_admission_(options.disk_params, volume_->disks(), options.interval,
-                        options.max_read_bytes, volume_->stripe_unit_bytes()),
-      control_port_(kernel.engine()),
-      io_done_port_(kernel.engine()),
-      deadline_port_(kernel.engine()),
-      signal_port_(kernel.engine()),
-      fault_port_(kernel.engine()) {
-  // The server wires its code and static state (~250 KB in the paper);
-  // buffers are wired as sessions open.
-  kernel_->WireMemory("cras-server", 250 * crbase::kKiB);
-  volume_admission_.set_parity(volume_->parity());
-  volume_->SetMemberStateListener([this](int disk, crvol::MemberState state) {
-    fault_port_.Send(MemberChange{disk, state});
-  });
-  if (options_.cache.enabled) {
-    cache_ = std::make_unique<crcache::StreamCache>(options_.cache);
-    // The cache's pools are wired server memory like everything else.
-    kernel_->WireMemory("cras-cache",
-                        options_.cache.interval_pool_bytes + options_.cache.prefix_pool_bytes);
-  }
-  if (options_.mcast.enabled) {
-    group_mgr_ = std::make_unique<crmcast::GroupManager>(options_.mcast);
-  }
-  AttachObs(options_.obs);
-}
-
 CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs)
     : CrasServer(kernel, volume, fs, Options{}) {}
 
@@ -63,7 +26,6 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
       volume_(&volume),
       fs_(&fs),
       options_(options),
-      admission_(options.disk_params, options.interval, options.max_read_bytes),
       volume_admission_(options.disk_params, volume.disks(), options.interval,
                         options.max_read_bytes, volume.stripe_unit_bytes()),
       control_port_(kernel.engine()),
@@ -71,13 +33,16 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
       deadline_port_(kernel.engine()),
       signal_port_(kernel.engine()),
       fault_port_(kernel.engine()) {
+  // The server wires its code and static state (~250 KB in the paper);
+  // buffers are wired as sessions open.
   kernel_->WireMemory("cras-server", 250 * crbase::kKiB);
   volume_admission_.set_parity(volume_->parity());
-  volume_->SetMemberStateListener([this](int disk, crvol::MemberState state) {
+  member_listener_ = volume_->AddMemberStateListener([this](int disk, crvol::MemberState state) {
     fault_port_.Send(MemberChange{disk, state});
   });
   if (options_.cache.enabled) {
     cache_ = std::make_unique<crcache::StreamCache>(options_.cache);
+    // The cache's pools are wired server memory like everything else.
     kernel_->WireMemory("cras-cache",
                         options_.cache.interval_pool_bytes + options_.cache.prefix_pool_bytes);
   }
@@ -141,8 +106,9 @@ void CrasServer::AttachObs(crobs::Hub* hub) {
 }
 
 CrasServer::~CrasServer() {
-  // The volume may outlive this server; its listener must not.
-  volume_->SetMemberStateListener(nullptr);
+  // The volume may outlive this server; its listener must not. Other
+  // servers' listeners on the same volume stay subscribed.
+  volume_->RemoveMemberStateListener(member_listener_);
   // Likewise the hub: detach the dying ledger before dumps can touch it.
   if (obs_ != nullptr && obs_->hub->ledger() == obs_->ledger.get()) {
     obs_->hub->SetLedger(nullptr);
@@ -280,11 +246,10 @@ crsim::Task CrasServer::RequestSchedulerThread(crrt::ThreadContext& ctx) {
     record.index = tick.index;
     record.scheduler_lateness = tick.lateness;
     // The binding member disk's estimate; on a one-disk volume exactly the
-    // paper's single-disk figure. With the cache on, cache-served streams
-    // are charged the fallback reserve instead of per-stream disk time.
+    // paper's single-disk figure. Cache-served streams are charged the
+    // fallback reserve instead of per-stream disk time.
     const crvol::VolumeAdmissionModel::Estimate estimate =
-        UseCachedAdmission() ? volume_admission_.EvaluateCached(CurrentCachedDemands())
-                             : volume_admission_.Evaluate(CurrentDemands());
+        volume_admission_.EvaluateCached(CurrentCachedDemands());
     record.estimated_io = estimate.WorstIoTime();
     interval_records_.push_back(record);
 
@@ -569,20 +534,11 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
 
   // The admission test (§2.3), run per member disk: every disk's interval
   // deadline and the memory budget must hold.
-  if (UseCachedAdmission()) {
-    std::vector<crvol::CachedStreamDemand> demands = CurrentCachedDemands();
-    demands.push_back(
-        {demand, grouped || cache_plan.serve == crcache::ServeClass::kCached});
-    if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
-      unwind_group();
-      return reject(crbase::ResourceExhaustedError("admission test failed"));
-    }
-  } else {
-    std::vector<StreamDemand> demands = CurrentDemands();
-    demands.push_back(demand);
-    if (!volume_admission_.Admissible(demands, options_.memory_budget_bytes)) {
-      return reject(crbase::ResourceExhaustedError("admission test failed"));
-    }
+  std::vector<crvol::CachedStreamDemand> demands = CurrentCachedDemands();
+  demands.push_back({demand, grouped || cache_plan.serve == crcache::ServeClass::kCached});
+  if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
+    unwind_group();
+    return reject(crbase::ResourceExhaustedError("admission test failed"));
   }
 
   Session session;
@@ -804,25 +760,14 @@ crbase::Status CrasServer::HandleSetRate(SessionId id, double rate_factor) {
   StreamDemand new_demand = session->demand;
   new_demand.rate_bytes_per_sec =
       new_demand.rate_bytes_per_sec / session->rate_factor * rate_factor;
-  if (UseCachedAdmission()) {
-    std::vector<crvol::CachedStreamDemand> demands;
-    demands.reserve(sessions_.size());
-    for (const auto& [other_id, other] : sessions_) {
-      demands.push_back({other_id == id ? new_demand : other.demand,
-                         other.cache_served || other.group_served});
-    }
-    if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
-      return crbase::ResourceExhaustedError("admission test failed at the new rate");
-    }
-  } else {
-    std::vector<StreamDemand> demands;
-    demands.reserve(sessions_.size());
-    for (const auto& [other_id, other] : sessions_) {
-      demands.push_back(other_id == id ? new_demand : other.demand);
-    }
-    if (!volume_admission_.Admissible(demands, options_.memory_budget_bytes)) {
-      return crbase::ResourceExhaustedError("admission test failed at the new rate");
-    }
+  std::vector<crvol::CachedStreamDemand> demands;
+  demands.reserve(sessions_.size());
+  for (const auto& [other_id, other] : sessions_) {
+    demands.push_back({other_id == id ? new_demand : other.demand,
+                       other.cache_served || other.group_served});
+  }
+  if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
+    return crbase::ResourceExhaustedError("admission test failed at the new rate");
   }
   // Re-reserve the buffer at the new B_i. Resident data stays valid (the
   // buffer object is preserved; only the accounting and cap change through
@@ -887,18 +832,10 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
   // Re-run the admission test: the array may have degraded (or filled up)
   // since the session was reaped, and a resumed stream gets no special
   // claim over the ones admitted meanwhile.
-  if (UseCachedAdmission()) {
-    std::vector<crvol::CachedStreamDemand> demands = CurrentCachedDemands();
-    demands.push_back({old.demand, cache_plan.serve == crcache::ServeClass::kCached});
-    if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
-      return crbase::ResourceExhaustedError("admission test failed on resume");
-    }
-  } else {
-    std::vector<StreamDemand> demands = CurrentDemands();
-    demands.push_back(old.demand);
-    if (!volume_admission_.Admissible(demands, options_.memory_budget_bytes)) {
-      return crbase::ResourceExhaustedError("admission test failed on resume");
-    }
+  std::vector<crvol::CachedStreamDemand> demands = CurrentCachedDemands();
+  demands.push_back({old.demand, cache_plan.serve == crcache::ServeClass::kCached});
+  if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
+    return crbase::ResourceExhaustedError("admission test failed on resume");
   }
 
   Session session;
@@ -1107,12 +1044,8 @@ void CrasServer::ShedUntilAdmissible() {
     if (sessions_.empty()) {
       break;
     }
-    const bool admissible =
-        UseCachedAdmission()
-            ? volume_admission_.AdmissibleCached(CurrentCachedDemands(),
-                                                 options_.memory_budget_bytes)
-            : volume_admission_.Admissible(CurrentDemands(), options_.memory_budget_bytes);
-    if (admissible) {
+    if (volume_admission_.AdmissibleCached(CurrentCachedDemands(),
+                                           options_.memory_budget_bytes)) {
       break;
     }
     Session* victim = nullptr;
@@ -1389,7 +1322,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
     } else {
       // Write session: stage up to one interval's admitted bytes from the
       // produced-chunk queue, in maximal consecutive runs.
-      std::int64_t budget = admission_.BytesPerInterval(session.demand);
+      std::int64_t budget = volume_admission_.BytesPerInterval(session.demand);
       while (!session.write_queue.empty() && budget > 0) {
         const std::int64_t first = session.write_queue.front();
         std::int64_t last = first;
@@ -1529,15 +1462,6 @@ CrasServer::Session* CrasServer::FindSession(SessionId id) {
 const CrasServer::Session* CrasServer::FindSession(SessionId id) const {
   auto it = sessions_.find(id);
   return it == sessions_.end() ? nullptr : &it->second;
-}
-
-std::vector<StreamDemand> CrasServer::CurrentDemands() const {
-  std::vector<StreamDemand> demands;
-  demands.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    demands.push_back(session.demand);
-  }
-  return demands;
 }
 
 std::vector<crvol::CachedStreamDemand> CrasServer::CurrentCachedDemands() const {

@@ -31,9 +31,9 @@
 // Extension (beyond the paper): the server retrieves from a multi-disk
 // volume (crvol::Volume — striped or rotating-parity). Admission runs the
 // paper's formulas per member disk (crvol::VolumeAdmissionModel), so an
-// N-disk volume admits ~N times the Fig. 6 stream count. The single-driver
-// constructors wrap the driver in a degenerate one-disk volume and behave
-// exactly as before.
+// N-disk volume admits ~N times the Fig. 6 stream count. The paper's single
+// disk is a one-member volume, on which the per-disk test is exactly the
+// paper's.
 //
 // Extension (fault tolerance): a sixth thread, the *degradation
 // controller*, listens for member-disk state changes (fail-stop, slow,
@@ -73,10 +73,9 @@
 #include "src/base/status.h"
 #include "src/base/time_units.h"
 #include "src/cache/stream_cache.h"
-#include "src/core/admission.h"
 #include "src/core/logical_clock.h"
 #include "src/core/time_driven_buffer.h"
-#include "src/disk/driver.h"
+#include "src/disk/request.h"
 #include "src/mcast/group_manager.h"
 #include "src/media/chunk_index.h"
 #include "src/rtmach/kernel.h"
@@ -84,7 +83,7 @@
 #include "src/sim/port.h"
 #include "src/sim/task.h"
 #include "src/ufs/ufs.h"
-#include "src/volume/striped_volume.h"
+#include "src/volume/admission.h"
 #include "src/volume/volume.h"
 #include "src/volume/volume_admission.h"
 
@@ -208,23 +207,20 @@ class CrasServer {
     crobs::Hub* obs = nullptr;
   };
 
-  // Single-disk constructors: wrap `driver` in a one-disk volume; behaviour
-  // is identical to the pre-volume server.
-  CrasServer(crrt::Kernel& kernel, crdisk::DiskDriver& driver, crufs::Ufs& fs);
-  CrasServer(crrt::Kernel& kernel, crdisk::DiskDriver& driver, crufs::Ufs& fs,
-             const Options& options);
-  // Multi-disk volume constructors (striped or parity): `fs` must span the
-  // volume's logical space (see crufs::Ufs::Options::total_sectors).
-  // Options::disk_params describes one member disk; admission runs per
-  // disk. The server installs itself as the volume's member-state listener
-  // (degradation controller).
+  // Serves `volume` (striped or parity; one disk is the paper's rig): `fs`
+  // must span the volume's logical space (see
+  // crufs::Ufs::Options::total_sectors). Options::disk_params describes one
+  // member disk; admission runs per disk. The server subscribes its own
+  // member-state listener (degradation controller), so several servers may
+  // share one volume.
   CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs);
   CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs,
              const Options& options);
   CrasServer(const CrasServer&) = delete;
   CrasServer& operator=(const CrasServer&) = delete;
-  // Reclaims client frames whose control messages were still queued
-  // unprocessed (the ports themselves reclaim blocked receivers).
+  // Unsubscribes from the volume and reclaims client frames whose control
+  // messages were still queued unprocessed (the ports themselves reclaim
+  // blocked receivers).
   ~CrasServer();
 
   // Spawns the six server threads (idempotent).
@@ -318,10 +314,6 @@ class CrasServer {
 
   // ---- introspection ----
   const Options& options() const { return options_; }
-  // The paper's single-disk admission model (one member disk's parameters).
-  // Decisions are made by volume_admission(), which degenerates to exactly
-  // this model on a one-disk volume.
-  const AdmissionModel& admission() const { return admission_; }
   const crvol::VolumeAdmissionModel& volume_admission() const { return volume_admission_; }
   crvol::Volume& volume() { return *volume_; }
   // The stream cache; null when Options::cache.enabled is false.
@@ -511,20 +503,15 @@ class CrasServer {
 
   Session* FindSession(SessionId id);
   const Session* FindSession(SessionId id) const;
-  std::vector<StreamDemand> CurrentDemands() const;
   // The open sessions' demands tagged with their serving class, the input
-  // to AdmissibleCached/EvaluateCached.
+  // to every admission decision (AdmissibleCached/EvaluateCached; with no
+  // cache-served stream these are the plain per-disk test).
   std::vector<crvol::CachedStreamDemand> CurrentCachedDemands() const;
   // Drops session `id`'s cache service (and its follower's pair, if any)
   // and re-registers it as a plain disk-served chain member at its current
   // scheduling position. Returns true if any stream's serving class changed
   // (the caller then re-runs ShedUntilAdmissible).
   bool DetachFromCache(SessionId id);
-  // Whether admission decisions use the serving-class-aware cached path
-  // (cache or multicast groups active — both admit memory-only streams).
-  bool UseCachedAdmission() const {
-    return cache_ != nullptr || group_mgr_ != nullptr;
-  }
   // Flips a group member back to plain unicast disk service: clears the
   // group flags and resumes scheduling at the clock's current position.
   // Membership bookkeeping (GroupManager) is the caller's to update.
@@ -578,12 +565,11 @@ class CrasServer {
   void AttachObs(crobs::Hub* hub);
 
   crrt::Kernel* kernel_;
-  // Set only by the single-driver constructors (the wrapping volume).
-  std::unique_ptr<crvol::Volume> owned_volume_;
   crvol::Volume* volume_;
+  // This server's subscription to the volume's member-state changes.
+  int member_listener_ = -1;
   crufs::Ufs* fs_;
   Options options_;
-  AdmissionModel admission_;
   crvol::VolumeAdmissionModel volume_admission_;
   // Null unless options_.cache.enabled.
   std::unique_ptr<crcache::StreamCache> cache_;

@@ -1,7 +1,7 @@
-// A fully wired simulated machine: the paper's Gateway2000 P5-100 with one
-// ST32550N disk, Real-Time Mach, the Unix server, and a CRAS server.
-// `VolumeTestbed` is the multi-disk variant: the same rig over a striped
-// volume of N identical disks.
+// A fully wired simulated machine: the paper's Gateway2000 P5-100 with
+// Real-Time Mach, the Unix server, and a CRAS server over a volume of N
+// identical ST32550N disks. The default volume is one disk — the paper's
+// rig; options.volume widens it to a striped or parity array.
 //
 // Used by integration tests, benches, and examples so every experiment runs
 // on an identical rig.
@@ -13,18 +13,15 @@
 
 #include "src/core/cras.h"
 #include "src/obs/obs.h"
-#include "src/disk/device.h"
-#include "src/disk/driver.h"
 #include "src/rtmach/kernel.h"
 #include "src/ufs/unix_server.h"
 #include "src/volume/volume.h"
 
 namespace cras {
 
-struct TestbedOptions {
+struct VolumeTestbedOptions {
   crrt::Kernel::Options kernel;
-  crdisk::DiskDevice::Options device;
-  crdisk::DiskDriver::Options driver;
+  crvol::VolumeOptions volume;
   crufs::Ufs::Options ufs;
   crufs::UnixServer::Options unix_server;
   CrasServer::Options cras;
@@ -36,58 +33,7 @@ struct TestbedOptions {
   bool attach_obs = true;
 };
 
-class Testbed {
- public:
-  Testbed() : Testbed(TestbedOptions{}) {}
-
-  explicit Testbed(const TestbedOptions& options)
-      : kernel(options.kernel),
-        hub(kernel.engine(), options.obs),
-        device(kernel.engine(), options.device),
-        driver(kernel.engine(), device, options.driver),
-        fs(options.ufs),
-        unix_server(kernel, driver, fs, options.unix_server),
-        cras_server(kernel, driver, fs,
-                    WithObs(options.cras, options.attach_obs ? &hub : nullptr)) {}
-
-  // Starts both servers.
-  void StartServers() {
-    unix_server.Start();
-    cras_server.Start();
-  }
-
-  crsim::Engine& engine() { return kernel.engine(); }
-  crbase::Time Now() const { return kernel.Now(); }
-
-  crrt::Kernel kernel;
-  // Attached to every layer through the CRAS server's options; benches and
-  // tests read snapshots (hub.MetricsJson()) or dump traces from here.
-  crobs::Hub hub;
-  crdisk::DiskDevice device;
-  crdisk::DiskDriver driver;
-  crufs::Ufs fs;
-  crufs::UnixServer unix_server;
-  CrasServer cras_server;
-
- private:
-  static CrasServer::Options WithObs(CrasServer::Options cras, crobs::Hub* hub) {
-    cras.obs = hub;
-    return cras;
-  }
-};
-
-struct VolumeTestbedOptions {
-  crrt::Kernel::Options kernel;
-  crvol::VolumeOptions volume;
-  crufs::Ufs::Options ufs;
-  crufs::UnixServer::Options unix_server;
-  CrasServer::Options cras;
-  crobs::Hub::Options obs;
-  // See TestbedOptions::attach_obs.
-  bool attach_obs = true;
-};
-
-// The multi-disk rig: N identical member disks behind a striped or parity
+// N identical member disks (one by default) behind a striped or parity
 // volume (options.volume.parity selects the layout), with the file system
 // laid out over the volume's logical block space.
 class VolumeTestbed {
@@ -114,6 +60,8 @@ class VolumeTestbed {
   crbase::Time Now() const { return kernel.Now(); }
 
   crrt::Kernel kernel;
+  // Attached to every layer through the CRAS server's options; benches and
+  // tests read snapshots (hub.MetricsJson()) or dump traces from here.
   crobs::Hub hub;
   std::unique_ptr<crvol::Volume> volume_owner;
   crvol::Volume& volume;

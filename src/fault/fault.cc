@@ -259,10 +259,6 @@ crbase::Result<FaultEvent> FaultPlan::ParseSpec(const std::string& spec) {
   return plan.events().front();
 }
 
-crbase::Result<FaultEvent> FaultPlan::ParseFailStopSpec(const std::string& spec) {
-  return ParseSpec(spec);
-}
-
 FaultInjector::FaultInjector(crsim::Engine& engine, crvol::Volume& volume, FaultPlan plan)
     : FaultInjector(engine, &volume, nullptr, std::move(plan)) {}
 

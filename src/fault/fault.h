@@ -156,8 +156,6 @@ class FaultPlan {
   // milliseconds. The pre-chaos form "<disk>@<t_ms>" (e.g. "1@2000") still
   // parses as a fail-stop of that member.
   static crbase::Result<FaultEvent> ParseSpec(const std::string& spec);
-  // Alias for the legacy call sites; accepts the full ParseSpec grammar.
-  static crbase::Result<FaultEvent> ParseFailStopSpec(const std::string& spec);
 
  private:
   std::vector<FaultEvent> events_;

@@ -20,8 +20,6 @@ StripedVolume::StripedVolume(crsim::Engine& engine, const VolumeOptions& options
   }
 }
 
-StripedVolume::StripedVolume(crdisk::DiskDriver& driver) : Volume(driver) {}
-
 StripedVolume::Segment StripedVolume::Map(crdisk::Lba logical) const {
   CRAS_CHECK(logical >= 0 && logical < total_sectors())
       << "logical LBA out of range: " << logical;

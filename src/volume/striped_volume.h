@@ -10,12 +10,9 @@
 // one disk are therefore physically contiguous, which keeps per-disk reads
 // coalescible and cylinder-sortable.
 //
-// Two construction modes:
-//   * owning  — builds N device+driver pairs from VolumeOptions; the
-//     standard multi-disk configuration;
-//   * attach  — wraps one existing DiskDriver as a degenerate single-disk
-//     volume with an identity mapping. This is how the classic single-disk
-//     CrasServer constructors keep byte-for-byte their old behaviour.
+// One member disk is the paper's configuration: the mapping is the identity
+// and the whole disk is addressable, so a one-disk volume is exactly the
+// single-disk system the paper measured.
 
 #ifndef SRC_VOLUME_STRIPED_VOLUME_H_
 #define SRC_VOLUME_STRIPED_VOLUME_H_
@@ -29,11 +26,8 @@ namespace crvol {
 
 class StripedVolume : public Volume {
  public:
-  // Owning mode: builds `options.disks` device+driver pairs.
+  // Builds `options.disks` device+driver pairs.
   StripedVolume(crsim::Engine& engine, const VolumeOptions& options);
-  // Attach mode: a single-disk volume over an existing driver (not owned);
-  // mapping is the identity and the full disk capacity is addressable.
-  explicit StripedVolume(crdisk::DiskDriver& driver);
 
   // Logical sector -> (disk, physical sector).
   Segment Map(crdisk::Lba logical) const override;

@@ -38,20 +38,10 @@ Volume::Volume(crsim::Engine& engine, const VolumeOptions& options) {
     owned_devices_.push_back(std::make_unique<crdisk::DiskDevice>(engine, options.device));
     owned_drivers_.push_back(
         std::make_unique<crdisk::DiskDriver>(engine, *owned_devices_.back(), options.driver));
-    drivers_.push_back(owned_drivers_.back().get());
   }
   member_states_.assign(static_cast<std::size_t>(options.disks), MemberState::kHealthy);
   units_per_disk_ = options.device.geometry.total_sectors() / unit_sectors_;
   CRAS_CHECK(units_per_disk_ > 0) << "stripe unit larger than a member disk";
-}
-
-Volume::Volume(crdisk::DiskDriver& driver) {
-  drivers_.push_back(&driver);
-  member_states_.assign(1, MemberState::kHealthy);
-  sector_size_ = driver.device().geometry().sector_size;
-  unit_sectors_ = 256 * crbase::kKiB / sector_size_;
-  units_per_disk_ = 0;
-  total_sectors_ = driver.device().geometry().total_sectors();
 }
 
 int Volume::failed_members() const {
@@ -89,17 +79,23 @@ void Volume::SetMemberState(int disk, MemberState state) {
     return;
   }
   slot = state;
-  if (member_listener_) {
-    member_listener_(disk, state);
+  for (const auto& [token, listener] : member_listeners_) {
+    listener(disk, state);
   }
+}
+
+int Volume::AddMemberStateListener(MemberStateListener listener) {
+  const int token = next_listener_token_++;
+  member_listeners_.emplace(token, std::move(listener));
+  return token;
 }
 
 void Volume::AttachObs(crobs::Hub* hub, const std::string& prefix) {
   if (hub == nullptr) {
     obs_.reset();
-    for (crdisk::DiskDriver* driver : drivers_) {
-      driver->AttachObs(nullptr, "");
-      driver->device().AttachObs(nullptr, "");
+    for (int d = 0; d < disks(); ++d) {
+      driver(d).AttachObs(nullptr, "");
+      device(d).AttachObs(nullptr, "");
     }
     return;
   }
@@ -114,8 +110,8 @@ void Volume::AttachObs(crobs::Hub* hub, const std::string& prefix) {
         metrics.GetCounter("volume.pieces", {{"volume", prefix}, {"disk", disk_name}}));
     obs->reconstructions.push_back(metrics.GetCounter(
         "volume.reconstruction_pieces", {{"volume", prefix}, {"disk", disk_name}}));
-    drivers_[static_cast<std::size_t>(d)]->AttachObs(hub, disk_name);
-    drivers_[static_cast<std::size_t>(d)]->device().AttachObs(hub, disk_name);
+    driver(d).AttachObs(hub, disk_name);
+    device(d).AttachObs(hub, disk_name);
   }
   obs_ = std::move(obs);
 }
@@ -189,7 +185,7 @@ std::uint64_t Volume::Submit(crdisk::DiskRequest req) {
         }
       }
     };
-    drivers_[static_cast<std::size_t>(segment.disk)]->Submit(std::move(piece));
+    driver(segment.disk).Submit(std::move(piece));
   }
   return id;
 }

@@ -14,7 +14,7 @@
 // slow). The fault-injection layer (crfault) flips states at scripted
 // simulation timestamps; a layout reacts by rerouting — a ParityVolume
 // reconstructs a failed member's data from the surviving disks — and the
-// registered state listener lets the CRAS server's degradation controller
+// subscribed state listeners let each CRAS server's degradation controller
 // re-run admission against the changed array. A fail-stop takes effect at
 // the routing layer: requests already queued on the member drain normally
 // (detection is modelled as instantaneous at the plan timestamp), but no
@@ -26,6 +26,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -89,7 +90,7 @@ class Volume : public crdisk::IoTarget {
   // destruction afterwards cannot double-free it.
   ~Volume() override;
 
-  int disks() const { return static_cast<int>(drivers_.size()); }
+  int disks() const { return static_cast<int>(owned_drivers_.size()); }
   // Members carrying data in one stripe row (equals disks() for a data-only
   // layout; disks()-1 under rotating parity).
   virtual int data_disks() const { return disks(); }
@@ -100,10 +101,10 @@ class Volume : public crdisk::IoTarget {
   // Logical (data) capacity.
   std::int64_t total_sectors() const { return total_sectors_; }
 
-  crdisk::DiskDriver& driver(int disk) { return *drivers_[static_cast<std::size_t>(disk)]; }
-  crdisk::DiskDevice& device(int disk) { return drivers_[static_cast<std::size_t>(disk)]->device(); }
+  crdisk::DiskDriver& driver(int disk) { return *owned_drivers_[static_cast<std::size_t>(disk)]; }
+  crdisk::DiskDevice& device(int disk) { return *owned_devices_[static_cast<std::size_t>(disk)]; }
   // Per-disk geometry (identical across the array).
-  const crdisk::DiskGeometry& geometry() const { return drivers_.front()->device().geometry(); }
+  const crdisk::DiskGeometry& geometry() const { return owned_devices_.front()->geometry(); }
 
   // Logical sector -> (disk, physical sector), healthy-array data mapping.
   virtual Segment Map(crdisk::Lba logical) const = 0;
@@ -128,12 +129,14 @@ class Volume : public crdisk::IoTarget {
   // The lowest-numbered failed member, or -1 when none.
   int failed_member() const;
   bool degraded() const;  // any member not healthy
-  // Flips a member's state (no-op when unchanged) and notifies the listener.
+  // Flips a member's state (no-op when unchanged) and notifies every
+  // listener, in subscription order.
   void SetMemberState(int disk, MemberState state);
-  // At most one listener (the CRAS server's degradation controller).
-  void SetMemberStateListener(std::function<void(int disk, MemberState state)> listener) {
-    member_listener_ = std::move(listener);
-  }
+  // Subscribes a listener (each CRAS server sharing the volume subscribes
+  // its own degradation controller). Returns the token that unsubscribes it.
+  using MemberStateListener = std::function<void(int disk, MemberState state)>;
+  int AddMemberStateListener(MemberStateListener listener);
+  void RemoveMemberStateListener(int token) { member_listeners_.erase(token); }
 
   // IoTarget: maps via MapRange(kind), fans out, merges. The merged
   // completion carries the *logical* LBA, the summed component times, and
@@ -164,11 +167,9 @@ class Volume : public crdisk::IoTarget {
   }
 
  protected:
-  // Owning mode: builds `options.disks` device+driver pairs. The derived
-  // layout must then call set_total_sectors() with its logical capacity.
+  // Builds `options.disks` device+driver pairs. The derived layout must
+  // then call set_total_sectors() with its logical capacity.
   Volume(crsim::Engine& engine, const VolumeOptions& options);
-  // Attach mode: wraps one existing DiskDriver (not owned).
-  explicit Volume(crdisk::DiskDriver& driver);
 
   void set_total_sectors(std::int64_t sectors) { total_sectors_ = sectors; }
   std::int64_t sector_size() const { return sector_size_; }
@@ -189,9 +190,10 @@ class Volume : public crdisk::IoTarget {
 
   std::vector<std::unique_ptr<crdisk::DiskDevice>> owned_devices_;
   std::vector<std::unique_ptr<crdisk::DiskDriver>> owned_drivers_;
-  std::vector<crdisk::DiskDriver*> drivers_;
   std::vector<MemberState> member_states_;
-  std::function<void(int, MemberState)> member_listener_;
+  // Keyed by subscription token, so iteration follows subscription order.
+  std::map<int, MemberStateListener> member_listeners_;
+  int next_listener_token_ = 0;
   std::int64_t sector_size_ = 512;
   std::int64_t unit_sectors_ = 0;
   std::int64_t units_per_disk_ = 0;

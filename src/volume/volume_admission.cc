@@ -69,17 +69,6 @@ VolumeAdmissionModel::Estimate VolumeAdmissionModel::Evaluate(
   Estimate estimate;
   const int n = disks();
   const int failed = failed_members();
-
-  if (n == 1 && failed == 0) {
-    // Exactly the paper's single-disk test.
-    const cras::AdmissionEstimate single = models_.front().Evaluate(streams);
-    estimate.per_disk.push_back(DiskEstimate{single.requests, single.bytes, single.overhead,
-                                             single.transfer, single.terms});
-    estimate.bytes = single.bytes;
-    estimate.buffer_bytes = single.buffer_bytes;
-    return estimate;
-  }
-
   std::int64_t total_bytes = 0;
   std::int64_t total_requests = 0;
   std::int64_t largest_window = 0;
@@ -98,7 +87,8 @@ VolumeAdmissionModel::Estimate VolumeAdmissionModel::Evaluate(
 
   // Balanced share plus skew allowance — one extra window of bytes, two
   // extra requests (a window parked on this disk plus a boundary-straddling
-  // split landing here); never more than the whole demand.
+  // split landing here); never more than the whole demand. On one disk the
+  // cap leaves exactly A_total and N_total: the paper's single-disk test.
   std::int64_t bytes_d =
       std::min(total_bytes,
                (total_bytes + n - 1) / n + std::min(largest_window, stripe_unit_bytes_));

@@ -6,10 +6,11 @@
 // Demand split. A stream's per-interval window A_i = T*R_i + C_i covers
 // consecutive logical bytes, which round-robin striping spreads over the
 // array in stripe units. The model charges each disk the balanced share of
-// the aggregate demand plus a one-window skew allowance:
+// the aggregate demand plus a one-window skew allowance, capped at the
+// whole demand:
 //
-//   A_d = ceil(A_total / N) + min(max_i A_i, stripe_unit)      bytes
-//   N_d = ceil(N_total / N) + 2                                requests
+//   A_d = min(A_total, ceil(A_total / N) + min(max_i A_i, stripe_unit))  bytes
+//   N_d = min(N_total, ceil(N_total / N) + 2)                            requests
 //   admit  <=>  for every disk d:  O_total(N_d) + A_d/D_d  <=  T
 //
 // The skew terms cover the granularity of the split: a window smaller than
@@ -21,9 +22,9 @@
 // carry (Figures 8-9 measure it at 30-70%); bench/scale_striping verifies
 // empirically that admitted loads meet their interval deadlines.
 //
-// A single-disk volume (N = 1) bypasses the split and reproduces
-// cras::AdmissionModel decisions and estimates exactly — the Fig. 6/8
-// regression anchor.
+// On a single-disk volume (N = 1) the cap leaves A_d = A_total and
+// N_d = N_total, so the split reproduces cras::AdmissionModel decisions and
+// estimates exactly — the Fig. 6/8 regression anchor.
 //
 // Degraded mode. A parity array (set_parity) keeps serving with one member
 // failed (SetMemberFailed), but every logical read that would have landed

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/cache/stream_cache.h"
 #include "src/core/cras.h"
 #include "src/core/player.h"
@@ -21,8 +22,8 @@ namespace {
 using crbase::Milliseconds;
 using crbase::Seconds;
 
-TestbedOptions CachedTestbedOptions() {
-  TestbedOptions options;
+VolumeTestbedOptions CachedRigOptions() {
+  VolumeTestbedOptions options;
   options.cras.cache.enabled = true;
   // A short prefix so a two-player run exercises both hit kinds: chunks
   // before 6 s ride the pinned prefix, later ones the interval pool.
@@ -34,7 +35,7 @@ TestbedOptions CachedTestbedOptions() {
 // Unit: popularity tracking and prefix pinning.
 
 TEST(StreamCache, PopularityPinsHotTitlesAndEvictsCold) {
-  Testbed bed;  // only used to author chunk indexes
+  VolumeTestbed bed;  // only used to author chunk indexes
   const auto a = *crmedia::WriteMpeg1File(bed.fs, "a", Seconds(30));
   const auto b = *crmedia::WriteMpeg1File(bed.fs, "b", Seconds(30));
 
@@ -94,13 +95,54 @@ TEST(CachedAdmission, ChargesDiskStreamsPlusOneFallbackReserve) {
   EXPECT_EQ(cached.per_disk[0].bytes, base2.per_disk[0].bytes);
   EXPECT_EQ(cached.buffer_bytes, base4.buffer_bytes);
 
-  // With no cache-served member the estimate is byte-identical to the
-  // classic one: the classic rigs cannot drift.
-  const std::vector<crvol::CachedStreamDemand> plain = {{d, false}, {d, false}};
-  const auto same = model.EvaluateCached(plain);
-  EXPECT_EQ(same.per_disk[0].requests, base2.per_disk[0].requests);
-  EXPECT_EQ(same.per_disk[0].bytes, base2.per_disk[0].bytes);
-  EXPECT_EQ(same.buffer_bytes, base2.buffer_bytes);
+  // With no cache-served member the estimate and the verdict equal the
+  // plain per-disk test, field for field, on any array: the server runs
+  // only the cache-aware test, so rigs without a cache cannot drift.
+  crbase::Rng rng(77);
+  auto expect_plain_equivalence = [&](const crvol::VolumeAdmissionModel& array) {
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<StreamDemand> streams;
+      std::vector<crvol::CachedStreamDemand> tagged;
+      const int count = static_cast<int>(rng.NextBelow(40));
+      for (int i = 0; i < count; ++i) {
+        const StreamDemand s{1000.0 + static_cast<double>(rng.NextBelow(400000)),
+                             static_cast<std::int64_t>(rng.NextBelow(200 * 1024))};
+        streams.push_back(s);
+        tagged.push_back({s, false});
+      }
+      const auto want = array.Evaluate(streams);
+      const auto got = array.EvaluateCached(tagged);
+      EXPECT_EQ(got.bytes, want.bytes);
+      EXPECT_EQ(got.buffer_bytes, want.buffer_bytes);
+      ASSERT_EQ(got.per_disk.size(), want.per_disk.size());
+      for (std::size_t k = 0; k < got.per_disk.size(); ++k) {
+        const auto& g = got.per_disk[k];
+        const auto& w = want.per_disk[k];
+        EXPECT_EQ(g.requests, w.requests) << "disk " << k;
+        EXPECT_EQ(g.bytes, w.bytes) << "disk " << k;
+        EXPECT_EQ(g.overhead, w.overhead) << "disk " << k;
+        EXPECT_EQ(g.transfer, w.transfer) << "disk " << k;
+        EXPECT_EQ(g.terms.command, w.terms.command) << "disk " << k;
+        EXPECT_EQ(g.terms.seek, w.terms.seek) << "disk " << k;
+        EXPECT_EQ(g.terms.rotation, w.terms.rotation) << "disk " << k;
+        EXPECT_EQ(g.terms.other, w.terms.other) << "disk " << k;
+      }
+      for (const std::int64_t budget : {1 * crbase::kMiB, 12 * crbase::kMiB, 64 * crbase::kMiB}) {
+        EXPECT_EQ(array.AdmissibleCached(tagged, budget), array.Admissible(streams, budget));
+      }
+    }
+  };
+  for (const int disks : {1, 2, 4, 8}) {
+    SCOPED_TRACE(disks);
+    expect_plain_equivalence(crvol::VolumeAdmissionModel(
+        params, disks, Milliseconds(500), 256 * crbase::kKiB, 256 * crbase::kKiB));
+  }
+  crvol::VolumeAdmissionModel degraded(params, 4, Milliseconds(500), 256 * crbase::kKiB,
+                                       256 * crbase::kKiB);
+  degraded.set_parity(true);
+  degraded.SetMemberFailed(1, true);
+  SCOPED_TRACE("parity, one member failed");
+  expect_plain_equivalence(degraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +162,7 @@ struct TwoPlayerRun {
 TwoPlayerRun RunTwoPlayers(crbase::Duration a_play, crbase::Duration b_delay,
                            crbase::Duration b_play) {
   TwoPlayerRun run;
-  Testbed bed(CachedTestbedOptions());
+  VolumeTestbed bed(CachedRigOptions());
   bed.StartServers();
   const auto file = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(24));
   PlayerOptions a_options;
@@ -193,10 +235,10 @@ TEST(StreamCacheIntegration, MetricsAreByteDeterministic) {
 // Opens up to `candidates` streams of one title back to back; returns the
 // admitted count.
 int OpenSameTitle(bool cache_enabled, int candidates) {
-  TestbedOptions options;
+  VolumeTestbedOptions options;
   options.cras.memory_budget_bytes = 64 * crbase::kMiB;
   options.cras.cache.enabled = cache_enabled;
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
   const auto file = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(30));
   int accepted = 0;
@@ -229,7 +271,7 @@ TEST(StreamCacheIntegration, CacheAdmitsWellBeyondDiskOnlyCapacity) {
 // Integration: chain merge and the shed path.
 
 TEST(StreamCacheIntegration, InteriorChainDeathMergesNeighbours) {
-  Testbed bed(CachedTestbedOptions());
+  VolumeTestbed bed(CachedRigOptions());
   bed.StartServers();
   const auto file = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(30));
   std::vector<SessionId> ids;
@@ -268,8 +310,8 @@ TEST(StreamCacheIntegration, FallbackBeyondReserveShedsInsteadOfMissing) {
   // predecessor X away demotes its follower; now 14 disk-charged streams
   // plus follower Y's reserve no longer fit, and the controller must shed
   // exactly one stream rather than let the set run past the proof.
-  TestbedOptions options = CachedTestbedOptions();
-  Testbed bed(options);
+  VolumeTestbedOptions options = CachedRigOptions();
+  VolumeTestbed bed(options);
   bed.StartServers();
   std::vector<crmedia::MediaFile> fillers;
   for (int i = 0; i < 11; ++i) {
@@ -314,9 +356,9 @@ TEST(StreamCacheIntegration, FallbackBeyondReserveShedsInsteadOfMissing) {
 // Integration: a reaped predecessor (lease lapse) demotes its follower.
 
 TEST(StreamCacheIntegration, ReapedPredecessorFallsFollowerBack) {
-  TestbedOptions options = CachedTestbedOptions();
+  VolumeTestbedOptions options = CachedRigOptions();
   options.cras.lease_period = Milliseconds(500);
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
   const auto file = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(30));
 

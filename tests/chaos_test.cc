@@ -103,8 +103,8 @@ TEST(ParseSpec, LegacyBareFormIsFailStop) {
   EXPECT_EQ(legacy->kind, FaultKind::kFailStop);
   EXPECT_EQ(legacy->disk, 1);
   EXPECT_EQ(legacy->at, Seconds(2));
-  // The old entry point accepts the new grammar too.
-  EXPECT_TRUE(FaultPlan::ParseFailStopSpec("slow_disk:0,2.0@500").ok());
+  // The same entry point takes the full grammar.
+  EXPECT_TRUE(FaultPlan::ParseSpec("slow_disk:0,2.0@500").ok());
 }
 
 TEST(ParseSpec, MalformedSpecsAreErrorsNotCrashes) {
@@ -275,15 +275,15 @@ TEST(ChaosSchedule, DoubleFaultOnlyWhenAllowed) {
 // Hardened control plane.
 
 struct ControlRig {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   crnet::Link forward;
   crnet::Link reverse;
   crnet::ControlService service;
   crnet::ControlClient client;
 
-  ControlRig() : ControlRig(cras::TestbedOptions{}) {}
+  ControlRig() : ControlRig(cras::VolumeTestbedOptions{}) {}
 
-  explicit ControlRig(const cras::TestbedOptions& options)
+  explicit ControlRig(const cras::VolumeTestbedOptions& options)
       : bed(options),
         forward(bed.engine()),
         reverse(bed.engine()),
@@ -400,7 +400,7 @@ TEST(ControlPlane, BlackoutSurfacesDeadlineExceededNotAWedge) {
 }
 
 TEST(ControlPlane, CloseRacingTheReaperResolvesDeterministically) {
-  cras::TestbedOptions options;
+  cras::VolumeTestbedOptions options;
   options.cras.lease_period = Milliseconds(200);
   ControlRig rig(options);
   const auto movie = rig.Movie(Seconds(8));
@@ -430,7 +430,7 @@ TEST(ControlPlane, CloseRacingTheReaperResolvesDeterministically) {
 // The invariant auditor.
 
 TEST(InvariantAuditor, CleanRunAuditsOk) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(6));
   cras::SessionId session = cras::kInvalidSession;
@@ -463,7 +463,7 @@ TEST(InvariantAuditor, CleanRunAuditsOk) {
 }
 
 TEST(InvariantAuditor, WedgedSessionIsAViolation) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(6));
   cras::SessionId session = cras::kInvalidSession;

@@ -1,6 +1,6 @@
 // Admission-test formulas validated against hand-computed values.
 
-#include "src/core/admission.h"
+#include "src/volume/admission.h"
 
 #include <gtest/gtest.h>
 

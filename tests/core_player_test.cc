@@ -46,7 +46,7 @@ TEST(PlayerStats, OnTimeBytesFiltersByThreshold) {
 }
 
 TEST(Player, UfsPlayerRespectsFrameStep) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(6));
   PlayerStats stats;
@@ -63,7 +63,7 @@ TEST(Player, UfsPlayerRespectsFrameStep) {
 }
 
 TEST(Player, StartDelayDefersOpen) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(4));
   PlayerStats stats;
@@ -79,7 +79,7 @@ TEST(Player, StartDelayDefersOpen) {
 }
 
 TEST(Player, ExplicitInitialDelayOverridesSuggestion) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(6));
   PlayerStats stats;
@@ -101,7 +101,7 @@ TEST(Player, TooShortInitialDelayLosesTheOpeningThenRecovers) {
   // burst catch-up then re-primes the pipeline and the rest plays cleanly
   // — but nothing can resurrect the missed opening. The suggested initial
   // delay *is* the pipeline depth.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(8));
   PlayerStats stats;

@@ -19,7 +19,7 @@ using crbase::Milliseconds;
 using crbase::Seconds;
 
 TEST(FaultInjection, TransientDiskStallDegradesThenRecovers) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(20));
   ASSERT_TRUE(file.ok());
@@ -31,10 +31,10 @@ TEST(FaultInjection, TransientDiskStallDegradesThenRecovers) {
   // Let the stream reach steady state, then stall the drive: the next 3
   // requests each take an extra 800 ms (a long recalibration).
   bed.engine().RunFor(Seconds(5));
-  bed.device.InjectTransientFault(Milliseconds(800), 3);
+  bed.volume.device(0).InjectTransientFault(Milliseconds(800), 3);
   bed.engine().RunFor(Seconds(17));
 
-  EXPECT_EQ(bed.device.faults_applied(), 3);
+  EXPECT_EQ(bed.volume.device(0).faults_applied(), 3);
   // The stall must be *visible*: deadline notifications fired and some
   // frames were late or lost...
   EXPECT_GT(bed.cras_server.stats().deadline_misses, 0);
@@ -60,7 +60,7 @@ TEST(FaultInjection, TransientDiskStallDegradesThenRecovers) {
 
 TEST(FaultInjection, UnfaultedRunHasNoMisses) {
   // Control run for the test above: identical except no fault.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(20));
   PlayerStats stats;
@@ -74,12 +74,12 @@ TEST(FaultInjection, UnfaultedRunHasNoMisses) {
 
 TEST(MultipleServers, TwoCrasServersShareOneDisk) {
   // §2.6: "allows the system to execute multiple CRAS's simultaneously."
-  // Two independent servers share the driver's real-time queue. Each admits
-  // against its own budget, so the combination is only safe if their total
-  // load fits — here each runs well under half the disk.
-  Testbed bed;
+  // Two independent servers share the one-disk volume's real-time queue.
+  // Each admits against its own budget, so the combination is only safe if
+  // their total load fits — here each runs well under half the disk.
+  VolumeTestbed bed;
   bed.StartServers();
-  CrasServer second(bed.kernel, bed.driver, bed.fs);
+  CrasServer second(bed.kernel, bed.volume, bed.fs);
   second.Start();
 
   auto file_a = crmedia::WriteMpeg1File(bed.fs, "a", Seconds(10));
@@ -110,9 +110,9 @@ TEST(MultipleServers, UncoordinatedAdmissionCanOversubscribe) {
   // not know about each other. Two servers each admitting a near-capacity
   // load oversubscribe the disk and both degrade — a real limitation of
   // the multiple-servers configuration, demonstrated rather than hidden.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
-  CrasServer second(bed.kernel, bed.driver, bed.fs);
+  CrasServer second(bed.kernel, bed.volume, bed.fs);
   second.Start();
 
   std::vector<crmedia::MediaFile> files;
@@ -146,6 +146,50 @@ TEST(MultipleServers, UncoordinatedAdmissionCanOversubscribe) {
   EXPECT_GT(missed + bed.cras_server.stats().deadline_misses + second.stats().deadline_misses,
             0)
       << "oversubscription should be observable";
+}
+
+TEST(MultipleServers, EveryServerOnTheVolumeHearsAMemberFailure) {
+  // Each server subscribes its own degradation controller to the shared
+  // volume, and a server's destructor unsubscribes only its own: when the
+  // one disk fails, both running servers re-run admission, shed the stream
+  // the dead disk can no longer carry, and stop admitting.
+  VolumeTestbed bed;
+  bed.StartServers();
+  CrasServer second(bed.kernel, bed.volume, bed.fs);
+  second.Start();
+  { CrasServer transient(bed.kernel, bed.volume, bed.fs); }
+
+  auto file_a = crmedia::WriteMpeg1File(bed.fs, "a", Seconds(10));
+  auto file_b = crmedia::WriteMpeg1File(bed.fs, "b", Seconds(10));
+  PlayerStats stats_a;
+  PlayerStats stats_b;
+  PlayerOptions options;
+  options.play_length = Seconds(8);
+  crsim::Task player_a = SpawnCrasPlayer(bed.kernel, bed.cras_server, *file_a, options, &stats_a);
+  options.start_delay = Milliseconds(137);
+  crsim::Task player_b = SpawnCrasPlayer(bed.kernel, second, *file_b, options, &stats_b);
+  bed.engine().RunFor(Seconds(2));
+  ASSERT_EQ(bed.cras_server.open_sessions(), 1u);
+  ASSERT_EQ(second.open_sessions(), 1u);
+
+  bed.volume.SetMemberState(0, crvol::MemberState::kFailed);
+  bool reopened = true;
+  crsim::Task opener = bed.kernel.Spawn(
+      "opener", crrt::kPriorityClient, [&](crrt::ThreadContext& ctx) -> crsim::Task {
+        co_await ctx.Sleep(Milliseconds(100));
+        OpenParams params;
+        params.inode = file_a->inode;
+        params.index = file_a->index;
+        reopened = (co_await bed.cras_server.Open(std::move(params))).ok();
+      });
+  bed.engine().RunFor(Seconds(1));
+
+  for (const CrasServer* server : {&bed.cras_server, &second}) {
+    EXPECT_EQ(server->stats().member_changes, 1);
+    EXPECT_EQ(server->stats().streams_shed, 1);
+    EXPECT_EQ(server->open_sessions(), 0u);
+  }
+  EXPECT_FALSE(reopened) << "a server admitted a stream onto the failed disk";
 }
 
 TEST(OverlappingFaults, FailStopDuringBurstLossServesOrShedsNeverWedges) {

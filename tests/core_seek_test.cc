@@ -13,7 +13,7 @@ using crbase::Milliseconds;
 using crbase::Seconds;
 
 struct SeekRig {
-  Testbed bed;
+  VolumeTestbed bed;
   crmedia::MediaFile file;
   SessionId id = kInvalidSession;
 

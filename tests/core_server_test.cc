@@ -17,14 +17,14 @@ using crbase::kMiB;
 using crbase::Milliseconds;
 using crbase::Seconds;
 
-crmedia::MediaFile MakeMpeg1(Testbed& bed, const std::string& name, crbase::Duration length) {
+crmedia::MediaFile MakeMpeg1(VolumeTestbed& bed, const std::string& name, crbase::Duration length) {
   auto file = crmedia::WriteMpeg1File(bed.fs, name, length);
   CRAS_CHECK(file.ok()) << file.status().ToString();
   return *file;
 }
 
 // Opens and starts a stream directly (without a player), returning its id.
-crsim::Task OpenAndStart(Testbed& bed, const crmedia::MediaFile& file, SessionId* out,
+crsim::Task OpenAndStart(VolumeTestbed& bed, const crmedia::MediaFile& file, SessionId* out,
                          crbase::Status* status) {
   return bed.kernel.Spawn("opener", crrt::kPriorityClient,
                           [&bed, &file, out, status](crrt::ThreadContext&) -> crsim::Task {
@@ -43,7 +43,7 @@ crsim::Task OpenAndStart(Testbed& bed, const crmedia::MediaFile& file, SessionId
 }
 
 TEST(CrasServer, SingleStreamPlaysWithZeroDelay) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(12));
   PlayerStats stats;
@@ -61,7 +61,7 @@ TEST(CrasServer, SingleStreamPlaysWithZeroDelay) {
 }
 
 TEST(CrasServer, SessionLifecycleAndAccounting) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(5));
   SessionId id = kInvalidSession;
@@ -91,7 +91,7 @@ TEST(CrasServer, SessionLifecycleAndAccounting) {
 }
 
 TEST(CrasServer, AdmissionRejectsFifteenthMpeg1Stream) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   std::vector<crmedia::MediaFile> files;
   for (int i = 0; i < 16; ++i) {
@@ -122,7 +122,7 @@ TEST(CrasServer, AdmissionRejectsFifteenthMpeg1Stream) {
 }
 
 TEST(CrasServer, FourteenConcurrentStreamsAllMeetDeadlines) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   std::vector<crmedia::MediaFile> files;
   std::vector<std::unique_ptr<PlayerStats>> stats;
@@ -151,7 +151,7 @@ TEST(CrasServer, FourteenConcurrentStreamsAllMeetDeadlines) {
 }
 
 TEST(CrasServer, StopPausesPrefetching) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(30));
   SessionId id = kInvalidSession;
@@ -177,7 +177,7 @@ TEST(CrasServer, StopPausesPrefetching) {
 }
 
 TEST(CrasServer, SeekRepositionsStream) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(30));
   bool seek_worked = false;
@@ -207,7 +207,7 @@ TEST(CrasServer, DynamicQosClientAtThirdRateSkipsFramesWithoutFeedback) {
   // §2.4's example: a 30 fps stream consumed at 10 fps. CRAS retrieves all
   // frames; the client fetches every third; skipped frames age out; no
   // overflow and no server interaction about the rate change.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(12));
   PlayerStats stats;
@@ -233,7 +233,7 @@ TEST(CrasServer, DynamicQosClientAtThirdRateSkipsFramesWithoutFeedback) {
 }
 
 TEST(CrasServer, RejectsOpenWithBadIndex) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(2));
   crbase::Status got;
@@ -249,7 +249,7 @@ TEST(CrasServer, RejectsOpenWithBadIndex) {
 }
 
 TEST(CrasServer, ControlOpsOnUnknownSessionFail) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crbase::Status start_st;
   crbase::Status stop_st;
@@ -270,7 +270,7 @@ TEST(CrasServer, ControlOpsOnUnknownSessionFail) {
 }
 
 TEST(CrasServer, GetBeforeStartMisses) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(2));
   std::optional<BufferedChunk> got;
@@ -293,7 +293,7 @@ TEST(CrasServer, LyingClientDegradesOnlyItself) {
   // per-interval demand exceeds the declared reservation, so the shared
   // buffer (sized from the declaration) thrashes: the stream cannot play
   // cleanly. The server keeps running and other invariants hold.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(8));
   PlayerStats honest;
@@ -329,7 +329,7 @@ TEST(CrasServer, LyingClientDegradesOnlyItself) {
 TEST(CrasServer, FastForwardDoublesRetrievalRate) {
   // §2.2: 60 fps playback of a 30 fps stream retrieves all frames at twice
   // the rate; admission charges 2*R.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(10));
   SessionId id = kInvalidSession;
@@ -354,7 +354,7 @@ TEST(CrasServer, FastForwardDoublesRetrievalRate) {
 }
 
 TEST(CrasServer, ShutdownStopsThreads) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(4));
   PlayerStats stats;

@@ -14,7 +14,7 @@ using crbase::Milliseconds;
 using crbase::Seconds;
 
 struct RateRig {
-  Testbed bed;
+  VolumeTestbed bed;
   crmedia::MediaFile file;
   SessionId id = kInvalidSession;
 
@@ -82,7 +82,7 @@ TEST(SetRate, SlowMotionReducesRetrieval) {
 
 TEST(SetRate, SpeedUpRefusedWhenDiskIsFull) {
   // Fill the disk's admission capacity, then ask one session for 4x.
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   std::vector<crmedia::MediaFile> files;
   for (int i = 0; i < 14; ++i) {

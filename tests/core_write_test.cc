@@ -17,7 +17,7 @@ using crbase::Seconds;
 
 // A recorder: opens a write session over a preallocated file and produces
 // chunks at the stream's frame rate (a capture device writing live video).
-crsim::Task SpawnRecorder(Testbed& bed, crufs::InodeNumber inode,
+crsim::Task SpawnRecorder(VolumeTestbed& bed, crufs::InodeNumber inode,
                           const crmedia::ChunkIndex& index, crbase::Duration record_length,
                           SessionId* id_out, crbase::Status* status_out) {
   return bed.kernel.Spawn(
@@ -54,7 +54,7 @@ crmedia::ChunkIndex Mpeg1Index(crbase::Duration length) {
   return crmedia::BuildCbrIndex(crmedia::kMpeg1BytesPerSec, 30.0, length);
 }
 
-crufs::InodeNumber PreallocatedFile(Testbed& bed, const std::string& name,
+crufs::InodeNumber PreallocatedFile(VolumeTestbed& bed, const std::string& name,
                                     std::int64_t bytes) {
   crufs::InodeNumber inode = *bed.fs.Create(name);
   CRAS_CHECK_OK(bed.fs.PreallocateContiguous(inode, bytes));
@@ -62,7 +62,7 @@ crufs::InodeNumber PreallocatedFile(Testbed& bed, const std::string& name,
 }
 
 TEST(CrasWrite, RecordsAtConstantRate) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::ChunkIndex index = Mpeg1Index(Seconds(10));
   crufs::InodeNumber inode = PreallocatedFile(bed, "capture", index.total_bytes());
@@ -81,7 +81,7 @@ TEST(CrasWrite, RecordsAtConstantRate) {
 }
 
 TEST(CrasWrite, WriteSessionCountsAgainstAdmission) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   // Fill admission with write sessions: capacity is the same 14 as reads.
   int accepted = 0;
@@ -106,7 +106,7 @@ TEST(CrasWrite, WriteSessionCountsAgainstAdmission) {
 }
 
 TEST(CrasWrite, MixedReadAndWriteSessionsCoexist) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   // One recorder and one player simultaneously; both meet their rates.
   crmedia::ChunkIndex rec_index = Mpeg1Index(Seconds(8));
@@ -134,7 +134,7 @@ TEST(CrasWrite, MixedReadAndWriteSessionsCoexist) {
 }
 
 TEST(CrasWrite, PutChunkValidation) {
-  Testbed bed;
+  VolumeTestbed bed;
   bed.StartServers();
   crmedia::ChunkIndex index = Mpeg1Index(Seconds(2));
   crufs::InodeNumber inode = PreallocatedFile(bed, "capture", index.total_bytes());

@@ -44,8 +44,10 @@ TEST(FaultPlan, FluentBuildersRecordEvents) {
   EXPECT_EQ(plan.events()[3].kind, FaultKind::kRecover);
 }
 
+// The bench flag form "<disk>@<t_ms>" (scale_striping --fail-disk) is a
+// fail-stop of that member.
 TEST(FaultPlan, ParseFailStopSpecAcceptsDiskAtMillis) {
-  const auto event = FaultPlan::ParseFailStopSpec("1@2000");
+  const auto event = FaultPlan::ParseSpec("1@2000");
   ASSERT_TRUE(event.ok()) << event.status().ToString();
   EXPECT_EQ(event->disk, 1);
   EXPECT_EQ(event->at, Seconds(2));
@@ -54,7 +56,7 @@ TEST(FaultPlan, ParseFailStopSpecAcceptsDiskAtMillis) {
 
 TEST(FaultPlan, ParseFailStopSpecRejectsMalformedSpecs) {
   for (const char* bad : {"", "3", "@2000", "1@", "1@abc", "x@5", "1@5x", "-1@5"}) {
-    EXPECT_FALSE(FaultPlan::ParseFailStopSpec(bad).ok()) << "spec: " << bad;
+    EXPECT_FALSE(FaultPlan::ParseSpec(bad).ok()) << "spec: " << bad;
   }
 }
 

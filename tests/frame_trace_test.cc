@@ -207,9 +207,9 @@ TEST(SloMonitor, CleanTrafficBurnsNothing) {
 // ---------------------------------------------------------------------------
 
 TEST(FrameTraceIntegration, PlayerRunConservesAttribution) {
-  cras::TestbedOptions options;
+  cras::VolumeTestbedOptions options;
   options.obs.frames.enabled = true;
-  cras::Testbed bed(options);
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   const auto file = *crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(8));
   cras::PlayerStats stats;
@@ -241,11 +241,11 @@ TEST(FrameTraceIntegration, PlayerRunConservesAttribution) {
 // ---------------------------------------------------------------------------
 
 TEST(FrameTraceIntegration, CacheHitFramesConserveAttribution) {
-  cras::TestbedOptions options;
+  cras::VolumeTestbedOptions options;
   options.obs.frames.enabled = true;
   options.cras.cache.enabled = true;
   options.cras.cache.prefix_length = Seconds(6);
-  cras::Testbed bed(options);
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   const auto file = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(16));
   cras::PlayerStats a_stats, b_stats;
@@ -293,9 +293,9 @@ TEST(FrameTraceIntegration, CacheHitFramesConserveAttribution) {
 // ---------------------------------------------------------------------------
 
 TEST(FrameTraceIntegration, NakGiveUpFramesConserveAttribution) {
-  cras::TestbedOptions bed_options;
+  cras::VolumeTestbedOptions bed_options;
   bed_options.obs.frames.enabled = true;
-  cras::Testbed bed(bed_options);
+  cras::VolumeTestbed bed(bed_options);
   crrt::Kernel client_host(bed.engine(), crrt::Kernel::Options{});
   crnet::Link::Options forward_options;
   forward_options.impairments.loss_probability = 0.3;  // repair often futile

@@ -129,7 +129,7 @@ TEST(ChunkDeadline, BufferedAndIndexChunksAgree) {
 }
 
 TEST(ChunkDeadline, ReceiverKeepsTheBoundaryChunkRepairable) {
-  cras::Testbed bed;  // engine + kernel; no servers needed
+  cras::VolumeTestbed bed;  // engine + kernel; no servers needed
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
   GroupReceiver receiver(bed.kernel, &movie.index);
   crsim::Task reporter = receiver.Start();
@@ -168,7 +168,7 @@ TEST(ChunkDeadline, ReceiverKeepsTheBoundaryChunkRepairable) {
 // Unit: one parity packet fixes a different loss at each receiver.
 
 TEST(GroupTransport, OneRepairPacketFixesDifferentLossesAtTwoReceivers) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
   GroupReceiver r1(bed.kernel, &movie.index);
   GroupReceiver r2(bed.kernel, &movie.index);
@@ -234,8 +234,8 @@ struct Viewer {
   std::int64_t frames_missed = 0;
 };
 
-cras::TestbedOptions GroupedTestbedOptions() {
-  cras::TestbedOptions options;
+cras::VolumeTestbedOptions GroupedRigOptions() {
+  cras::VolumeTestbedOptions options;
   options.cras.mcast.enabled = true;
   options.cras.cache.enabled = true;
   options.cras.cache.pin_min_score = 0.5;  // first open pins the prefix
@@ -246,7 +246,7 @@ cras::TestbedOptions GroupedTestbedOptions() {
 
 // Opens a grouped viewer, wires its receiver to the sender, and spawns a
 // player that consumes every chunk by logical time.
-void SpawnViewer(cras::Testbed& bed, GroupSender& sender, crnet::Link& forward,
+void SpawnViewer(cras::VolumeTestbed& bed, GroupSender& sender, crnet::Link& forward,
                  const crmedia::MediaFile& movie, crbase::Duration open_at,
                  crbase::Duration extra_delay, Viewer* viewer, std::vector<crsim::Task>* tasks) {
   (void)forward;
@@ -290,7 +290,7 @@ void SpawnViewer(cras::Testbed& bed, GroupSender& sender, crnet::Link& forward,
 }
 
 TEST(McastIntegration, LateJoinerBridgesFromPrefixThenMerges) {
-  cras::Testbed bed(GroupedTestbedOptions());
+  cras::VolumeTestbed bed(GroupedRigOptions());
   bed.StartServers();
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(12));
   crnet::Link::Options forward_options;
@@ -355,7 +355,7 @@ TEST(McastIntegration, LateJoinerBridgesFromPrefixThenMerges) {
 // Integration: a receiver past the repair window demotes to unicast.
 
 TEST(McastIntegration, ReceiverPastRepairWindowDemotesAndResettles) {
-  cras::Testbed bed(GroupedTestbedOptions());
+  cras::VolumeTestbed bed(GroupedRigOptions());
   bed.StartServers();
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(10));
   crnet::Link::Options forward_options;
@@ -419,9 +419,9 @@ TEST(McastIntegration, ClientCrashDuringDemoteResettleConservesMembership) {
   // abruptly (no Close, heartbeats just stop). The lease reaper must
   // collect A, the group must dissolve with joins == leaves, and B must
   // still complete every frame via unicast disk service.
-  cras::TestbedOptions options = GroupedTestbedOptions();
+  cras::VolumeTestbedOptions options = GroupedRigOptions();
   options.cras.lease_period = Milliseconds(300);
-  cras::Testbed bed(options);
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(10));
   crnet::Link::Options forward_options;

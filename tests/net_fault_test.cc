@@ -15,6 +15,7 @@
 #include "src/net/link.h"
 #include "src/net/nps.h"
 #include "src/net/stats_query.h"
+#include "src/volume/striped_volume.h"
 
 namespace crnet {
 namespace {
@@ -353,7 +354,7 @@ TEST(NpsReassembly, BestEffortAbandonsIncompleteChunkAfterGrace) {
 // End to end over an impaired link: CRAS -> NPS -> lossy wire -> repair.
 
 struct LossyQtPlayRig {
-  cras::Testbed server_host;
+  cras::VolumeTestbed server_host;
   crrt::Kernel client_host;
   Link forward;
   Link reverse;
@@ -488,8 +489,8 @@ TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
 // Session leases.
 
 struct LeaseRig {
-  cras::TestbedOptions options;
-  std::unique_ptr<cras::Testbed> bed;
+  cras::VolumeTestbedOptions options;
+  std::unique_ptr<cras::VolumeTestbed> bed;
   Link loop;  // heartbeat path (client -> server)
   cras::SessionId session = cras::kInvalidSession;
 
@@ -497,13 +498,13 @@ struct LeaseRig {
 
   explicit LeaseRig(crbase::Duration lease_period)
       : options(WithLease(lease_period)),
-        bed(std::make_unique<cras::Testbed>(options)),
+        bed(std::make_unique<cras::VolumeTestbed>(options)),
         loop(bed->engine()) {
     bed->StartServers();
   }
 
-  static cras::TestbedOptions WithLease(crbase::Duration period) {
-    cras::TestbedOptions options;
+  static cras::VolumeTestbedOptions WithLease(crbase::Duration period) {
+    cras::VolumeTestbedOptions options;
     options.cras.lease_period = period;
     return options;
   }
@@ -717,7 +718,7 @@ TEST(FlightDump, RemoteDumpQueryCapturesFailureAutopsy) {
 }
 
 TEST(Lease, DisabledByDefaultNothingReaps) {
-  cras::Testbed bed;  // lease_period = 0: the classic trusting server
+  cras::VolumeTestbed bed;  // lease_period = 0: the classic trusting server
   bed.StartServers();
   auto movie = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(8));
   ASSERT_TRUE(movie.ok());

@@ -113,7 +113,7 @@ TEST(Link, UtilizationTracksBusyTime) {
 // ---------------------------------------------------------------------------
 
 struct QtPlayRig {
-  cras::Testbed server_host;        // qtserver: CRAS + NPS sender
+  cras::VolumeTestbed server_host;        // qtserver: CRAS + NPS sender
   crrt::Kernel client_host;         // qtclient: own CPU, shared timeline
   Link ethernet;
   NpsReceiver receiver;
@@ -353,7 +353,7 @@ TEST(StatsQuery, SnapshotOverLinkMatchesServerStats) {
 }
 
 TEST(StatsQuery, NullLinkAnswersWithoutNetworkDelay) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   StatsQueryService stats(bed.kernel, bed.hub, nullptr);
   stats.Start();
@@ -386,7 +386,7 @@ std::int64_t ExtractField(const std::string& json, const std::string& key) {
 }
 
 TEST(StatsQuery, DeltaQueryShipsWindowedActivity) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   StatsQueryService stats(bed.kernel, bed.hub, nullptr);
   stats.Start();

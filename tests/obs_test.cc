@@ -134,9 +134,9 @@ TEST(Registry, FindMissingReturnsNull) {
 // ---------------------------------------------------------------------------
 
 std::string RunOnceAndSnapshot() {
-  cras::TestbedOptions options;
+  cras::VolumeTestbedOptions options;
   options.obs.trace.enabled = true;
-  cras::Testbed bed(options);
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   auto movie = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(2));
   CRAS_CHECK(movie.ok());
@@ -663,8 +663,8 @@ TEST(FlightRecorder, DumpIsDeterministicAcrossIdenticalRuns) {
 }
 
 TEST(FlightRecorder, HubDumpCarriesEventsLedgerAndMetrics) {
-  cras::TestbedOptions options;
-  cras::Testbed bed(options);
+  cras::VolumeTestbedOptions options;
+  cras::VolumeTestbed bed(options);
   bed.StartServers();
   auto movie = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(2));
   CRAS_CHECK(movie.ok());

@@ -274,16 +274,20 @@ TEST(ParityDegraded, MemberStateListenerFiresOnEveryChange) {
   crsim::Engine engine;
   ParityVolume volume(engine, ParityOptions(3));
   std::vector<std::pair<int, MemberState>> changes;
-  volume.SetMemberStateListener(
+  int other_changes = 0;
+  volume.AddMemberStateListener(
       [&](int disk, MemberState state) { changes.emplace_back(disk, state); });
+  const int other = volume.AddMemberStateListener([&](int, MemberState) { ++other_changes; });
   volume.SetMemberState(1, MemberState::kFailed);
   volume.SetMemberState(1, MemberState::kFailed);  // no-op: unchanged
+  volume.RemoveMemberStateListener(other);         // the first stays subscribed
   volume.SetMemberState(1, MemberState::kHealthy);
   volume.SetMemberState(2, MemberState::kSlow);
   ASSERT_EQ(changes.size(), 3u);
   EXPECT_EQ(changes[0], std::make_pair(1, MemberState::kFailed));
   EXPECT_EQ(changes[1], std::make_pair(1, MemberState::kHealthy));
   EXPECT_EQ(changes[2], std::make_pair(2, MemberState::kSlow));
+  EXPECT_EQ(other_changes, 1);
 }
 
 // ---------------------------------------------------------------------------

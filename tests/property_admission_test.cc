@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "src/base/random.h"
-#include "src/core/admission.h"
 #include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/media/load.h"
 #include "src/media/media_file.h"
+#include "src/volume/admission.h"
 
 namespace cras {
 namespace {
@@ -71,10 +71,10 @@ class AdmissionSoundness : public ::testing::TestWithParam<SoundnessCase> {};
 
 TEST_P(AdmissionSoundness, AdmittedStreamsNeverMissDeadlines) {
   const SoundnessCase& c = GetParam();
-  TestbedOptions options;
+  VolumeTestbedOptions options;
   options.cras.interval = crbase::SecondsF(c.interval_s);
   options.cras.memory_budget_bytes = 32 * crbase::kMiB;
-  Testbed bed(options);
+  VolumeTestbed bed(options);
   bed.StartServers();
 
   const crbase::Duration play = Seconds(6);
@@ -141,8 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
 class VbrSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VbrSoundness, WorstRateDeclarationCoversFluctuations) {
-  TestbedOptions options;
-  Testbed bed(options);
+  VolumeTestbedOptions options;
+  VolumeTestbed bed(options);
   bed.StartServers();
   crbase::Rng rng(GetParam());
   crmedia::ChunkIndex index =

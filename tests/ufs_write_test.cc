@@ -16,7 +16,7 @@ using crbase::Milliseconds;
 using crbase::Seconds;
 
 TEST(UnixServerWrite, WriteWithinFileIssuesDiskWrites) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   InodeNumber n = *bed.fs.Create("doc");
   ASSERT_TRUE(bed.fs.Append(n, 256 * kKiB).ok());
@@ -33,7 +33,7 @@ TEST(UnixServerWrite, WriteWithinFileIssuesDiskWrites) {
 }
 
 TEST(UnixServerWrite, WriteExtendsFile) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   InodeNumber n = *bed.fs.Create("doc");
   ASSERT_TRUE(bed.fs.Append(n, 8 * kKiB).ok());
@@ -49,7 +49,7 @@ TEST(UnixServerWrite, WriteExtendsFile) {
 }
 
 TEST(UnixServerWrite, WrittenBlocksAreCached) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   InodeNumber n = *bed.fs.Create("doc");
   ASSERT_TRUE(bed.fs.Append(n, 64 * kKiB).ok());
@@ -65,7 +65,7 @@ TEST(UnixServerWrite, WrittenBlocksAreCached) {
 }
 
 TEST(UnixServerWrite, ZeroLengthWriteSucceeds) {
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   InodeNumber n = *bed.fs.Create("doc");
   ASSERT_TRUE(bed.fs.Append(n, 8 * kKiB).ok());
@@ -83,7 +83,7 @@ TEST(UnixServerWrite, EditorAndCrasCoexist) {
   // The paper's deployment story: the Unix file system handles editing
   // while CRAS plays back — same disk, same layout, different queues. An
   // editor rewriting a document must not disturb an active stream.
-  cras::Testbed bed;
+  cras::VolumeTestbed bed;
   bed.StartServers();
   auto movie = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(10));
   ASSERT_TRUE(movie.ok());

@@ -1,5 +1,5 @@
 // Striped volume: stripe-mapping properties, per-disk admission, multi-disk
-// scaling, and single-disk regression parity with the classic rig.
+// scaling, and single-disk regression parity with the classic rig's results.
 
 #include "src/volume/striped_volume.h"
 
@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -154,8 +155,13 @@ TEST(VolumeAdmission, SingleDiskReproducesThePaperModelExactly) {
     EXPECT_EQ(got.bytes, expected.bytes);
     EXPECT_EQ(got.buffer_bytes, expected.buffer_bytes);
     EXPECT_EQ(got.per_disk[0].requests, expected.requests);
+    EXPECT_EQ(got.per_disk[0].bytes, expected.bytes);
     EXPECT_EQ(got.per_disk[0].overhead, expected.overhead);
     EXPECT_EQ(got.per_disk[0].transfer, expected.transfer);
+    EXPECT_EQ(got.per_disk[0].terms.command, expected.terms.command);
+    EXPECT_EQ(got.per_disk[0].terms.seek, expected.terms.seek);
+    EXPECT_EQ(got.per_disk[0].terms.rotation, expected.terms.rotation);
+    EXPECT_EQ(got.per_disk[0].terms.other, expected.terms.other);
     EXPECT_EQ(got.WorstIoTime(), expected.io_time());
     for (const std::int64_t budget : {std::int64_t{1} * kMiB, std::int64_t{12} * kMiB}) {
       EXPECT_EQ(volume.Admissible(streams, budget), single.Admissible(streams, budget));
@@ -222,8 +228,7 @@ crmedia::MediaFile MakeMpeg1(crufs::Ufs& fs, const std::string& name,
 }
 
 // Opens `count` streams, returning how many the server admitted.
-template <typename Bed>
-int CountAdmitted(Bed& bed, int count) {
+int CountAdmitted(cras::VolumeTestbed& bed, int count) {
   std::vector<crmedia::MediaFile> files;
   for (int i = 0; i < count; ++i) {
     files.push_back(MakeMpeg1(bed.fs, "movie" + std::to_string(i), Seconds(4)));
@@ -246,7 +251,7 @@ int CountAdmitted(Bed& bed, int count) {
 }
 
 TEST(VolumeIntegration, TwoDiskVolumeAdmitsNearlyTwiceTheStreams) {
-  cras::Testbed single;
+  cras::VolumeTestbed single;
   single.StartServers();
   const int n1 = CountAdmitted(single, 40);
   EXPECT_EQ(n1, 14);
@@ -309,10 +314,14 @@ TEST(VolumeIntegration, TwoDiskVolumeStreamsTheDoubledLoadOnDeadline) {
 }
 
 TEST(VolumeIntegration, SingleDiskVolumeMatchesTheClassicRig) {
-  // The N = 1 regression anchor: the same workload on the classic
-  // single-disk testbed and on a one-disk striped volume produces identical
-  // server-visible results (identity mapping, same allocator, same driver).
-  auto run = [](auto& bed) {
+  // The N = 1 regression anchor: the one-disk rig reproduces, exactly, the
+  // server-visible results the classic single-disk rig (one driver, no
+  // volume layer) produced for this workload.
+  constexpr std::int64_t kClassicBytesRead = 6'193'152;
+  constexpr std::int64_t kClassicReadRequests = 61;
+  constexpr std::int64_t kClassicDeadlineMisses = 0;
+  constexpr std::int64_t kClassicFramesPlayed = 726;
+  auto run = [](cras::VolumeTestbed& bed) {
     bed.StartServers();
     std::vector<crmedia::MediaFile> files;
     std::vector<std::unique_ptr<cras::PlayerStats>> stats;
@@ -339,9 +348,9 @@ TEST(VolumeIntegration, SingleDiskVolumeMatchesTheClassicRig) {
                       bed.cras_server.stats().read_requests,
                       bed.cras_server.stats().deadline_misses, frames);
   };
-  cras::Testbed classic;
-  cras::VolumeTestbed volume;  // defaults: one disk
-  EXPECT_EQ(run(classic), run(volume));
+  cras::VolumeTestbed bed;  // defaults: one disk
+  EXPECT_EQ(run(bed), std::tuple(kClassicBytesRead, kClassicReadRequests,
+                                 kClassicDeadlineMisses, kClassicFramesPlayed));
 }
 
 }  // namespace
