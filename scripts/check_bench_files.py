@@ -4,9 +4,8 @@
 Runs every bench that writes a committed BENCH file, with its default
 arguments, in a temporary directory (so the repository's own copies stay
 untouched), then compares each committed BENCH_*.json with the fresh one as
-parsed JSON. Values must match exactly, types included. The only
-exceptions are the wall-clock keys of BENCH_obs_overhead.json, which time
-the host rather than the simulation; they must still be present.
+parsed JSON. Every key of every file must match exactly, types included:
+the benches report simulated quantities only, never host time.
 
     python3 scripts/check_bench_files.py build
 
@@ -24,12 +23,9 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHES = ["cache_capacity", "net_degradation", "obs_overhead", "scale_striping",
            "mcast_fanout", "chaos_soak"]
-WALL_CLOCK_KEYS = {
-    "BENCH_obs_overhead.json": {"events_per_sec", "per_frame_record_cost_ns", "wall_ms"},
-}
 
 
-def first_difference(want, got, path, skip):
+def first_difference(want, got, path):
     """The path of the first value where `got` differs from `want`, or None."""
     if isinstance(want, dict) and isinstance(got, dict):
         for key in sorted(set(want) | set(got)):
@@ -38,9 +34,7 @@ def first_difference(want, got, path, skip):
                 return f"{where}: missing from the fresh run"
             if key not in want:
                 return f"{where}: not in the committed file"
-            if key in skip:
-                continue
-            diff = first_difference(want[key], got[key], where, skip)
+            diff = first_difference(want[key], got[key], where)
             if diff is not None:
                 return diff
         return None
@@ -48,7 +42,7 @@ def first_difference(want, got, path, skip):
         if len(want) != len(got):
             return f"{path}: {len(want)} entries committed, {len(got)} fresh"
         for i, (w, g) in enumerate(zip(want, got)):
-            diff = first_difference(w, g, f"{path}[{i}]", skip)
+            diff = first_difference(w, g, f"{path}[{i}]")
             if diff is not None:
                 return diff
         return None
@@ -85,7 +79,7 @@ def main():
                 continue
             with open(path) as want_file, open(fresh) as got_file:
                 want, got = json.load(want_file), json.load(got_file)
-            diff = first_difference(want, got, "$", WALL_CLOCK_KEYS.get(name, set()))
+            diff = first_difference(want, got, "$")
             if diff is not None:
                 print(f"{name}: {diff}")
                 failed = True

@@ -33,8 +33,8 @@
 // The cache never copies data (the simulation carries no payloads); it is a
 // bookkeeping layer deciding which scheduled reads need no disk time. The
 // server charges cache-served streams accordingly at admission
-// (crvol::VolumeAdmissionModel::AdmissibleCached): buffer memory plus a
-// single shared fallback reserve instead of per-disk interval time.
+// (cras::AdmissionController): buffer memory plus a single shared
+// fallback reserve instead of per-disk interval time.
 //
 // Pairs are broken — and followers *fall back to disk* — when a predecessor
 // closes, is shed, is reaped, or stalls (the follower's window outruns the

@@ -1,6 +1,7 @@
 #include "src/core/cras.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -26,8 +27,10 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
       volume_(&volume),
       fs_(&fs),
       options_(options),
-      volume_admission_(options.disk_params, volume.disks(), options.interval,
-                        options.max_read_bytes, volume.stripe_unit_bytes()),
+      admission_(kernel,
+                 crvol::VolumeAdmissionModel(options.disk_params, volume.disks(), options.interval,
+                                             options.max_read_bytes, volume.stripe_unit_bytes()),
+                 options.memory_budget_bytes),
       control_port_(kernel.engine()),
       io_done_port_(kernel.engine()),
       deadline_port_(kernel.engine()),
@@ -36,7 +39,7 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
   // The server wires its code and static state (~250 KB in the paper);
   // buffers are wired as sessions open.
   kernel_->WireMemory("cras-server", 250 * crbase::kKiB);
-  volume_admission_.set_parity(volume_->parity());
+  admission_.model().set_parity(volume_->parity());
   member_listener_ = volume_->AddMemberStateListener([this](int disk, crvol::MemberState state) {
     fault_port_.Send(MemberChange{disk, state});
   });
@@ -52,6 +55,13 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
   AttachObs(options_.obs);
 }
 
+void CrasServer::Count(std::int64_t& stat, crobs::Counter* ObsState::*counter, std::int64_t n) {
+  stat += n;
+  if (obs_ != nullptr) {
+    (obs_.get()->*counter)->Add(n);
+  }
+}
+
 void CrasServer::AttachObs(crobs::Hub* hub) {
   if (hub == nullptr) {
     obs_.reset();
@@ -60,7 +70,7 @@ void CrasServer::AttachObs(crobs::Hub* hub) {
   // Instrument the layers below: member disks/drivers, the admission model,
   // and the stream cache record through the same hub.
   volume_->AttachObs(hub, "disk");
-  volume_admission_.AttachObs(hub);
+  admission_.AttachObs(hub);
   if (cache_ != nullptr) {
     cache_->AttachObs(hub);
   }
@@ -172,13 +182,16 @@ crsim::Task CrasServer::RequestManagerThread(crrt::ThreadContext& ctx) {
     }
     co_await ctx.Compute(options_.cpu_per_control_op);
     crbase::Result<SessionId> result = kInvalidSession;
+    // A status-only request answers with its session id on success.
+    const auto reply = [&msg](const crbase::Status& st) {
+      return st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+    };
     switch (msg.kind) {
       case ControlMsg::kOpen:
         result = HandleOpen(std::move(msg.params));
         break;
-      case ControlMsg::kClose: {
-        crbase::Status st = HandleClose(msg.id);
-        result = st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+      case ControlMsg::kClose:
+        result = reply(HandleClose(msg.id));
         if (cache_fallback_pending_) {
           // The close orphaned a cached follower: settle it now — re-admit
           // on the bandwidth the close just freed (plus the fallback
@@ -186,32 +199,21 @@ crsim::Task CrasServer::RequestManagerThread(crrt::ThreadContext& ctx) {
           ShedUntilAdmissible();
         }
         break;
-      }
-      case ControlMsg::kStart: {
-        crbase::Status st = HandleStart(msg.id, msg.initial_delay);
-        result = st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+      case ControlMsg::kStart:
+        result = reply(HandleStart(msg.id, msg.initial_delay));
         break;
-      }
-      case ControlMsg::kStop: {
-        crbase::Status st = HandleStop(msg.id);
-        result = st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+      case ControlMsg::kStop:
+        result = reply(HandleStop(msg.id));
         break;
-      }
-      case ControlMsg::kSeek: {
-        crbase::Status st = HandleSeek(msg.id, msg.seek_to);
-        result = st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+      case ControlMsg::kSeek:
+        result = reply(HandleSeek(msg.id, msg.seek_to));
         break;
-      }
-      case ControlMsg::kSetRate: {
-        crbase::Status st = HandleSetRate(msg.id, msg.params.rate_factor);
-        result = st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+      case ControlMsg::kSetRate:
+        result = reply(HandleSetRate(msg.id, msg.params.rate_factor));
         break;
-      }
-      case ControlMsg::kReconnect: {
-        crbase::Status st = HandleReconnect(msg.id);
-        result = st.ok() ? crbase::Result<SessionId>(msg.id) : crbase::Result<SessionId>(st);
+      case ControlMsg::kReconnect:
+        result = reply(HandleReconnect(msg.id));
         break;
-      }
       case ControlMsg::kShutdown:
         break;
     }
@@ -248,8 +250,7 @@ crsim::Task CrasServer::RequestSchedulerThread(crrt::ThreadContext& ctx) {
     // The binding member disk's estimate; on a one-disk volume exactly the
     // paper's single-disk figure. Cache-served streams are charged the
     // fallback reserve instead of per-stream disk time.
-    const crvol::VolumeAdmissionModel::Estimate estimate =
-        volume_admission_.EvaluateCached(CurrentCachedDemands());
+    const AdmissionController::Estimate estimate = admission_.Evaluate();
     record.estimated_io = estimate.WorstIoTime();
     interval_records_.push_back(record);
 
@@ -326,15 +327,9 @@ crsim::Task CrasServer::IoDoneManagerThread(crrt::ThreadContext& ctx) {
                               actual);
     }
     if (batch.kind == SessionKind::kRead) {
-      stats_.bytes_read += msg.completion.bytes();
-      if (obs_ != nullptr) {
-        obs_->bytes_read->Add(msg.completion.bytes());
-      }
+      Count(stats_.bytes_read, &ObsState::bytes_read, msg.completion.bytes());
     } else {
-      stats_.bytes_written += msg.completion.bytes();
-      if (obs_ != nullptr) {
-        obs_->bytes_written->Add(msg.completion.bytes());
-      }
+      Count(stats_.bytes_written, &ObsState::bytes_written, msg.completion.bytes());
     }
     if (batch.outstanding == 0) {
       if (obs_ != nullptr) {
@@ -447,10 +442,7 @@ void CrasServer::SignalShutdown() { signal_port_.Send(1); }
 
 crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool internal_feed) {
   const auto reject = [this](crbase::Status st) {
-    ++stats_.sessions_rejected;
-    if (obs_ != nullptr) {
-      obs_->sessions_rejected->Add();
-    }
+    Count(stats_.sessions_rejected, &ObsState::sessions_rejected);
     return st;
   };
   if (params.index.empty()) {
@@ -534,9 +526,8 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
 
   // The admission test (§2.3), run per member disk: every disk's interval
   // deadline and the memory budget must hold.
-  std::vector<crvol::CachedStreamDemand> demands = CurrentCachedDemands();
-  demands.push_back({demand, grouped || cache_plan.serve == crcache::ServeClass::kCached});
-  if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
+  const bool memory_only = grouped || cache_plan.serve == crcache::ServeClass::kCached;
+  if (!admission_.Try(next_session_id_, demand, memory_only).admit) {
     unwind_group();
     return reject(crbase::ResourceExhaustedError("admission test failed"));
   }
@@ -546,45 +537,43 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   session.kind = params.kind;
   session.inode = params.inode;
   session.index = std::move(params.index);
-  session.demand = demand;
   session.rate_factor = params.rate_factor;
-  session.cache_served = cache_plan.serve == crcache::ServeClass::kCached;
   session.group_served = grouped;
   session.group_limit_chunk = grouped ? group_plan.merge_chunk : -1;
-  const std::int64_t buffer_bytes = volume_admission_.BufferBytes(demand);
-  session.buffer =
-      std::make_unique<TimeDrivenBuffer>(buffer_bytes, options_.jitter_allowance);
-  session.clock = std::make_unique<LogicalClock>(kernel_->engine());
-  session.clock->SetRate(params.rate_factor);
+  const SessionId id = AddSession(std::move(session), demand, memory_only, cache_plan).id;
+  Count(stats_.sessions_opened, &ObsState::sessions_opened);
+  if (grouped) {
+    group_mgr_->AddMember(group_plan.group, id, group_plan.merge_chunk);
+  }
+  return id;
+}
 
+CrasServer::Session& CrasServer::AddSession(Session session, const StreamDemand& demand,
+                                            bool memory_only,
+                                            const crcache::OpenDecision& cache_plan) {
+  const std::int64_t buffer_bytes = admission_.Commit(session.id, demand, memory_only);
+  session.buffer = std::make_unique<TimeDrivenBuffer>(buffer_bytes, options_.jitter_allowance);
+  session.clock = std::make_unique<LogicalClock>(kernel_->engine());
+  session.clock->SetRate(session.rate_factor);
   session.lease_renewed_at = kernel_->Now();
-  buffer_bytes_reserved_ += buffer_bytes;
-  kernel_->WireMemory("cras-buffer", buffer_bytes);
-  ++stats_.sessions_opened;
   if (obs_ != nullptr) {
-    obs_->sessions_opened->Add();
-    session.buffer->AttachObs(obs_->hub, "s" + std::to_string(session.id));
+    const std::string name = "s" + std::to_string(session.id);
+    session.buffer->AttachObs(obs_->hub, name);
     if (obs_->frames != nullptr && session.kind == SessionKind::kRead) {
-      session.ftrace =
-          obs_->frames->Register(session.id, "s" + std::to_string(session.id));
+      session.ftrace = obs_->frames->Register(session.id, name);
       // The buffer resolves frames it has to discard unconsumed, so a frame
       // that aged out of the ring still gets a missed decomposition.
       session.buffer->SetFrameTrace(session.ftrace);
     }
   }
   const SessionId id = session.id;
-  const crufs::InodeNumber title = session.inode;
-  const SessionKind kind = session.kind;
-  sessions_.emplace(id, std::move(session));
-  if (cache_ != nullptr && kind == SessionKind::kRead) {
+  Session& added = sessions_.emplace(id, std::move(session)).first->second;
+  if (cache_ != nullptr && added.kind == SessionKind::kRead) {
     // Every read stream registers — a disk-served stream is the chain head
     // future followers attach to.
-    cache_->Register(id, title, 0, cache_plan, kernel_->Now());
+    cache_->Register(id, added.inode, added.next_chunk, cache_plan, kernel_->Now());
   }
-  if (grouped) {
-    group_mgr_->AddMember(group_plan.group, id, group_plan.merge_chunk);
-  }
-  return id;
+  return added;
 }
 
 crbase::Status CrasServer::HandleClose(SessionId id) {
@@ -609,18 +598,13 @@ crbase::Status CrasServer::HandleClose(SessionId id) {
       feed_to_close = group_mgr_->RemoveMember(id, "close");
     }
   }
-  const std::int64_t buffer_bytes = it->second.buffer->capacity_bytes();
-  buffer_bytes_reserved_ -= buffer_bytes;
-  kernel_->UnwireMemory("cras-buffer", buffer_bytes);
+  admission_.Release(id);
   if (cache_ != nullptr) {
     // Orphaned followers fall back to disk service. Settling them (re-admit
     // or shed) is the caller's job — HandleClose runs inside shed loops and
     // must not recurse.
     for (const crcache::StreamId orphan : cache_->Unregister(id, kernel_->Now())) {
-      if (Session* o = FindSession(orphan); o != nullptr) {
-        o->cache_served = false;
-        cache_fallback_pending_ = true;
-      }
+      cache_fallback_pending_ |= admission_.ChargeDisk(orphan);
     }
   }
   // In-flight batches for this session are dropped when they complete.
@@ -695,8 +679,7 @@ crbase::Status CrasServer::HandleSeek(SessionId id, crbase::Time logical) {
     // A seek breaks position compatibility with the group: the member
     // leaves and is disk-charged at its new play point.
     feed_to_close = group_mgr_->RemoveMember(id, "seek");
-    session->group_served = false;
-    session->group_limit_chunk = -1;
+    LeaveGroup(*session);
     resettle = true;
   }
   if (cache_ != nullptr) {
@@ -705,9 +688,7 @@ crbase::Status CrasServer::HandleSeek(SessionId id, crbase::Time logical) {
     // position. The seeker stays admitted — its disk share was either
     // already charged or covered by the fallback reserve — but orphans may
     // overload the array, so re-settle.
-    if (DetachFromCache(id)) {
-      resettle = true;
-    }
+    resettle |= DetachFromCache(id);
   }
   if (feed_to_close != kInvalidSession) {
     (void)HandleClose(feed_to_close);
@@ -733,8 +714,7 @@ crbase::Status CrasServer::HandleSetRate(SessionId id, double rate_factor) {
     // A non-unit rate cannot ride the group's shared feed; the member
     // leaves before re-admission at the new rate.
     const SessionId feed_to_close = group_mgr_->RemoveMember(id, "set_rate");
-    session->group_served = false;
-    session->group_limit_chunk = -1;
+    LeaveGroup(*session);
     if (feed_to_close != kInvalidSession) {
       (void)HandleClose(feed_to_close);
     }
@@ -744,59 +724,27 @@ crbase::Status CrasServer::HandleSetRate(SessionId id, double rate_factor) {
       return crbase::ResourceExhaustedError("session shed settling its group demotion");
     }
   }
-  if (cache_ != nullptr) {
-    // A rate change breaks pair pacing (predecessor and follower no longer
-    // advance in lockstep); drop this stream — and any follower — to disk
-    // service before re-admitting at the new rate.
-    if (DetachFromCache(id)) {
-      ShedUntilAdmissible();
-      session = FindSession(id);
-      if (session == nullptr) {
-        return crbase::ResourceExhaustedError("session shed settling its cache fallback");
-      }
+  // A rate change breaks pair pacing (predecessor and follower no longer
+  // advance in lockstep); drop this stream — and any follower — to disk
+  // service before re-admitting at the new rate.
+  if (cache_ != nullptr && DetachFromCache(id)) {
+    ShedUntilAdmissible();
+    session = FindSession(id);
+    if (session == nullptr) {
+      return crbase::ResourceExhaustedError("session shed settling its cache fallback");
     }
   }
-  // Re-run admission with this session's demand scaled to the new factor.
-  StreamDemand new_demand = session->demand;
+  // Re-run admission with this session's demand scaled to the new factor;
+  // the stream is disk-charged by now (any cache or group service dropped).
+  StreamDemand new_demand = admission_.demand(id);
   new_demand.rate_bytes_per_sec =
       new_demand.rate_bytes_per_sec / session->rate_factor * rate_factor;
-  std::vector<crvol::CachedStreamDemand> demands;
-  demands.reserve(sessions_.size());
-  for (const auto& [other_id, other] : sessions_) {
-    demands.push_back({other_id == id ? new_demand : other.demand,
-                       other.cache_served || other.group_served});
-  }
-  if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
+  if (!admission_.Try(id, new_demand, /*memory_only=*/false).admit) {
     return crbase::ResourceExhaustedError("admission test failed at the new rate");
   }
-  // Re-reserve the buffer at the new B_i. Resident data stays valid (the
-  // buffer object is preserved; only the accounting and cap change through
-  // a new buffer would lose data, so we keep the larger of the two caps in
-  // the object and track the reservation delta).
-  const std::int64_t new_buffer_bytes = volume_admission_.BufferBytes(new_demand);
-  const std::int64_t old_buffer_bytes = session->buffer->capacity_bytes();
-  if (new_buffer_bytes > old_buffer_bytes) {
-    kernel_->WireMemory("cras-buffer", new_buffer_bytes - old_buffer_bytes);
-    buffer_bytes_reserved_ += new_buffer_bytes - old_buffer_bytes;
-    auto grown = std::make_unique<TimeDrivenBuffer>(new_buffer_bytes,
-                                                    options_.jitter_allowance);
-    // Carry resident chunks across.
-    const crbase::Time logical_now = session->clock->Now();
-    for (crbase::Time t = logical_now - options_.jitter_allowance;; ) {
-      std::optional<BufferedChunk> chunk = session->buffer->Get(t);
-      if (!chunk.has_value()) {
-        break;
-      }
-      grown->Put(*chunk, logical_now);
-      t = chunk->timestamp + chunk->duration;
-    }
-    if (obs_ != nullptr) {
-      grown->AttachObs(obs_->hub, "s" + std::to_string(id));
-    }
-    grown->SetFrameTrace(session->ftrace);
-    session->buffer = std::move(grown);
-  }
-  session->demand = new_demand;
+  // The buffer grows in place (resident chunks and statistics stay); a
+  // slowed stream keeps its larger buffer, still wired and charged.
+  session->buffer->Grow(admission_.Commit(id, new_demand, /*memory_only=*/false));
   session->rate_factor = rate_factor;
   session->clock->SetRate(rate_factor);
   return crbase::OkStatus();
@@ -813,74 +761,37 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
     return crbase::NotFoundError("no such session (never opened, or resume state evicted)");
   }
   ReapedSession& old = it->second;
+  Session& saved = old.session;
 
   // Resume position, needed up front: the cache plans service at the chunk
   // the stream will actually resume from.
-  std::int64_t resume_chunk = 0;
-  if (old.kind == SessionKind::kRead) {
-    resume_chunk = old.index.FindByTime(old.logical_pos);
-    if (resume_chunk < 0) {
-      resume_chunk = 0;
-    }
+  if (saved.kind == SessionKind::kRead) {
+    saved.next_chunk = std::max<std::int64_t>(saved.index.FindByTime(old.logical_pos), 0);
+    saved.prefetch_pos = saved.index.at(static_cast<std::size_t>(saved.next_chunk)).timestamp;
   }
   crcache::OpenDecision cache_plan;
-  if (cache_ != nullptr && old.kind == SessionKind::kRead) {
-    cache_->NoteOpen(old.inode, old.index, kernel_->Now());
-    cache_plan = cache_->PlanOpen(old.inode, resume_chunk);
+  if (cache_ != nullptr && saved.kind == SessionKind::kRead) {
+    cache_->NoteOpen(saved.inode, saved.index, kernel_->Now());
+    cache_plan = cache_->PlanOpen(saved.inode, saved.next_chunk);
   }
 
   // Re-run the admission test: the array may have degraded (or filled up)
   // since the session was reaped, and a resumed stream gets no special
   // claim over the ones admitted meanwhile.
-  std::vector<crvol::CachedStreamDemand> demands = CurrentCachedDemands();
-  demands.push_back({old.demand, cache_plan.serve == crcache::ServeClass::kCached});
-  if (!volume_admission_.AdmissibleCached(demands, options_.memory_budget_bytes)) {
+  const bool memory_only = cache_plan.serve == crcache::ServeClass::kCached;
+  if (!admission_.Try(id, old.demand, memory_only).admit) {
     return crbase::ResourceExhaustedError("admission test failed on resume");
   }
 
-  Session session;
-  session.id = id;
-  session.kind = old.kind;
-  session.inode = old.inode;
-  session.index = std::move(old.index);
-  session.demand = old.demand;
-  session.rate_factor = old.rate_factor;
-  const std::int64_t buffer_bytes = volume_admission_.BufferBytes(session.demand);
-  session.buffer = std::make_unique<TimeDrivenBuffer>(buffer_bytes, options_.jitter_allowance);
-  session.clock = std::make_unique<LogicalClock>(kernel_->engine());
-  session.clock->SetRate(session.rate_factor);
-  session.clock->SeekTo(old.logical_pos);
-  if (old.kind == SessionKind::kRead) {
-    session.next_chunk = resume_chunk;
-    session.prefetch_pos =
-        session.index.at(static_cast<std::size_t>(resume_chunk)).timestamp;
-    session.cache_served = cache_plan.serve == crcache::ServeClass::kCached;
-  }
-  if (old.started) {
+  Session& resumed = AddSession(std::move(saved), old.demand, memory_only, cache_plan);
+  resumed.clock->SeekTo(old.logical_pos);
+  if (resumed.started) {
     // Resume playing from where the reaper froze it, after the same
     // pipeline-fill latency a fresh start needs.
-    session.started = true;
-    session.clock->Start(SuggestedInitialDelay());
+    resumed.clock->Start(SuggestedInitialDelay());
   }
-  session.lease_renewed_at = kernel_->Now();
-  buffer_bytes_reserved_ += buffer_bytes;
-  kernel_->WireMemory("cras-buffer", buffer_bytes);
-  ++stats_.sessions_resumed;
-  if (obs_ != nullptr) {
-    obs_->sessions_resumed->Add();
-    session.buffer->AttachObs(obs_->hub, "s" + std::to_string(id));
-    if (obs_->frames != nullptr && session.kind == SessionKind::kRead) {
-      session.ftrace = obs_->frames->Register(id, "s" + std::to_string(id));
-      session.buffer->SetFrameTrace(session.ftrace);
-    }
-  }
-  const SessionKind resumed_kind = old.kind;
-  const crufs::InodeNumber resumed_title = old.inode;
+  Count(stats_.sessions_resumed, &ObsState::sessions_resumed);
   reaped_.erase(it);
-  sessions_.emplace(id, std::move(session));
-  if (cache_ != nullptr && resumed_kind == SessionKind::kRead) {
-    cache_->Register(id, resumed_title, resume_chunk, cache_plan, kernel_->Now());
-  }
   CRAS_LOG(kInfo) << "CRAS session " << id << " reconnected and resumed";
   return crbase::OkStatus();
 }
@@ -889,9 +800,14 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
 // Multicast demotion
 // ---------------------------------------------------------------------------
 
-void CrasServer::ResumeUnicast(Session& session) {
+void CrasServer::LeaveGroup(Session& session) {
   session.group_served = false;
   session.group_limit_chunk = -1;
+  admission_.ChargeDisk(session.id);
+}
+
+void CrasServer::ResumeUnicast(Session& session) {
+  LeaveGroup(session);
   const std::int64_t count = static_cast<std::int64_t>(session.index.count());
   std::int64_t chunk = session.index.FindByTime(session.clock->Now());
   if (chunk < 0) {
@@ -955,15 +871,14 @@ void CrasServer::ReapExpired() {
   }
   for (SessionId id : expired) {
     Session& session = sessions_.at(id);
-    ReapedSession record;
-    record.kind = session.kind;
-    record.inode = session.inode;
-    record.index = std::move(session.index);
-    record.demand = session.demand;
-    record.rate_factor = session.rate_factor;
-    record.logical_pos = session.clock->Now();
-    record.started = session.started;
-    record.reaped_at = now;
+    ReapedSession record{Session{}, admission_.demand(id), session.clock->Now(), now};
+    Session& saved = record.session;
+    saved.id = id;
+    saved.kind = session.kind;
+    saved.inode = session.inode;
+    saved.index = std::move(session.index);
+    saved.rate_factor = session.rate_factor;
+    saved.started = session.started;
     const crbase::Duration lease_age = now - session.lease_renewed_at;
     CRAS_LOG(kWarning) << "CRAS reaping session " << id << " (lease lapsed "
                        << crbase::FormatDuration(lease_age) << " ago)";
@@ -971,8 +886,12 @@ void CrasServer::ReapExpired() {
     reaped_ids_.insert(id);
     reaped_.emplace(id, std::move(record));
     while (reaped_.size() > options_.reaped_history) {
-      // Evict the oldest resume state (smallest id is the oldest session).
-      reaped_.erase(reaped_.begin());
+      // Evict the oldest resume state: the earliest reap (one sweep reaps
+      // in ascending id order).
+      const auto reaped_before = [](const auto& a, const auto& b) {
+        return std::tie(a.second.reaped_at, a.first) < std::tie(b.second.reaped_at, b.first);
+      };
+      reaped_.erase(std::min_element(reaped_.begin(), reaped_.end(), reaped_before));
     }
     ++stats_.sessions_reaped;
     if (obs_ != nullptr) {
@@ -999,19 +918,19 @@ void CrasServer::ApplyMemberChange(const MemberChange& change) {
                      << crvol::MemberStateName(change.state);
   switch (change.state) {
     case crvol::MemberState::kFailed:
-      volume_admission_.SetMemberFailed(change.disk, true);
+      admission_.model().SetMemberFailed(change.disk, true);
       break;
     case crvol::MemberState::kSlow: {
       // Re-derive the member's worst-case parameters from its actual
       // derating; only the media rate degrades, the mechanics don't.
       DiskParams derated = options_.disk_params;
       derated.transfer_rate /= volume_->device(change.disk).throughput_derating();
-      volume_admission_.SetMemberParams(change.disk, derated);
+      admission_.model().SetMemberParams(change.disk, derated);
       break;
     }
     case crvol::MemberState::kHealthy:
-      volume_admission_.SetMemberFailed(change.disk, false);
-      volume_admission_.SetMemberParams(change.disk, options_.disk_params);
+      admission_.model().SetMemberFailed(change.disk, false);
+      admission_.model().SetMemberParams(change.disk, options_.disk_params);
       break;
   }
   if (obs_ != nullptr) {
@@ -1040,41 +959,20 @@ void CrasServer::ShedUntilAdmissible() {
   // Within a class: highest-rate first (the degraded array loses the fewest
   // streams), ties toward younger sessions. Cache off: every stream is
   // class 1's complement — plain highest-rate-first, the classic order.
-  for (;;) {
-    if (sessions_.empty()) {
-      break;
-    }
-    if (volume_admission_.AdmissibleCached(CurrentCachedDemands(),
-                                           options_.memory_budget_bytes)) {
-      break;
-    }
-    Session* victim = nullptr;
-    int victim_class = 0;
-    for (auto& [id, session] : sessions_) {
-      int cls = 0;
-      if (session.feed) {
-        cls = 3;
-      } else if (session.cache_served || session.group_served) {
-        cls = 2;
-      } else if (cache_ != nullptr && cache_->HasFollower(id)) {
-        cls = 1;
-      }
-      bool better = victim == nullptr;
-      if (!better && cls != victim_class) {
-        better = cls < victim_class;
-      } else if (!better) {
-        if (session.demand.rate_bytes_per_sec != victim->demand.rate_bytes_per_sec) {
-          better = session.demand.rate_bytes_per_sec > victim->demand.rate_bytes_per_sec;
-        } else {
-          better = session.id > victim->id;
-        }
-      }
-      if (better) {
-        victim = &session;
-        victim_class = cls;
-      }
-    }
-    const SessionId id = victim->id;
+  // The victim is the session with the least key: class, then rate
+  // (highest first), then id (youngest first).
+  const auto shed_key = [this](const Session& s) {
+    const int cls = s.feed                                           ? 3
+                    : admission_.memory_only(s.id)                   ? 2
+                    : cache_ != nullptr && cache_->HasFollower(s.id) ? 1
+                                                                     : 0;
+    return std::make_tuple(cls, -admission_.demand(s.id).rate_bytes_per_sec, -s.id);
+  };
+  const auto sheds_first = [&](const auto& a, const auto& b) {
+    return shed_key(a.second) < shed_key(b.second);
+  };
+  while (!sessions_.empty() && !admission_.Admissible()) {
+    const SessionId id = std::min_element(sessions_.begin(), sessions_.end(), sheds_first)->first;
     shed_ids_.insert(id);
     ++stats_.streams_shed;
     CRAS_LOG(kWarning) << "CRAS shedding session " << id << " (degraded array)";
@@ -1266,7 +1164,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
           // the remainder touches the disks.
           const crcache::ServeResult run = cache_->ServableRun(id, first, last);
           if (run.demoted) {
-            session.cache_served = false;
+            admission_.ChargeDisk(id);
             cache_fallback_pending_ = true;
           }
           if (run.chunks > 0) {
@@ -1286,10 +1184,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
                 session.ftrace->SetPath(c, crobs::FramePath::kCache);
               }
             }
-            stats_.bytes_from_cache += batch.bytes;
-            if (obs_ != nullptr) {
-              obs_->bytes_from_cache->Add(batch.bytes);
-            }
+            Count(stats_.bytes_from_cache, &ObsState::bytes_from_cache, batch.bytes);
             inflight_.emplace(batch.id, batch);
             completed_batches_.push_back(batch.id);
             first += run.chunks;
@@ -1306,8 +1201,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
           if (feed_orphan != kInvalidSession) {
             feeds_to_close.push_back(feed_orphan);
           }
-          session.group_served = false;
-          session.group_limit_chunk = -1;
+          LeaveGroup(session);
           cache_fallback_pending_ = true;
         }
         plan_range(session, first, last, SessionKind::kRead);
@@ -1322,7 +1216,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
     } else {
       // Write session: stage up to one interval's admitted bytes from the
       // produced-chunk queue, in maximal consecutive runs.
-      std::int64_t budget = volume_admission_.BytesPerInterval(session.demand);
+      std::int64_t budget = admission_.model().BytesPerInterval(admission_.demand(id));
       while (!session.write_queue.empty() && budget > 0) {
         const std::int64_t first = session.write_queue.front();
         std::int64_t last = first;
@@ -1375,15 +1269,9 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
   }
   for (Planned& p : planned) {
     if (p.request.kind == crdisk::IoKind::kRead) {
-      ++stats_.read_requests;
-      if (obs_ != nullptr) {
-        obs_->read_requests->Add();
-      }
+      Count(stats_.read_requests, &ObsState::read_requests);
     } else {
-      ++stats_.write_requests;
-      if (obs_ != nullptr) {
-        obs_->write_requests->Add();
-      }
+      Count(stats_.write_requests, &ObsState::write_requests);
     }
     volume_->NotePiece(p.segment);
     volume_->driver(p.segment.disk).Submit(std::move(p.request));
@@ -1464,30 +1352,15 @@ const CrasServer::Session* CrasServer::FindSession(SessionId id) const {
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-std::vector<crvol::CachedStreamDemand> CrasServer::CurrentCachedDemands() const {
-  std::vector<crvol::CachedStreamDemand> demands;
-  demands.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    // Group members are memory-only like cache-served streams: the group's
-    // disk time is charged once, through its feed session.
-    demands.push_back({session.demand, session.cache_served || session.group_served});
-  }
-  return demands;
-}
-
 bool CrasServer::DetachFromCache(SessionId id) {
   Session* session = FindSession(id);
   if (session == nullptr || session->kind != SessionKind::kRead) {
     return false;
   }
-  bool changed = session->cache_served;
+  bool changed = admission_.ChargeDisk(id);
   for (const crcache::StreamId orphan : cache_->Unregister(id, kernel_->Now())) {
-    if (Session* o = FindSession(orphan); o != nullptr) {
-      o->cache_served = false;
-      changed = true;
-    }
+    changed |= admission_.ChargeDisk(orphan);
   }
-  session->cache_served = false;
   // Re-register as a disk-served chain member at the current scheduling
   // position, so future opens can still attach behind this stream.
   cache_->Register(id, session->inode, session->next_chunk, crcache::OpenDecision{},

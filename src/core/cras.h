@@ -33,7 +33,8 @@
 // paper's formulas per member disk (crvol::VolumeAdmissionModel), so an
 // N-disk volume admits ~N times the Fig. 6 stream count. The paper's single
 // disk is a one-member volume, on which the per-disk test is exactly the
-// paper's.
+// paper's. One cras::AdmissionController owns the admitted set, its charge
+// classes and the wired buffer memory.
 //
 // Extension (fault tolerance): a sixth thread, the *degradation
 // controller*, listens for member-disk state changes (fail-stop, slow,
@@ -73,6 +74,7 @@
 #include "src/base/status.h"
 #include "src/base/time_units.h"
 #include "src/cache/stream_cache.h"
+#include "src/core/admission_controller.h"
 #include "src/core/logical_clock.h"
 #include "src/core/time_driven_buffer.h"
 #include "src/disk/request.h"
@@ -85,12 +87,8 @@
 #include "src/ufs/ufs.h"
 #include "src/volume/admission.h"
 #include "src/volume/volume.h"
-#include "src/volume/volume_admission.h"
 
 namespace cras {
-
-using SessionId = std::int64_t;
-inline constexpr SessionId kInvalidSession = -1;
 
 enum class SessionKind {
   kRead,   // constant-rate retrieval (the paper's only mode)
@@ -190,7 +188,7 @@ class CrasServer {
     bool sort_requests_by_cylinder = true;
     // Stream buffer cache (interval + prefix caching). Disabled by default;
     // with cache.enabled the server plans each read open against the cache,
-    // admits cache-served streams at memory cost (AdmissibleCached), serves
+    // admits cache-served streams at memory cost (AdmissionController), serves
     // cached windows with zero disk time, and falls back to disk — re-running
     // admission — whenever a predecessor dies or stalls.
     crcache::CacheOptions cache;
@@ -259,8 +257,8 @@ class CrasServer {
   // Changes the retrieval/clock rate factor mid-session (fast-forward or
   // return to normal speed). Re-runs the admission test at the new rate:
   // speeding up can be refused with RESOURCE_EXHAUSTED, in which case the
-  // session continues unchanged. Buffer reservation is adjusted to the new
-  // B_i.
+  // session continues unchanged. The buffer grows in place to a larger new
+  // B_i; a slowed stream keeps (and is charged) its larger buffer.
   auto SetRate(SessionId id, double rate_factor) {
     ControlMsg msg{ControlMsg::kSetRate, id, OpenParams{}, 0, 0, nullptr, {}};
     msg.params.rate_factor = rate_factor;
@@ -314,7 +312,7 @@ class CrasServer {
 
   // ---- introspection ----
   const Options& options() const { return options_; }
-  const crvol::VolumeAdmissionModel& volume_admission() const { return volume_admission_; }
+  const crvol::VolumeAdmissionModel& volume_admission() const { return admission_.model(); }
   crvol::Volume& volume() { return *volume_; }
   // The stream cache; null when Options::cache.enabled is false.
   const crcache::StreamCache* cache() const { return cache_.get(); }
@@ -334,7 +332,7 @@ class CrasServer {
   bool WasReaped(SessionId id) const { return reaped_ids_.count(id) != 0; }
   std::size_t resumable_sessions() const { return reaped_.size(); }
   const std::vector<IntervalRecord>& interval_records() const { return interval_records_; }
-  std::int64_t buffer_bytes_reserved() const { return buffer_bytes_reserved_; }
+  std::int64_t buffer_bytes_reserved() const { return admission_.reserved_bytes(); }
   std::size_t open_sessions() const { return sessions_.size(); }
   crbase::Result<SessionStats> GetSessionStats(SessionId id) const;
   const TimeDrivenBufferStats* GetBufferStats(SessionId id) const;
@@ -402,15 +400,10 @@ class CrasServer {
     SessionKind kind = SessionKind::kRead;
     crufs::InodeNumber inode = crufs::kInvalidInode;
     crmedia::ChunkIndex index;
-    StreamDemand demand;
-    double rate_factor = 1.0;
+    double rate_factor = 1.0;  // scales the demand held in admission_
     std::unique_ptr<TimeDrivenBuffer> buffer;
     std::unique_ptr<LogicalClock> clock;
     bool started = false;
-    // Serving class: true while the stream's interval demand is fed from
-    // the cache and admission charges it memory only (mirrors the cache's
-    // own state; flipped on fallback).
-    bool cache_served = false;
     // Delivery-group member: interval data arrives via the group's
     // multicast feed, so admission charges memory only and the scheduler
     // plans I/O only for the cache-bridged patch [0, group_limit_chunk).
@@ -429,16 +422,13 @@ class CrasServer {
     SessionStats stats;
   };
 
-  // Resume state of a reaped session, kept for Reconnect().
+  // Resume state of a reaped session, kept for Reconnect(): the session's
+  // identity, index, rate and started flag, its demand and clock reading.
   struct ReapedSession {
-    SessionKind kind = SessionKind::kRead;
-    crufs::InodeNumber inode = crufs::kInvalidInode;
-    crmedia::ChunkIndex index;
+    Session session;
     StreamDemand demand;
-    double rate_factor = 1.0;
     crbase::Time logical_pos = 0;  // clock reading at reap time
-    bool started = false;
-    crbase::Time reaped_at = 0;
+    crbase::Time reaped_at = 0;    // eviction order of the bounded history
   };
 
   struct Batch {
@@ -489,6 +479,12 @@ class CrasServer {
   crbase::Status HandleSeek(SessionId id, crbase::Time logical);
   crbase::Status HandleSetRate(SessionId id, double rate_factor);
   crbase::Status HandleReconnect(SessionId id);
+  // Commits `session`'s admission at `demand` (memory-only or
+  // disk-charged), gives it its wired buffer, clock and obs instruments,
+  // enters it in the table and registers a read stream with the cache at
+  // its next chunk.
+  Session& AddSession(Session session, const StreamDemand& demand, bool memory_only,
+                      const crcache::OpenDecision& cache_plan);
 
   // Lease-reaper operations: closes every session whose lease lapsed,
   // remembering its resume state.
@@ -503,18 +499,15 @@ class CrasServer {
 
   Session* FindSession(SessionId id);
   const Session* FindSession(SessionId id) const;
-  // The open sessions' demands tagged with their serving class, the input
-  // to every admission decision (AdmissibleCached/EvaluateCached; with no
-  // cache-served stream these are the plain per-disk test).
-  std::vector<crvol::CachedStreamDemand> CurrentCachedDemands() const;
   // Drops session `id`'s cache service (and its follower's pair, if any)
   // and re-registers it as a plain disk-served chain member at its current
   // scheduling position. Returns true if any stream's serving class changed
   // (the caller then re-runs ShedUntilAdmissible).
   bool DetachFromCache(SessionId id);
-  // Flips a group member back to plain unicast disk service: clears the
-  // group flags and resumes scheduling at the clock's current position.
+  // Clears a group member's group flags and charges it disk time.
   // Membership bookkeeping (GroupManager) is the caller's to update.
+  void LeaveGroup(Session& session);
+  // LeaveGroup, then resumes scheduling at the clock's current position.
   void ResumeUnicast(Session& session);
 
   // Degradation-controller operations.
@@ -563,6 +556,8 @@ class CrasServer {
     std::unique_ptr<crobs::BudgetLedger> ledger;
   };
   void AttachObs(crobs::Hub* hub);
+  // Adds `n` to server statistic `stat` and to its hub counter, if any.
+  void Count(std::int64_t& stat, crobs::Counter* ObsState::*counter, std::int64_t n = 1);
 
   crrt::Kernel* kernel_;
   crvol::Volume* volume_;
@@ -570,7 +565,7 @@ class CrasServer {
   int member_listener_ = -1;
   crufs::Ufs* fs_;
   Options options_;
-  crvol::VolumeAdmissionModel volume_admission_;
+  AdmissionController admission_;
   // Null unless options_.cache.enabled.
   std::unique_ptr<crcache::StreamCache> cache_;
   // Null unless options_.mcast.enabled.
@@ -588,7 +583,6 @@ class CrasServer {
 
   std::map<SessionId, Session> sessions_;
   SessionId next_session_id_ = 1;
-  std::int64_t buffer_bytes_reserved_ = 0;
   std::set<SessionId> shed_ids_;
   std::set<SessionId> reaped_ids_;
   std::map<SessionId, ReapedSession> reaped_;

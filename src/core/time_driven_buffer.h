@@ -15,6 +15,7 @@
 #ifndef SRC_CORE_TIME_DRIVEN_BUFFER_H_
 #define SRC_CORE_TIME_DRIVEN_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -57,6 +58,11 @@ class TimeDrivenBuffer {
   TimeDrivenBuffer(std::int64_t capacity_bytes, Duration jitter_allowance);
 
   std::int64_t capacity_bytes() const { return capacity_bytes_; }
+  // Raises the capacity to `capacity_bytes` (a re-rated stream's larger
+  // B_i); resident chunks and statistics are kept. Never shrinks.
+  void Grow(std::int64_t capacity_bytes) {
+    capacity_bytes_ = std::max(capacity_bytes_, capacity_bytes);
+  }
   std::int64_t resident_bytes() const { return resident_bytes_; }
   std::size_t resident_chunks() const { return chunks_.size() - head_; }
   Duration jitter_allowance() const { return jitter_allowance_; }

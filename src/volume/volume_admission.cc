@@ -120,94 +120,26 @@ VolumeAdmissionModel::Estimate VolumeAdmissionModel::Evaluate(
   return estimate;
 }
 
-VolumeAdmissionModel::Estimate VolumeAdmissionModel::EvaluateCached(
-    const std::vector<CachedStreamDemand>& streams) const {
-  std::vector<cras::StreamDemand> charged;
-  charged.reserve(streams.size() + 1);
-  std::int64_t buffer_bytes = 0;
-  bool any_cached = false;
-  cras::StreamDemand reserve;
-  std::int64_t reserve_window = -1;
-  for (const CachedStreamDemand& s : streams) {
-    // Every stream double-buffers its interval window, cached or not.
-    buffer_bytes += models_.front().BufferBytes(s.demand);
-    if (!s.cache_served) {
-      charged.push_back(s.demand);
-      continue;
-    }
-    any_cached = true;
-    const std::int64_t window = models_.front().BytesPerInterval(s.demand);
-    if (window > reserve_window) {
-      reserve_window = window;
-      reserve = s.demand;
-    }
-  }
-  if (any_cached) {
-    // The fallback reserve: disk time for the largest cache-served window,
-    // so one predecessor death never issues I/O this estimate didn't cover.
-    charged.push_back(reserve);
-  }
-  Estimate estimate = Evaluate(charged);
-  estimate.buffer_bytes = buffer_bytes;
-  return estimate;
-}
-
 bool VolumeAdmissionModel::Admissible(const std::vector<cras::StreamDemand>& streams,
                                       std::int64_t memory_budget_bytes) const {
-  return Verdict(Evaluate(streams), streams.size(), memory_budget_bytes);
+  return Fits(Evaluate(streams), streams.size(), memory_budget_bytes);
 }
 
-bool VolumeAdmissionModel::AdmissibleCached(const std::vector<CachedStreamDemand>& streams,
-                                            std::int64_t memory_budget_bytes) const {
-  return Verdict(EvaluateCached(streams), streams.size(), memory_budget_bytes);
-}
-
-bool VolumeAdmissionModel::Verdict(const Estimate& estimate, std::size_t stream_count,
-                                   std::int64_t memory_budget_bytes) const {
-  bool admit = estimate.buffer_bytes <= memory_budget_bytes;
+bool VolumeAdmissionModel::Fits(const Estimate& estimate, std::size_t stream_count,
+                                std::int64_t memory_budget_bytes) const {
   // An unprotected failure (no parity) or a second failure of a parity
   // array loses data outright: no non-empty stream set is admissible.
-  const int failed = failed_members();
-  if (stream_count != 0 && failed > (parity_ ? 1 : 0)) {
-    admit = false;
+  if (estimate.buffer_bytes > memory_budget_bytes ||
+      (stream_count != 0 && failed_members() > (parity_ ? 1 : 0))) {
+    return false;
   }
-  for (int d = 0; admit && d < disks(); ++d) {
+  for (int d = 0; d < disks(); ++d) {
     if (estimate.per_disk[static_cast<std::size_t>(d)].io_time() >
         models_[static_cast<std::size_t>(d)].interval()) {
-      admit = false;
+      return false;
     }
   }
-  if (obs_ != nullptr) {
-    const double worst_ms = crobs::ToMillis(estimate.WorstIoTime());
-    (admit ? obs_->accepted : obs_->rejected)->Add();
-    obs_->worst_io_ms->Record(worst_ms);
-    obs_->hub->flight().Record(admit ? crobs::FlightEventKind::kAdmissionAccept
-                                     : crobs::FlightEventKind::kAdmissionReject,
-                               static_cast<std::int64_t>(stream_count), 0, worst_ms);
-    crobs::Tracer& trace = obs_->hub->trace();
-    if (trace.enabled()) {
-      trace.Instant(obs_->track, admit ? obs_->n_accept : obs_->n_reject, worst_ms);
-    }
-  }
-  return admit;
-}
-
-void VolumeAdmissionModel::AttachObs(crobs::Hub* hub) {
-  if (hub == nullptr) {
-    obs_.reset();
-    return;
-  }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
-  crobs::Tracer& trace = hub->trace();
-  obs->track = trace.InternTrack("admission");
-  obs->n_accept = trace.InternName("accept");
-  obs->n_reject = trace.InternName("reject");
-  crobs::Registry& metrics = hub->metrics();
-  obs->accepted = metrics.GetCounter("admission.decisions", {{"outcome", "accept"}});
-  obs->rejected = metrics.GetCounter("admission.decisions", {{"outcome", "reject"}});
-  obs->worst_io_ms = metrics.GetHistogram("admission.worst_io_ms", {}, crobs::LatencyBucketsMs());
-  obs_ = std::move(obs);
+  return true;
 }
 
 }  // namespace crvol

@@ -1,7 +1,9 @@
 // Admission control for a striped volume: the paper's single-disk test
 // (formulas (1)-(15), cras::AdmissionModel) run *per disk*, admitting a
 // stream set iff every member disk's interval deadline holds and the total
-// double-buffer reservation fits the server's wired-memory budget.
+// double-buffer reservation fits the server's wired-memory budget. The
+// server runs it through cras::AdmissionController, which owns the admitted
+// set, the cache-aware charge and the recorded verdicts.
 //
 // Demand split. A stream's per-interval window A_i = T*R_i + C_i covers
 // consecutive logical bytes, which round-robin striping spreads over the
@@ -45,27 +47,14 @@
 #define SRC_VOLUME_VOLUME_ADMISSION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/base/time_units.h"
-#include "src/obs/obs.h"
 #include "src/volume/admission.h"
 
 namespace crvol {
 
 using crbase::Duration;
-
-// A stream demand tagged with its serving class. A cache-served stream's
-// interval window is fed from the buffer cache (interval pairs / pinned
-// prefixes — crcache::StreamCache), so it is charged buffer memory only; the
-// disks are charged one shared *fallback reserve* — the largest cache-served
-// window — so a single predecessor death never issues I/O the admission test
-// did not cover.
-struct CachedStreamDemand {
-  cras::StreamDemand demand;
-  bool cache_served = false;
-};
 
 class VolumeAdmissionModel {
  public:
@@ -85,7 +74,6 @@ class VolumeAdmissionModel {
   bool parity() const { return parity_; }
   // Marks member `disk` failed (true) or restored (false).
   void SetMemberFailed(int disk, bool failed);
-  bool member_failed(int disk) const { return failed_[static_cast<std::size_t>(disk)] != 0; }
   int failed_members() const;
   // Replaces member `disk`'s worst-case parameters (a derated/slow member).
   void SetMemberParams(int disk, const cras::DiskParams& params);
@@ -130,42 +118,17 @@ class VolumeAdmissionModel {
   // Admission: every disk's interval deadline holds and B_total fits.
   bool Admissible(const std::vector<cras::StreamDemand>& streams,
                   std::int64_t memory_budget_bytes) const;
-
-  // Cache-aware variants. Disk time is charged for the disk-served streams
-  // plus the fallback reserve (the largest cache-served window, so one
-  // fallen-back stream is always feasible); buffer memory is charged for
-  // every stream, cached or not. With no cache-served member these reduce
-  // to Evaluate()/Admissible() exactly.
-  Estimate EvaluateCached(const std::vector<CachedStreamDemand>& streams) const;
-  bool AdmissibleCached(const std::vector<CachedStreamDemand>& streams,
-                        std::int64_t memory_budget_bytes) const;
-
-  // Registers decision counters keyed {outcome}, a worst-case interval-I/O
-  // histogram, and accept/reject trace instants (value: worst I/O ms) on the
-  // "admission" track. Every Admissible() call then records its verdict.
-  void AttachObs(crobs::Hub* hub);
+  // The same test over an already-computed estimate of `stream_count`
+  // streams: the memory budget, the failed-member rule, and every disk's
+  // interval deadline.
+  bool Fits(const Estimate& estimate, std::size_t stream_count,
+            std::int64_t memory_budget_bytes) const;
 
  private:
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    std::uint32_t track = 0;
-    std::uint32_t n_accept = 0;
-    std::uint32_t n_reject = 0;
-    crobs::Counter* accepted = nullptr;
-    crobs::Counter* rejected = nullptr;
-    crobs::Histogram* worst_io_ms = nullptr;
-  };
-
-  // The shared admission verdict (deadline + memory + failure checks, obs
-  // recording) over an already-computed estimate.
-  bool Verdict(const Estimate& estimate, std::size_t stream_count,
-               std::int64_t memory_budget_bytes) const;
-
   std::vector<cras::AdmissionModel> models_;
   std::vector<char> failed_;  // per member; char to avoid vector<bool>
   bool parity_ = false;
   std::int64_t stripe_unit_bytes_;
-  std::unique_ptr<ObsState> obs_;
 };
 
 }  // namespace crvol

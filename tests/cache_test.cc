@@ -10,10 +10,12 @@
 
 #include "src/base/random.h"
 #include "src/cache/stream_cache.h"
+#include "src/core/admission_controller.h"
 #include "src/core/cras.h"
 #include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/media/media_file.h"
+#include "src/rtmach/kernel.h"
 #include "src/volume/volume_admission.h"
 
 namespace cras {
@@ -87,9 +89,12 @@ TEST(CachedAdmission, ChargesDiskStreamsPlusOneFallbackReserve) {
 
   // One disk-served stream plus three cache-served: disk time is charged for
   // the disk stream plus a single reserve window, buffers for all four.
-  const std::vector<crvol::CachedStreamDemand> mixed = {
-      {d, false}, {d, true}, {d, true}, {d, true}};
-  const auto cached = model.EvaluateCached(mixed);
+  crrt::Kernel kernel;
+  AdmissionController mixed(kernel, model, 64 * crbase::kMiB);
+  for (SessionId id = 1; id <= 4; ++id) {
+    mixed.Commit(id, d, /*memory_only=*/id > 1);
+  }
+  const auto cached = mixed.Evaluate();
   ASSERT_EQ(cached.per_disk.size(), 1u);
   EXPECT_EQ(cached.per_disk[0].requests, base2.per_disk[0].requests);
   EXPECT_EQ(cached.per_disk[0].bytes, base2.per_disk[0].bytes);
@@ -97,38 +102,57 @@ TEST(CachedAdmission, ChargesDiskStreamsPlusOneFallbackReserve) {
 
   // With no cache-served member the estimate and the verdict equal the
   // plain per-disk test, field for field, on any array: the server runs
-  // only the cache-aware test, so rigs without a cache cannot drift.
+  // only the cache-aware test, so rigs without a cache cannot drift. Each
+  // set is committed as far as the memory budget allows; the next stream is
+  // tried against it.
   crbase::Rng rng(77);
+  const auto expect_same = [](const crvol::VolumeAdmissionModel::Estimate& got,
+                              const crvol::VolumeAdmissionModel::Estimate& want) {
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.buffer_bytes, want.buffer_bytes);
+    ASSERT_EQ(got.per_disk.size(), want.per_disk.size());
+    for (std::size_t k = 0; k < got.per_disk.size(); ++k) {
+      const auto& g = got.per_disk[k];
+      const auto& w = want.per_disk[k];
+      EXPECT_EQ(g.requests, w.requests) << "disk " << k;
+      EXPECT_EQ(g.bytes, w.bytes) << "disk " << k;
+      EXPECT_EQ(g.overhead, w.overhead) << "disk " << k;
+      EXPECT_EQ(g.transfer, w.transfer) << "disk " << k;
+      EXPECT_EQ(g.terms.command, w.terms.command) << "disk " << k;
+      EXPECT_EQ(g.terms.seek, w.terms.seek) << "disk " << k;
+      EXPECT_EQ(g.terms.rotation, w.terms.rotation) << "disk " << k;
+      EXPECT_EQ(g.terms.other, w.terms.other) << "disk " << k;
+    }
+  };
   auto expect_plain_equivalence = [&](const crvol::VolumeAdmissionModel& array) {
     for (int trial = 0; trial < 100; ++trial) {
       std::vector<StreamDemand> streams;
-      std::vector<crvol::CachedStreamDemand> tagged;
       const int count = static_cast<int>(rng.NextBelow(40));
       for (int i = 0; i < count; ++i) {
-        const StreamDemand s{1000.0 + static_cast<double>(rng.NextBelow(400000)),
-                             static_cast<std::int64_t>(rng.NextBelow(200 * 1024))};
-        streams.push_back(s);
-        tagged.push_back({s, false});
-      }
-      const auto want = array.Evaluate(streams);
-      const auto got = array.EvaluateCached(tagged);
-      EXPECT_EQ(got.bytes, want.bytes);
-      EXPECT_EQ(got.buffer_bytes, want.buffer_bytes);
-      ASSERT_EQ(got.per_disk.size(), want.per_disk.size());
-      for (std::size_t k = 0; k < got.per_disk.size(); ++k) {
-        const auto& g = got.per_disk[k];
-        const auto& w = want.per_disk[k];
-        EXPECT_EQ(g.requests, w.requests) << "disk " << k;
-        EXPECT_EQ(g.bytes, w.bytes) << "disk " << k;
-        EXPECT_EQ(g.overhead, w.overhead) << "disk " << k;
-        EXPECT_EQ(g.transfer, w.transfer) << "disk " << k;
-        EXPECT_EQ(g.terms.command, w.terms.command) << "disk " << k;
-        EXPECT_EQ(g.terms.seek, w.terms.seek) << "disk " << k;
-        EXPECT_EQ(g.terms.rotation, w.terms.rotation) << "disk " << k;
-        EXPECT_EQ(g.terms.other, w.terms.other) << "disk " << k;
+        streams.push_back({1000.0 + static_cast<double>(rng.NextBelow(400000)),
+                           static_cast<std::int64_t>(rng.NextBelow(200 * 1024))});
       }
       for (const std::int64_t budget : {1 * crbase::kMiB, 12 * crbase::kMiB, 64 * crbase::kMiB}) {
-        EXPECT_EQ(array.AdmissibleCached(tagged, budget), array.Admissible(streams, budget));
+        AdmissionController controller(kernel, array, budget);
+        std::vector<StreamDemand> committed;
+        std::size_t next = 0;
+        while (next < streams.size() &&
+               controller.reserved_bytes() + array.BufferBytes(streams[next]) <= budget) {
+          controller.Commit(static_cast<SessionId>(next), streams[next], false);
+          committed.push_back(streams[next++]);
+        }
+        expect_same(controller.Evaluate(), array.Evaluate(committed));
+        EXPECT_EQ(controller.Admissible(), array.Admissible(committed, budget));
+        if (next < streams.size()) {
+          committed.push_back(streams[next]);
+          const AdmissionController::Verdict tried =
+              controller.Try(static_cast<SessionId>(next), streams[next], false);
+          expect_same(tried.estimate, array.Evaluate(committed));
+          EXPECT_EQ(tried.admit, array.Admissible(committed, budget));
+        }
+        for (SessionId id = 0; id < static_cast<SessionId>(next); ++id) {
+          controller.Release(id);
+        }
       }
     }
   };
@@ -143,6 +167,7 @@ TEST(CachedAdmission, ChargesDiskStreamsPlusOneFallbackReserve) {
   degraded.SetMemberFailed(1, true);
   SCOPED_TRACE("parity, one member failed");
   expect_plain_equivalence(degraded);
+  EXPECT_EQ(kernel.wired_bytes(), mixed.reserved_bytes());
 }
 
 // ---------------------------------------------------------------------------

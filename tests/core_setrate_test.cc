@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/bytes.h"
 #include "src/core/cras.h"
 #include "src/core/testbed.h"
@@ -119,6 +121,75 @@ TEST(SetRate, GrowsBufferReservation) {
     reserved_after = r.bed.cras_server.buffer_bytes_reserved();
   });
   EXPECT_GT(reserved_after, reserved_before);
+}
+
+TEST(SetRate, SlowDownNeverWiresPastTheMemoryBudget) {
+  // Room for one 2x MPEG1 buffer (387,500 B), not for it plus a 1x one
+  // (200,000 B). Slowing the first stream to 1x keeps its larger buffer
+  // wired, so a second 1x stream must be refused on memory.
+  VolumeTestbedOptions options;
+  options.cras.memory_budget_bytes = 400000;
+  VolumeTestbed bed(options);
+  bed.StartServers();
+  const crmedia::MediaFile a = *crmedia::WriteMpeg1File(bed.fs, "a", Seconds(10));
+  const crmedia::MediaFile b = *crmedia::WriteMpeg1File(bed.fs, "b", Seconds(10));
+  std::vector<std::int64_t> reserved;
+  crbase::Status slow_status = crbase::InternalError("not run");
+  crbase::Status second_status = crbase::InternalError("not run");
+  crsim::Task t = bed.kernel.Spawn(
+      "client", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+        OpenParams fast;
+        fast.inode = a.inode;
+        fast.index = a.index;
+        fast.rate_factor = 2.0;
+        auto first = co_await bed.cras_server.Open(std::move(fast));
+        CRAS_CHECK(first.ok());
+        reserved.push_back(bed.cras_server.buffer_bytes_reserved());
+        slow_status = co_await bed.cras_server.SetRate(*first, 1.0);
+        reserved.push_back(bed.cras_server.buffer_bytes_reserved());
+        OpenParams plain;
+        plain.inode = b.inode;
+        plain.index = b.index;
+        second_status = (co_await bed.cras_server.Open(std::move(plain))).status();
+        reserved.push_back(bed.cras_server.buffer_bytes_reserved());
+      });
+  bed.engine().RunFor(Seconds(1));
+  EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
+  EXPECT_EQ(second_status.code(), crbase::StatusCode::kResourceExhausted);
+  ASSERT_EQ(reserved.size(), 3u);
+  EXPECT_EQ(reserved[0], 387500);
+  for (const std::int64_t bytes : reserved) {
+    EXPECT_LE(bytes, options.cras.memory_budget_bytes);
+  }
+  EXPECT_EQ(bed.kernel.wired_bytes(), 250 * 1024 + reserved.back());
+}
+
+TEST(SetRate, SpeedUpKeepsBufferStatistics) {
+  // The buffer grows in place across a speed-up: resident chunks and the
+  // running counters carry over instead of starting again from zero.
+  RateRig rig;
+  TimeDrivenBufferStats before;
+  TimeDrivenBufferStats after;
+  rig.Run([&](crrt::ThreadContext& ctx, RateRig& r) -> crsim::Task {
+    co_await ctx.Sleep(r.bed.cras_server.SuggestedInitialDelay() + Seconds(2));
+    for (int i = 0; i < 10; ++i) {
+      (void)r.bed.cras_server.Get(r.id, r.bed.cras_server.LogicalNow(r.id));
+      co_await ctx.Sleep(Milliseconds(33));
+    }
+    before = *r.bed.cras_server.GetBufferStats(r.id);
+    CRAS_CHECK_OK(co_await r.bed.cras_server.SetRate(r.id, 2.0));
+    after = *r.bed.cras_server.GetBufferStats(r.id);
+  });
+  EXPECT_GT(before.puts, 0);
+  EXPECT_GE(before.get_hits, 10);
+  EXPECT_GE(after.puts, before.puts);
+  EXPECT_GE(after.get_hits, before.get_hits);
+  EXPECT_GE(after.get_misses, before.get_misses);
+  EXPECT_GE(after.discarded_obsolete, before.discarded_obsolete);
+  EXPECT_GE(after.overflow_evictions, before.overflow_evictions);
+  EXPECT_GE(after.rejected_late, before.rejected_late);
+  EXPECT_GE(after.replaced, before.replaced);
+  EXPECT_GE(after.max_resident_bytes, before.max_resident_bytes);
 }
 
 TEST(SetRate, Validation) {

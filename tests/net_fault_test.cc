@@ -496,16 +496,18 @@ struct LeaseRig {
 
   LeaseRig() : LeaseRig(Milliseconds(200)) {}
 
-  explicit LeaseRig(crbase::Duration lease_period)
-      : options(WithLease(lease_period)),
+  explicit LeaseRig(crbase::Duration lease_period, std::size_t reaped_history = 16)
+      : options(WithLease(lease_period, reaped_history)),
         bed(std::make_unique<cras::VolumeTestbed>(options)),
         loop(bed->engine()) {
     bed->StartServers();
   }
 
-  static cras::VolumeTestbedOptions WithLease(crbase::Duration period) {
+  static cras::VolumeTestbedOptions WithLease(crbase::Duration period,
+                                              std::size_t reaped_history) {
     cras::VolumeTestbedOptions options;
     options.cras.lease_period = period;
+    options.cras.reaped_history = reaped_history;
     return options;
   }
 
@@ -618,6 +620,43 @@ TEST(Lease, ReconnectResumesReapedSessionAtItsPosition) {
   auto stats = rig.bed->cras_server.GetSessionStats(rig.session);
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->chunks_published, 0);
+}
+
+TEST(Lease, HistoryEvictsTheEarliestReap) {
+  // Room for one resume state. The younger session is reaped first, the
+  // older one later: the later reap is the one kept.
+  LeaseRig rig(Milliseconds(200), /*reaped_history=*/1);
+  auto first = crmedia::WriteMpeg1File(rig.bed->fs, "first", Seconds(8));
+  auto second = crmedia::WriteMpeg1File(rig.bed->fs, "second", Seconds(8));
+  ASSERT_TRUE(first.ok() && second.ok());
+  rig.OpenAndStart(*first);
+  const cras::SessionId older = rig.session;
+  rig.OpenAndStart(*second);
+  const cras::SessionId younger = rig.session;
+  ASSERT_LT(older, younger);
+
+  LeaseClient::Options hb;
+  hb.period = Milliseconds(80);
+  LeaseClient lease(rig.bed->kernel, rig.bed->cras_server, rig.loop, older, hb);
+  crsim::Task heartbeat = lease.Start();
+  rig.bed->engine().RunFor(Seconds(1));
+  ASSERT_TRUE(rig.bed->cras_server.WasReaped(younger));
+  ASSERT_FALSE(rig.bed->cras_server.WasReaped(older));
+  lease.Stop();
+  rig.bed->engine().RunFor(Seconds(1));
+  ASSERT_TRUE(rig.bed->cras_server.WasReaped(older));
+  EXPECT_EQ(rig.bed->cras_server.resumable_sessions(), 1u);
+
+  crbase::Status older_status = crbase::InternalError("not run");
+  crbase::Status younger_status = crbase::InternalError("not run");
+  crsim::Task reconnecter = rig.bed->kernel.Spawn(
+      "client-reconnect", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+        older_status = co_await rig.bed->cras_server.Reconnect(older);
+        younger_status = co_await rig.bed->cras_server.Reconnect(younger);
+      });
+  rig.bed->engine().RunFor(Milliseconds(50));
+  EXPECT_TRUE(older_status.ok()) << older_status.ToString();
+  EXPECT_EQ(younger_status.code(), crbase::StatusCode::kNotFound);
 }
 
 TEST(Lease, ReconnectOnLiveSessionJustRenews) {
