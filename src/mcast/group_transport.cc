@@ -1,6 +1,7 @@
 #include "src/mcast/group_transport.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -14,11 +15,9 @@ namespace crmcast {
 
 GroupReceiver::GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index,
                              const Options& options)
-    : kernel_(&kernel),
+    : ReliableReceiver(kernel, options.buffer_bytes, options.jitter_allowance),
       index_(index),
-      options_(options),
-      buffer_(options.buffer_bytes, options.jitter_allowance),
-      clock_(kernel.engine()) {
+      options_(options) {
   CRAS_CHECK(index_ != nullptr);
   CRAS_CHECK(options_.report_interval > 0);
 }
@@ -39,13 +38,6 @@ void GroupReceiver::ConnectReverse(crnet::Link& reverse, GroupSender& sender,
   member_ = member;
 }
 
-void GroupReceiver::set_frame_trace(crobs::SessionTrace* trace) {
-  ftrace_ = trace;
-  // Chunks that complete reassembly but age out unconsumed were last seen
-  // completing; the buffer resolves them there.
-  buffer_.SetFrameTrace(trace, crobs::FrameStage::kCompleted);
-}
-
 crsim::Task GroupReceiver::Start() {
   return kernel_->Spawn("mcast-report", options_.priority,
                         [this](crrt::ThreadContext& ctx) { return ReportThread(ctx); });
@@ -58,21 +50,8 @@ crbase::Time GroupReceiver::DeadlineOf(std::uint64_t seq) const {
   return crnet::ChunkDeadline(index_->at(static_cast<std::size_t>(seq)));
 }
 
-GroupReceiver::Reassembly& GroupReceiver::EnsureEntry(std::uint64_t seq) {
-  auto [it, inserted] = pending_.try_emplace(seq);
-  if (inserted) {
-    it->second.created_at = kernel_->Now();
-  }
-  return it->second;
-}
-
 void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
-  ++stats_.fragments_received;
-  if (fragment.retransmit) {
-    ++stats_.retransmitted_fragments;
-  }
-  if (done_.count(fragment.seq) != 0) {
-    ++stats_.duplicate_fragments;
+  if (!CountArrival(fragment)) {
     return;
   }
   // Gap detection runs against two independent cursors: the multicast
@@ -81,56 +60,24 @@ void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
   // fragments never move a cursor — they fill holes, they don't reveal new
   // ones.
   if (!fragment.retransmit) {
-    if (fragment.multicast) {
-      const std::uint64_t base =
-          std::max(mcast_expected_, static_cast<std::uint64_t>(merge_chunk_));
-      for (std::uint64_t seq = base; seq < fragment.seq; ++seq) {
-        if (done_.count(seq) == 0) {
-          EnsureEntry(seq);
-        }
-      }
-      if (fragment.seq >= mcast_expected_) {
-        mcast_expected_ = fragment.seq + 1;
-      }
-    } else {
-      for (std::uint64_t seq = unicast_expected_; seq < fragment.seq; ++seq) {
-        if (done_.count(seq) == 0) {
-          EnsureEntry(seq);
-        }
-      }
-      if (fragment.seq >= unicast_expected_) {
-        unicast_expected_ = fragment.seq + 1;
+    std::uint64_t& expected = fragment.multicast ? mcast_expected_ : unicast_expected_;
+    for (std::uint64_t seq = expected; seq < fragment.seq; ++seq) {
+      if (!IsDone(seq)) {
+        Pending(seq);
       }
     }
+    if (fragment.seq >= expected) {
+      expected = fragment.seq + 1;
+    }
   }
-  Reassembly& entry = EnsureEntry(fragment.seq);
-  if (entry.frag_count == 0) {
-    CRAS_CHECK(fragment.frag_count > 0);
-    entry.chunk = fragment.chunk;
-    entry.frag_count = fragment.frag_count;
-    entry.have.assign(static_cast<std::size_t>(fragment.frag_count), false);
-    entry.sent_at = fragment.sent_at;
-  }
-  CRAS_CHECK(fragment.frag_index >= 0 && fragment.frag_index < entry.frag_count);
-  if (entry.have[static_cast<std::size_t>(fragment.frag_index)]) {
-    ++stats_.duplicate_fragments;
-    return;
-  }
-  entry.have[static_cast<std::size_t>(fragment.frag_index)] = true;
-  ++entry.received;
-  if (!fragment.retransmit) {
-    entry.last_fresh_at = kernel_->Now();
-  }
-  if (entry.received == entry.frag_count) {
-    Complete(fragment.seq, entry);
-  }
+  Reassemble(fragment);
 }
 
 bool GroupReceiver::Holds(std::uint64_t seq, int frag_index) const {
   if (abandoned_.count(seq) != 0) {
     return false;
   }
-  if (done_.count(seq) != 0) {
+  if (IsDone(seq)) {
     return true;  // completed: every fragment is on hand
   }
   auto it = pending_.find(seq);
@@ -147,10 +94,10 @@ bool GroupReceiver::Holds(std::uint64_t seq, int frag_index) const {
 void GroupReceiver::OnRepair(const RepairPacket& packet) {
   // XOR decode: the parity recovers a window member iff exactly one is
   // absent here. Count the absences, remember the last one.
-  const RepairRef* missing = nullptr;
+  const crnet::NpsFragment* missing = nullptr;
   int absent = 0;
   bool blocked = false;  // an absent member was abandoned: data gone for good
-  for (const RepairRef& ref : packet.window) {
+  for (const crnet::NpsFragment& ref : packet.window) {
     if (!Holds(ref.seq, ref.frag_index)) {
       ++absent;
       missing = &ref;
@@ -174,8 +121,8 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
     return;
   }
   // One absence — but only spend the decode if we actually want the data.
-  const bool wanted = missing->seq >= static_cast<std::uint64_t>(merge_chunk_) &&
-                      done_.count(missing->seq) == 0;
+  const bool wanted =
+      missing->seq >= static_cast<std::uint64_t>(merge_chunk_) && !IsDone(missing->seq);
   if (!wanted) {
     ++stats_.repair_useless;
     return;
@@ -184,66 +131,10 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
   if (obs_ != nullptr) {
     obs_->repair_decodes->Add();
   }
-  crnet::NpsFragment recovered;
-  recovered.seq = missing->seq;
-  recovered.frag_index = missing->frag_index;
-  recovered.frag_count = missing->frag_count;
-  recovered.bytes = missing->bytes;
-  recovered.chunk = missing->chunk;
-  recovered.sent_at = missing->sent_at;
+  crnet::NpsFragment recovered = *missing;
   recovered.retransmit = true;
   recovered.multicast = true;
   OnFragment(recovered);
-}
-
-void GroupReceiver::Complete(std::uint64_t seq, Reassembly& entry) {
-  const crbase::Time now = kernel_->Now();
-  cras::BufferedChunk local = entry.chunk;
-  local.filled_at = now;
-  if (ftrace_ != nullptr) {
-    // Wire ends at the last fresh fragment; time after that is coded
-    // repair. A loss-free chunk completes on arrival with zero repair; a
-    // chunk none of whose fresh fragments survived has zero wire time and
-    // charges the full sent-to-completed wait to repair.
-    ftrace_->StampAt(local.chunk_index, crobs::FrameStage::kArrived,
-                     entry.last_fresh_at >= 0 ? entry.last_fresh_at : entry.sent_at);
-    ftrace_->StampAt(local.chunk_index, crobs::FrameStage::kCompleted, now);
-  }
-  buffer_.Put(local, clock_.Now());
-  ++stats_.chunks_received;
-  stats_.bytes_received += entry.chunk.size;
-  stats_.max_network_latency = std::max(stats_.max_network_latency, now - entry.sent_at);
-  if (obs_ != nullptr) {
-    obs_->chunks_received->Add();
-  }
-  done_.insert(seq);
-  pending_.erase(seq);
-}
-
-void GroupReceiver::Abandon(std::uint64_t seq, Reassembly& entry) {
-  ++stats_.chunks_abandoned;
-  if (obs_ != nullptr) {
-    obs_->chunks_abandoned->Add();
-    obs_->hub->flight().Record(crobs::FlightEventKind::kNakGiveUp,
-                               static_cast<std::int64_t>(seq), 0, 0, "mcast-receiver");
-  }
-  if (ftrace_ != nullptr) {
-    // Multicast sequence numbers are chunk indices, so even a metadata-less
-    // placeholder resolves against the right frame.
-    const std::int64_t chunk_index =
-        entry.frag_count > 0 ? entry.chunk.chunk_index : static_cast<std::int64_t>(seq);
-    if (entry.last_fresh_at >= 0) {
-      ftrace_->StampAt(chunk_index, crobs::FrameStage::kArrived, entry.last_fresh_at);
-    } else if (entry.frag_count > 0) {
-      // Only repair traffic arrived: zero wire time, the wait was all repair.
-      ftrace_->StampAt(chunk_index, crobs::FrameStage::kArrived, entry.sent_at);
-    }
-    ftrace_->Miss(chunk_index, entry.received > 0 ? crobs::FrameStage::kCompleted
-                                                  : crobs::FrameStage::kArrived);
-  }
-  done_.insert(seq);
-  abandoned_.insert(seq);
-  pending_.erase(seq);
 }
 
 crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
@@ -252,13 +143,16 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     // Sweep: give up on anything playout has moved past. The chunk index
     // supplies the deadline, so even a metadata-less placeholder dies on
     // schedule instead of lingering on a TTL.
-    const crbase::Time logical = clock_.Now();
+    const crbase::Time logical = clock().Now();
     for (auto it = pending_.begin(); it != pending_.end();) {
       const std::uint64_t seq = it->first;
       if (logical > DeadlineOf(seq)) {
         Reassembly& entry = it->second;
         ++it;  // Abandon erases; advance first
-        Abandon(seq, entry);
+        // Multicast sequence numbers are chunk indices, so even a
+        // metadata-less placeholder resolves against the right frame.
+        Abandon(seq, entry, static_cast<std::int64_t>(seq));
+        abandoned_.insert(seq);
       } else {
         ++it;
       }
@@ -276,8 +170,8 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     while (due_swept_ < index_->count() &&
            index_->at(static_cast<std::size_t>(due_swept_)).timestamp <=
                logical + options_.jitter_allowance) {
-      if (done_.count(due_swept_) == 0 && pending_.count(due_swept_) == 0) {
-        EnsureEntry(due_swept_);
+      if (!IsDone(due_swept_)) {
+        Pending(due_swept_);
       }
       ++due_swept_;
     }
@@ -287,17 +181,9 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     report.member = member_;
     const crbase::Time now = kernel_->Now();
     for (const auto& [seq, entry] : pending_) {
-      if (now - entry.created_at <= options_.reorder_grace) {
-        continue;
+      if (now - entry.created_at > options_.reorder_grace) {
+        report.entries.push_back(entry.Nak(seq));
       }
-      LossReportEntry loss;
-      loss.seq = seq;
-      for (int i = 0; i < entry.frag_count; ++i) {
-        if (!entry.have[static_cast<std::size_t>(i)]) {
-          loss.missing.push_back(i);
-        }
-      }
-      report.entries.push_back(std::move(loss));
     }
     if (report.entries.empty()) {
       continue;
@@ -312,16 +198,8 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
   }
 }
 
-std::optional<cras::BufferedChunk> GroupReceiver::Get(crbase::Time t) {
-  buffer_.DiscardObsolete(clock_.Now());
-  std::optional<cras::BufferedChunk> chunk = buffer_.Get(t);
-  if (chunk.has_value() && ftrace_ != nullptr) {
-    ftrace_->Deliver(chunk->chunk_index);
-  }
-  return chunk;
-}
-
 void GroupReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
+  AttachReceiveObs(hub, "mcast", name, "mcast-receiver");
   if (hub == nullptr) {
     obs_.reset();
     return;
@@ -330,9 +208,7 @@ void GroupReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
   obs->hub = hub;
   crobs::Registry& metrics = hub->metrics();
   const crobs::Labels labels = {{"stream", name}};
-  obs->chunks_received = metrics.GetCounter("mcast.rx_chunks", labels);
   obs->reports_sent = metrics.GetCounter("mcast.rx_reports_sent", labels);
-  obs->chunks_abandoned = metrics.GetCounter("mcast.rx_chunks_abandoned", labels);
   obs->repair_decodes = metrics.GetCounter("mcast.rx_repair_decodes", labels);
   obs->repair_decode_failed = metrics.GetCounter("mcast.rx_repair_decode_failed", labels);
   obs_ = std::move(obs);
@@ -387,14 +263,6 @@ crsim::Task GroupSender::Start(GroupId group, const crmedia::ChunkIndex* index) 
 
 std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedChunk& chunk,
                                        crbase::Time sent_at) {
-  std::vector<std::int64_t> frag_bytes;
-  for (std::int64_t remaining = chunk.size; remaining > 0;) {
-    const std::int64_t fragment = std::min(remaining, options_.max_packet_bytes);
-    frag_bytes.push_back(fragment);
-    remaining -= fragment;
-  }
-  const int frag_count = static_cast<int>(frag_bytes.size());
-
   std::vector<Member*> targets;
   for (Member& member : members_) {
     if (!member.dead && !member.unicast &&
@@ -402,21 +270,11 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
       targets.push_back(&member);
     }
   }
-  StoredChunk stored;
-  stored.chunk = chunk;
-  stored.sent_at = sent_at;
-  stored.frag_bytes = frag_bytes;
-  stored.deadline = crnet::ChunkDeadline(chunk);
-  store_.emplace(seq, std::move(stored));
+  const crnet::SentChunk sent{seq, chunk, sent_at, options_.max_packet_bytes};
+  store_.emplace(seq, sent);
 
-  for (int i = 0; i < frag_count; ++i) {
-    crnet::NpsFragment fragment;
-    fragment.seq = seq;
-    fragment.frag_index = i;
-    fragment.frag_count = frag_count;
-    fragment.bytes = frag_bytes[static_cast<std::size_t>(i)];
-    fragment.chunk = chunk;
-    fragment.sent_at = sent_at;
+  for (int i = 0; i < sent.frag_count(); ++i) {
+    crnet::NpsFragment fragment = sent.Fragment(i, /*retransmit=*/false);
     fragment.multicast = true;
     std::vector<std::function<void()>> delivers;
     delivers.reserve(targets.size());
@@ -454,33 +312,9 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
   return targets.size();
 }
 
-void GroupSender::SendUnicast(Member& member, std::uint64_t seq,
-                              const cras::BufferedChunk& chunk, crbase::Time sent_at,
-                              bool retransmit) {
-  std::vector<std::int64_t> frag_bytes;
-  for (std::int64_t remaining = chunk.size; remaining > 0;) {
-    const std::int64_t fragment = std::min(remaining, options_.max_packet_bytes);
-    frag_bytes.push_back(fragment);
-    remaining -= fragment;
-  }
-  const int frag_count = static_cast<int>(frag_bytes.size());
+void GroupSender::SendUnicast(const Member& member, const crnet::NpsFragment& fragment) {
   GroupReceiver* receiver = member.receiver;
-  for (int i = 0; i < frag_count; ++i) {
-    crnet::NpsFragment fragment;
-    fragment.seq = seq;
-    fragment.frag_index = i;
-    fragment.frag_count = frag_count;
-    fragment.bytes = frag_bytes[static_cast<std::size_t>(i)];
-    fragment.chunk = chunk;
-    fragment.sent_at = sent_at;
-    fragment.retransmit = retransmit;
-    link_->Send(fragment.bytes, [receiver, fragment] { receiver->OnFragment(fragment); });
-  }
-  if (member.trace != nullptr && !retransmit) {
-    // Bridge/unicast chunks come from the member's own CRAS session, which
-    // already set the path (cache or disk); only the send is new here.
-    member.trace->StampAt(chunk.chunk_index, crobs::FrameStage::kSent, sent_at);
-  }
+  link_->Send(fragment.bytes, [receiver, fragment] { receiver->OnFragment(fragment); });
 }
 
 void GroupSender::RefreshMember(Member& member, const crmedia::ChunkIndex* index) {
@@ -508,11 +342,11 @@ void GroupSender::RefreshMember(Member& member, const crmedia::ChunkIndex* index
   }
 }
 
-void GroupSender::RetransmitUnicast(Member& member, const LossReportEntry& entry) {
-  if (entry.seq >= index_->count()) {
+void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
+  if (loss.seq >= index_->count()) {
     return;
   }
-  const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(entry.seq));
+  const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(loss.seq));
   if (server_->LogicalNow(member.session) >
       crnet::ChunkDeadline(chunk) + options_.playout_slack) {
     ++stats_.retransmits_abandoned;
@@ -523,15 +357,18 @@ void GroupSender::RetransmitUnicast(Member& member, const LossReportEntry& entry
   std::optional<cras::BufferedChunk> buffered =
       server_->Get(member.session, chunk.timestamp);
   if (!buffered.has_value()) {
-    auto it = store_.find(entry.seq);
+    auto it = store_.find(loss.seq);
     if (it == store_.end()) {
       ++stats_.retransmits_abandoned;
       return;
     }
     buffered = it->second.chunk;
   }
-  SendUnicast(member, entry.seq, *buffered, kernel_->Now(), /*retransmit=*/true);
-  ++stats_.fragments_retransmitted;
+  const crnet::SentChunk sent{loss.seq, *buffered, kernel_->Now(), options_.max_packet_bytes};
+  sent.ForEachMissing(loss.missing, [&](int index) {
+    SendUnicast(member, sent.Fragment(index, /*retransmit=*/true));
+    ++stats_.fragments_retransmitted;
+  });
 }
 
 void GroupSender::OnLossReport(const LossReport& report) {
@@ -544,7 +381,7 @@ void GroupSender::OnLossReport(const LossReport& report) {
   if (member->dead) {
     return;
   }
-  for (const LossReportEntry& entry : report.entries) {
+  for (const crnet::NpsNak& entry : report.entries) {
     if (skipped_.count(entry.seq) != 0) {
       continue;  // never sent: the server-side skip is already accounted
     }
@@ -576,7 +413,7 @@ void GroupSender::PruneStore() {
     return;
   }
   while (!store_.empty() &&
-         store_.begin()->second.deadline + options_.playout_slack < min_logical) {
+         store_.begin()->second.deadline() + options_.playout_slack < min_logical) {
     store_.erase(store_.begin());
   }
 }
@@ -618,19 +455,7 @@ void GroupSender::RepairTick() {
         }
         continue;  // past deadline everywhere: nothing to repair
       }
-      const StoredChunk& stored = it->second;
-      const int frag_count = static_cast<int>(stored.frag_bytes.size());
-      if (frags.empty()) {
-        for (int i = 0; i < frag_count; ++i) {
-          needs[{seq, i}].push_back(mi);
-        }
-      } else {
-        for (int frag : frags) {
-          if (frag >= 0 && frag < frag_count) {
-            needs[{seq, frag}].push_back(mi);
-          }
-        }
-      }
+      it->second.ForEachMissing(frags, [&](int frag) { needs[{seq, frag}].push_back(mi); });
     }
     member.missing.clear();
   }
@@ -675,16 +500,9 @@ void GroupSender::RepairTick() {
     RepairPacket packet;
     std::vector<std::int64_t> sizes;
     for (const Need* need : window) {
-      const StoredChunk& stored = store_.at(need->seq);
-      RepairRef ref;
-      ref.seq = need->seq;
-      ref.frag_index = need->frag_index;
-      ref.frag_count = static_cast<int>(stored.frag_bytes.size());
-      ref.bytes = stored.frag_bytes[static_cast<std::size_t>(need->frag_index)];
-      ref.chunk = stored.chunk;
-      ref.sent_at = stored.sent_at;
-      sizes.push_back(ref.bytes);
-      packet.window.push_back(std::move(ref));
+      packet.window.push_back(
+          store_.at(need->seq).Fragment(need->frag_index, /*retransmit=*/false));
+      sizes.push_back(packet.window.back().bytes);
     }
     packet.bytes = XorParityBytes(sizes) + options_.repair_packet_overhead;
     std::vector<std::function<void()>> delivers;
@@ -808,8 +626,17 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         co_await ctx.Compute(options_.cpu_per_chunk);
         {
           Member& fresh = members_[mi];  // re-take: vector may have moved
-          SendUnicast(fresh, static_cast<std::uint64_t>(cur), *buffered, ctx.Now(),
-                      /*retransmit=*/false);
+          const crnet::SentChunk sent{static_cast<std::uint64_t>(cur), *buffered, ctx.Now(),
+                                      options_.max_packet_bytes};
+          for (int i = 0; i < sent.frag_count(); ++i) {
+            SendUnicast(fresh, sent.Fragment(i, /*retransmit=*/false));
+          }
+          if (fresh.trace != nullptr) {
+            // Bridge/unicast chunks come from the member's own CRAS session,
+            // which already set the path (cache or disk); only the send is
+            // new here.
+            fresh.trace->StampAt(buffered->chunk_index, crobs::FrameStage::kSent, sent.sent_at);
+          }
           (fresh.unicast ? fresh.unicast_cursor : fresh.patch_cursor) = cur + 1;
           if (fresh.unicast) {
             ++stats_.unicast_chunks;

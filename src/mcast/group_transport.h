@@ -25,6 +25,11 @@
 // member's own clock demotes the member to unicast — the sender calls
 // CrasServer::DemoteGroupMember, admission re-settles, and from then on the
 // member is served like a plain NPS stream. Never a silent miss.
+//
+// The fragment format, the sent-chunk record and the receiver's reassembly,
+// buffer and clock are the reliability core NPS uses too
+// (src/net/reliable.h); this file holds only the grouped walks and the
+// coded-repair policy.
 
 #ifndef SRC_MCAST_GROUP_TRANSPORT_H_
 #define SRC_MCAST_GROUP_TRANSPORT_H_
@@ -32,17 +37,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/time_units.h"
 #include "src/core/cras.h"
-#include "src/core/time_driven_buffer.h"
 #include "src/mcast/group_manager.h"
 #include "src/net/link.h"
-#include "src/net/nps.h"
+#include "src/net/reliable.h"
 #include "src/obs/obs.h"
 #include "src/rtmach/kernel.h"
 #include "src/sim/task.h"
@@ -51,59 +54,35 @@ namespace crmcast {
 
 class GroupSender;
 
-// One entry of a receiver's periodic loss report: the fragments of `seq`
-// still missing. An empty `missing` list means the whole chunk (the
-// receiver saw the sequence gap but holds no metadata).
-struct LossReportEntry {
-  std::uint64_t seq = 0;
-  std::vector<int> missing;
-};
-
 // A receiver's aggregate loss bitmap, shipped on the reverse link every
 // report interval — one packet regardless of how many gaps it covers.
 struct LossReport {
   SessionId member = kNoSession;
-  std::vector<LossReportEntry> entries;
-};
-
-// Identifies one fragment covered by a parity window. Carries the full
-// chunk metadata (like crnet::NpsFragment) so a decode can synthesize the
-// lost fragment outright.
-struct RepairRef {
-  std::uint64_t seq = 0;
-  int frag_index = 0;
-  int frag_count = 1;
-  std::int64_t bytes = 0;
-  cras::BufferedChunk chunk;
-  crbase::Time sent_at = 0;
+  std::vector<crnet::NpsNak> entries;
 };
 
 // One multicast XOR parity packet: the bytewise XOR of every fragment in
-// `window`. A receiver holding all but one window member recovers it.
+// `window`. A receiver holding all but one window member recovers it; each
+// window entry carries its fragment's full metadata, so a decode
+// synthesizes the lost fragment outright.
 struct RepairPacket {
-  std::vector<RepairRef> window;
+  std::vector<crnet::NpsFragment> window;
   std::int64_t bytes = 0;  // wire size: max fragment size + header overhead
 };
 
-struct GroupReceiverStats {
-  std::int64_t chunks_received = 0;
-  std::int64_t bytes_received = 0;
-  std::int64_t fragments_received = 0;
-  std::int64_t duplicate_fragments = 0;
-  std::int64_t retransmitted_fragments = 0;
+struct GroupReceiverStats : crnet::ReassemblyStats {
   std::int64_t reports_sent = 0;
-  std::int64_t chunks_abandoned = 0;   // playout deadline passed unrepaired
-  std::int64_t repair_decodes = 0;     // parity packet recovered a fragment
-  std::int64_t repair_useless = 0;     // parity covered nothing we miss
+  std::int64_t repair_decodes = 0;        // parity packet recovered a fragment
+  std::int64_t repair_useless = 0;        // parity covered nothing we miss
   std::int64_t repair_decode_failed = 0;  // >1 window member absent
-  crbase::Duration max_network_latency = 0;
 };
 
-// Client-host endpoint of a grouped stream. Reassembles multicast, bridge
-// and repaired fragments into a time-driven buffer, tracks gaps against
-// both the multicast cursor and the unicast bridge cursor, and reports
-// losses as periodic bitmaps instead of per-gap NAKs.
-class GroupReceiver {
+// Client-host endpoint of a grouped stream: the shared receiver end
+// (crnet::ReliableReceiver) reassembles multicast, bridge and repaired
+// fragments; this class tracks gaps against both the multicast cursor and
+// the unicast bridge cursor, and reports losses as periodic bitmaps
+// instead of per-gap NAKs.
+class GroupReceiver final : public crnet::ReliableReceiver {
  public:
   struct Options {
     std::int64_t buffer_bytes = 4 << 20;
@@ -122,8 +101,6 @@ class GroupReceiver {
   GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index,
                 const Options& options);
   GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index);
-  GroupReceiver(const GroupReceiver&) = delete;
-  GroupReceiver& operator=(const GroupReceiver&) = delete;
 
   // Chunks below the merge point arrive on the unicast bridge; the
   // multicast gap tracker starts expecting sequence numbers from here.
@@ -142,49 +119,21 @@ class GroupReceiver {
   void OnFragment(const crnet::NpsFragment& fragment);
   void OnRepair(const RepairPacket& packet);
 
-  // The remote application's crs_get equivalent.
-  std::optional<cras::BufferedChunk> Get(crbase::Time t);
-
-  // Points the receiver at the member session's frame-trace ring (the
-  // sender wires this in AddMember). Completed chunks stamp kArrived (last
-  // fresh fragment) and kCompleted; deadline-swept gaps resolve as misses;
-  // Get() stamps playout. nullptr detaches.
-  void set_frame_trace(crobs::SessionTrace* trace);
-  crobs::SessionTrace* frame_trace() const { return ftrace_; }
-
-  cras::LogicalClock& clock() { return clock_; }
   const GroupReceiverStats& stats() const { return stats_; }
-  const cras::TimeDrivenBufferStats& buffer_stats() const { return buffer_.stats(); }
-  std::size_t incomplete_chunks() const { return pending_.size(); }
 
-  // Counters (mcast.rx_*), labeled {stream}.
+  // Counters (mcast.rx_*) and a reassembly-latency histogram, labeled
+  // {stream}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
-  struct Reassembly {
-    cras::BufferedChunk chunk;
-    int frag_count = 0;  // 0 while only a gap placeholder
-    std::vector<bool> have;
-    int received = 0;
-    crbase::Time sent_at = 0;
-    crbase::Time created_at = 0;  // receiver host time
-    // Arrival of the newest *fresh* (non-repair) fragment: the wire/repair
-    // attribution boundary. -1 until one arrives.
-    crbase::Time last_fresh_at = -1;
-  };
-
   struct ObsState {
     crobs::Hub* hub = nullptr;
-    crobs::Counter* chunks_received = nullptr;
     crobs::Counter* reports_sent = nullptr;
-    crobs::Counter* chunks_abandoned = nullptr;
     crobs::Counter* repair_decodes = nullptr;
     crobs::Counter* repair_decode_failed = nullptr;
   };
 
-  Reassembly& EnsureEntry(std::uint64_t seq);
-  void Complete(std::uint64_t seq, Reassembly& entry);
-  void Abandon(std::uint64_t seq, Reassembly& entry);
+  crnet::ReassemblyStats& reassembly_stats() override { return stats_; }
   // Playout deadline of `seq` from the chunk index — defined even for
   // placeholders that never saw metadata.
   crbase::Time DeadlineOf(std::uint64_t seq) const;
@@ -193,26 +142,20 @@ class GroupReceiver {
   // chunks hold everything; abandoned ones hold nothing.
   bool Holds(std::uint64_t seq, int frag_index) const;
 
-  crrt::Kernel* kernel_;
   const crmedia::ChunkIndex* index_;
   Options options_;
-  cras::TimeDrivenBuffer buffer_;
-  cras::LogicalClock clock_;
   crnet::Link* reverse_ = nullptr;
   GroupSender* sender_ = nullptr;
   SessionId member_ = kNoSession;
   std::int64_t merge_chunk_ = 0;
   bool stopped_ = false;
-  std::map<std::uint64_t, Reassembly> pending_;
-  std::set<std::uint64_t> done_;       // completed or abandoned
-  std::set<std::uint64_t> abandoned_;  // subset of done_: holds no data
+  std::set<std::uint64_t> abandoned_;  // finished without data
   // Gap trackers: every seq below a cursor has an entry or is done.
   std::uint64_t mcast_expected_ = 0;    // multicast stream, from merge_chunk_
   std::uint64_t unicast_expected_ = 0;  // bridge/unicast stream, from 0
   std::uint64_t due_swept_ = 0;         // due sweep: playout-imminent check
   GroupReceiverStats stats_;
   std::unique_ptr<ObsState> obs_;
-  crobs::SessionTrace* ftrace_ = nullptr;
 };
 
 struct GroupSenderStats {
@@ -302,14 +245,6 @@ class GroupSender {
     std::map<std::uint64_t, std::vector<int>> missing;
   };
 
-  // A multicast chunk retained for coded repair while inside the window.
-  struct StoredChunk {
-    cras::BufferedChunk chunk;
-    crbase::Time sent_at = 0;
-    std::vector<std::int64_t> frag_bytes;
-    crbase::Time deadline = 0;
-  };
-
   struct ObsState {
     crobs::Hub* hub = nullptr;
     crobs::Counter* chunks_multicast = nullptr;
@@ -323,11 +258,11 @@ class GroupSender {
   // number of members it reached.
   std::size_t ShipMulticast(std::uint64_t seq, const cras::BufferedChunk& chunk,
                             crbase::Time sent_at);
-  void SendUnicast(Member& member, std::uint64_t seq, const cras::BufferedChunk& chunk,
-                   crbase::Time sent_at, bool retransmit);
+  void SendUnicast(const Member& member, const crnet::NpsFragment& fragment);
   // Re-detects server-side state changes (demotions, closed sessions).
   void RefreshMember(Member& member, const crmedia::ChunkIndex* index);
-  void RetransmitUnicast(Member& member, const LossReportEntry& entry);
+  // Resends the fragments a bridge or demoted-member loss names.
+  void RetransmitUnicast(Member& member, const crnet::NpsNak& loss);
   void RepairTick();
   void PruneStore();
   Member* FindMember(SessionId session);
@@ -340,7 +275,8 @@ class GroupSender {
   const crmedia::ChunkIndex* index_ = nullptr;
   std::uint64_t cursor_ = 0;  // next chunk the feed multicasts
   std::vector<Member> members_;
-  std::map<std::uint64_t, StoredChunk> store_;
+  // Multicast chunks retained for coded repair while inside the window.
+  std::map<std::uint64_t, crnet::SentChunk> store_;
   std::set<std::uint64_t> skipped_;  // never sent; repair requests ignored
   GroupSenderStats stats_;
   std::unique_ptr<ObsState> obs_;

@@ -15,13 +15,13 @@
 //   LeaseClient — the heartbeat generator keeping a session's lease alive
 //                 across the link (CrasServer::Options::lease_period).
 //
-// Reliability layer (for impaired links — see crnet::LinkImpairments):
-// every transmitted chunk carries a sequence number and every fragment its
-// index within the chunk, so the receiver reassembles from explicit
-// per-sequence state and never trusts arrival order. With a reverse link
-// connected (ConnectReverse), the receiver detects gaps — a missing
-// fragment, or a wholly lost chunk revealed by a sequence-number jump — and
-// requests repair with NAKs under capped exponential backoff. Both ends are
+// Reliability (for impaired links — see crnet::LinkImpairments): the wire
+// format, the sent-chunk record and the receiver's reassembly, buffer and
+// clock are the core both transports share (src/net/reliable.h). What is
+// NPS's own is the repair policy. With a reverse link connected
+// (ConnectReverse), the receiver detects gaps — a missing fragment, or a
+// wholly lost chunk revealed by a sequence-number jump — and requests
+// repair with NAKs under capped exponential backoff. Both ends are
 // deadline-aware: the receiver abandons a chunk its logical clock has
 // passed (the buffer would discard it on arrival anyway), and the sender
 // drops NAKed data whose playout deadline can no longer be met, so late
@@ -35,15 +35,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/time_units.h"
 #include "src/core/cras.h"
-#include "src/core/time_driven_buffer.h"
 #include "src/net/link.h"
+#include "src/net/reliable.h"
 #include "src/obs/obs.h"
 #include "src/rtmach/kernel.h"
 #include "src/sim/task.h"
@@ -52,55 +50,12 @@ namespace crnet {
 
 class NpsSender;
 
-// The one shared playout-deadline rule: a chunk is repair-worthy until the
-// end of its playout slot, `timestamp + duration`, on the *logical* clock.
-// The NAK sender's refusal check, the receiver's drop rule, the sender's
-// store pruning, and grouped XOR repair (src/mcast) all call this helper so
-// the boundary chunk — logical clock exactly at the deadline — is treated
-// identically everywhere: still repairable at the deadline, dead strictly
-// past it.
-inline crbase::Time ChunkDeadline(const cras::BufferedChunk& chunk) {
-  return chunk.timestamp + chunk.duration;
-}
-inline crbase::Time ChunkDeadline(const crmedia::Chunk& chunk) {
-  return chunk.timestamp + chunk.duration;
-}
-
-// One NPS packet: a fragment of chunk number `seq`. Every fragment carries
-// the full chunk metadata, so reassembly survives the loss of any subset.
-struct NpsFragment {
-  std::uint64_t seq = 0;  // chunk sequence number (consecutive from 0)
-  int frag_index = 0;
-  int frag_count = 1;
-  std::int64_t bytes = 0;  // payload bytes in this fragment
-  cras::BufferedChunk chunk;
-  crbase::Time sent_at = 0;  // original chunk send start (sender host time)
-  bool retransmit = false;
-  bool multicast = false;  // delivered by group fan-out, not a unicast send
-};
-
-// A repair request: the fragments of `seq` the receiver is still missing.
-// An empty `missing` list means "everything" (the whole chunk was lost and
-// the receiver does not know its fragment count).
-struct NpsNak {
-  std::uint64_t seq = 0;
-  std::vector<int> missing;
-};
-
-struct NpsReceiverStats {
-  std::int64_t chunks_received = 0;
-  std::int64_t bytes_received = 0;
-  std::int64_t fragments_received = 0;
-  std::int64_t duplicate_fragments = 0;    // already held, or chunk already done
-  std::int64_t out_of_order_fragments = 0; // arrived behind a higher index
-  std::int64_t retransmitted_fragments = 0;
+struct NpsReceiverStats : ReassemblyStats {
   std::int64_t naks_sent = 0;
-  std::int64_t chunks_abandoned = 0;  // given up: deadline passed or unrepairable
-  crbase::Duration max_network_latency = 0;  // chunk send start -> reassembled
 };
 
-// Client-side endpoint: reassembled chunks land in a time-driven buffer.
-class NpsReceiver {
+// Client-side endpoint: the shared receiver end plus NAK repair.
+class NpsReceiver final : public ReliableReceiver {
  public:
   struct Options {
     std::int64_t buffer_bytes = 1 << 20;
@@ -119,10 +74,6 @@ class NpsReceiver {
 
   NpsReceiver(crrt::Kernel& kernel, const Options& options);
   explicit NpsReceiver(crrt::Kernel& kernel);
-  NpsReceiver(const NpsReceiver&) = delete;
-  NpsReceiver& operator=(const NpsReceiver&) = delete;
-  // Cancels any pending NAK timers (they ride the engine queue).
-  ~NpsReceiver();
 
   // Packet arrival, invoked by the forward link's delivery events.
   void OnFragment(const NpsFragment& fragment);
@@ -131,83 +82,24 @@ class NpsReceiver {
   // retaining sent chunks for retransmission.
   void ConnectReverse(Link& reverse, NpsSender& sender);
 
-  // The remote application's crs_get equivalent.
-  std::optional<cras::BufferedChunk> Get(crbase::Time t);
-
-  cras::LogicalClock& clock() { return clock_; }
   const NpsReceiverStats& stats() const { return stats_; }
-  const cras::TimeDrivenBufferStats& buffer_stats() const { return buffer_.stats(); }
-  std::size_t incomplete_chunks() const { return pending_.size(); }
 
   // Counters (nps.rx_*) and a reassembly-latency histogram, labeled
   // {stream, name}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
-  // Points reassembly at the session's frame-trace ring: arrival/repair
-  // stamps, give-up misses, and playout delivery all land there. Also wired
-  // through to the local buffer so an unconsumed drop after reassembly is
-  // resolved (missed at kCompleted). Usually set by NpsSender::Start.
-  void set_frame_trace(crobs::SessionTrace* trace);
-  crobs::SessionTrace* frame_trace() const { return ftrace_; }
-
  private:
-  // Reassembly state for one sequence number. A placeholder entry (created
-  // on a sequence gap) has frag_count == 0 until a fragment arrives.
-  struct Reassembly {
-    cras::BufferedChunk chunk;
-    int frag_count = 0;
-    std::vector<bool> have;
-    int received = 0;
-    int max_frag_seen = -1;
-    crbase::Time sent_at = 0;
-    crbase::Time created_at = 0;  // receiver host time
-    // Arrival of the newest *fresh* (non-retransmit) fragment: the frame
-    // trace's wire/repair boundary. A chunk completed entirely by fresh
-    // fragments gets a repair latency of exactly zero.
-    crbase::Time last_fresh_at = -1;
-    bool timer_armed = false;
-    crsim::EventId timer{};
-    crbase::Duration backoff = 0;
-    int naks = 0;
-  };
-
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* chunks_received = nullptr;
-    crobs::Counter* naks_sent = nullptr;
-    crobs::Counter* chunks_abandoned = nullptr;
-    crobs::Histogram* reassembly_ms = nullptr;
-  };
-
-  // Ensures a pending entry exists for `seq`; used for both gap
-  // placeholders and fragment-carrying entries. The caller arms the first
-  // NAK timer.
-  Reassembly& EnsureEntry(std::uint64_t seq);
+  ReassemblyStats& reassembly_stats() override { return stats_; }
   void ArmTimer(std::uint64_t seq, Reassembly& entry, crbase::Duration delay);
   // NAK timer body: give up, or request repair and re-arm with backoff.
   void OnTimer(std::uint64_t seq);
-  void Complete(std::uint64_t seq, Reassembly& entry);
-  void Abandon(std::uint64_t seq, Reassembly& entry);
-  // Delivered or abandoned sequence numbers.
-  bool IsDone(std::uint64_t seq) const;
-  void MarkDone(std::uint64_t seq);
 
-  crrt::Kernel* kernel_;
   Options options_;
-  cras::TimeDrivenBuffer buffer_;
-  cras::LogicalClock clock_;
   Link* reverse_ = nullptr;
   NpsSender* sender_ = nullptr;
-  std::map<std::uint64_t, Reassembly> pending_;
-  // Done sequence numbers: every one below the low-water mark, plus the few
-  // above it that finished ahead of an older, still pending chunk. Stays
-  // bounded by the reassembly window however long the stream runs.
-  std::uint64_t done_below_ = 0;
-  std::set<std::uint64_t> done_above_;
   std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
   NpsReceiverStats stats_;
-  std::unique_ptr<ObsState> obs_;
-  crobs::SessionTrace* ftrace_ = nullptr;
+  crobs::Counter* naks_metric_ = nullptr;
 };
 
 struct NpsSenderStats {
@@ -274,14 +166,6 @@ class NpsSender {
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
-  // A sent chunk retained for repair until its playout deadline.
-  struct StoredChunk {
-    cras::BufferedChunk chunk;
-    crbase::Time sent_at = 0;
-    std::vector<std::int64_t> frag_bytes;
-    crbase::Time deadline = 0;  // logical: timestamp + duration
-  };
-
   struct ObsState {
     crobs::Hub* hub = nullptr;
     crobs::Counter* naks_received = nullptr;
@@ -302,7 +186,7 @@ class NpsSender {
   cras::SessionId session_ = cras::kInvalidSession;
   crobs::SessionTrace* ftrace_ = nullptr;  // cached from the server at Start
   std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, StoredChunk> store_;
+  std::map<std::uint64_t, SentChunk> store_;  // retained until the playout deadline
   // seq -> chunk index for every chunk ever sent. Identity must outlive the
   // retransmit store: the store prunes past-deadline entries, but the
   // receiver may only observe a wholly-lost chunk's sequence gap after a

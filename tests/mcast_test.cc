@@ -1,10 +1,11 @@
 // Multicast delivery groups: XOR repair codec round trips, group
 // bookkeeping, coded repair fixing different losses at different receivers
-// with one packet, the late-joiner bridge from the pinned prefix, the
-// boundary-chunk deadline rule, and the demote-to-unicast path for a
-// receiver that falls past the repair window. The degradation invariant
-// mirrors the cache's: a member the group can no longer carry is demoted to
-// unicast disk service and re-settled — never silently missed.
+// with one packet, the late-joiner bridge from the pinned prefix and its
+// per-fragment retransmits, the boundary-chunk deadline rule, and the
+// demote-to-unicast path for a receiver that falls past the repair window.
+// The degradation invariant mirrors the cache's: a member the group can no
+// longer carry is demoted to unicast disk service and re-settled — never
+// silently missed.
 
 #include <gtest/gtest.h>
 
@@ -199,7 +200,7 @@ TEST(GroupTransport, OneRepairPacketFixesDifferentLossesAtTwoReceivers) {
 
   RepairPacket packet;
   for (std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}}) {
-    RepairRef ref;
+    crnet::NpsFragment ref;
     ref.seq = seq;
     ref.frag_index = 1;
     ref.frag_count = 2;
@@ -352,6 +353,56 @@ TEST(McastIntegration, LateJoinerBridgesFromPrefixThenMerges) {
 }
 
 // ---------------------------------------------------------------------------
+// Integration: a bridge retransmit resends the fragments a report names.
+
+TEST(McastIntegration, BridgeRetransmitResendsOnlyTheNamedFragment) {
+  cras::VolumeTestbed bed(GroupedRigOptions());
+  bed.StartServers();
+  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(12));
+  crnet::Link::Options forward_options;
+  forward_options.bandwidth_bytes_per_sec = 12.5e6;
+  crnet::Link forward(bed.engine(), forward_options);
+  GroupSender::Options sender_options;
+  sender_options.max_packet_bytes = 4096;  // a 6,250 B MPEG1 chunk is two fragments
+  GroupSender sender(bed.kernel, bed.cras_server, forward, sender_options);
+
+  Viewer a, b;
+  std::vector<crsim::Task> tasks;
+  SpawnViewer(bed, sender, forward, movie, /*open_at=*/0, /*extra_delay=*/0, &a, &tasks);
+  SpawnViewer(bed, sender, forward, movie, /*open_at=*/Seconds(2), /*extra_delay=*/0, &b,
+              &tasks);
+  bed.engine().RunFor(Milliseconds(100));
+  GroupManager* mgr = bed.cras_server.mcast_groups();
+  const GroupId group = mgr->GroupOf(a.session);
+  tasks.push_back(sender.Start(group, &movie.index));
+
+  // B joined late and now plays a chunk of its bridge, below its merge
+  // point and still resident in its own session buffer.
+  bed.engine().RunFor(Seconds(3));
+  ASSERT_NE(b.session, cras::kInvalidSession);
+  const std::int64_t playing = movie.index.FindByTime(bed.cras_server.LogicalNow(b.session));
+  ASSERT_GE(playing, 0);
+  ASSERT_LT(playing, mgr->MergeChunkOf(b.session));
+  ASSERT_GT(movie.index.at(static_cast<std::size_t>(playing)).size, 4096);
+
+  // B reports fragment 1 of that chunk missing: exactly that fragment goes
+  // back on the wire, and the counter counts fragments, not chunks.
+  const std::int64_t retransmitted = sender.stats().fragments_retransmitted;
+  const std::int64_t unicast_packets = forward.stats().packets_sent;
+  LossReport report;
+  report.member = b.session;
+  report.entries.push_back(crnet::NpsNak{static_cast<std::uint64_t>(playing), {1}});
+  sender.OnLossReport(report);
+  EXPECT_EQ(sender.stats().fragments_retransmitted - retransmitted, 1);
+  EXPECT_EQ(forward.stats().packets_sent - unicast_packets, 1);
+  EXPECT_EQ(sender.stats().retransmits_abandoned, 0);
+
+  bed.engine().RunFor(Seconds(16));
+  EXPECT_EQ(a.frames_missed, 0);
+  EXPECT_EQ(b.frames_missed, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Integration: a receiver past the repair window demotes to unicast.
 
 TEST(McastIntegration, ReceiverPastRepairWindowDemotesAndResettles) {
@@ -388,7 +439,7 @@ TEST(McastIntegration, ReceiverPastRepairWindowDemotesAndResettles) {
   ASSERT_GT(sender.stats().chunks_multicast, 4);
   LossReport report;
   report.member = b.session;
-  report.entries.push_back(LossReportEntry{0, {}});
+  report.entries.push_back(crnet::NpsNak{0, {}});
   sender.OnLossReport(report);
   bed.engine().RunFor(Seconds(14));
 
@@ -474,7 +525,7 @@ TEST(McastIntegration, ClientCrashDuringDemoteResettleConservesMembership) {
   ASSERT_GT(sender.stats().chunks_multicast, 4);
   LossReport report;
   report.member = b.session;
-  report.entries.push_back(LossReportEntry{0, {}});
+  report.entries.push_back(crnet::NpsNak{0, {}});
   sender.OnLossReport(report);
   bed.engine().RunFor(Seconds(16));
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/fault/fault.h"
+#include "src/mcast/group_transport.h"
+#include "src/media/chunk_index.h"
 #include "src/media/media_file.h"
 #include "src/net/link.h"
 #include "src/net/nps.h"
@@ -236,10 +239,15 @@ TEST(LinkFaults, DestroyedInjectorFiresNoEvents) {
 
 // ---------------------------------------------------------------------------
 // NPS reassembly (direct OnFragment injection — no link in the loop).
+// Reassembly is the core both transports share (src/net/reliable.h), so the
+// cases that describe shared behaviour run against the grouped receiver too.
 
 struct RxRig {
   crrt::Kernel kernel{crrt::Kernel::Options{}};
   NpsReceiver receiver{kernel};
+  // A stream laid out as Frag describes it: 10,000 chunks of 100 ms.
+  crmedia::ChunkIndex index = crmedia::BuildCbrIndex(80 * crbase::kKiB, 10, Seconds(1000));
+  crmcast::GroupReceiver group{kernel, &index};
 
   NpsFragment Frag(std::uint64_t seq, int index, int count) {
     NpsFragment fragment;
@@ -253,37 +261,54 @@ struct RxRig {
     fragment.chunk.size = static_cast<std::int64_t>(count) * 8 * crbase::kKiB;
     return fragment;
   }
+
+  // Runs `check` against the NPS receiver, then the grouped one.
+  template <typename Check>
+  void ForEachReceiver(Check check) {
+    {
+      SCOPED_TRACE("NpsReceiver");
+      check(receiver);
+    }
+    {
+      SCOPED_TRACE("GroupReceiver");
+      check(group);
+    }
+  }
 };
 
 TEST(NpsReassembly, ReorderedFragmentsAssembleExactlyOnce) {
   RxRig rig;
-  // The "final" fragment arrives first: a receiver trusting a
-  // final-fragment signal would deliver a chunk with holes.
-  rig.receiver.OnFragment(rig.Frag(0, 2, 3));
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 0);
-  EXPECT_EQ(rig.receiver.incomplete_chunks(), 1u);
-  rig.receiver.OnFragment(rig.Frag(0, 0, 3));
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 0);
-  rig.receiver.OnFragment(rig.Frag(0, 1, 3));
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 1);
-  EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
-  EXPECT_EQ(rig.receiver.stats().out_of_order_fragments, 2);
-  EXPECT_TRUE(rig.receiver.Get(0).has_value());
+  rig.ForEachReceiver([&rig](auto& receiver) {
+    // The "final" fragment arrives first: a receiver trusting a
+    // final-fragment signal would deliver a chunk with holes.
+    receiver.OnFragment(rig.Frag(0, 2, 3));
+    EXPECT_EQ(receiver.stats().chunks_received, 0);
+    EXPECT_EQ(receiver.incomplete_chunks(), 1u);
+    receiver.OnFragment(rig.Frag(0, 0, 3));
+    EXPECT_EQ(receiver.stats().chunks_received, 0);
+    receiver.OnFragment(rig.Frag(0, 1, 3));
+    EXPECT_EQ(receiver.stats().chunks_received, 1);
+    EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+    EXPECT_EQ(receiver.stats().out_of_order_fragments, 2);
+    EXPECT_TRUE(receiver.Get(0).has_value());
+  });
 }
 
 TEST(NpsReassembly, DuplicateFragmentsAreIgnored) {
   RxRig rig;
-  rig.receiver.OnFragment(rig.Frag(0, 0, 2));
-  rig.receiver.OnFragment(rig.Frag(0, 0, 2));
-  EXPECT_EQ(rig.receiver.stats().duplicate_fragments, 1);
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 0);
-  rig.receiver.OnFragment(rig.Frag(0, 1, 2));
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 1);
-  // A late duplicate of a finished chunk is also just counted.
-  rig.receiver.OnFragment(rig.Frag(0, 1, 2));
-  EXPECT_EQ(rig.receiver.stats().duplicate_fragments, 2);
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 1);
-  EXPECT_EQ(rig.receiver.stats().bytes_received, 2 * 8 * crbase::kKiB);
+  rig.ForEachReceiver([&rig](auto& receiver) {
+    receiver.OnFragment(rig.Frag(0, 0, 2));
+    receiver.OnFragment(rig.Frag(0, 0, 2));
+    EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+    EXPECT_EQ(receiver.stats().chunks_received, 0);
+    receiver.OnFragment(rig.Frag(0, 1, 2));
+    EXPECT_EQ(receiver.stats().chunks_received, 1);
+    // A late duplicate of a finished chunk is also just counted.
+    receiver.OnFragment(rig.Frag(0, 1, 2));
+    EXPECT_EQ(receiver.stats().duplicate_fragments, 2);
+    EXPECT_EQ(receiver.stats().chunks_received, 1);
+    EXPECT_EQ(receiver.stats().bytes_received, 2 * 8 * crbase::kKiB);
+  });
 }
 
 TEST(NpsReassembly, SequenceGapOpensPlaceholderForLostChunk) {
@@ -310,32 +335,56 @@ TEST(NpsReassembly, NakTimersPendOnlyForIncompleteChunks) {
 
 TEST(NpsReassembly, LateRetransmitOfLongFinishedChunkIsADuplicate) {
   RxRig rig;
-  // Chunk 1 finishes while chunk 0 is still missing a fragment, then chunk 0
-  // completes and a long run of chunks follows.
-  rig.receiver.OnFragment(rig.Frag(0, 0, 2));
-  rig.receiver.OnFragment(rig.Frag(1, 0, 1));
-  rig.receiver.OnFragment(rig.Frag(1, 0, 1));  // done, though chunk 0 is not
-  EXPECT_EQ(rig.receiver.stats().duplicate_fragments, 1);
-  rig.receiver.OnFragment(rig.Frag(0, 1, 2));
-  constexpr std::uint64_t kChunks = 64;
-  for (std::uint64_t seq = 2; seq < kChunks; ++seq) {
-    rig.receiver.OnFragment(rig.Frag(seq, 0, 1));
-  }
-  EXPECT_EQ(rig.receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
-  EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
-  const std::int64_t bytes = rig.receiver.stats().bytes_received;
+  rig.ForEachReceiver([&rig](auto& receiver) {
+    // Chunk 1 finishes while chunk 0 is still missing a fragment, then
+    // chunk 0 completes and a long run of chunks follows.
+    receiver.OnFragment(rig.Frag(0, 0, 2));
+    receiver.OnFragment(rig.Frag(1, 0, 1));
+    receiver.OnFragment(rig.Frag(1, 0, 1));  // done, though chunk 0 is not
+    EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+    receiver.OnFragment(rig.Frag(0, 1, 2));
+    constexpr std::uint64_t kChunks = 64;
+    for (std::uint64_t seq = 2; seq < kChunks; ++seq) {
+      receiver.OnFragment(rig.Frag(seq, 0, 1));
+    }
+    EXPECT_EQ(receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+    EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+    const std::int64_t bytes = receiver.stats().bytes_received;
 
-  // Retransmits of finished chunks, from far behind and just behind the
-  // newest: counted, never reassembled or delivered again.
-  for (std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}, kChunks - 1}) {
-    NpsFragment late = rig.Frag(seq, 0, seq == 0 ? 2 : 1);
-    late.retransmit = true;
-    rig.receiver.OnFragment(late);
-  }
-  EXPECT_EQ(rig.receiver.stats().duplicate_fragments, 4);
-  EXPECT_EQ(rig.receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
-  EXPECT_EQ(rig.receiver.stats().bytes_received, bytes);
-  EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
+    // Retransmits of finished chunks, from far behind and just behind the
+    // newest: counted, never reassembled or delivered again.
+    for (std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}, kChunks - 1}) {
+      NpsFragment late = rig.Frag(seq, 0, seq == 0 ? 2 : 1);
+      late.retransmit = true;
+      receiver.OnFragment(late);
+    }
+    EXPECT_EQ(receiver.stats().duplicate_fragments, 4);
+    EXPECT_EQ(receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+    EXPECT_EQ(receiver.stats().bytes_received, bytes);
+    EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+  });
+}
+
+TEST(ReliableReceiver, FinishedRecordStaysBoundedOverALongStream) {
+  // 10,000 chunks; every hundredth finishes three chunks late. The record
+  // of finished sequence numbers keeps a low-water mark plus only those
+  // finished ahead of a pending chunk, so it never holds more than three.
+  RxRig rig;
+  rig.ForEachReceiver([&rig](auto& receiver) {
+    constexpr std::uint64_t kChunks = 10000;
+    std::size_t most_above = 0;
+    for (std::uint64_t seq = 0; seq < kChunks; ++seq) {
+      receiver.OnFragment(rig.Frag(seq, 0, seq % 100 == 0 ? 2 : 1));
+      most_above = std::max(most_above, receiver.finished_above());
+      if (seq % 100 == 3) {
+        receiver.OnFragment(rig.Frag(seq - 3, 1, 2));
+      }
+    }
+    EXPECT_EQ(receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+    EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+    EXPECT_EQ(most_above, 3u);
+    EXPECT_EQ(receiver.finished_above(), 0u);
+  });
 }
 
 TEST(NpsReassembly, BestEffortAbandonsIncompleteChunkAfterGrace) {

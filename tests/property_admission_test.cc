@@ -67,6 +67,10 @@ struct SoundnessCase {
   bool background;  // cat readers present
 };
 
+// The listed test name shows the case name; gtest's default prints raw
+// bytes, pointer included, which change from build to build.
+void PrintTo(const SoundnessCase& c, std::ostream* os) { *os << c.name; }
+
 class AdmissionSoundness : public ::testing::TestWithParam<SoundnessCase> {};
 
 TEST_P(AdmissionSoundness, AdmittedStreamsNeverMissDeadlines) {

@@ -26,6 +26,10 @@ struct BufferCase {
   std::uint64_t seed;
 };
 
+// The listed test name shows the case name; gtest's default prints raw
+// bytes, pointer included, which change from build to build.
+void PrintTo(const BufferCase& c, std::ostream* os) { *os << c.name; }
+
 class BufferInvariants : public ::testing::TestWithParam<BufferCase> {};
 
 TEST_P(BufferInvariants, RandomOperationSequencePreservesInvariants) {

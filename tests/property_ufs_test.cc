@@ -22,6 +22,10 @@ struct UfsCase {
   int rounds;
 };
 
+// The listed test name shows the case name; gtest's default prints raw
+// bytes, pointer included, which change from build to build.
+void PrintTo(const UfsCase& c, std::ostream* os) { *os << c.name; }
+
 class AllocatorInvariants : public ::testing::TestWithParam<UfsCase> {};
 
 // Runs a random create/append/remove/fragment workload and checks global
