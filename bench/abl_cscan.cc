@@ -51,11 +51,9 @@ Outcome RunOne(crdisk::QueueDiscipline discipline, bool server_sorts, int stream
   Outcome outcome;
   crstats::Summary actual;
   std::int64_t intervals = 0;
-  for (const cras::IntervalRecord& record : bed.cras_server.interval_records()) {
-    if (record.requests >= streams) {
-      actual.Add(crbase::ToMilliseconds(record.actual_io));
-      ++intervals;
-    }
+  for (const crobs::BudgetLedger::DiskRow& row : crbench::LedgerDiskRows(bed, streams)) {
+    actual.Add(row.actual.total_ms());
+    ++intervals;
   }
   outcome.actual_io_ms_per_interval = actual.mean();
   outcome.seek_ms_per_interval =

@@ -66,11 +66,9 @@ Outcome RunOne(Layout layout, int streams) {
   bed.engine().RunFor(Seconds(16));
   crstats::Summary actual;
   crstats::Summary requests;
-  for (const cras::IntervalRecord& record : bed.cras_server.interval_records()) {
-    if (record.requests >= streams) {
-      actual.Add(crbase::ToMilliseconds(record.actual_io));
-      requests.Add(static_cast<double>(record.requests));
-    }
+  for (const crobs::BudgetLedger::DiskRow& row : crbench::LedgerDiskRows(bed, streams)) {
+    actual.Add(row.actual.total_ms());
+    requests.Add(static_cast<double>(row.issued_requests));
   }
   outcome.actual_io_ms_per_interval = actual.mean();
   outcome.reqs_per_interval = requests.mean();

@@ -59,11 +59,9 @@ Outcome RunOne(std::int64_t max_read_bytes) {
   bed.engine().RunFor(Seconds(15));
   crstats::Summary actual;
   crstats::Summary requests;
-  for (const cras::IntervalRecord& record : bed.cras_server.interval_records()) {
-    if (record.requests >= kFixedStreams) {
-      actual.Add(crbase::ToMilliseconds(record.actual_io));
-      requests.Add(static_cast<double>(record.requests));
-    }
+  for (const crobs::BudgetLedger::DiskRow& row : crbench::LedgerDiskRows(bed, kFixedStreams)) {
+    actual.Add(row.actual.total_ms());
+    requests.Add(static_cast<double>(row.issued_requests));
   }
   outcome.actual_io_ms_per_interval = actual.mean();
   outcome.requests_per_interval = static_cast<std::int64_t>(requests.mean() + 0.5);

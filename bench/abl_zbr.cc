@@ -84,11 +84,11 @@ Outcome RunOne(bool inner_placement, bool worst_case_admission) {
     }
   }
   outcome.deadline_misses = bed.cras_server.stats().deadline_misses;
-  for (const cras::IntervalRecord& record : bed.cras_server.interval_records()) {
-    if (record.requests >= outcome.admitted && record.estimated_io > 0) {
-      outcome.max_io_ratio_pct =
-          std::max(outcome.max_io_ratio_pct, 100.0 * static_cast<double>(record.actual_io) /
-                                                 static_cast<double>(record.estimated_io));
+  for (const crobs::BudgetLedger::DiskRow& row :
+       crbench::LedgerDiskRows(bed, outcome.admitted)) {
+    if (row.predicted.total_ms() > 0) {
+      outcome.max_io_ratio_pct = std::max(
+          outcome.max_io_ratio_pct, 100.0 * row.actual.total_ms() / row.predicted.total_ms());
     }
   }
   return outcome;

@@ -1,9 +1,10 @@
 // Shared runner for Figures 8 and 9: admission-test accuracy.
 //
-// For N concurrent streams, measure per interval the ratio of *actual* disk
-// I/O time (summed device service time of the interval's real-time
-// requests) to the admission test's *estimated* I/O time. 100% would mean a
-// perfect estimate; lower is more pessimistic.
+// For N concurrent streams, measure per interval and per member disk the
+// ratio of *actual* disk I/O time (the budget ledger's measured total: the
+// summed device service time of the real-time requests issued to that disk)
+// to the admission test's *estimated* I/O time for that disk. 100% would
+// mean a perfect estimate; lower is more pessimistic.
 
 #ifndef BENCH_ADMISSION_ACCURACY_H_
 #define BENCH_ADMISSION_ACCURACY_H_
@@ -83,12 +84,10 @@ inline AccuracyResult MeasureAdmissionAccuracy(const AccuracyConfig& config) {
   // Keep only steady-state intervals: every admitted stream issuing (at
   // least `streams` requests) with a valid estimate.
   crstats::Summary ratios;
-  for (const cras::IntervalRecord& record : bed.cras_server.interval_records()) {
-    if (record.requests < config.streams || record.estimated_io <= 0) {
-      continue;
+  for (const crobs::BudgetLedger::DiskRow& row : LedgerDiskRows(bed, config.streams)) {
+    if (row.predicted.total_ms() > 0) {
+      ratios.Add(100.0 * row.actual.total_ms() / row.predicted.total_ms());
     }
-    ratios.Add(100.0 * static_cast<double>(record.actual_io) /
-               static_cast<double>(record.estimated_io));
   }
   for (const auto& s : stats) {
     CRAS_CHECK(!s->open_rejected) << "config exceeds admission capacity";

@@ -13,6 +13,7 @@
 #include "src/core/testbed.h"
 #include "src/media/load.h"
 #include "src/media/media_file.h"
+#include "src/obs/ledger.h"
 #include "src/obs/metrics.h"
 #include "src/stats/table.h"
 
@@ -83,6 +84,24 @@ inline void PrintMetricsSnapshot(const crobs::RegistrySnapshot& snap, bool csv) 
     table.EndRow();
   }
   table.Print();
+}
+
+// The budget ledger's per-disk interval rows with at least `min_issued`
+// requests issued to that disk, oldest first; measured totals include every
+// completion that has landed so far.
+inline std::vector<crobs::BudgetLedger::DiskRow> LedgerDiskRows(const cras::VolumeTestbed& bed,
+                                                                std::int64_t min_issued) {
+  const crobs::BudgetLedger* ledger = bed.hub.ledger();
+  CRAS_CHECK(ledger != nullptr);
+  std::vector<crobs::BudgetLedger::DiskRow> rows;
+  for (const crobs::BudgetLedger::IntervalRow& row : ledger->rows()) {
+    for (const crobs::BudgetLedger::DiskRow& disk : row.disks) {
+      if (disk.issued_requests >= min_issued) {
+        rows.push_back(disk);
+      }
+    }
+  }
+  return rows;
 }
 
 // Creates N MPEG1 movie files of the given length ("movie0", "movie1", ...).

@@ -7,9 +7,14 @@ untouched), then compares each committed BENCH_*.json with the fresh one as
 parsed JSON. Every key of every file must match exactly, types included:
 the benches report simulated quantities only, never host time.
 
+It also runs the figure and ablation benches whose printed tables are
+pinned in scripts/bench_stdout/<bench>.txt, and requires each one's stdout
+to match its pin byte for byte.
+
     python3 scripts/check_bench_files.py build
 
-Prints the first differing path of each file that differs and exits 1.
+Prints the first differing path of each file (or line of each table) that
+differs and exits 1.
 """
 
 import argparse
@@ -23,6 +28,9 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHES = ["cache_capacity", "net_degradation", "obs_overhead", "scale_striping",
            "mcast_fanout", "chaos_soak"]
+STDOUT_PINS = os.path.join(REPO, "scripts", "bench_stdout")
+PINNED_STDOUT = ["fig08_admission_1_5mbps", "fig09_admission_6mbps", "abl_cscan",
+                 "abl_fragmentation", "abl_read_size", "abl_zbr"]
 
 
 def first_difference(want, got, path):
@@ -48,6 +56,17 @@ def first_difference(want, got, path):
         return None
     if type(want) is not type(got) or want != got:
         return f"{path}: committed {want!r}, fresh {got!r}"
+    return None
+
+
+def first_line_difference(want, got):
+    """The first line where stdout `got` differs from the pin `want`, or None."""
+    want_lines, got_lines = want.splitlines(keepends=True), got.splitlines(keepends=True)
+    for i, (w, g) in enumerate(zip(want_lines, got_lines)):
+        if w != g:
+            return f"line {i + 1}: pinned {w!r}, fresh {g!r}"
+    if len(want_lines) != len(got_lines):
+        return f"{len(want_lines)} lines pinned, {len(got_lines)} fresh"
     return None
 
 
@@ -83,9 +102,24 @@ def main():
             if diff is not None:
                 print(f"{name}: {diff}")
                 failed = True
+        for bench in PINNED_STDOUT:
+            binary = os.path.abspath(os.path.join(args.build_dir, "bench", bench))
+            run = subprocess.run([binary], cwd=fresh_dir, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+            if run.returncode != 0:
+                print(f"check_bench_files: {bench} exited {run.returncode}\n"
+                      f"{run.stderr.decode(errors='replace')}", file=sys.stderr)
+                return 1
+            with open(os.path.join(STDOUT_PINS, bench + ".txt"), "rb") as pin:
+                want = pin.read()
+            if run.stdout != want:
+                diff = first_line_difference(want.decode(), run.stdout.decode())
+                print(f"{bench} stdout: {diff}")
+                failed = True
     if failed:
         return 1
-    print(f"check_bench_files: {len(committed)} BENCH files reproduce")
+    print(f"check_bench_files: {len(committed)} BENCH files and {len(PINNED_STDOUT)} "
+          "pinned tables reproduce")
     return 0
 
 

@@ -243,25 +243,19 @@ crsim::Task CrasServer::RequestSchedulerThread(crrt::ThreadContext& ctx) {
     }
 
     // Phase 2: issue all reads (and staged writes) the next interval needs.
-    const std::size_t slot = interval_records_.size();
-    IntervalRecord record;
-    record.index = tick.index;
-    record.scheduler_lateness = tick.lateness;
-    // The binding member disk's estimate; on a one-disk volume exactly the
-    // paper's single-disk figure. Cache-served streams are charged the
-    // fallback reserve instead of per-stream disk time.
-    const AdmissionController::Estimate estimate = admission_.Evaluate();
-    record.estimated_io = estimate.WorstIoTime();
-    interval_records_.push_back(record);
-
+    const std::int64_t slot = tick.index - 1;
     if (obs_ != nullptr) {
       crobs::BudgetLedger& ledger = *obs_->ledger;
-      // Slot-2's I/O deadline was the previous boundary; its completions are
-      // all attributed by now, so its audit row is final.
+      // Slot-2's I/O deadline was the previous boundary: its row is audited
+      // as soon as the last of its issued requests has completed.
       if (slot >= 2) {
-        ledger.CloseInterval(static_cast<std::int64_t>(slot) - 2);
+        ledger.CloseInterval(slot - 2);
       }
-      ledger.BeginInterval(static_cast<std::int64_t>(slot), kernel_->Now());
+      ledger.BeginInterval(slot, kernel_->Now());
+      // Each member disk's estimate; on a one-disk volume exactly the
+      // paper's single-disk figure. Cache-served streams are charged the
+      // fallback reserve instead of per-stream disk time.
+      const AdmissionController::Estimate estimate = admission_.Evaluate();
       for (int d = 0; d < static_cast<int>(estimate.per_disk.size()); ++d) {
         const crvol::VolumeAdmissionModel::DiskEstimate& disk =
             estimate.per_disk[static_cast<std::size_t>(d)];
@@ -274,7 +268,7 @@ crsim::Task CrasServer::RequestSchedulerThread(crrt::ThreadContext& ctx) {
         predicted.rotation_ms = crobs::ToMillis(disk.terms.rotation);
         predicted.transfer_ms = crobs::ToMillis(disk.transfer);
         predicted.other_ms = crobs::ToMillis(disk.terms.other);
-        ledger.SetPrediction(static_cast<std::int64_t>(slot), d, predicted, disk.requests);
+        ledger.SetPrediction(slot, d, predicted, disk.requests);
       }
     }
 
@@ -311,20 +305,20 @@ crsim::Task CrasServer::IoDoneManagerThread(crrt::ThreadContext& ctx) {
     if (batch.first_service_start < 0 || service_start < batch.first_service_start) {
       batch.first_service_start = service_start;
     }
-    if (batch.interval_slot < interval_records_.size()) {
-      interval_records_[batch.interval_slot].actual_io += msg.completion.service_time();
-    }
-    if (obs_ != nullptr && msg.disk >= 0) {
+    if (obs_ != nullptr) {
       // Fold the request's measured phase breakdown into its interval's
-      // audit row. No measured "other" term: the simulated array carries no
-      // non-real-time traffic, so B_other/D is pure slack.
+      // audit row. The measured "other" is the service time no phase
+      // accounts for: a transient fault's stall (the array carries no
+      // non-real-time traffic, so B_other/D is otherwise pure slack).
+      const crdisk::DiskCompletion& c = msg.completion;
       crobs::BudgetTerms actual;
-      actual.command_ms = crobs::ToMillis(msg.completion.command_time);
-      actual.seek_ms = crobs::ToMillis(msg.completion.seek_time);
-      actual.rotation_ms = crobs::ToMillis(msg.completion.rotation_time);
-      actual.transfer_ms = crobs::ToMillis(msg.completion.transfer_time);
-      obs_->ledger->AddActual(static_cast<std::int64_t>(batch.interval_slot), msg.disk,
-                              actual);
+      actual.command_ms = crobs::ToMillis(c.command_time);
+      actual.seek_ms = crobs::ToMillis(c.seek_time);
+      actual.rotation_ms = crobs::ToMillis(c.rotation_time);
+      actual.transfer_ms = crobs::ToMillis(c.transfer_time);
+      actual.other_ms = crobs::ToMillis(c.service_time() - c.command_time - c.seek_time -
+                                        c.rotation_time - c.transfer_time);
+      obs_->ledger->AddActual(batch.interval_slot, msg.disk, actual);
     }
     if (batch.kind == SessionKind::kRead) {
       Count(stats_.bytes_read, &ObsState::bytes_read, msg.completion.bytes());
@@ -360,19 +354,15 @@ crsim::Task CrasServer::IoDoneManagerThread(crrt::ThreadContext& ctx) {
         }
       }
       if (kernel_->Now() > batch.deadline) {
-        if (batch.interval_slot < interval_records_.size()) {
-          interval_records_[batch.interval_slot].completed_by_deadline = false;
-        }
         if (obs_ != nullptr) {
           obs_->hub->flight().Record(crobs::FlightEventKind::kDeadlineMiss, batch.session,
-                                     static_cast<std::int64_t>(batch.interval_slot),
+                                     batch.interval_slot,
                                      crobs::ToMillis(kernel_->Now() - batch.deadline));
         }
         // The interval's I/O did not land by its boundary: this is the
         // deadline the deadline-manager thread watches over.
-        deadline_port_.Send(crrt::DeadlineMiss{
-            static_cast<std::int64_t>(batch.interval_slot), batch.deadline,
-            kernel_->Now() - batch.deadline});
+        deadline_port_.Send(crrt::DeadlineMiss{batch.interval_slot, batch.deadline,
+                                               kernel_->Now() - batch.deadline});
       }
       completed_batches_.push_back(batch.id);
     }
@@ -1046,7 +1036,7 @@ std::int64_t CrasServer::PublishCompletedBatches() {
   return published;
 }
 
-std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time deadline) {
+std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Time deadline) {
   struct Planned {
     std::uint64_t batch_id;
     crvol::Volume::Segment segment;
@@ -1107,7 +1097,6 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
     if (batch.outstanding == 0) {
       return;  // zero-length range
     }
-    interval_records_[interval_slot].bytes += batch.bytes;
     if (obs_ != nullptr) {
       obs_->hub->trace().AsyncBegin(obs_->track, obs_->cat_batch, obs_->n_prefetch, batch.id);
     }
@@ -1274,11 +1263,12 @@ std::int64_t CrasServer::IssueIntervalIo(std::size_t interval_slot, crbase::Time
       Count(stats_.write_requests, &ObsState::write_requests);
     }
     volume_->NotePiece(p.segment);
+    if (obs_ != nullptr) {
+      obs_->ledger->AddIssued(interval_slot, p.segment.disk);
+    }
     volume_->driver(p.segment.disk).Submit(std::move(p.request));
   }
-  const std::int64_t issued = static_cast<std::int64_t>(planned.size());
-  interval_records_[interval_slot].requests += issued;
-  return issued;
+  return static_cast<std::int64_t>(planned.size());
 }
 
 // ---------------------------------------------------------------------------

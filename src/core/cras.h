@@ -124,18 +124,6 @@ struct SessionStats {
   crbase::Duration max_publish_lag = 0;  // completion-to-boundary worst case
 };
 
-// One row per elapsed interval: what the scheduler issued and what it cost.
-// Figures 8-9 are the ratio actual_io/estimated_io.
-struct IntervalRecord {
-  std::int64_t index = 0;
-  std::int64_t requests = 0;
-  std::int64_t bytes = 0;
-  crbase::Duration estimated_io = 0;  // admission model, issued set
-  crbase::Duration actual_io = 0;     // measured device time of those requests
-  crbase::Duration scheduler_lateness = 0;
-  bool completed_by_deadline = true;  // all I/O landed before the next boundary
-};
-
 struct ServerStats {
   std::int64_t sessions_opened = 0;
   std::int64_t sessions_rejected = 0;
@@ -331,7 +319,6 @@ class CrasServer {
   // "never existed".
   bool WasReaped(SessionId id) const { return reaped_ids_.count(id) != 0; }
   std::size_t resumable_sessions() const { return reaped_.size(); }
-  const std::vector<IntervalRecord>& interval_records() const { return interval_records_; }
   std::int64_t buffer_bytes_reserved() const { return admission_.reserved_bytes(); }
   std::size_t open_sessions() const { return sessions_.size(); }
   crbase::Result<SessionStats> GetSessionStats(SessionId id) const;
@@ -439,7 +426,7 @@ class CrasServer {
     SessionKind kind = SessionKind::kRead;
     int outstanding = 0;
     std::int64_t bytes = 0;
-    std::size_t interval_slot = 0;  // index into interval_records_
+    std::int64_t interval_slot = 0;  // 0-based scheduler interval (ledger row)
     crbase::Time deadline = 0;      // next boundary after issue
     crbase::Time planned_at = 0;    // scheduler boundary that issued it
     // Earliest member-disk service start among the batch's completions
@@ -495,7 +482,7 @@ class CrasServer {
   std::int64_t PublishCompletedBatches();
   // Collects this interval's disk work; returns the number of requests
   // issued (after cylinder-order sorting).
-  std::int64_t IssueIntervalIo(std::size_t interval_slot, crbase::Time deadline);
+  std::int64_t IssueIntervalIo(std::int64_t interval_slot, crbase::Time deadline);
 
   Session* FindSession(SessionId id);
   const Session* FindSession(SessionId id) const;
@@ -550,9 +537,10 @@ class CrasServer {
     // Slack recorded only while the volume is degraded: how much margin the
     // reconstruction-loaded array keeps to the interval boundary.
     crobs::Histogram* degraded_slack_ms = nullptr;
-    // Admission-audit ledger: per-interval, per-disk predicted-vs-measured
-    // budget terms. Owned here (it audits this server's admission state);
-    // the hub holds a borrowed pointer for flight-recorder dumps.
+    // Admission-audit ledger, the server's one per-interval record: per
+    // disk, the requests issued and the predicted-vs-measured budget terms.
+    // Owned here (it audits this server's admission state); the hub holds a
+    // borrowed pointer for flight-recorder dumps.
     std::unique_ptr<crobs::BudgetLedger> ledger;
   };
   void AttachObs(crobs::Hub* hub);
@@ -591,7 +579,6 @@ class CrasServer {
   std::deque<std::uint64_t> completed_batches_;
   std::uint64_t next_batch_id_ = 1;
 
-  std::vector<IntervalRecord> interval_records_;
   ServerStats stats_;
 
   std::unique_ptr<ObsState> obs_;

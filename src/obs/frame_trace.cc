@@ -119,6 +119,23 @@ FrameDecomposition Decompose(const FrameRecord& record) {
   return d;
 }
 
+void StageAttribution::Add(const FrameRecord& record, const FrameDecomposition& d) {
+  if (record.outcome == FrameOutcome::kDelivered) {
+    ++frames_delivered;
+  } else {
+    ++frames_missed;
+    ++missed_at[static_cast<int>(record.miss_stage)];
+  }
+  end_to_end_ns += d.end_to_end_ns;
+  unattributed_ns += d.unattributed_ns;
+  if (!d.monotone) {
+    ++conservation_violations;
+  }
+  for (int i = 0; i < kStageBucketCount; ++i) {
+    bucket_ns[i] += d.bucket_ns[i];
+  }
+}
+
 double StageAttribution::MeanBucketMs(StageBucket bucket) const {
   const std::int64_t n = frames_resolved();
   if (n == 0) {
@@ -202,20 +219,7 @@ void SessionTrace::Resolve(FrameRecord& record, FrameOutcome outcome,
   record.outcome = outcome;
   record.miss_stage = miss_stage;
   const FrameDecomposition d = Decompose(record);
-  if (outcome == FrameOutcome::kDelivered) {
-    ++totals_.frames_delivered;
-  } else {
-    ++totals_.frames_missed;
-    ++totals_.missed_at[static_cast<int>(miss_stage)];
-  }
-  totals_.end_to_end_ns += d.end_to_end_ns;
-  totals_.unattributed_ns += d.unattributed_ns;
-  if (!d.monotone) {
-    ++totals_.conservation_violations;
-  }
-  for (int i = 0; i < kStageBucketCount; ++i) {
-    totals_.bucket_ns[i] += d.bucket_ns[i];
-  }
+  totals_.Add(record, d);
   tracer_->OnResolve(*this, record, d);
 }
 
@@ -289,23 +293,13 @@ std::vector<const SessionTrace*> FrameTracer::Sessions() const {
 
 void FrameTracer::OnResolve(const SessionTrace& session, const FrameRecord& record,
                             const FrameDecomposition& d) {
-  if (record.outcome == FrameOutcome::kDelivered) {
-    ++totals_.frames_delivered;
-    delivered_->Add();
-  } else {
-    ++totals_.frames_missed;
-    ++totals_.missed_at[static_cast<int>(record.miss_stage)];
-    missed_->Add();
-  }
-  totals_.end_to_end_ns += d.end_to_end_ns;
-  totals_.unattributed_ns += d.unattributed_ns;
+  totals_.Add(record, d);
+  (record.outcome == FrameOutcome::kDelivered ? delivered_ : missed_)->Add();
   if (!d.monotone) {
-    ++totals_.conservation_violations;
     violations_->Add();
   }
   e2e_ms_->Record(static_cast<double>(d.end_to_end_ns) / 1e6);
   for (int i = 0; i < kStageBucketCount; ++i) {
-    totals_.bucket_ns[i] += d.bucket_ns[i];
     if (d.bucket_ns[i] != 0) {
       bucket_ms_[i]->Record(static_cast<double>(d.bucket_ns[i]) / 1e6);
     }

@@ -111,6 +111,10 @@ struct StageAttribution {
   crbase::Duration bucket_ns[kStageBucketCount] = {};
   std::int64_t missed_at[kFrameStageCount] = {};  // miss counts by miss_stage
 
+  // Folds one resolved frame (its outcome and miss stage) and its
+  // decomposition into the totals.
+  void Add(const FrameRecord& record, const FrameDecomposition& d);
+
   std::int64_t frames_resolved() const { return frames_delivered + frames_missed; }
   double MeanBucketMs(StageBucket bucket) const;
   double MeanEndToEndMs() const;

@@ -70,18 +70,25 @@ BudgetLedger::IntervalRow* BudgetLedger::FindRow(std::int64_t slot) {
   return nullptr;
 }
 
-BudgetLedger::DiskRow* BudgetLedger::FindDisk(IntervalRow& row, int disk, bool create) {
+BudgetLedger::IntervalRow* BudgetLedger::OpenRow(std::int64_t slot) {
+  IntervalRow* row = FindRow(slot);
+  if (row == nullptr || row->closed) {
+    ++late_attributions_;
+    c_late_->Add();
+    return nullptr;
+  }
+  return row;
+}
+
+BudgetLedger::DiskRow& BudgetLedger::DiskOf(IntervalRow& row, int disk) {
   for (DiskRow& d : row.disks) {
     if (d.disk == disk) {
-      return &d;
+      return d;
     }
-  }
-  if (!create) {
-    return nullptr;
   }
   row.disks.push_back(DiskRow{});
   row.disks.back().disk = disk;
-  return &row.disks.back();
+  return row.disks.back();
 }
 
 void BudgetLedger::BeginInterval(std::int64_t slot, crbase::Time now) {
@@ -90,8 +97,9 @@ void BudgetLedger::BeginInterval(std::int64_t slot, crbase::Time now) {
   rows_.back().began_at = now;
   while (rows_.size() > options_.max_intervals) {
     if (!rows_.front().closed) {
-      // Evicted before its completions could be audited; don't let the
-      // eviction masquerade as a clean interval.
+      // Evicted before its I/O was all in: audit what it has, and don't let
+      // the eviction masquerade as a clean interval.
+      Audit(rows_.front());
       ++late_attributions_;
       c_late_->Add();
     }
@@ -101,34 +109,44 @@ void BudgetLedger::BeginInterval(std::int64_t slot, crbase::Time now) {
 
 void BudgetLedger::SetPrediction(std::int64_t slot, int disk, const BudgetTerms& terms,
                                  std::int64_t requests) {
-  IntervalRow* row = FindRow(slot);
-  if (row == nullptr || row->closed) {
-    ++late_attributions_;
-    c_late_->Add();
-    return;
+  if (IntervalRow* row = OpenRow(slot)) {
+    DiskRow& d = DiskOf(*row, disk);
+    d.predicted = terms;
+    d.predicted_requests = requests;
   }
-  DiskRow* d = FindDisk(*row, disk, /*create=*/true);
-  d->predicted = terms;
-  d->predicted_requests = requests;
+}
+
+void BudgetLedger::AddIssued(std::int64_t slot, int disk) {
+  if (IntervalRow* row = OpenRow(slot)) {
+    ++DiskOf(*row, disk).issued_requests;
+  }
 }
 
 void BudgetLedger::AddActual(std::int64_t slot, int disk, const BudgetTerms& terms) {
-  IntervalRow* row = FindRow(slot);
-  if (row == nullptr || row->closed) {
-    ++late_attributions_;
-    c_late_->Add();
+  IntervalRow* row = OpenRow(slot);
+  if (row == nullptr) {
     return;
   }
-  DiskRow* d = FindDisk(*row, disk, /*create=*/true);
-  d->actual.command_ms += terms.command_ms;
-  d->actual.seek_ms += terms.seek_ms;
-  d->actual.rotation_ms += terms.rotation_ms;
-  d->actual.transfer_ms += terms.transfer_ms;
-  d->actual.other_ms += terms.other_ms;
-  ++d->actual_requests;
+  DiskRow& d = DiskOf(*row, disk);
+  d.actual.command_ms += terms.command_ms;
+  d.actual.seek_ms += terms.seek_ms;
+  d.actual.rotation_ms += terms.rotation_ms;
+  d.actual.transfer_ms += terms.transfer_ms;
+  d.actual.other_ms += terms.other_ms;
+  ++d.actual_requests;
+  AuditIfDone(*row);
 }
 
-void BudgetLedger::EmitRow(const IntervalRow& row) {
+void BudgetLedger::AuditIfDone(IntervalRow& row) {
+  // A request still in flight audits the row when it completes.
+  const auto in = [](const DiskRow& d) { return d.actual_requests >= d.issued_requests; };
+  if (row.due && std::all_of(row.disks.begin(), row.disks.end(), in)) {
+    Audit(row);
+  }
+}
+
+void BudgetLedger::Audit(IntervalRow& row) {
+  row.closed = true;
   ++intervals_closed_;
   c_intervals_->Add();
   for (const DiskRow& d : row.disks) {
@@ -149,15 +167,14 @@ void BudgetLedger::CloseInterval(std::int64_t slot) {
   if (row == nullptr || row->closed) {
     return;
   }
-  row->closed = true;
-  EmitRow(*row);
+  row->due = true;
+  AuditIfDone(*row);
 }
 
 void BudgetLedger::CloseAll() {
   for (IntervalRow& row : rows_) {
     if (!row.closed) {
-      row.closed = true;
-      EmitRow(row);
+      Audit(row);
     }
   }
 }

@@ -1,20 +1,23 @@
-// Budget ledger: the admission-audit side of the deadline autopsy.
+// Budget ledger: the admission-audit side of the deadline autopsy, and the
+// server's one per-interval record.
 //
 // The CRAS guarantee rests on a worst-case per-interval disk-time budget
 // (formulas (1)-(15)): per member disk, a command term (10), a seek term
 // (11)/(12), a rotation term (13), the non-real-time interference allowance
 // B_other/D from (9), and the data transfer A_d/D. The ledger records, for
 // every scheduler interval, the model's per-term *prediction* per disk at
-// issue time and accumulates the measured per-term *actuals* from each
-// request's DiskCompletion phase breakdown. Closing an interval emits
-// per-term utilization (actual/predicted, percent) histograms keyed
-// {disk, term}, so every deadline miss — and every unit of unused slack —
-// is attributed to a specific term on a specific disk; a disk-interval
-// whose measured total exceeds its predicted total is an *overrun*, the
-// event the admission proof says can never happen.
+// issue time, counts the requests issued to each disk, and accumulates the
+// measured per-term *actuals* from each request's DiskCompletion phase
+// breakdown. Auditing an interval emits per-term utilization
+// (actual/predicted, percent) histograms keyed {disk, term}, so every
+// deadline miss — and every unit of unused slack — is attributed to a
+// specific term on a specific disk; a disk-interval whose measured total
+// exceeds its predicted total is an *overrun*, the event the admission proof
+// says can never happen.
 //
 // Rows live in a bounded deque (newest kept), serialized by WriteJsonTail
-// into flight-recorder dumps. The ledger registers its instruments on the
+// into flight-recorder dumps; evicting a row not yet audited audits it as it
+// stands and counts it as late. The ledger registers its instruments on the
 // owning hub's registry but is owned by the instrumented server, which
 // points the hub at it (Hub::SetLedger) and unregisters on destruction.
 
@@ -60,6 +63,7 @@ class BudgetLedger {
   struct DiskRow {
     int disk = -1;
     std::int64_t predicted_requests = 0;
+    std::int64_t issued_requests = 0;  // submitted to this disk
     std::int64_t actual_requests = 0;  // completions attributed so far
     BudgetTerms predicted;
     BudgetTerms actual;
@@ -69,7 +73,8 @@ class BudgetLedger {
   struct IntervalRow {
     std::int64_t slot = -1;  // scheduler interval index
     crbase::Time began_at = 0;
-    bool closed = false;
+    bool due = false;     // deadline passed: audited once its issued I/O is in
+    bool closed = false;  // audited; the verdict is final
     std::vector<DiskRow> disks;
   };
 
@@ -82,17 +87,19 @@ class BudgetLedger {
   void SetPrediction(std::int64_t slot, int disk, const BudgetTerms& terms,
                      std::int64_t requests);
 
-  // Completion side: fold one request's measured phase times into its
-  // interval's row. An attribution for a closed or evicted row is counted
-  // (ledger.late_attributions) rather than applied.
+  // Submit side: one request issued to `disk` for the interval.
+  void AddIssued(std::int64_t slot, int disk);
+
+  // Completion side: fold one request's measured times into its interval's
+  // row, however late it lands. An attribution for an audited or evicted row
+  // is counted (ledger.late_attributions) rather than applied.
   void AddActual(std::int64_t slot, int disk, const BudgetTerms& terms);
 
-  // Closes the row (idempotent; unknown slots are ignored): emits per-term
-  // utilization histograms and the interval/overrun counters. The scheduler
-  // closes slot S-2 when it opens slot S — S-2's I/O deadline has passed,
-  // so its actuals are complete.
+  // Marks the row's deadline as passed (idempotent; unknown slots are
+  // ignored). The row is audited — per-term utilization histograms and the
+  // interval/overrun counters — once every issued request has completed.
   void CloseInterval(std::int64_t slot);
-  // Closes every open row (end of a bench run).
+  // Audits every row not yet audited (end of a bench run).
   void CloseAll();
 
   std::int64_t intervals_closed() const { return intervals_closed_; }
@@ -108,8 +115,13 @@ class BudgetLedger {
   enum UtilTerm { kCommand, kSeek, kRotation, kTransfer, kTotal, kUtilTerms };
 
   IntervalRow* FindRow(std::int64_t slot);
-  DiskRow* FindDisk(IntervalRow& row, int disk, bool create);
-  void EmitRow(const IntervalRow& row);
+  // The row for `slot` if it is not yet audited; otherwise counts a late
+  // attribution and returns null.
+  IntervalRow* OpenRow(std::int64_t slot);
+  DiskRow& DiskOf(IntervalRow& row, int disk);  // created on first use
+  // Audits a due row whose issued I/O is all in.
+  void AuditIfDone(IntervalRow& row);
+  void Audit(IntervalRow& row);
   void RecordUtil(int disk, UtilTerm term, double actual_ms, double predicted_ms);
 
   Registry* metrics_;

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "src/base/random.h"
+#include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/media/media_file.h"
 #include "src/obs/ledger.h"
@@ -748,8 +750,8 @@ TEST(BudgetLedger, LateAttributionIsCountedNotApplied) {
   BudgetLedger ledger(&registry);
   ledger.BeginInterval(0, Milliseconds(0));
   ledger.SetPrediction(0, 0, MakeTerms(1, 1, 1, 1), 1);
-  ledger.CloseInterval(0);
-  ledger.AddActual(0, 0, MakeTerms(9, 9, 9, 9));  // after close: refused
+  ledger.CloseInterval(0);  // nothing issued: audited at once
+  ledger.AddActual(0, 0, MakeTerms(9, 9, 9, 9));  // after the audit: refused
   ledger.AddActual(42, 0, MakeTerms(1, 1, 1, 1));  // unknown slot: refused
   EXPECT_EQ(ledger.late_attributions(), 2);
   EXPECT_EQ(ledger.overruns(), 0);  // the refused actuals changed nothing
@@ -770,6 +772,119 @@ TEST(BudgetLedger, EvictingUnclosedRowCountsAsLate) {
   EXPECT_EQ(ledger.rows().size(), 2u);
   EXPECT_EQ(ledger.late_attributions(), 1);
   EXPECT_EQ(ledger.rows().front().slot, 1);
+}
+
+TEST(BudgetLedger, AuditWaitsForTheLastIssuedRequest) {
+  Registry registry;
+  BudgetLedger ledger(&registry);
+  ledger.BeginInterval(0, Milliseconds(0));
+  ledger.SetPrediction(0, 0, MakeTerms(1, 4, 3, 2), /*requests=*/2);  // 10 ms
+  ledger.AddIssued(0, 0);
+  ledger.AddIssued(0, 0);
+  ledger.AddActual(0, 0, MakeTerms(1, 2, 1, 1));
+  ledger.CloseInterval(0);  // deadline passed with one request outstanding
+  EXPECT_FALSE(ledger.rows().front().closed);
+  EXPECT_EQ(ledger.intervals_closed(), 0);
+  EXPECT_EQ(registry.Snapshot().Find("ledger.intervals")->counter, 0);
+  // The late completion is applied, and it tips the row over its budget.
+  ledger.AddActual(0, 0, MakeTerms(1, 2, 1, 2));
+  EXPECT_TRUE(ledger.rows().front().closed);
+  EXPECT_EQ(ledger.intervals_closed(), 1);
+  EXPECT_EQ(ledger.overruns(), 1);
+  EXPECT_EQ(ledger.late_attributions(), 0);
+  EXPECT_EQ(ledger.rows().front().disks.front().actual_requests, 2);
+}
+
+// Runs `bed` on until its one disk has drained (a device counts a request
+// when its service starts), audits every row, and checks that the ledger
+// accounts for every request the disk served, with its whole service time,
+// and refused no completion.
+void ExpectLedgerAccountsForEveryRequest(cras::VolumeTestbed& bed) {
+  const crdisk::DiskDevice& device = bed.volume.device(0);
+  for (int i = 0; i < 60 && (device.busy() || bed.volume.driver(0).realtime_depth() > 0); ++i) {
+    bed.engine().RunFor(Seconds(1));
+  }
+  bed.engine().RunFor(Seconds(1));  // the last completions reach the server
+  ASSERT_FALSE(device.busy());
+  ASSERT_EQ(bed.volume.driver(0).realtime_depth(), 0u);
+  BudgetLedger* ledger = bed.hub.ledger();
+  ASSERT_NE(ledger, nullptr);
+  ledger->CloseAll();
+  std::int64_t requests = 0;
+  double total_ms = 0;
+  for (const BudgetLedger::IntervalRow& row : ledger->rows()) {
+    for (const BudgetLedger::DiskRow& disk : row.disks) {
+      requests += disk.actual_requests;
+      total_ms += disk.actual.total_ms();
+    }
+  }
+  EXPECT_GT(requests, 0);
+  EXPECT_EQ(requests, device.stats().requests);
+  EXPECT_NEAR(total_ms, ToMillis(device.stats().busy_time), 1e-6);
+  EXPECT_EQ(ledger->late_attributions(), 0);
+}
+
+// Spawns one player per file, each playing `play_length` from the start.
+std::vector<crsim::Task> SpawnPlayers(cras::VolumeTestbed& bed,
+                                      const std::vector<crmedia::MediaFile>& files,
+                                      crbase::Duration play_length,
+                                      std::vector<cras::PlayerStats>* stats) {
+  stats->resize(files.size());
+  cras::PlayerOptions options;
+  options.play_length = play_length;
+  std::vector<crsim::Task> players;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    players.push_back(
+        cras::SpawnCrasPlayer(bed.kernel, bed.cras_server, files[i], options, &(*stats)[i]));
+  }
+  return players;
+}
+
+TEST(BudgetLedger, AccountsForEveryRequestOfAnOverloadedDisk) {
+  // Eight fragmented MPEG1 streams need more disk time per interval than T,
+  // so their I/O lands intervals after its deadline; every completion still
+  // counts toward its own interval.
+  cras::VolumeTestbed bed;
+  bed.StartServers();
+  crbase::Rng rng(7);
+  std::vector<crmedia::MediaFile> files;
+  for (int i = 0; i < 8; ++i) {
+    auto file = crmedia::WriteMpeg1File(bed.fs, "movie" + std::to_string(i), Seconds(15));
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(bed.fs.Fragment(file->inode, rng).ok());
+    files.push_back(std::move(*file));
+  }
+  std::vector<cras::PlayerStats> stats;
+  std::vector<crsim::Task> players = SpawnPlayers(bed, files, Seconds(12), &stats);
+  bed.engine().RunFor(Seconds(20));
+  EXPECT_GT(bed.cras_server.stats().deadline_misses, 0);
+  ExpectLedgerAccountsForEveryRequest(bed);
+}
+
+TEST(BudgetLedger, ChargesATransientStallToOther) {
+  cras::VolumeTestbed bed;
+  bed.StartServers();
+  std::vector<crmedia::MediaFile> files;
+  for (int i = 0; i < 4; ++i) {
+    auto file = crmedia::WriteMpeg1File(bed.fs, "movie" + std::to_string(i), Seconds(8));
+    ASSERT_TRUE(file.ok());
+    files.push_back(std::move(*file));
+  }
+  std::vector<cras::PlayerStats> stats;
+  std::vector<crsim::Task> players = SpawnPlayers(bed, files, Seconds(6), &stats);
+  bed.engine().RunFor(Seconds(2));
+  bed.volume.device(0).InjectTransientFault(Milliseconds(20), 5);
+  bed.engine().RunFor(Seconds(8));
+  ASSERT_EQ(bed.volume.device(0).faults_applied(), 5);
+  ExpectLedgerAccountsForEveryRequest(bed);
+  // The stall is in no mechanical phase; the measured "other" holds it.
+  double other_ms = 0;
+  for (const BudgetLedger::IntervalRow& row : bed.hub.ledger()->rows()) {
+    for (const BudgetLedger::DiskRow& disk : row.disks) {
+      other_ms += disk.actual.other_ms;
+    }
+  }
+  EXPECT_NEAR(other_ms, 100.0, 1e-6);
 }
 
 TEST(BudgetLedger, JsonTailIsWellFormed) {

@@ -15,6 +15,7 @@
 #include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/media/media_file.h"
+#include "src/obs/ledger.h"
 #include "src/volume/volume_admission.h"
 
 namespace crvol {
@@ -300,11 +301,24 @@ TEST(VolumeIntegration, TwoDiskVolumeStreamsTheDoubledLoadOnDeadline) {
     EXPECT_LE(s->max_delay(), Milliseconds(20));
   }
   // The server-side guarantee: every interval's fanned-out I/O landed
-  // before the next boundary on both disks.
+  // before the next boundary on both disks...
   EXPECT_EQ(bed.cras_server.stats().deadline_misses, 0);
-  for (const cras::IntervalRecord& record : bed.cras_server.interval_records()) {
-    EXPECT_TRUE(record.completed_by_deadline);
+  ASSERT_EQ(bed.hub.flight().dropped(), 0u);
+  for (const crobs::FlightEvent& event : bed.hub.flight().events()) {
+    EXPECT_TRUE(event.kind != crobs::FlightEventKind::kDeadlineMiss) << "slot " << event.b;
   }
+  // ...and no disk spent more than T on one interval's I/O.
+  const crobs::BudgetLedger* ledger = bed.hub.ledger();
+  ASSERT_NE(ledger, nullptr);
+  int disk_rows = 0;
+  for (const crobs::BudgetLedger::IntervalRow& row : ledger->rows()) {
+    for (const crobs::BudgetLedger::DiskRow& disk : row.disks) {
+      ++disk_rows;
+      EXPECT_LE(disk.actual.total_ms(), crobs::ToMillis(options.cras.interval))
+          << "slot " << row.slot << " disk " << disk.disk;
+    }
+  }
+  EXPECT_GT(disk_rows, 0);
   // The interval scheduler actually fanned out: both disks did real-time
   // work, and neither served everything.
   const std::int64_t disk0 = bed.volume.device(0).stats().sectors;
