@@ -8,12 +8,13 @@
 // a run this short (a few ms of host time) cannot be timed reproducibly,
 // so host cost is left to vodbench. The bench asserts the admitted-stream
 // count and the frames played are identical across modes (instrumentation
-// must never change admission decisions or playback) and that attribution
-// conserves.
+// must never change admission decisions or playback), that attribution
+// conserves, and that a full-mode run missing no frame burns no SLO budget.
 //
 // Output: a table, the fleet attribution table, and BENCH_obs_overhead.json
 // (--out <file>).
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/frame_trace.h"
 
 namespace {
@@ -92,6 +94,19 @@ ModeResult RunMode(const std::string& mode) {
   result.trace_events = bed.hub.trace().size();
   result.conservation_violations = result.totals.conservation_violations;
   result.unattributed_ns = result.totals.unattributed_ns;
+  if (mode == "full" && result.frames_missed == 0) {
+    // A run that missed no frame spent none of the SLO budget: no burn, no
+    // slo_burn flight event, no frozen dump.
+    const crobs::FlightRecorder& flight = bed.hub.flight();
+    const bool burn_event =
+        std::any_of(flight.events().begin(), flight.events().end(),
+                    [](const crobs::FlightEvent& e) {
+                      return e.kind == crobs::FlightEventKind::kSloBurn;
+                    });
+    CRAS_CHECK(bed.hub.slo().burn_events() == 0 && !burn_event && flight.dumps().empty())
+        << "a run with 0 missed frames burned the SLO budget: "
+        << bed.hub.slo().burn_events() << " burns, " << flight.dumps().size() << " dumps";
+  }
   return result;
 }
 

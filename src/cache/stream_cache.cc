@@ -165,7 +165,7 @@ OpenDecision StreamCache::PlanOpen(TitleId title, std::int64_t start_chunk) cons
 }
 
 void StreamCache::Register(StreamId id, TitleId title, std::int64_t start_chunk,
-                           const OpenDecision& decision, crbase::Time now) {
+                           const OpenDecision& decision) {
   if (!options_.enabled) {
     return;
   }
@@ -214,7 +214,7 @@ void StreamCache::BreakPair(StreamState& stream, const char* reason) {
   stream.cache_served = false;
 }
 
-std::vector<StreamId> StreamCache::Unregister(StreamId id, crbase::Time now) {
+std::vector<StreamId> StreamCache::Unregister(StreamId id) {
   std::vector<StreamId> orphans;
   auto it = streams_.find(id);
   if (it == streams_.end()) {
@@ -287,7 +287,6 @@ std::vector<StreamId> StreamCache::Unregister(StreamId id, crbase::Time now) {
   // The title may have just lost its last in-prefix reader; keep the prefix
   // pinned regardless — eviction is on demand (MaybePin), keyed to
   // popularity, not residency.
-  (void)now;
   UpdateGauges();
   return orphans;
 }

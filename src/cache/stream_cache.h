@@ -138,13 +138,13 @@ class StreamCache {
   // streams are the chain heads followers attach to. A kCached decision
   // links the pair and charges the interval pool.
   void Register(StreamId id, TitleId title, std::int64_t start_chunk,
-                const OpenDecision& decision, crbase::Time now);
+                const OpenDecision& decision);
   // Removes a stream (close/shed/reap/seek). An interior chain death merges
   // its neighbours into one pair (the retained windows are contiguous); a
   // chain-head death orphans its follower. Returns the streams demoted to
   // disk service — the caller must flip their serving class and re-run
   // admission (re-admit on the fallback reserve, or shed).
-  std::vector<StreamId> Unregister(StreamId id, crbase::Time now);
+  std::vector<StreamId> Unregister(StreamId id);
 
   // ---- scheduler hooks ----
   // The longest leading run of [first_chunk, last_chunk) servable with zero

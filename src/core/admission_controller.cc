@@ -93,10 +93,6 @@ bool AdmissionController::Record(const Estimate& estimate, std::size_t stream_co
     obs_->hub->flight().Record(admit ? crobs::FlightEventKind::kAdmissionAccept
                                      : crobs::FlightEventKind::kAdmissionReject,
                                static_cast<std::int64_t>(stream_count), 0, worst_ms);
-    crobs::Tracer& trace = obs_->hub->trace();
-    if (trace.enabled()) {
-      trace.Instant(obs_->track, admit ? obs_->n_accept : obs_->n_reject, worst_ms);
-    }
   }
   return admit;
 }
@@ -108,10 +104,6 @@ void AdmissionController::AttachObs(crobs::Hub* hub) {
   }
   auto obs = std::make_unique<ObsState>();
   obs->hub = hub;
-  crobs::Tracer& trace = hub->trace();
-  obs->track = trace.InternTrack("admission");
-  obs->n_accept = trace.InternName("accept");
-  obs->n_reject = trace.InternName("reject");
   crobs::Registry& metrics = hub->metrics();
   obs->accepted = metrics.GetCounter("admission.decisions", {{"outcome", "accept"}});
   obs->rejected = metrics.GetCounter("admission.decisions", {{"outcome", "reject"}});

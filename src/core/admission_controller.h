@@ -64,9 +64,9 @@ class AdmissionController {
   }
   std::int64_t reserved_bytes() const { return reserved_bytes_; }
 
-  // Registers decision counters keyed {outcome}, a worst-case interval-I/O
-  // histogram, and accept/reject trace instants (value: worst I/O ms) on the
-  // "admission" track. Every Try() and Admissible() then records its verdict.
+  // Registers decision counters keyed {outcome} and a worst-case interval-I/O
+  // histogram. Every Try() and Admissible() then records its verdict, also
+  // as an admission_accept/reject flight event (value: worst I/O ms).
   void AttachObs(crobs::Hub* hub);
 
  private:
@@ -77,9 +77,6 @@ class AdmissionController {
   };
   struct ObsState {
     crobs::Hub* hub = nullptr;
-    std::uint32_t track = 0;
-    std::uint32_t n_accept = 0;
-    std::uint32_t n_reject = 0;
     crobs::Counter* accepted = nullptr;
     crobs::Counter* rejected = nullptr;
     crobs::Histogram* worst_io_ms = nullptr;

@@ -88,10 +88,6 @@ void CrasServer::AttachObs(crobs::Hub* hub) {
   obs->cat_batch = trace.InternName("batch");
   obs->n_prefetch = trace.InternName("prefetch");
   obs->n_slack = trace.InternName("deadline_slack_ms");
-  obs->n_miss = trace.InternName("deadline_miss");
-  obs->n_member = trace.InternName("member_change");
-  obs->n_shed = trace.InternName("stream_shed");
-  obs->n_reap = trace.InternName("session_reap");
   crobs::Registry& metrics = hub->metrics();
   obs->sessions_opened = metrics.GetCounter("cras.sessions_opened");
   obs->sessions_rejected = metrics.GetCounter("cras.sessions_rejected");
@@ -377,11 +373,7 @@ crsim::Task CrasServer::DeadlineManagerThread(crrt::ThreadContext& ctx) {
     }
     co_await ctx.Compute(options_.cpu_per_completion);
     // The paper's recovery action: notify a warning and continue.
-    ++stats_.deadline_misses;
-    if (obs_ != nullptr) {
-      obs_->deadline_misses->Add();
-      obs_->hub->trace().Instant(obs_->track, obs_->n_miss, crobs::ToMillis(miss.overrun));
-    }
+    Count(stats_.deadline_misses, &ObsState::deadline_misses);
     CRAS_LOG(kWarning) << "CRAS deadline miss: interval " << miss.period_index << " overran by "
                        << crbase::FormatDuration(miss.overrun);
   }
@@ -561,7 +553,7 @@ CrasServer::Session& CrasServer::AddSession(Session session, const StreamDemand&
   if (cache_ != nullptr && added.kind == SessionKind::kRead) {
     // Every read stream registers — a disk-served stream is the chain head
     // future followers attach to.
-    cache_->Register(id, added.inode, added.next_chunk, cache_plan, kernel_->Now());
+    cache_->Register(id, added.inode, added.next_chunk, cache_plan);
   }
   return added;
 }
@@ -593,7 +585,7 @@ crbase::Status CrasServer::HandleClose(SessionId id) {
     // Orphaned followers fall back to disk service. Settling them (re-admit
     // or shed) is the caller's job — HandleClose runs inside shed loops and
     // must not recurse.
-    for (const crcache::StreamId orphan : cache_->Unregister(id, kernel_->Now())) {
+    for (const crcache::StreamId orphan : cache_->Unregister(id)) {
       cache_fallback_pending_ |= admission_.ChargeDisk(orphan);
     }
   }
@@ -883,12 +875,10 @@ void CrasServer::ReapExpired() {
       };
       reaped_.erase(std::min_element(reaped_.begin(), reaped_.end(), reaped_before));
     }
-    ++stats_.sessions_reaped;
+    Count(stats_.sessions_reaped, &ObsState::sessions_reaped);
     if (obs_ != nullptr) {
-      obs_->sessions_reaped->Add();
       obs_->hub->flight().Record(crobs::FlightEventKind::kLeaseReap, id, 0,
                                  crobs::ToMillis(lease_age));
-      obs_->hub->trace().Instant(obs_->track, obs_->n_reap, static_cast<double>(id));
     }
   }
   if (cache_fallback_pending_) {
@@ -926,8 +916,6 @@ void CrasServer::ApplyMemberChange(const MemberChange& change) {
   if (obs_ != nullptr) {
     obs_->hub->flight().Record(crobs::FlightEventKind::kMemberChange, change.disk, 0, 0,
                                crvol::MemberStateName(change.state));
-    obs_->hub->trace().Instant(obs_->track, obs_->n_member,
-                               static_cast<double>(change.disk));
   }
   ShedUntilAdmissible();
 }
@@ -964,12 +952,10 @@ void CrasServer::ShedUntilAdmissible() {
   while (!sessions_.empty() && !admission_.Admissible()) {
     const SessionId id = std::min_element(sessions_.begin(), sessions_.end(), sheds_first)->first;
     shed_ids_.insert(id);
-    ++stats_.streams_shed;
+    Count(stats_.streams_shed, &ObsState::streams_shed);
     CRAS_LOG(kWarning) << "CRAS shedding session " << id << " (degraded array)";
     if (obs_ != nullptr) {
-      obs_->streams_shed->Add();
       obs_->hub->flight().Record(crobs::FlightEventKind::kStreamShed, id);
-      obs_->hub->trace().Instant(obs_->track, obs_->n_shed, static_cast<double>(id));
     }
     CRAS_CHECK(HandleClose(id).ok());
   }
@@ -1348,13 +1334,12 @@ bool CrasServer::DetachFromCache(SessionId id) {
     return false;
   }
   bool changed = admission_.ChargeDisk(id);
-  for (const crcache::StreamId orphan : cache_->Unregister(id, kernel_->Now())) {
+  for (const crcache::StreamId orphan : cache_->Unregister(id)) {
     changed |= admission_.ChargeDisk(orphan);
   }
   // Re-register as a disk-served chain member at the current scheduling
   // position, so future opens can still attach behind this stream.
-  cache_->Register(id, session->inode, session->next_chunk, crcache::OpenDecision{},
-                   kernel_->Now());
+  cache_->Register(id, session->inode, session->next_chunk, crcache::OpenDecision{});
   return changed;
 }
 

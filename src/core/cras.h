@@ -515,10 +515,6 @@ class CrasServer {
     std::uint32_t cat_batch = 0;      // async category for prefetch batches
     std::uint32_t n_prefetch = 0;     // async span, issue -> last completion
     std::uint32_t n_slack = 0;        // counter samples of deadline slack
-    std::uint32_t n_miss = 0;         // instant per deadline miss
-    std::uint32_t n_member = 0;       // instant per member state change
-    std::uint32_t n_shed = 0;         // instant per shed stream
-    std::uint32_t n_reap = 0;         // instant per reaped session
     crobs::Counter* sessions_opened = nullptr;
     crobs::Counter* sessions_rejected = nullptr;
     crobs::Counter* deadline_misses = nullptr;

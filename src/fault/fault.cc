@@ -394,30 +394,13 @@ void FaultInjector::Apply(const FaultEvent& event) {
                                        : "disk" + std::to_string(event.disk);
   CRAS_LOG(kInfo) << "fault: " << FaultKindName(event.kind) << " " << target << " at "
                   << crbase::FormatDuration(event.at);
-  if (obs_ != nullptr) {
-    obs_->hub->metrics()
-        .GetCounter("fault.injected",
-                    {{"kind", FaultKindName(event.kind)}, {"target", target}})
+  if (hub_ != nullptr) {
+    hub_->metrics()
+        .GetCounter("fault.injected", {{"kind", FaultKindName(event.kind)}, {"target", target}})
         ->Add();
-    obs_->hub->flight().Record(crobs::FlightEventKind::kFaultInjected,
-                               is_link ? 0 : event.disk, 0, 0, FaultKindName(event.kind));
-    crobs::Tracer& trace = obs_->hub->trace();
-    if (trace.enabled()) {
-      trace.Instant(obs_->track, trace.InternName(FaultKindName(event.kind)),
-                    static_cast<double>(event.disk));
-    }
+    hub_->flight().Record(crobs::FlightEventKind::kFaultInjected, is_link ? 0 : event.disk, 0,
+                          0, FaultKindName(event.kind));
   }
-}
-
-void FaultInjector::AttachObs(crobs::Hub* hub) {
-  if (hub == nullptr) {
-    obs_.reset();
-    return;
-  }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
-  obs->track = hub->trace().InternTrack("fault");
-  obs_ = std::move(obs);
 }
 
 }  // namespace crfault

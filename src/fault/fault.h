@@ -50,7 +50,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -199,16 +198,11 @@ class FaultInjector {
   // data links.
   void SetControlLinks(std::vector<crnet::Link*> links);
 
-  // Registers a counter of injected events keyed {kind, target} and an
-  // instant per event on the "fault" trace track.
-  void AttachObs(crobs::Hub* hub);
+  // Counts injected events keyed {kind, target} and records each as a
+  // fault_injected flight event (detail: the fault kind).
+  void AttachObs(crobs::Hub* hub) { hub_ = hub; }
 
  private:
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    std::uint32_t track = 0;
-  };
-
   void Apply(const FaultEvent& event);
   // Links a control event applies to: the registered control links, or the
   // data links when none were registered.
@@ -225,7 +219,7 @@ class FaultInjector {
   bool armed_ = false;
   std::int64_t fired_ = 0;
   std::vector<crsim::EventId> pending_;
-  std::unique_ptr<ObsState> obs_;
+  crobs::Hub* hub_ = nullptr;
 };
 
 }  // namespace crfault

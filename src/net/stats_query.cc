@@ -78,7 +78,7 @@ crsim::Task StatsQueryService::ServiceThread(crrt::ThreadContext& ctx) {
     co_await ctx.Compute(options_.cpu_per_query);
     std::string json;
     if (msg.dump) {
-      json = hub_->FlightDumpJson(msg.reason);
+      json = hub_->flight().RenderDump(msg.reason);
     } else if (msg.slo) {
       json = hub_->slo().StateJson();
     } else if (msg.delta) {

@@ -51,14 +51,20 @@ const char* FlightEventKindName(FlightEventKind kind) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(const crsim::Engine& engine, const Hub* hub,
+FlightRecorder::FlightRecorder(const crsim::Engine& engine, const Hub* hub, Tracer* tracer,
                                const Options& options)
-    : engine_(&engine), hub_(hub), options_(options) {
+    : engine_(&engine), hub_(hub), tracer_(tracer), options_(options) {
   if (options_.capacity == 0) {
     options_.capacity = 1;
   }
   for (const FlightEventKind kind : options_.triggers) {
     trigger_mask_ |= 1u << static_cast<unsigned>(kind);
+  }
+  if (tracer_ != nullptr) {
+    track_ = tracer_->InternTrack("events");
+    for (int k = 0; k < kFlightEventKindCount; ++k) {
+      names_[k] = tracer_->InternName(FlightEventKindName(static_cast<FlightEventKind>(k)));
+    }
   }
 }
 
@@ -69,6 +75,9 @@ void FlightRecorder::Record(FlightEventKind kind, std::int64_t a, std::int64_t b
   if (events_.size() > options_.capacity) {
     events_.pop_front();
     ++dropped_;
+  }
+  if (tracer_ != nullptr) {
+    tracer_->Instant(track_, names_[static_cast<int>(kind)], value);
   }
   if ((trigger_mask_ & (1u << static_cast<unsigned>(kind))) != 0) {
     Trigger(std::string("auto:") + FlightEventKindName(kind));

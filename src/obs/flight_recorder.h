@@ -16,6 +16,12 @@
 // retained for benches to write to disk). Recording is a deque push; the
 // ring drops its oldest event past `capacity`, and the dump header carries
 // the drop count so a truncated window is detectable.
+//
+// Record is the one place a server event is written. While the hub's tracer
+// is enabled, each event is also a Chrome instant on the tracer's "events"
+// track, named by FlightEventKindName and carrying the event's value. The
+// two rings stay separate instances, so a busy trace never evicts the black
+// box the chaos auditor reads.
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "src/base/time_units.h"
+#include "src/obs/trace.h"
 #include "src/sim/engine.h"
 
 namespace crobs {
@@ -60,6 +67,7 @@ enum class FlightEventKind : std::uint8_t {
   // b: dominant StageBucket, value: burn rate, detail: dominant stage name.
   kSloBurn,
 };
+inline constexpr int kFlightEventKindCount = static_cast<int>(FlightEventKind::kSloBurn) + 1;
 
 const char* FlightEventKindName(FlightEventKind kind);
 
@@ -85,7 +93,9 @@ class FlightRecorder {
     std::vector<FlightEventKind> triggers;
   };
 
-  FlightRecorder(const crsim::Engine& engine, const Hub* hub, const Options& options);
+  // `hub` (for dumps) and `tracer` (for the instants) may be null.
+  FlightRecorder(const crsim::Engine& engine, const Hub* hub, Tracer* tracer,
+                 const Options& options);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -111,7 +121,10 @@ class FlightRecorder {
  private:
   const crsim::Engine* engine_;
   const Hub* hub_;
+  Tracer* tracer_;
   Options options_;
+  std::uint32_t track_ = 0;                         // "events"
+  std::uint32_t names_[kFlightEventKindCount] = {};  // FlightEventKindName ids
   std::uint32_t trigger_mask_ = 0;  // bit per FlightEventKind
   std::deque<FlightEvent> events_;
   std::deque<std::string> dumps_;

@@ -318,8 +318,7 @@ void FrameTracer::OnResolve(const SessionTrace& session, const FrameRecord& reco
   }
   if (hub_->slo().enabled()) {
     hub_->slo().OnFrameResolved(session.session_id(),
-                                record.outcome == FrameOutcome::kMissed,
-                                static_cast<double>(d.end_to_end_ns) / 1e6, d.bucket_ns);
+                                record.outcome == FrameOutcome::kMissed, d.bucket_ns);
   }
 }
 

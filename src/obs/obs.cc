@@ -1,6 +1,5 @@
 #include "src/obs/obs.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -8,25 +7,6 @@
 #include "src/obs/ledger.h"
 
 namespace crobs {
-
-RegistrySnapshot Hub::Snapshot() const {
-  RegistrySnapshot snapshot = metrics_.Snapshot();
-  // The tracer is not a registry instrument; synthesize its drop count as a
-  // counter family, inserted in lexicographic position so the snapshot stays
-  // byte-deterministic.
-  FamilySnapshot dropped;
-  dropped.name = "obs.trace_dropped_events";
-  dropped.kind = MetricKind::kCounter;
-  dropped.series.emplace_back();
-  dropped.series.back().counter = static_cast<std::int64_t>(tracer_.dropped());
-  snapshot.families.insert(
-      std::lower_bound(snapshot.families.begin(), snapshot.families.end(), dropped.name,
-                       [](const FamilySnapshot& f, const std::string& name) {
-                         return f.name < name;
-                       }),
-      std::move(dropped));
-  return snapshot;
-}
 
 void Hub::WriteMetricsJson(std::ostream& out, std::string_view prefix) const {
   RegistrySnapshot snapshot = Snapshot();
@@ -65,10 +45,6 @@ bool Hub::WriteTraceFile(const std::string& path) const {
   }
   tracer_.WriteChromeJson(out);
   return out.good();
-}
-
-std::string Hub::FlightDumpJson(std::string_view reason) const {
-  return flight_.RenderDump(reason);
 }
 
 bool Hub::WriteFlightDump(const std::string& path, std::string_view reason) const {

@@ -1,9 +1,12 @@
-// Observability hub: one Registry + one Tracer per simulation.
+// Observability hub: one Registry + one Tracer per simulation, plus the
+// flight recorder, frame tracer and SLO watchdog built on them.
 //
 // Components receive a `crobs::Hub*` (nullable) through their Options and
 // register instruments / intern trace tracks at construction. A null hub —
 // the default everywhere — means no instrumentation state is even allocated,
-// so the uninstrumented path costs one pointer test.
+// so the uninstrumented path costs one pointer test. A server event (a
+// deadline miss, a verdict, a fault) is written once, to flight(); the
+// recorder mirrors it into the trace while tracing is on.
 
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
@@ -45,7 +48,7 @@ class Hub {
   explicit Hub(const crsim::Engine& engine, const Options& options = {})
       : engine_(&engine),
         tracer_(engine, options.trace),
-        flight_(engine, this, options.flight),
+        flight_(engine, this, &tracer_, options.flight),
         slo_(engine, this, options.slo),
         frames_(engine, this, options.frames) {}
   Hub(const Hub&) = delete;
@@ -70,15 +73,14 @@ class Hub {
 
   crbase::Time Now() const { return engine_->Now(); }
 
-  // Registry snapshot plus hub-synthesized series (obs.trace_dropped_events,
-  // the tracer ring's drop count), kept in lexicographic family order.
-  RegistrySnapshot Snapshot() const;
+  RegistrySnapshot Snapshot() const { return metrics_.Snapshot(); }
 
   // {"sim_time_ns": ..., "health": {...}, "metrics": {<registry snapshot>}}
   // The health block carries the observability plane's own loss counters —
   // trace-ring drops, flight-ring overwrites, frame-ring evictions and
   // attribution-conservation violations — so a consumer can tell whether the
-  // telemetry it is about to read is itself complete.
+  // telemetry it is about to read is itself complete. It is the one place
+  // the tracer's drop count appears in the document.
   // A non-empty `prefix` restricts the snapshot to metric families whose
   // name starts with it ("cras." — just the server, "volume." — just the
   // array), which keeps remote stat dumps small on a slow link.
@@ -89,9 +91,7 @@ class Hub {
   // logs) if the file cannot be opened.
   bool WriteTraceFile(const std::string& path) const;
 
-  // Flight-recorder dump rendered at the current instant (see
-  // FlightRecorder::RenderDump); WriteFlightDump puts it in a file.
-  std::string FlightDumpJson(std::string_view reason) const;
+  // Writes flight().RenderDump(reason) to a file.
   bool WriteFlightDump(const std::string& path, std::string_view reason) const;
 
  private:

@@ -1,13 +1,19 @@
 #include "src/obs/slo.h"
 
-#include <algorithm>
 #include <sstream>
 
-#include "src/base/logging.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/obs.h"
 
 namespace crobs {
+
+namespace {
+
+std::size_t Slot(std::int64_t epoch) {
+  return static_cast<std::size_t>(epoch % SloMonitor::kBuckets);
+}
+
+}  // namespace
 
 std::int64_t SloMonitor::Window::Frames() const {
   std::int64_t n = 0;
@@ -25,12 +31,12 @@ std::int64_t SloMonitor::Window::Misses() const {
   return n;
 }
 
-std::int64_t SloMonitor::Window::OverLatency() const {
-  std::int64_t n = 0;
-  for (const Bucket& b : ring) {
-    n += b.over_latency;
+double SloMonitor::Window::MissBurn() const {
+  const std::int64_t frames = Frames();
+  if (frames == 0) {
+    return 0;
   }
-  return n;
+  return static_cast<double>(Misses()) / static_cast<double>(frames) / kMissBudget;
 }
 
 StageBucket SloMonitor::Window::Dominant() const {
@@ -50,35 +56,19 @@ StageBucket SloMonitor::Window::Dominant() const {
 }
 
 SloMonitor::SloMonitor(const crsim::Engine& engine, Hub* hub, const Options& options)
-    : engine_(&engine), hub_(hub), options_(options) {
-  if (!options_.enabled) {
-    return;
-  }
-  CRAS_CHECK(options_.bucket_width > 0) << "SLO bucket width must be positive";
-  CRAS_CHECK(options_.buckets > 0) << "SLO window needs at least one bucket";
-  fleet_.ring.resize(static_cast<std::size_t>(options_.buckets));
-}
+    : engine_(&engine), hub_(hub), options_(options) {}
 
-void SloMonitor::OnFrameResolved(std::int64_t session, bool missed, double e2e_ms,
+void SloMonitor::OnFrameResolved(std::int64_t session, bool missed,
                                  const crbase::Duration bucket_ns[kStageBucketCount]) {
   if (!options_.enabled) {
     return;
   }
   AdvanceTo(engine_->Now());
-  Window& per_session = sessions_[session];
-  if (per_session.ring.empty()) {
-    per_session.ring.resize(static_cast<std::size_t>(options_.buckets));
-  }
-  const std::size_t slot =
-      static_cast<std::size_t>(epoch_ % static_cast<std::int64_t>(options_.buckets));
-  for (Window* window : {&fleet_, &per_session}) {
-    Bucket& bucket = window->ring[slot];
+  for (Window* window : {&fleet_, &sessions_[session]}) {
+    Bucket& bucket = window->ring[Slot(epoch_)];
     ++bucket.frames;
     if (missed) {
       ++bucket.misses;
-    }
-    if (e2e_ms > options_.latency_target_ms) {
-      ++bucket.over_latency;
     }
     for (int i = 0; i < kStageBucketCount; ++i) {
       bucket.stage_ms[i] += static_cast<double>(bucket_ns[i]) / 1e6;
@@ -87,69 +77,45 @@ void SloMonitor::OnFrameResolved(std::int64_t session, bool missed, double e2e_m
 }
 
 void SloMonitor::AdvanceTo(crbase::Time now) {
-  const std::int64_t target = now / options_.bucket_width;
+  const std::int64_t target = now / kBucketWidth;
   if (target <= epoch_) {
     return;
   }
-  if (target - epoch_ >= static_cast<std::int64_t>(options_.buckets)) {
+  if (target - epoch_ >= kBuckets) {
     // The run jumped a full window ahead (idle gap); nothing in the rings
     // is still in-window. Evaluate once on the way out, then start fresh.
     Evaluate(-1, fleet_);
-    for (auto& [id, window] : sessions_) {
+    for (const auto& [id, window] : sessions_) {
       Evaluate(id, window);
     }
-    for (Bucket& b : fleet_.ring) {
-      b.Clear();
-    }
-    for (auto& [id, window] : sessions_) {
-      for (Bucket& b : window.ring) {
-        b.Clear();
-      }
-    }
+    fleet_ = Window{};
+    sessions_.clear();
     epoch_ = target;
     return;
   }
   while (epoch_ < target) {
     // Each rotation is an evaluation boundary: judge the window as it
-    // stands, then retire the bucket the new epoch will overwrite.
+    // stands, then retire the bucket the new epoch will overwrite. A
+    // session window left empty by that is erased.
     Evaluate(-1, fleet_);
-    for (auto& [id, window] : sessions_) {
+    for (const auto& [id, window] : sessions_) {
       Evaluate(id, window);
     }
     ++epoch_;
-    const std::size_t slot =
-        static_cast<std::size_t>(epoch_ % static_cast<std::int64_t>(options_.buckets));
-    fleet_.ring[slot].Clear();
-    for (auto& [id, window] : sessions_) {
-      window.ring[slot].Clear();
+    const std::size_t slot = Slot(epoch_);
+    fleet_.ring[slot] = Bucket{};
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      it->second.ring[slot] = Bucket{};
+      it = it->second.Frames() == 0 ? sessions_.erase(it) : std::next(it);
     }
   }
 }
 
-double SloMonitor::Burn(const Window& window, double* miss_burn,
-                        double* latency_burn) const {
-  const std::int64_t frames = window.Frames();
-  *miss_burn = 0;
-  *latency_burn = 0;
-  if (frames == 0) {
-    return 0;
-  }
-  const double miss_rate =
-      static_cast<double>(window.Misses()) / static_cast<double>(frames);
-  const double over_rate =
-      static_cast<double>(window.OverLatency()) / static_cast<double>(frames);
-  *miss_burn = options_.miss_budget > 0 ? miss_rate / options_.miss_budget : 0;
-  *latency_burn = options_.latency_budget > 0 ? over_rate / options_.latency_budget : 0;
-  return std::max(*miss_burn, *latency_burn);
-}
-
 void SloMonitor::Evaluate(std::int64_t session, const Window& window) {
-  if (window.Frames() < options_.min_frames) {
+  if (window.Frames() < kMinFrames) {
     return;
   }
-  double miss_burn = 0;
-  double latency_burn = 0;
-  const double burn = Burn(window, &miss_burn, &latency_burn);
+  const double burn = window.MissBurn();
   if (burn <= 1.0) {
     return;
   }
@@ -158,11 +124,11 @@ void SloMonitor::Evaluate(std::int64_t session, const Window& window) {
   hub_->flight().Record(FlightEventKind::kSloBurn, session,
                         static_cast<std::int64_t>(dominant), burn,
                         StageBucketName(dominant));
-  if (session >= 0 || burn < options_.fast_burn) {
+  if (session >= 0 || burn < kFastBurn) {
     return;  // only fleet-wide fast burns freeze a dump
   }
   const crbase::Time now = engine_->Now();
-  if (last_trigger_ >= 0 && now - last_trigger_ < options_.min_trigger_gap) {
+  if (last_trigger_ >= 0 && now - last_trigger_ < kMinTriggerGap) {
     return;
   }
   last_trigger_ = now;
@@ -172,21 +138,7 @@ void SloMonitor::Evaluate(std::int64_t session, const Window& window) {
 
 std::int64_t SloMonitor::WindowFrames() const { return fleet_.Frames(); }
 std::int64_t SloMonitor::WindowMisses() const { return fleet_.Misses(); }
-
-double SloMonitor::MissBurnRate() const {
-  double miss_burn = 0;
-  double latency_burn = 0;
-  Burn(fleet_, &miss_burn, &latency_burn);
-  return miss_burn;
-}
-
-double SloMonitor::LatencyBurnRate() const {
-  double miss_burn = 0;
-  double latency_burn = 0;
-  Burn(fleet_, &miss_burn, &latency_burn);
-  return latency_burn;
-}
-
+double SloMonitor::MissBurnRate() const { return fleet_.MissBurn(); }
 StageBucket SloMonitor::DominantBucket() const { return fleet_.Dominant(); }
 
 void SloMonitor::WriteJson(std::ostream& out) const {
@@ -195,29 +147,20 @@ void SloMonitor::WriteJson(std::ostream& out) const {
     out << "}";
     return;
   }
-  double miss_burn = 0;
-  double latency_burn = 0;
-  Burn(fleet_, &miss_burn, &latency_burn);
-  out << ", \"window_ns\": "
-      << options_.bucket_width * static_cast<std::int64_t>(options_.buckets)
-      << ", \"frames\": " << fleet_.Frames() << ", \"misses\": " << fleet_.Misses()
-      << ", \"over_latency\": " << fleet_.OverLatency()
-      << ", \"miss_burn\": " << miss_burn << ", \"latency_burn\": " << latency_burn
+  out << ", \"window_ns\": " << kBucketWidth * kBuckets << ", \"frames\": " << fleet_.Frames()
+      << ", \"misses\": " << fleet_.Misses() << ", \"miss_burn\": " << fleet_.MissBurn()
       << ", \"dominant_stage\": \"" << StageBucketName(fleet_.Dominant()) << "\""
       << ", \"burn_events\": " << burn_events_ << ", \"fast_burns\": " << fast_burns_
       << ", \"sessions\": [";
   bool first = true;
   for (const auto& [id, window] : sessions_) {
-    double session_miss = 0;
-    double session_latency = 0;
-    Burn(window, &session_miss, &session_latency);
     if (!first) {
       out << ", ";
     }
     first = false;
     out << "{\"id\": " << id << ", \"frames\": " << window.Frames()
-        << ", \"misses\": " << window.Misses() << ", \"miss_burn\": " << session_miss
-        << ", \"latency_burn\": " << session_latency << "}";
+        << ", \"misses\": " << window.Misses() << ", \"miss_burn\": " << window.MissBurn()
+        << "}";
   }
   out << "]}";
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
 #include <string>
 
@@ -135,7 +137,8 @@ TEST(FrameTracer, FirstResolutionWins) {
 }
 
 // ---------------------------------------------------------------------------
-// SloMonitor: burn-rate windows, slo_burn events, fast-burn flight dumps.
+// SloMonitor: burn-rate windows, slo_burn events, fast-burn flight dumps,
+// and the erasure of idle session windows.
 // ---------------------------------------------------------------------------
 
 TEST(SloMonitor, SustainedMissesBurnTheBudgetAndFreezeADump) {
@@ -143,24 +146,18 @@ TEST(SloMonitor, SustainedMissesBurnTheBudgetAndFreezeADump) {
   Hub::Options options;
   options.frames.enabled = true;
   options.slo.enabled = true;
-  options.slo.bucket_width = Seconds(1);
-  options.slo.buckets = 4;
-  options.slo.miss_budget = 0.01;
-  options.slo.fast_burn = 8.0;
-  options.slo.min_frames = 32;
   Hub hub(engine, options);
 
   const crbase::Duration buckets[kStageBucketCount] = {0, 0, 0, 5 * 1000 * 1000, 0, 0};
   engine.ScheduleAt(Milliseconds(500), [&] {
     for (int i = 0; i < 40; ++i) {
-      hub.slo().OnFrameResolved(/*session=*/1, /*missed=*/true, /*e2e_ms=*/600.0,
-                                buckets);
+      hub.slo().OnFrameResolved(/*session=*/1, /*missed=*/true, buckets);
     }
   });
   // The next resolution lands in a later bucket: the rotation evaluates the
-  // 100%-miss window against the 1% budget — burn 100x, far past fast_burn.
+  // 100%-miss window against the 1% budget — burn 100x, far past kFastBurn.
   engine.ScheduleAt(Milliseconds(1500), [&] {
-    hub.slo().OnFrameResolved(1, false, 10.0, buckets);
+    hub.slo().OnFrameResolved(1, false, buckets);
   });
   engine.RunUntil(Seconds(2));
 
@@ -177,6 +174,8 @@ TEST(SloMonitor, SustainedMissesBurnTheBudgetAndFreezeADump) {
   const std::string state = hub.slo().StateJson();
   EXPECT_NE(state.find("\"burn_events\""), std::string::npos);
   EXPECT_NE(state.find("\"dominant_stage\": \"wire\""), std::string::npos);
+  // Frame misses are the one budget: no latency field is reported.
+  EXPECT_EQ(state.find("latency"), std::string::npos) << state;
 }
 
 TEST(SloMonitor, CleanTrafficBurnsNothing) {
@@ -184,13 +183,12 @@ TEST(SloMonitor, CleanTrafficBurnsNothing) {
   Hub::Options options;
   options.frames.enabled = true;
   options.slo.enabled = true;
-  options.slo.min_frames = 8;
   Hub hub(engine, options);
   const crbase::Duration buckets[kStageBucketCount] = {};
   for (crbase::Time at : {Milliseconds(200), Milliseconds(1200), Milliseconds(2200)}) {
     engine.ScheduleAt(at, [&] {
       for (int i = 0; i < 20; ++i) {
-        hub.slo().OnFrameResolved(1, false, 50.0, buckets);
+        hub.slo().OnFrameResolved(1, false, buckets);
       }
     });
   }
@@ -199,6 +197,42 @@ TEST(SloMonitor, CleanTrafficBurnsNothing) {
   EXPECT_EQ(hub.slo().fast_burns(), 0);
   EXPECT_EQ(hub.slo().WindowMisses(), 0);
   EXPECT_GT(hub.slo().WindowFrames(), 0);
+}
+
+TEST(SloMonitor, IdleSessionWindowIsErasedOneWindowLater) {
+  crsim::Engine engine;
+  Hub::Options options;
+  options.frames.enabled = true;
+  options.slo.enabled = true;
+  Hub hub(engine, options);
+  const crbase::Duration buckets[kStageBucketCount] = {};
+  // Session 1 resolves frames only in the first bucket; session 2 resolves
+  // one frame a second until 11.6 s, then a third session opens after an
+  // idle gap longer than the window.
+  engine.ScheduleAt(Milliseconds(500), [&] {
+    for (int i = 0; i < 10; ++i) {
+      hub.slo().OnFrameResolved(1, false, buckets);
+    }
+  });
+  for (int second = 0; second < 12; ++second) {
+    engine.ScheduleAt(Milliseconds(600) + Seconds(second),
+                      [&] { hub.slo().OnFrameResolved(2, false, buckets); });
+  }
+  engine.ScheduleAt(Seconds(30), [&] { hub.slo().OnFrameResolved(3, false, buckets); });
+  std::string before, after, resumed;
+  engine.ScheduleAt(Milliseconds(9700), [&] { before = hub.slo().StateJson(); });
+  engine.ScheduleAt(Milliseconds(10700), [&] { after = hub.slo().StateJson(); });
+  engine.ScheduleAt(Milliseconds(30100), [&] { resumed = hub.slo().StateJson(); });
+  engine.RunUntil(Seconds(31));
+
+  // Session 1's bucket is still in the 10 s window at 9.7 s and rotated out
+  // by 10.7 s; the session still resolving frames keeps its window.
+  EXPECT_NE(before.find("{\"id\": 1,"), std::string::npos) << before;
+  EXPECT_EQ(after.find("{\"id\": 1,"), std::string::npos) << after;
+  EXPECT_NE(after.find("{\"id\": 2,"), std::string::npos) << after;
+  // The idle jump clears every window; only the new session is listed.
+  EXPECT_EQ(resumed.find("{\"id\": 2,"), std::string::npos) << resumed;
+  EXPECT_NE(resumed.find("{\"id\": 3,"), std::string::npos) << resumed;
 }
 
 // ---------------------------------------------------------------------------
@@ -233,6 +267,35 @@ TEST(FrameTraceIntegration, PlayerRunConservesAttribution) {
   ASSERT_EQ(bed.hub.frames().Sessions().size(), 1u);
   EXPECT_EQ(bed.hub.frames().Sessions()[0]->totals().frames_delivered,
             stats.frames_played);
+}
+
+// A healthy run burns no SLO budget. Most of a frame's end-to-end time is
+// playout slack and the wait for its interval boundary, both by design, so
+// a run that misses no frame must raise no slo_burn event and freeze no
+// dump, however long its frames take end to end.
+TEST(FrameTraceIntegration, HealthyPlaybackBurnsNoSloBudget) {
+  cras::VolumeTestbedOptions options;
+  options.obs.frames.enabled = true;
+  options.obs.slo.enabled = true;
+  cras::VolumeTestbed bed(options);
+  bed.StartServers();
+  const auto file = *crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(14));
+  cras::PlayerStats stats;
+  cras::PlayerOptions player_options;
+  player_options.play_length = Seconds(12);
+  crsim::Task player =
+      cras::SpawnCrasPlayer(bed.kernel, bed.cras_server, file, player_options, &stats);
+  bed.engine().RunFor(Seconds(16));
+
+  ASSERT_GT(stats.frames_played, SloMonitor::kMinFrames);
+  ASSERT_EQ(stats.frames_missed, 0);
+  EXPECT_GT(bed.hub.frames().Totals().MeanEndToEndMs(), 500.0);
+  EXPECT_EQ(bed.hub.slo().burn_events(), 0);
+  const std::deque<FlightEvent>& events = bed.hub.flight().events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const FlightEvent& e) { return e.kind == FlightEventKind::kSloBurn; }),
+            0);
+  EXPECT_TRUE(bed.hub.flight().dumps().empty());
 }
 
 // ---------------------------------------------------------------------------

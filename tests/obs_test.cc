@@ -161,9 +161,11 @@ TEST(Snapshot, DeterministicAcrossIdenticalRuns) {
   const std::string second = RunOnceAndSnapshot();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-  // Sanity: the run actually produced instrumented activity.
+  // Sanity: the run actually produced instrumented activity, and every
+  // histogram family carries its interpolated percentiles.
   EXPECT_NE(first.find("\"cras.bytes_read\""), std::string::npos);
   EXPECT_NE(first.find("\"disk.requests\""), std::string::npos);
+  EXPECT_NE(first.find("\"p99\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,14 +538,6 @@ TEST(Percentile, SingleBinWithoutBoundsInterpolatesMinToMax) {
   EXPECT_DOUBLE_EQ(s.Percentile(100), 5.0);
 }
 
-TEST(Snapshot, HubSynthesizesTraceDropCounter) {
-  const std::string json = RunOnceAndSnapshot();
-  // The tracer's drop count rides along as a counter family, and every
-  // histogram family carries its interpolated percentiles.
-  EXPECT_NE(json.find("\"obs.trace_dropped_events\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-}
-
 TEST(Snapshot, HealthBlockSurfacesRingPressure) {
   // MetricsJson leads with a health block so a scraper can tell whether the
   // observability rings themselves overflowed — a truncated flight ring or
@@ -559,13 +553,17 @@ TEST(Snapshot, HealthBlockSurfacesRingPressure) {
   for (int i = 0; i < 10; ++i) {
     hub.trace().Instant(track, name);
   }
+  // Each flight event is also a trace instant: 15 events into 4 slots.
   for (int i = 0; i < 5; ++i) {
     hub.flight().Record(FlightEventKind::kDeadlineMiss, i);
   }
   const std::string json = hub.MetricsJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"health\": {"), std::string::npos);
-  EXPECT_NE(json.find("\"trace_dropped_events\": 6"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"trace_recorded\": 15"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"trace_dropped_events\": 11"), std::string::npos) << json;
+  // The health block is the one place the tracer's drops are reported.
+  EXPECT_EQ(json.find("obs.trace_dropped_events"), std::string::npos) << json;
   EXPECT_NE(json.find("\"flight_ring_overwrites\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"frame_conservation_violations\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"slo_burn_events\": 0"), std::string::npos);
@@ -579,7 +577,7 @@ TEST(FlightRecorder, RingKeepsNewestEvents) {
   crsim::Engine engine;
   FlightRecorder::Options options;
   options.capacity = 4;
-  FlightRecorder recorder(engine, nullptr, options);
+  FlightRecorder recorder(engine, nullptr, nullptr, options);
   for (int i = 0; i < 10; ++i) {
     recorder.Record(FlightEventKind::kStreamShed, /*a=*/i);
   }
@@ -597,7 +595,7 @@ TEST(FlightRecorder, DumpWindowFiltersOldEvents) {
   crsim::Engine engine;
   FlightRecorder::Options options;
   options.window = Seconds(10);
-  FlightRecorder recorder(engine, nullptr, options);
+  FlightRecorder recorder(engine, nullptr, nullptr, options);
   engine.ScheduleAt(Seconds(1), [&] {
     recorder.Record(FlightEventKind::kLeaseReap, 1, 0, 0, "early");
   });
@@ -618,7 +616,7 @@ TEST(FlightRecorder, AutoTriggerFreezesDumpOnMaskedKind) {
   crsim::Engine engine;
   FlightRecorder::Options options;
   options.triggers = {FlightEventKind::kDeadlineMiss};
-  FlightRecorder recorder(engine, nullptr, options);
+  FlightRecorder recorder(engine, nullptr, nullptr, options);
   recorder.Record(FlightEventKind::kAdmissionAccept);  // unmasked: no dump
   EXPECT_EQ(recorder.triggers_fired(), 0u);
   EXPECT_TRUE(recorder.dumps().empty());
@@ -636,7 +634,7 @@ TEST(FlightRecorder, RetainedDumpsAreBounded) {
   crsim::Engine engine;
   FlightRecorder::Options options;
   options.max_dumps = 2;
-  FlightRecorder recorder(engine, nullptr, options);
+  FlightRecorder recorder(engine, nullptr, nullptr, options);
   for (int i = 0; i < 5; ++i) {
     recorder.Trigger("r" + std::to_string(i));
   }
@@ -646,9 +644,51 @@ TEST(FlightRecorder, RetainedDumpsAreBounded) {
   EXPECT_NE(recorder.dumps().back().find("\"r4\""), std::string::npos);
 }
 
+TEST(FlightRecorder, EachRecordIsOneInstantOnTheEventsTrackWhileTracing) {
+  crsim::Engine engine;
+  Hub::Options options;
+  options.trace.enabled = true;
+  Hub hub(engine, options);
+  Tracer& tracer = hub.trace();
+  for (int k = 0; k < kFlightEventKindCount; ++k) {
+    const auto kind = static_cast<FlightEventKind>(k);
+    hub.flight().Record(kind, /*a=*/7, /*b=*/1, /*value=*/k + 0.5, "detail");
+    ASSERT_EQ(tracer.size(), static_cast<std::size_t>(k + 1)) << FlightEventKindName(kind);
+    const TraceEvent event = tracer.Events().back();
+    EXPECT_EQ(event.type, TraceEventType::kInstant);
+    EXPECT_EQ(event.track, tracer.InternTrack("events"));
+    EXPECT_EQ(event.name, tracer.InternName(FlightEventKindName(kind)));
+    EXPECT_DOUBLE_EQ(event.value, k + 0.5);
+  }
+  EXPECT_EQ(hub.flight().size(), static_cast<std::size_t>(kFlightEventKindCount));
+  std::ostringstream out;
+  tracer.WriteChromeJson(out);
+  EXPECT_NE(out.str().find("\"args\": {\"name\": \"events\"}"), std::string::npos);
+  EXPECT_NE(out.str().find("\"name\": \"stream_shed\", \"ph\": \"i\""), std::string::npos);
+}
+
+TEST(FlightRecorder, RecordAddsNoInstantWithoutAnEnabledTracer) {
+  crsim::Engine engine;
+  Hub hub(engine, Hub::Options{});  // the hub's tracer is disabled
+  hub.flight().Record(FlightEventKind::kLeaseReap, 4, 0, 12.0);
+  EXPECT_EQ(hub.trace().recorded(), 0u);
+  ASSERT_EQ(hub.flight().size(), 1u);
+  EXPECT_EQ(hub.flight().events().back().a, 4);
+  // The recorder follows the tracer's live switch.
+  hub.trace().set_enabled(true);
+  hub.flight().Record(FlightEventKind::kLeaseReap, 5);
+  EXPECT_EQ(hub.trace().recorded(), 1u);
+  EXPECT_EQ(hub.flight().size(), 2u);
+
+  FlightRecorder bare(engine, nullptr, nullptr, FlightRecorder::Options{});  // no tracer
+  bare.Record(FlightEventKind::kLeaseReap, 6);
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare.events().back().a, 6);
+}
+
 std::string RecordAndDumpOnce() {
   crsim::Engine engine;
-  FlightRecorder recorder(engine, nullptr, FlightRecorder::Options{});
+  FlightRecorder recorder(engine, nullptr, nullptr, FlightRecorder::Options{});
   engine.ScheduleAt(Seconds(1), [&] {
     recorder.Record(FlightEventKind::kMemberChange, 1, 0, 0, "failed");
     recorder.Record(FlightEventKind::kStreamShed, 9);
@@ -681,7 +721,7 @@ TEST(FlightRecorder, HubDumpCarriesEventsLedgerAndMetrics) {
             *opened, bed.cras_server.SuggestedInitialDelay());
       });
   bed.engine().RunFor(Seconds(4));
-  const std::string dump = bed.hub.FlightDumpJson("test");
+  const std::string dump = bed.hub.flight().RenderDump("test");
   EXPECT_TRUE(JsonChecker(dump).Valid()) << dump;
   // The admission verdict was recorded, and the dump stitches all three
   // sections together: event window, budget-ledger tail, metrics snapshot.
