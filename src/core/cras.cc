@@ -596,6 +596,11 @@ crbase::Status CrasServer::HandleClose(SessionId id) {
     }
   }
   sessions_.erase(it);
+  if (auto listener = data_listeners_.find(id); listener != data_listeners_.end()) {
+    const std::function<void()> data_listener = std::move(listener->second);
+    data_listeners_.erase(listener);
+    data_listener();
+  }
   if (feed_to_close != kInvalidSession) {
     // The last member left: the group dissolved with it, so the
     // server-owned feed has nobody to serve. One level of recursion only —
@@ -1018,6 +1023,11 @@ std::int64_t CrasServer::PublishCompletedBatches() {
       session->stats.bytes_published += chunk.size;
       ++published;
     }
+    if (!data_listeners_.empty()) {
+      if (auto listener = data_listeners_.find(batch.session); listener != data_listeners_.end()) {
+        listener->second();
+      }
+    }
   }
   return published;
 }
@@ -1285,6 +1295,17 @@ crbase::Time CrasServer::LogicalNow(SessionId id) const {
 const LogicalClock* CrasServer::SessionClock(SessionId id) const {
   const Session* session = FindSession(id);
   return session == nullptr ? nullptr : session->clock.get();
+}
+
+void CrasServer::SetDataListener(SessionId id, std::function<void()> listener) {
+  if (FindSession(id) == nullptr) {
+    return;
+  }
+  if (listener) {
+    data_listeners_[id] = std::move(listener);
+  } else {
+    data_listeners_.erase(id);
+  }
 }
 
 crbase::Status CrasServer::PutChunk(SessionId id, std::int64_t chunk) {

@@ -286,6 +286,13 @@ class CrasServer {
   // Session `id`'s logical clock, or nullptr once the session is gone
   // (closed, reaped or shed). Valid until the session closes.
   const LogicalClock* SessionClock(SessionId id) const;
+  // Calls `listener` after each batch published into session `id`'s shared
+  // buffer, and once more when the session closes, so a delivery thread
+  // that missed in Get() can wait for data instead of polling. It runs
+  // inside the publish or close, so it must not call back into the server.
+  // One per session; an empty function removes it. No-op on an unknown
+  // session.
+  void SetDataListener(SessionId id, std::function<void()> listener);
 
   // Session `id`'s frame-trace ring, or nullptr (unknown session, or frame
   // tracing disabled). The delivery layer — local player, NPS sender, group
@@ -566,6 +573,10 @@ class CrasServer {
   crsim::Port<MemberChange> fault_port_;
 
   std::map<SessionId, Session> sessions_;
+  // SetDataListener's listeners. Only remote delivery threads register
+  // one, so they are kept beside the sessions rather than in Session: a
+  // server with none pays one empty() test per published batch.
+  std::map<SessionId, std::function<void()>> data_listeners_;
   SessionId next_session_id_ = 1;
   std::set<SessionId> shed_ids_;
   std::set<SessionId> reaped_ids_;

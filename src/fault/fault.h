@@ -20,7 +20,8 @@
 //                 heterogeneous per-member model.
 //   recover     — derating back to 1.0, state back to kHealthy.
 //
-// Link events (target the armed link; see crnet::LinkImpairments):
+// Link events (target the armed link; see crnet::LinkImpairments). Each binds
+// the packets the link accepts after it:
 //
 //   link-loss       — i.i.d. per-packet wire loss at the given probability;
 //   link-burst-loss — Gilbert–Elliott bursty loss (enter/exit/loss-in-bad);

@@ -20,48 +20,82 @@ Link::Link(crsim::Engine& engine, const Options& options)
 
 Link::Link(crsim::Engine& engine) : Link(engine, Options{}) {}
 
-bool Link::Send(std::int64_t bytes, std::function<void()> deliver) {
+std::optional<Time> Link::Accept(std::int64_t bytes) {
   CRAS_CHECK(bytes > 0);
-  if (options_.queue_limit != 0 && queue_.size() >= options_.queue_limit) {
+  const Time now = engine_->Now();
+  while (!unfinished_.empty() && unfinished_.front() <= now) {
+    unfinished_.pop_front();
+  }
+  // The packet on the wire does not count against the queue bound.
+  const std::size_t queued = unfinished_.empty() ? 0 : unfinished_.size() - 1;
+  if (options_.queue_limit != 0 && queued >= options_.queue_limit) {
     ++stats_.packets_dropped;
     ++stats_.tx_queue_drops;
     if (obs_ != nullptr) {
       obs_->tx_queue_drops->Add();
     }
+    return std::nullopt;
+  }
+  const double rate = options_.bandwidth_bytes_per_sec / impairments_.bandwidth_derating;
+  const Duration wire_time = crbase::TransferTime(bytes + options_.per_packet_overhead, rate);
+  free_at_ = std::max(now, free_at_) + wire_time;
+  committed_wire_time_ += wire_time;
+  unfinished_.push_back(free_at_);
+  stats_.max_queue_depth = std::max(stats_.max_queue_depth, unfinished_.size());
+  stats_.bytes_sent += bytes;
+  return free_at_;
+}
+
+bool Link::Send(std::int64_t bytes, std::function<void()> deliver) {
+  const std::optional<Time> end = Accept(bytes);
+  if (!end.has_value()) {
     return false;
   }
   ++stats_.packets_sent;
-  stats_.bytes_sent += bytes;
   if (obs_ != nullptr) {
     obs_->packets_sent->Add();
   }
-  queue_.push_back(Packet{bytes, std::move(deliver), {}});
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
-  if (!transmitting_) {
-    StartTransmit();
+  if (DrawWireLoss()) {
+    ++stats_.packets_dropped;
+    ++stats_.wire_drops;
+    if (obs_ != nullptr) {
+      obs_->wire_drops->Add();
+    }
+  } else {
+    DeliverOne(*end, bytes, std::move(deliver), /*multicast=*/false);
   }
   return true;
 }
 
 bool Link::Multicast(std::int64_t bytes, std::vector<std::function<void()>> delivers) {
-  CRAS_CHECK(bytes > 0);
   CRAS_CHECK(!delivers.empty());
-  if (options_.queue_limit != 0 && queue_.size() >= options_.queue_limit) {
-    ++stats_.packets_dropped;
-    ++stats_.tx_queue_drops;
-    if (obs_ != nullptr) {
-      obs_->tx_queue_drops->Add();
-    }
+  const std::optional<Time> end = Accept(bytes);
+  if (!end.has_value()) {
     return false;
   }
   ++stats_.mcast_packets_sent;
-  stats_.bytes_sent += bytes;
-  queue_.push_back(Packet{bytes, nullptr, std::move(delivers)});
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
-  if (!transmitting_) {
-    StartTransmit();
+  // One serialized packet, N receivers: the shared loss state advances
+  // once, then every receiver draws its fate (and jitter) on its own.
+  StepLossState();
+  for (std::function<void()>& deliver : delivers) {
+    if (DrawLossNow()) {
+      ++stats_.mcast_receiver_drops;
+    } else {
+      DeliverOne(*end, bytes, std::move(deliver), /*multicast=*/true);
+    }
   }
   return true;
+}
+
+LinkStats Link::stats() const {
+  LinkStats stats = stats_;
+  stats.busy_time = SpentWireTime();
+  return stats;
+}
+
+std::size_t Link::queue_depth() const {
+  const auto ended = std::upper_bound(unfinished_.begin(), unfinished_.end(), engine_->Now());
+  return static_cast<std::size_t>(unfinished_.end() - ended);
 }
 
 void Link::SetImpairments(const LinkImpairments& impairments) {
@@ -157,81 +191,40 @@ Duration Link::DrawExtraDelay() {
   return extra;
 }
 
-void Link::StartTransmit() {
-  CRAS_CHECK(!transmitting_);
-  if (queue_.empty()) {
-    return;
-  }
-  transmitting_ = true;
-  Packet packet = std::move(queue_.front());
-  queue_.pop_front();
-  const double rate = options_.bandwidth_bytes_per_sec / impairments_.bandwidth_derating;
-  const Duration wire_time =
-      crbase::TransferTime(packet.bytes + options_.per_packet_overhead, rate);
-  stats_.busy_time += wire_time;
-  // Serialization completes, then the bits propagate. The next packet may
-  // begin serializing as soon as this one leaves the interface. Loss and
-  // jitter are drawn at serialization end, in send order, so the random
-  // sequence is independent of delivery interleaving.
-  engine_->ScheduleAfter(wire_time, [this, packet = std::move(packet)]() mutable {
-    transmitting_ = false;
-    if (!packet.multi.empty()) {
-      // One serialized packet, N receivers: the shared loss state advances
-      // once, then every receiver draws its fate (and jitter) on its own.
-      StepLossState();
-      for (std::function<void()>& deliver : packet.multi) {
-        if (DrawLossNow()) {
-          ++stats_.mcast_receiver_drops;
-        } else {
-          DeliverOne(packet.bytes, std::move(deliver), /*multicast=*/true);
-        }
-      }
-    } else if (DrawWireLoss()) {
-      ++stats_.packets_dropped;
-      ++stats_.wire_drops;
-      if (obs_ != nullptr) {
-        obs_->wire_drops->Add();
-      }
-    } else {
-      DeliverOne(packet.bytes, std::move(packet.deliver), /*multicast=*/false);
-    }
-    StartTransmit();
-  });
-}
-
-void Link::DeliverOne(std::int64_t bytes, std::function<void()> deliver, bool multicast) {
+void Link::DeliverOne(Time end, std::int64_t bytes, std::function<void()> deliver,
+                      bool multicast) {
   // Duplication: the receiver sees the same unicast packet again shortly
   // after the original — drawn here so the copy shares the original's
   // jitter fate and costs no extra wire time (the bits only went out once;
   // the switch replayed them).
+  const Time arrival = end + options_.propagation_delay;
   if (!multicast && impairments_.duplicate_probability > 0.0 &&
       rng_.NextDouble() < impairments_.duplicate_probability) {
-    engine_->ScheduleAfter(
-        options_.propagation_delay + impairments_.duplicate_delay, [this, deliver] {
-          ++stats_.duplicate_deliveries;
-          if (deliver) {
-            deliver();
-          }
-        });
+    engine_->ScheduleAt(arrival + impairments_.duplicate_delay, [this, deliver] {
+      ++stats_.duplicate_deliveries;
+      if (deliver) {
+        deliver();
+      }
+    });
   }
-  engine_->ScheduleAfter(options_.propagation_delay + DrawExtraDelay(),
-                         [this, bytes, multicast, deliver = std::move(deliver)] {
-                           if (multicast) {
-                             ++stats_.mcast_deliveries;
-                           } else {
-                             ++stats_.packets_delivered;
-                           }
-                           stats_.bytes_delivered += bytes;
-                           if (obs_ != nullptr) {
-                             if (!multicast) {
-                               obs_->packets_delivered->Add();
-                             }
-                             obs_->bytes_delivered->Add(bytes);
-                           }
-                           if (deliver) {
-                             deliver();
-                           }
-                         });
+  engine_->ScheduleAt(arrival + DrawExtraDelay(),
+                      [this, bytes, multicast, deliver = std::move(deliver)] {
+                        if (multicast) {
+                          ++stats_.mcast_deliveries;
+                        } else {
+                          ++stats_.packets_delivered;
+                        }
+                        stats_.bytes_delivered += bytes;
+                        if (obs_ != nullptr) {
+                          if (!multicast) {
+                            obs_->packets_delivered->Add();
+                          }
+                          obs_->bytes_delivered->Add(bytes);
+                        }
+                        if (deliver) {
+                          deliver();
+                        }
+                      });
 }
 
 void Link::AttachObs(crobs::Hub* hub, const std::string& name) {

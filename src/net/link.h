@@ -5,6 +5,12 @@
 // arrive after the propagation delay. Transmission is FIFO at the interface;
 // an optional queue bound forces transmit-queue drops.
 //
+// Serialization is computed, not simulated: the interface is one `free_at`
+// time, the end of the last accepted packet's wire time. A packet accepted
+// at `now` starts at max(now, free_at) and ends its wire time `end` later;
+// its delivery at `end + propagation + extra` is the packet's one engine
+// event (a duplicate adds a second, a lost packet has none).
+//
 // Beyond the paper's perfect segment, the link carries a scriptable
 // *impairment model* (driven live by crfault link events) for lossy-network
 // experiments:
@@ -21,6 +27,10 @@
 //   derating    — bandwidth divided by a factor (a congested or
 //                 renegotiated segment).
 //
+// A packet's fate — wire time, loss, duplication, jitter, reorder — is drawn
+// when the link accepts it, in send order, so the random sequence is
+// independent of delivery interleaving, and an impairment change binds the
+// packets accepted after it; packets already queued keep their fate.
 // A wire-lost packet still consumed its serialization time — the bits went
 // out, nobody heard them — so loss wastes exactly the wire time the sender
 // paid, which is what makes deadline-aware retransmission worth modelling.
@@ -28,10 +38,12 @@
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,18 +142,19 @@ class Link {
   // Queues `bytes` for transmission; `deliver` fires at the receiver once
   // the packet has fully serialized and propagated. Returns false (and
   // counts a tx-queue drop) if the transmit queue is full. A wire-lost
-  // packet's `deliver` never fires.
+  // packet's `deliver` never fires. The packet's fate is drawn here.
   bool Send(std::int64_t bytes, std::function<void()> deliver);
 
   // Multicast: one serialized transmission fanned out to every receiver of
-  // a group address. Wire time is paid once; at serialization end the loss
-  // model steps once (the shared-medium burst state advances per packet)
-  // and then *each* receiver draws its own loss and jitter independently —
-  // one multicast packet can reach some receivers and miss others. A
-  // receiver whose draw loses the packet never sees its deliver closure.
+  // a group address. Wire time is paid once; the loss model steps once (the
+  // shared-medium burst state advances per packet) and then *each* receiver
+  // draws its own loss and jitter independently — one multicast packet can
+  // reach some receivers and miss others. A receiver whose draw loses the
+  // packet never sees its deliver closure.
   bool Multicast(std::int64_t bytes, std::vector<std::function<void()>> delivers);
 
   // ---- impairment control (live; crfault's link events land here) ----
+  // A change applies to the packets accepted after it.
   void SetImpairments(const LinkImpairments& impairments);
   void SetLoss(double probability);
   void SetBurstLoss(double p_enter_bad, double p_exit_bad, double loss_bad);
@@ -154,15 +167,18 @@ class Link {
   void ClearImpairments();
   const LinkImpairments& impairments() const { return impairments_; }
 
-  const LinkStats& stats() const { return stats_; }
-  std::size_t queue_depth() const { return queue_.size() + (transmitting_ ? 1 : 0); }
+  // The counters, with `busy_time` the wire time spent up to now.
+  LinkStats stats() const;
+  // Packets accepted whose serialization has not ended: the one on the wire
+  // and those queued behind it.
+  std::size_t queue_depth() const;
   const Options& options() const { return options_; }
 
-  // Offered-load utilization over the life of the link.
+  // Share of the link's life spent serializing, up to now.
   double Utilization() const {
     return engine_->Now() == 0
                ? 0.0
-               : static_cast<double>(stats_.busy_time) / static_cast<double>(engine_->Now());
+               : static_cast<double>(SpentWireTime()) / static_cast<double>(engine_->Now());
   }
 
   // Registers the link's counters keyed {link: name} — sent/delivered
@@ -170,11 +186,6 @@ class Link {
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
-  struct Packet {
-    std::int64_t bytes;
-    std::function<void()> deliver;           // unicast receiver
-    std::vector<std::function<void()>> multi;  // multicast receivers (if any)
-  };
   struct ObsState {
     crobs::Hub* hub = nullptr;
     crobs::Counter* packets_sent = nullptr;
@@ -184,8 +195,16 @@ class Link {
     crobs::Counter* wire_drops = nullptr;
   };
 
-  void StartTransmit();
-  void DeliverOne(std::int64_t bytes, std::function<void()> deliver, bool multicast);
+  // Admits a packet to the interface: nullopt (a counted tx-queue drop)
+  // when the queue is full, else the packet's wire time is booked behind
+  // `free_at_` and the result is when its serialization ends.
+  std::optional<Time> Accept(std::int64_t bytes);
+  // Schedules the delivery (and any duplicate) of a packet whose
+  // serialization ends at `end`.
+  void DeliverOne(Time end, std::int64_t bytes, std::function<void()> deliver, bool multicast);
+  Duration SpentWireTime() const {
+    return committed_wire_time_ - std::max<Duration>(0, free_at_ - engine_->Now());
+  }
   // Steps the loss model one packet; true = this packet dies on the wire.
   bool DrawWireLoss();
   // Advances the Gilbert–Elliott chain one packet (no-op for i.i.d. loss).
@@ -201,9 +220,12 @@ class Link {
   LinkImpairments impairments_;
   crbase::Rng rng_;
   bool ge_in_bad_state_ = false;
-  std::deque<Packet> queue_;
-  bool transmitting_ = false;
-  LinkStats stats_;
+  Time free_at_ = 0;  // when the interface finishes the last accepted packet
+  // Serialization end of every accepted packet still on or queued for the
+  // wire, in accept (so also end) order; trimmed as they end.
+  std::deque<Time> unfinished_;
+  Duration committed_wire_time_ = 0;  // accepted packets' wire time, spent or not
+  LinkStats stats_;  // busy_time is filled in by stats()
   std::unique_ptr<ObsState> obs_;
 };
 

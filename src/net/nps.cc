@@ -195,8 +195,42 @@ std::int64_t PollsUntil(const cras::LogicalClock& clock, crbase::Time now, crbas
 
 }  // namespace
 
+auto NpsSender::ParkForData(std::int64_t ticks) {
+  struct Awaiter {
+    NpsSender* sender;
+    crbase::Time wake_at;
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      crsim::Engine& engine = sender->kernel_->engine();
+      sender->park_ = Park{h, engine.Now(), wake_at, engine.ScheduleResumeAt(wake_at, h)};
+    }
+    void await_resume() const { sender->park_.thread = {}; }
+  };
+  return Awaiter{this, kernel_->Now() + ticks * options_.poll};
+}
+
+void NpsSender::OnSessionData() {
+  if (!park_.thread) {
+    return;  // not waiting: the thread reads the buffer before it next parks
+  }
+  crsim::Engine& engine = kernel_->engine();
+  // The first tick strictly after now: the tick a one-poll loop would have
+  // seen the data on. A tick at exactly now counts as before the publish:
+  // the loop queued its wake a poll earlier, ahead of the server's events.
+  const crbase::Time tick =
+      park_.since + ((engine.Now() - park_.since) / options_.poll + 1) * options_.poll;
+  if (tick < park_.wake_at) {
+    engine.Cancel(park_.wake);
+    park_.wake_at = tick;
+    park_.wake = engine.ScheduleResumeAt(tick, park_.thread);
+  }
+}
+
 crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId session,
                                     const crmedia::ChunkIndex* index) {
+  // Wakes a parked thread; a no-op while the thread runs or sleeps. The
+  // server drops it when the session closes.
+  server_->SetDataListener(session, [this] { OnSessionData(); });
   for (std::size_t cursor = 0; cursor < index->count(); ++cursor) {
     const crmedia::Chunk& chunk = index->at(cursor);
     // Ship each chunk `lookahead` before its logical due time, on the first
@@ -221,10 +255,13 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
         store_.erase(store_.begin());
       }
     }
-    // Fetch from the shared buffer (crs_get). Data normally precedes the
-    // clock by a full interval, so this succeeds immediately; a chunk that
-    // never shows up by its due time is skipped (the receiver's buffer
-    // would discard it anyway).
+    // Fetch from the shared buffer (crs_get). CRAS publishes a session's
+    // window once per interval, and whenever that publish leads the window
+    // by less than the lookahead, the first chunks of the window are asked
+    // for before they are there. Such a chunk can only arrive with the
+    // session's next publish, so the sender parks until the tick after it.
+    // A chunk that never shows up by its deadline is skipped (the
+    // receiver's buffer would discard it anyway).
     std::optional<cras::BufferedChunk> buffered;
     for (;;) {
       buffered = server_->Get(session, chunk.timestamp);
@@ -235,10 +272,11 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
       if (clock == nullptr) {
         co_return;
       }
-      if (clock->Now() > ChunkDeadline(chunk)) {
+      const crbase::Time deadline = ChunkDeadline(chunk);
+      if (clock->Now() > deadline) {
         break;
       }
-      co_await ctx.Sleep(options_.poll);
+      co_await ParkForData(PollsUntil(*clock, ctx.Now(), deadline + 1, options_.poll));
     }
     if (!buffered.has_value()) {
       ++stats_.chunks_skipped;
@@ -271,6 +309,7 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
       ftrace_->StampAt(buffered->chunk_index, crobs::FrameStage::kSent, sent.sent_at);
     }
   }
+  server_->SetDataListener(session, nullptr);
 }
 
 void NpsSender::AttachObs(crobs::Hub* hub, const std::string& name) {

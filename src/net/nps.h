@@ -8,7 +8,8 @@
 //   NpsSender   — a thread on the server host that walks a session's chunk
 //                 index slightly ahead of the logical clock, fetches each
 //                 chunk from the CRAS shared buffer (crs_get), fragments it
-//                 into packets, and transmits them;
+//                 into packets, and transmits them. A chunk not yet
+//                 published parks it until the session's next publish;
 //   NpsReceiver — the client-host endpoint that reassembles chunks into a
 //                 local time-driven buffer, from which a remote player
 //                 consumes by logical time exactly as a local one would;
@@ -32,6 +33,7 @@
 #ifndef SRC_NET_NPS_H_
 #define SRC_NET_NPS_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -123,8 +125,10 @@ class NpsSender {
     // The sender's tick. It sleeps straight to the first tick at which the
     // session clock reaches a chunk's send time (computed from the clock's
     // rate, so a seek or rate change is seen only at that tick), or one
-    // tick while the clock is stopped or the chunk has not reached the
-    // shared buffer yet.
+    // tick while the clock is stopped. A chunk not yet in the shared buffer
+    // parks it until the first tick after the session's next publish or
+    // close, or the tick at which the chunk's deadline passes (computed the
+    // same way) and the chunk is skipped.
     crbase::Duration poll = crbase::Milliseconds(5);
     std::int64_t max_packet_bytes = 8 * 1024;  // fragmentation threshold
     crbase::Duration cpu_per_chunk = crbase::Microseconds(150);
@@ -173,8 +177,23 @@ class NpsSender {
     crobs::Counter* retransmits_abandoned = nullptr;
   };
 
+  // A thread parked on a shared-buffer miss, waking on its tick grid
+  // `since + k * poll`.
+  struct Park {
+    std::coroutine_handle<> thread;  // null while not parked
+    crbase::Time since = 0;          // the tick of the miss
+    crbase::Time wake_at = 0;
+    crsim::EventId wake = crsim::kInvalidEventId;
+  };
+
   crsim::Task SenderThread(crrt::ThreadContext& ctx, cras::SessionId session,
                            const crmedia::ChunkIndex* index);
+  // Parks the thread for `ticks` polls, or less if the session publishes
+  // or closes first (OnSessionData).
+  auto ParkForData(std::int64_t ticks);
+  // The session's data listener: pulls a parked wake forward to the first
+  // tick after now.
+  void OnSessionData();
   void SendFragment(const NpsFragment& fragment);
 
   crrt::Kernel* kernel_;
@@ -185,6 +204,7 @@ class NpsSender {
   bool retransmit_enabled_ = false;
   cras::SessionId session_ = cras::kInvalidSession;
   crobs::SessionTrace* ftrace_ = nullptr;  // cached from the server at Start
+  Park park_;
   std::uint64_t next_seq_ = 0;
   std::map<std::uint64_t, SentChunk> store_;  // retained until the playout deadline
   // seq -> chunk index for every chunk ever sent. Identity must outlive the

@@ -51,8 +51,27 @@ TEST(LinkImpairments, WireLossSplitFromQueueDrops) {
   EXPECT_EQ(link.stats().wire_drops, 5);
   EXPECT_EQ(link.stats().tx_queue_drops, 0);
   EXPECT_EQ(link.stats().packets_dropped, 5);
-  // A wire-lost packet still burned its serialization time.
+  // A wire-lost packet still burns its serialization time. It has no event,
+  // so the time counts as spent once the clock has passed it.
+  EXPECT_EQ(link.stats().busy_time, 0);
+  engine.RunUntil(5 * Milliseconds(1));
   EXPECT_EQ(link.stats().busy_time, 5 * Milliseconds(1));
+}
+
+TEST(LinkImpairments, ImpairmentChangeBindsPacketsAcceptedAfterIt) {
+  crsim::Engine engine;
+  Link link(engine, FastLink());
+  bool first = false;
+  bool second = false;
+  ASSERT_TRUE(link.Send(1250, [&] { first = true; }));
+  link.SetLoss(1.0);
+  ASSERT_TRUE(link.Send(1250, [&] { second = true; }));
+  engine.Run();
+  // The first packet was still on the wire when the loss began, but it was
+  // accepted onto a clean link.
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(second);
+  EXPECT_EQ(link.stats().wire_drops, 1);
 }
 
 TEST(LinkImpairments, QueueDropsSplitFromWireLoss) {

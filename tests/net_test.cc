@@ -17,6 +17,7 @@
 namespace crnet {
 namespace {
 
+using crbase::Microseconds;
 using crbase::Milliseconds;
 using crbase::Seconds;
 
@@ -107,6 +108,44 @@ TEST(Link, UtilizationTracksBusyTime) {
   EXPECT_NEAR(link.Utilization(), 0.1, 0.001);
 }
 
+TEST(Link, UtilizationStaysAtMostOneWhileABurstDrains) {
+  crsim::Engine engine;
+  Link link(engine, FastLink());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(link.Send(1250, nullptr));  // 1 ms of wire time each
+  }
+  EXPECT_EQ(link.queue_depth(), 100u);
+  // Only wire time already spent counts, never the backlog's.
+  for (crbase::Time t = Microseconds(500); t <= Milliseconds(110); t += Microseconds(500)) {
+    engine.RunUntil(t);
+    EXPECT_LE(link.Utilization(), 1.0) << "at " << crbase::FormatDuration(t);
+  }
+  EXPECT_EQ(link.stats().busy_time, Milliseconds(100));
+  EXPECT_EQ(link.queue_depth(), 0u);
+  EXPECT_EQ(link.stats().max_queue_depth, 100u);
+}
+
+TEST(Link, APacketIsOneEventPerDelivery) {
+  crsim::Engine engine;
+  Link::Options options = FastLink();
+  options.impairments.jitter = Milliseconds(5);
+  options.impairments.loss_probability = 0.1;
+  options.impairments.duplicate_probability = 0.05;
+  Link link(engine, options);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(link.Send(1250, nullptr));
+  }
+  engine.Run();
+  // Serialization is computed: a lost packet costs no event, a delivered
+  // one its arrival, a duplicate its second arrival.
+  const LinkStats stats = link.stats();
+  EXPECT_GT(stats.wire_drops, 0);
+  EXPECT_GT(stats.duplicate_deliveries, 0);
+  EXPECT_EQ(stats.packets_delivered + stats.wire_drops, 400);
+  EXPECT_EQ(engine.events_fired(),
+            static_cast<std::uint64_t>(stats.packets_delivered + stats.duplicate_deliveries));
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: CRAS -> NPS -> link -> remote buffer, two hosts on one
 // timeline.
@@ -119,8 +158,10 @@ struct QtPlayRig {
   NpsReceiver receiver;
   NpsSender sender;
 
-  explicit QtPlayRig(const NpsSender::Options& sender_options = {})
-      : client_host(server_host.engine(), crrt::Kernel::Options{}),
+  explicit QtPlayRig(const NpsSender::Options& sender_options = {},
+                     const cras::VolumeTestbedOptions& server_options = {})
+      : server_host(server_options),
+        client_host(server_host.engine(), crrt::Kernel::Options{}),
         ethernet(server_host.engine()),
         receiver(client_host),
         sender(server_host.kernel, server_host.cras_server, ethernet, receiver, sender_options) {
@@ -128,15 +169,16 @@ struct QtPlayRig {
   }
 };
 
-// Opens `movie` on the rig's server and starts its clock; returns the
-// session.
-cras::SessionId OpenAndStart(QtPlayRig& rig, const crmedia::MediaFile& movie) {
+// Opens `index` of file `inode` on the rig's server and starts its clock;
+// returns the session.
+cras::SessionId OpenAndStart(QtPlayRig& rig, crufs::InodeNumber inode,
+                             const crmedia::ChunkIndex& index) {
   cras::SessionId session = cras::kInvalidSession;
   crsim::Task opener = rig.server_host.kernel.Spawn(
       "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
         cras::OpenParams params;
-        params.inode = movie.inode;
-        params.index = movie.index;
+        params.inode = inode;
+        params.index = index;
         auto opened = co_await rig.server_host.cras_server.Open(std::move(params));
         CRAS_CHECK(opened.ok());
         session = *opened;
@@ -146,6 +188,10 @@ cras::SessionId OpenAndStart(QtPlayRig& rig, const crmedia::MediaFile& movie) {
   rig.server_host.engine().RunFor(Milliseconds(50));
   CRAS_CHECK(session != cras::kInvalidSession);
   return session;
+}
+
+cras::SessionId OpenAndStart(QtPlayRig& rig, const crmedia::MediaFile& movie) {
+  return OpenAndStart(rig, movie.inode, movie.index);
 }
 
 TEST(Nps, StreamsAMovieAcrossTheLink) {
@@ -197,22 +243,225 @@ TEST(Nps, SenderExitsWhenItsSessionCloses) {
   ASSERT_TRUE(movie.ok());
   const cras::SessionId session = OpenAndStart(rig, *movie);
   crsim::Task sender_task = rig.sender.Start(session, &movie->index);
-  rig.server_host.engine().RunFor(Seconds(2));
+  crsim::Engine& engine = rig.server_host.engine();
+  cras::CrasServer& server = rig.server_host.cras_server;
+  engine.RunFor(Seconds(2));
   ASSERT_FALSE(sender_task.done());
 
-  crsim::Task closer = rig.server_host.kernel.Spawn(
-      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
-        EXPECT_TRUE((co_await rig.server_host.cras_server.Close(session)).ok());
-      });
-  rig.server_host.engine().RunFor(Milliseconds(100));
-  // The sender noticed on its next wake and returned, instead of polling a
-  // clock that no longer exists for the rest of the run.
-  EXPECT_TRUE(sender_task.done());
+  // Close while the sender is parked on a miss: stop at its next one.
+  const cras::TimeDrivenBufferStats* buffer = server.GetBufferStats(session);
+  ASSERT_NE(buffer, nullptr);
+  const std::int64_t misses = buffer->get_misses;
+  while (buffer->get_misses == misses) {
+    ASSERT_TRUE(engine.Step());
+  }
   const std::int64_t sent = rig.sender.stats().chunks_sent;
+  crbase::Time closed_at = -1;
+  crsim::Task closer = rig.server_host.kernel.Spawn(
+      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext& ctx) -> crsim::Task {
+        EXPECT_TRUE((co_await server.Close(session)).ok());
+        closed_at = ctx.Now();
+      });
+  while (closed_at < 0) {
+    ASSERT_TRUE(engine.Step());
+  }
+  ASSERT_EQ(rig.sender.stats().chunks_sent, sent) << "the sender woke before the close";
+  // The close woke the sender on its next tick and it returned, instead of
+  // sleeping on towards the chunk's deadline or polling a clock that no
+  // longer exists.
+  engine.RunUntil(closed_at + NpsSender::Options{}.poll);
+  EXPECT_TRUE(sender_task.done());
   EXPECT_GT(sent, 0);
   EXPECT_LT(sent, static_cast<std::int64_t>(movie->index.count()));
-  rig.server_host.engine().RunFor(Seconds(2));
+  engine.RunFor(Seconds(2));
   EXPECT_EQ(rig.sender.stats().chunks_sent, sent);
+}
+
+TEST(Nps, SenderMissesAtMostOncePerPublishedWindow) {
+  QtPlayRig rig;
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  const cras::SessionId session = OpenAndStart(rig, *movie);
+  crsim::Task sender_task = rig.sender.Start(session, &movie->index);
+  crsim::Engine& engine = rig.server_host.engine();
+  cras::CrasServer& server = rig.server_host.cras_server;
+  std::int64_t published = server.GetSessionStats(session)->chunks_published;
+  std::int64_t publishes = 0;
+  while (!sender_task.done() && engine.Step()) {
+    const std::int64_t now_published = server.GetSessionStats(session)->chunks_published;
+    if (now_published != published) {
+      published = now_published;
+      ++publishes;
+    }
+  }
+  EXPECT_EQ(rig.sender.stats().chunks_sent, static_cast<std::int64_t>(movie->index.count()));
+  EXPECT_EQ(rig.sender.stats().chunks_skipped, 0);
+  const cras::TimeDrivenBufferStats* buffer = server.GetBufferStats(session);
+  ASSERT_NE(buffer, nullptr);
+  // Some windows are published less than the 250 ms lookahead before they
+  // play, so the sender asks for their first chunk early. It then waits for
+  // the publish instead of asking again on every 5 ms tick.
+  EXPECT_GT(buffer->get_misses, 0);
+  EXPECT_LE(buffer->get_misses, publishes);
+}
+
+// The waits a sender parked on a miss went through.
+struct ParkedWaits {
+  int waits = 0;
+  int ties = 0;  // waits whose publish fell exactly on one of the sender's ticks
+};
+
+// Runs `session`'s sender to its end, checking that each chunk it parked on
+// reached it on the tick a loop of one-poll sleeps would have got it: the
+// first tick after the first publish that followed the miss. A tick at
+// exactly the publish counts as before it (DESIGN §5.9), because the loop
+// queued that wake a poll earlier, ahead of the scheduler's events.
+void FollowParkedWaits(QtPlayRig& rig, cras::SessionId session, const crsim::Task& sender_task,
+                       ParkedWaits* out) {
+  crsim::Engine& engine = rig.server_host.engine();
+  cras::CrasServer& server = rig.server_host.cras_server;
+  const crbase::Duration poll = NpsSender::Options{}.poll;
+  const cras::TimeDrivenBufferStats* buffer = server.GetBufferStats(session);
+  ASSERT_NE(buffer, nullptr);
+  std::int64_t misses = buffer->get_misses;
+  std::int64_t hits = buffer->get_hits;
+  std::int64_t published = server.GetSessionStats(session)->chunks_published;
+  crbase::Time missed_at = -1;     // the miss the sender is parked on
+  crbase::Time published_at = -1;  // the first publish after it
+  while (!sender_task.done() && engine.Step()) {
+    const crbase::Time now = engine.Now();
+    if (server.GetSessionStats(session)->chunks_published != published) {
+      published = server.GetSessionStats(session)->chunks_published;
+      if (missed_at >= 0 && published_at < 0) {
+        published_at = now;
+      }
+    }
+    if (buffer->get_misses != misses) {
+      misses = buffer->get_misses;
+      missed_at = now;
+      published_at = -1;
+    }
+    if (buffer->get_hits != hits) {
+      hits = buffer->get_hits;
+      if (missed_at >= 0) {
+        ASSERT_GE(published_at, 0);
+        crbase::Time tick = missed_at + poll;
+        while (tick <= published_at) {
+          tick += poll;
+        }
+        EXPECT_EQ(now, tick) << "wait " << out->waits;
+        if ((published_at - missed_at) % poll == 0) {
+          ++out->ties;
+        }
+        missed_at = -1;
+        ++out->waits;
+      }
+    }
+  }
+}
+
+TEST(Nps, ParkedSenderShipsOnThePollLoopsTick) {
+  QtPlayRig rig;
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  const cras::SessionId session = OpenAndStart(rig, *movie);
+  crsim::Task sender_task = rig.sender.Start(session, &movie->index);
+  ParkedWaits parked;
+  FollowParkedWaits(rig, session, sender_task, &parked);
+  EXPECT_GT(parked.waits, 3);
+  EXPECT_EQ(rig.sender.stats().chunks_sent, static_cast<std::int64_t>(movie->index.count()));
+}
+
+TEST(Nps, PublishOnAParkedSendersTickWakesItOnePollLater) {
+  // With no CPU charged per chunk the sender stays on the 5 ms grid it
+  // starts on. The scheduler publishes cpu_per_interval after each
+  // interval boundary, so starting the sender that far past a grid point
+  // puts the publishes on its ticks.
+  NpsSender::Options options;
+  options.cpu_per_chunk = 0;
+  QtPlayRig rig(options);
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  const cras::SessionId session = OpenAndStart(rig, *movie);
+  crsim::Engine& engine = rig.server_host.engine();
+  engine.RunUntil((engine.Now() / options.poll + 1) * options.poll +
+                  cras::CrasServer::Options{}.cpu_per_interval);
+  crsim::Task sender_task = rig.sender.Start(session, &movie->index);
+  ParkedWaits parked;
+  FollowParkedWaits(rig, session, sender_task, &parked);
+  EXPECT_GT(parked.ties, 0);
+  EXPECT_EQ(parked.ties, parked.waits);
+  EXPECT_EQ(rig.sender.stats().chunks_sent, static_cast<std::int64_t>(movie->index.count()));
+}
+
+TEST(Nps, ChunkPastItsDeadlineIsSkippedOnThePollLoopsTick) {
+  // The server's session ends at 3 s of a 4 s movie, so the sender's last
+  // chunks are never published: each parks the sender until its deadline
+  // passes.
+  cras::VolumeTestbedOptions server_options;
+  server_options.obs.frames.enabled = true;
+  QtPlayRig rig({}, server_options);
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(4));
+  ASSERT_TRUE(movie.ok());
+  std::vector<crmedia::Chunk> head;
+  for (const crmedia::Chunk& chunk : movie->index.chunks()) {
+    if (chunk.timestamp < Seconds(3)) {
+      head.push_back(chunk);
+    }
+  }
+  const auto served = static_cast<std::int64_t>(head.size());
+  const cras::SessionId session =
+      OpenAndStart(rig, movie->inode, crmedia::ChunkIndex(std::move(head)));
+  crsim::Task sender_task = rig.sender.Start(session, &movie->index);
+  crsim::Engine& engine = rig.server_host.engine();
+  cras::CrasServer& server = rig.server_host.cras_server;
+  const crbase::Duration poll = NpsSender::Options{}.poll;
+  const cras::LogicalClock* clock = server.SessionClock(session);
+  const cras::TimeDrivenBufferStats* buffer = server.GetBufferStats(session);
+  ASSERT_NE(clock, nullptr);
+  ASSERT_NE(buffer, nullptr);
+  std::int64_t misses = buffer->get_misses;
+  std::int64_t sent = 0;
+  std::int64_t skipped = 0;
+  crbase::Time missed_at = -1;  // the first miss of the chunk being waited on
+  while (!sender_task.done() && engine.Step()) {
+    if (buffer->get_misses != misses) {
+      misses = buffer->get_misses;
+      if (missed_at < 0) {
+        missed_at = engine.Now();
+      }
+    }
+    if (rig.sender.stats().chunks_sent != sent) {
+      sent = rig.sender.stats().chunks_sent;
+      missed_at = -1;
+    }
+    if (rig.sender.stats().chunks_skipped != skipped) {
+      // The reference: a loop that checks the deadline on every tick after
+      // the first miss skips on the first tick past it.
+      const crbase::Time deadline =
+          ChunkDeadline(movie->index.at(static_cast<std::size_t>(served + skipped)));
+      ++skipped;
+      ASSERT_GE(missed_at, 0);
+      crbase::Time tick = missed_at + poll;
+      while (clock->At(tick) <= deadline) {
+        tick += poll;
+      }
+      EXPECT_EQ(engine.Now(), tick) << "skip " << skipped;
+      // The next chunk's send time passed long ago, so the sender asked for
+      // it (and missed) at once.
+      missed_at = engine.Now();
+    }
+  }
+  EXPECT_EQ(sent, served);
+  EXPECT_EQ(skipped, static_cast<std::int64_t>(movie->index.count()) - served);
+  EXPECT_GT(skipped, 0);
+  // The first skipped frame is charged to the send it never made.
+  const crobs::SessionTrace* trace = server.FrameTrace(session);
+  ASSERT_NE(trace, nullptr);
+  const crobs::FrameRecord* record = trace->Find(served);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->outcome, crobs::FrameOutcome::kMissed);
+  EXPECT_EQ(record->miss_stage, crobs::FrameStage::kSent);
 }
 
 TEST(Nps, SenderResumesWithinOnePollOfARestart) {
