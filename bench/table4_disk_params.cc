@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
 
   // --- B_other: largest non-real-time request the system produces ----------
   // The Unix server's clustered reads are the biggest other traffic.
-  const crufs::UnixServer::Options unix_defaults;
-  const std::int64_t b_other = unix_defaults.cluster_blocks * crufs::kBlockSize;
+  const std::int64_t b_other = crufs::kClusterBlocks * crufs::kBlockSize;
 
   crstats::PrintBanner("Table 4: measured disk parameters (paper vs this model)");
   crstats::Table table({"parameter", "paper", "measured"});

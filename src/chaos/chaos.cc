@@ -16,6 +16,22 @@ namespace crchaos {
 
 namespace {
 
+// Concurrently active *infrastructure* failures (disk windows + a link
+// window + a control window). Client crashes are a load change, not an
+// infrastructure failure, and do not occupy a slot.
+constexpr int kMaxConcurrent = 2;
+static_assert(kMaxConcurrent >= 1);
+// Spacing between consecutive fault instants.
+constexpr crbase::Duration kMinGap = crbase::Milliseconds(250);
+constexpr crbase::Duration kMaxGap = crbase::Milliseconds(1500);
+static_assert(kMinGap > 0);
+static_assert(kMaxGap >= kMinGap);
+// The shortest window of a windowed fault (its recovery event lands inside
+// it; kMaxWindow in chaos.h is the longest).
+constexpr crbase::Duration kMinWindow = crbase::Seconds(2);
+static_assert(kMinWindow > 0);
+static_assert(kMaxWindow >= kMinWindow);
+
 // Kinds the generator can spend budget on; recoveries are free.
 enum class Pick {
   kFailStop,
@@ -51,19 +67,13 @@ double CostOf(Pick pick) {
 
 crfault::FaultPlan GenerateChaosSchedule(const ChaosConfig& config) {
   CRAS_CHECK(config.disks >= 1);
-  CRAS_CHECK(config.horizon > config.start);
-  CRAS_CHECK(config.max_concurrent >= 1);
-  CRAS_CHECK(config.min_gap > 0);
-  CRAS_CHECK(config.max_gap >= config.min_gap);
-  CRAS_CHECK(config.max_window >= config.min_window);
-  CRAS_CHECK(config.min_window > 0);
 
   // Offset the seed stream so chaos draws never collide with a workload
   // generator seeded with the same small integer.
   crbase::Rng rng(config.seed ^ 0xc8a05c8a05ULL);
   crfault::FaultPlan plan;
 
-  double points = config.intensity * crbase::ToSeconds(config.horizon - config.start);
+  double points = config.intensity * crbase::ToSeconds(kScheduleHorizon - kScheduleStart);
 
   // Per-disk unhealthy-until instant (0 = healthy), and whether the current
   // window is a fail-stop (the unrecoverable kind on a parity group).
@@ -77,18 +87,18 @@ crfault::FaultPlan GenerateChaosSchedule(const ChaosConfig& config) {
   int crashes = 0;
   // Keep at least one viewer alive to teardown.
   const int crash_budget =
-      std::min(config.max_client_crashes, std::max(0, config.clients - 1));
+      std::min(kMaxClientCrashes, std::max(0, config.clients - 1));
 
   const auto draw_window = [&]() -> crbase::Duration {
-    const crbase::Duration spread = config.max_window - config.min_window;
-    return config.min_window +
+    const crbase::Duration spread = kMaxWindow - kMinWindow;
+    return kMinWindow +
            (spread > 0 ? static_cast<crbase::Duration>(
                              rng.NextBelow(static_cast<std::uint64_t>(spread) + 1))
                        : 0);
   };
 
-  crbase::Time t = config.start;
-  while (points > 0 && t < config.horizon) {
+  crbase::Time t = kScheduleStart;
+  while (points > 0 && t < kScheduleHorizon) {
     int active = 0;
     bool any_unhealthy = false;
     std::vector<int> healthy;
@@ -108,7 +118,7 @@ crfault::FaultPlan GenerateChaosSchedule(const ChaosConfig& config) {
     }
 
     std::vector<Pick> candidates;
-    if (active < config.max_concurrent) {
+    if (active < kMaxConcurrent) {
       // Without allow_double_fault at most one disk is unhealthy at a time:
       // a parity group then never faces two failed members at once.
       const bool disk_ok =
@@ -118,13 +128,13 @@ crfault::FaultPlan GenerateChaosSchedule(const ChaosConfig& config) {
         candidates.push_back(Pick::kSlowDisk);
         candidates.push_back(Pick::kTransient);
       }
-      if (config.data_link_faults && data_until <= t) {
+      if (data_until <= t) {
         candidates.push_back(Pick::kLinkLoss);
         candidates.push_back(Pick::kLinkBurst);
         candidates.push_back(Pick::kLinkJitter);
         candidates.push_back(Pick::kLinkDerate);
       }
-      if (config.control_faults && control_until <= t) {
+      if (control_until <= t) {
         candidates.push_back(Pick::kControlDrop);
       }
     }
@@ -219,8 +229,8 @@ crfault::FaultPlan GenerateChaosSchedule(const ChaosConfig& config) {
       points -= CostOf(pick);
     }
 
-    const crbase::Duration spread = config.max_gap - config.min_gap;
-    t += config.min_gap +
+    const crbase::Duration spread = kMaxGap - kMinGap;
+    t += kMinGap +
          (spread > 0 ? static_cast<crbase::Duration>(
                            rng.NextBelow(static_cast<std::uint64_t>(spread) + 1))
                      : 0);
@@ -250,7 +260,6 @@ bool IsMissCause(crobs::FlightEventKind kind) {
     case crobs::FlightEventKind::kCachePairBroken:
     case crobs::FlightEventKind::kCacheFallback:
     case crobs::FlightEventKind::kGroupLeft:
-    case crobs::FlightEventKind::kRepairDecodeFailed:
       return true;
     default:
       return false;

@@ -48,25 +48,29 @@
 
 namespace crchaos {
 
-// Knobs for one generated campaign. Defaults describe a ~15-simulated-second
-// disturbance window against a 4-disk parity volume.
+// The schedule's bounds. Faults land in [kScheduleStart, kScheduleHorizon);
+// recoveries may extend past the horizon by at most kMaxWindow, the longest
+// window of a windowed fault. The warm-up before kScheduleStart lets
+// admission settle. The spacing between fault instants, the shortest window
+// and the cap of two concurrently active infrastructure failures (disk
+// windows, a link window, a control window) are constants in chaos.cc.
+inline constexpr crbase::Time kScheduleStart = crbase::Seconds(3);
+inline constexpr crbase::Time kScheduleHorizon = crbase::Seconds(18);
+static_assert(kScheduleHorizon > kScheduleStart);
+inline constexpr crbase::Duration kMaxWindow = crbase::Seconds(5);
+// At most this many client crashes fire, each against a distinct client
+// index, so some viewers always survive to teardown.
+inline constexpr int kMaxClientCrashes = 2;
+
+// Knobs for one generated campaign: a ~15-simulated-second disturbance
+// window against a 4-disk parity volume by default.
 struct ChaosConfig {
   std::uint64_t seed = 1;
-
-  // Faults land in [start, horizon); recoveries may extend past horizon by
-  // at most max_window. Leave warm-up before `start` so admission settles.
-  crbase::Time start = crbase::Seconds(3);
-  crbase::Time horizon = crbase::Seconds(18);
 
   // Intensity budget: the plan spends roughly intensity points per
   // simulated second of the window, each fault costing a kind-specific
   // weight (fail-stop is the most expensive). 1.0 is the default campaign.
   double intensity = 1.0;
-
-  // Concurrently-active *infrastructure* failures (disk windows + a link
-  // window + a control window). Client crashes are a load change, not an
-  // infrastructure failure, and do not occupy a slot.
-  int max_concurrent = 2;
 
   // When false (default), at most one disk is unhealthy at any instant, so
   // a parity group never sees an unrecoverable double fault. Shed-testing
@@ -75,21 +79,8 @@ struct ChaosConfig {
 
   int disks = 4;
 
-  // Crash-able viewer population; 0 disables client-crash faults. At most
-  // max_client_crashes fire, each against a distinct client index, so some
-  // viewers always survive to teardown.
+  // Crash-able viewer population; 0 disables client-crash faults.
   int clients = 0;
-  int max_client_crashes = 2;
-
-  bool data_link_faults = true;
-  bool control_faults = true;
-
-  // Spacing between consecutive fault instants, and the duration window of
-  // every windowed fault (its recovery event lands inside it).
-  crbase::Duration min_gap = crbase::Milliseconds(250);
-  crbase::Duration max_gap = crbase::Milliseconds(1500);
-  crbase::Duration min_window = crbase::Seconds(2);
-  crbase::Duration max_window = crbase::Seconds(5);
 };
 
 // Deterministically expands config.seed into a fault plan honoring the

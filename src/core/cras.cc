@@ -11,15 +11,28 @@ namespace cras {
 
 namespace {
 
+// The server's CPU charges on the paper's hardware (kCpuPerInterval is in
+// cras.h).
+constexpr crbase::Duration kCpuPerControlOp = crbase::Microseconds(300);
+constexpr crbase::Duration kCpuPerRequest = crbase::Microseconds(60);
+constexpr crbase::Duration kCpuPerCompletion = crbase::Microseconds(30);
+constexpr crbase::Duration kCpuPerPublish = crbase::Microseconds(5);
+// J: how long past its due time a chunk stays readable in a stream's buffer.
+constexpr crbase::Duration kJitterAllowance = crbase::Milliseconds(100);
+// A lease lapses after this many lease periods without a renewal.
+constexpr double kLeaseGrace = 1.5;
+// Fraction of a multicast feed's stream rate reserved for XOR repair
+// traffic. The feed session is admitted at rate * (1 + kRepairOverhead), so
+// the repair channel rides a reservation the budget ledger audits instead of
+// stealing slack from other admitted streams.
+constexpr double kRepairOverhead = 0.05;
+
 // Scales a duration by the session's rate factor.
 crbase::Duration ScaleDuration(crbase::Duration d, double factor) {
   return static_cast<crbase::Duration>(static_cast<double>(d) * factor);
 }
 
 }  // namespace
-
-CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs)
-    : CrasServer(kernel, volume, fs, Options{}) {}
 
 CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs,
                        const Options& options)
@@ -132,34 +145,34 @@ void CrasServer::Start() {
     return;
   }
   started_ = true;
-  threads_.push_back(kernel_->Spawn("cras-request-manager", options_.priority,
+  threads_.push_back(kernel_->Spawn("cras-request-manager", crrt::kPriorityServer,
                                     [this](crrt::ThreadContext& ctx) {
                                       return RequestManagerThread(ctx);
                                     }));
-  threads_.push_back(kernel_->Spawn("cras-request-scheduler", options_.priority + 2,
+  threads_.push_back(kernel_->Spawn("cras-request-scheduler", crrt::kPriorityServer + 2,
                                     [this](crrt::ThreadContext& ctx) {
                                       return RequestSchedulerThread(ctx);
                                     }));
-  threads_.push_back(kernel_->Spawn("cras-io-done-manager", options_.priority + 3,
+  threads_.push_back(kernel_->Spawn("cras-io-done-manager", crrt::kPriorityServer + 3,
                                     [this](crrt::ThreadContext& ctx) {
                                       return IoDoneManagerThread(ctx);
                                     }));
-  threads_.push_back(kernel_->Spawn("cras-deadline-manager", options_.priority + 4,
+  threads_.push_back(kernel_->Spawn("cras-deadline-manager", crrt::kPriorityServer + 4,
                                     [this](crrt::ThreadContext& ctx) {
                                       return DeadlineManagerThread(ctx);
                                     }));
-  threads_.push_back(kernel_->Spawn("cras-signal-handler", options_.priority + 1,
+  threads_.push_back(kernel_->Spawn("cras-signal-handler", crrt::kPriorityServer + 1,
                                     [this](crrt::ThreadContext& ctx) {
                                       return SignalHandlerThread(ctx);
                                     }));
   // Above every sibling: when a member dies, re-admission must beat the
   // scheduler to the next interval boundary so no infeasible I/O is issued.
-  threads_.push_back(kernel_->Spawn("cras-degradation-controller", options_.priority + 5,
+  threads_.push_back(kernel_->Spawn("cras-degradation-controller", crrt::kPriorityServer + 5,
                                     [this](crrt::ThreadContext& ctx) {
                                       return DegradationControllerThread(ctx);
                                     }));
   if (options_.lease_period > 0) {
-    threads_.push_back(kernel_->Spawn("cras-lease-reaper", options_.priority,
+    threads_.push_back(kernel_->Spawn("cras-lease-reaper", crrt::kPriorityServer,
                                       [this](crrt::ThreadContext& ctx) {
                                         return LeaseReaperThread(ctx);
                                       }));
@@ -176,7 +189,7 @@ crsim::Task CrasServer::RequestManagerThread(crrt::ThreadContext& ctx) {
     if (msg.kind == ControlMsg::kShutdown) {
       break;
     }
-    co_await ctx.Compute(options_.cpu_per_control_op);
+    co_await ctx.Compute(kCpuPerControlOp);
     crbase::Result<SessionId> result = kInvalidSession;
     // A status-only request answers with its session id on success.
     const auto reply = [&msg](const crbase::Status& st) {
@@ -229,13 +242,13 @@ crsim::Task CrasServer::RequestSchedulerThread(crrt::ThreadContext& ctx) {
     if (obs_ != nullptr) {
       obs_->hub->trace().Begin(obs_->track, obs_->n_interval);
     }
-    co_await ctx.Compute(options_.cpu_per_interval);
+    co_await ctx.Compute(kCpuPerInterval);
 
     // Phase 1: publish everything retrieved during the previous interval
     // into the time-driven shared buffers.
     const std::int64_t published = PublishCompletedBatches();
     if (published > 0) {
-      co_await ctx.Compute(options_.cpu_per_publish * published);
+      co_await ctx.Compute(kCpuPerPublish * published);
     }
 
     // Phase 2: issue all reads (and staged writes) the next interval needs.
@@ -271,7 +284,7 @@ crsim::Task CrasServer::RequestSchedulerThread(crrt::ThreadContext& ctx) {
     const crbase::Time deadline = timer.BoundaryOf(tick.index + 1);
     const std::int64_t requests = IssueIntervalIo(slot, deadline);
     if (requests > 0) {
-      co_await ctx.Compute(options_.cpu_per_request * requests);
+      co_await ctx.Compute(kCpuPerRequest * requests);
     }
     if (obs_ != nullptr) {
       obs_->hub->trace().End(obs_->track, obs_->n_interval);
@@ -285,7 +298,7 @@ crsim::Task CrasServer::IoDoneManagerThread(crrt::ThreadContext& ctx) {
     if (msg.batch_id == 0) {
       break;  // shutdown sentinel
     }
-    co_await ctx.Compute(options_.cpu_per_completion);
+    co_await ctx.Compute(kCpuPerCompletion);
     auto it = inflight_.find(msg.batch_id);
     if (it == inflight_.end()) {
       continue;  // batch of a session closed mid-flight
@@ -371,7 +384,7 @@ crsim::Task CrasServer::DeadlineManagerThread(crrt::ThreadContext& ctx) {
     if (miss.period_index < 0) {
       break;  // shutdown sentinel
     }
-    co_await ctx.Compute(options_.cpu_per_completion);
+    co_await ctx.Compute(kCpuPerCompletion);
     // The paper's recovery action: notify a warning and continue.
     Count(stats_.deadline_misses, &ObsState::deadline_misses);
     CRAS_LOG(kWarning) << "CRAS deadline miss: interval " << miss.period_index << " overran by "
@@ -396,7 +409,7 @@ crsim::Task CrasServer::DegradationControllerThread(crrt::ThreadContext& ctx) {
     if (change.disk < 0) {
       break;  // shutdown sentinel
     }
-    co_await ctx.Compute(options_.cpu_per_control_op);
+    co_await ctx.Compute(kCpuPerControlOp);
     ApplyMemberChange(change);
   }
 }
@@ -411,7 +424,7 @@ crsim::Task CrasServer::LeaseReaperThread(crrt::ThreadContext& ctx) {
     if (shutdown_) {
       break;
     }
-    co_await ctx.Compute(options_.cpu_per_control_op);
+    co_await ctx.Compute(kCpuPerControlOp);
     ReapExpired();
   }
 }
@@ -448,7 +461,7 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   // Delivery-group placement: a grouped read joins (or founds) the title's
   // group before its own admission, so it can be charged as a memory-only
   // member. Founding a group opens the server-owned feed session first —
-  // the group's one disk stream, admitted at rate * (1 + repair_overhead)
+  // the group's one disk stream, admitted at rate * (1 + kRepairOverhead)
   // so the XOR repair channel rides an audited reservation.
   crmcast::JoinPlan group_plan;
   bool founded_group = false;
@@ -465,7 +478,7 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
       feed_params.inode = params.inode;
       feed_params.index = params.index;
       feed_params.declared_rate =
-          demand.rate_bytes_per_sec * (1.0 + options_.mcast.repair_overhead);
+          demand.rate_bytes_per_sec * (1.0 + kRepairOverhead);
       feed_params.kind = SessionKind::kRead;
       crbase::Result<SessionId> feed =
           HandleOpen(std::move(feed_params), /*internal_feed=*/true);
@@ -534,7 +547,7 @@ CrasServer::Session& CrasServer::AddSession(Session session, const StreamDemand&
                                             bool memory_only,
                                             const crcache::OpenDecision& cache_plan) {
   const std::int64_t buffer_bytes = admission_.Commit(session.id, demand, memory_only);
-  session.buffer = std::make_unique<TimeDrivenBuffer>(buffer_bytes, options_.jitter_allowance);
+  session.buffer = std::make_unique<TimeDrivenBuffer>(buffer_bytes, kJitterAllowance);
   session.clock = std::make_unique<LogicalClock>(kernel_->engine());
   session.clock->SetRate(session.rate_factor);
   session.lease_renewed_at = kernel_->Now();
@@ -846,7 +859,7 @@ void CrasServer::RenewLease(SessionId id) {
 void CrasServer::ReapExpired() {
   const crbase::Time now = kernel_->Now();
   const auto deadline = static_cast<crbase::Duration>(
-      options_.lease_grace * static_cast<double>(options_.lease_period));
+      kLeaseGrace * static_cast<double>(options_.lease_period));
   std::vector<SessionId> expired;
   for (const auto& [id, session] : sessions_) {
     if (session.feed) {

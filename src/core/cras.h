@@ -90,6 +90,11 @@
 
 namespace cras {
 
+// CPU the request scheduler spends at each interval boundary, modelling the
+// server on the paper's hardware. The server's other CPU charges are
+// constants in cras.cc.
+inline constexpr crbase::Duration kCpuPerInterval = crbase::Microseconds(200);
+
 enum class SessionKind {
   kRead,   // constant-rate retrieval (the paper's only mode)
   kWrite,  // constant-rate recording (the paper's §4 extension)
@@ -154,20 +159,11 @@ class CrasServer {
     // Wired-buffer budget for all time-driven buffers (B_total bound). The
     // paper's server wires ~250 KB of code/state plus the buffer space.
     std::int64_t memory_budget_bytes = 12 * crbase::kMiB;
-    crbase::Duration jitter_allowance = crbase::Milliseconds(100);
     DiskParams disk_params;
-    // CPU charges, modelling the server's execution on the paper's hardware.
-    crbase::Duration cpu_per_control_op = crbase::Microseconds(300);
-    crbase::Duration cpu_per_interval = crbase::Microseconds(200);
-    crbase::Duration cpu_per_request = crbase::Microseconds(60);
-    crbase::Duration cpu_per_completion = crbase::Microseconds(30);
-    crbase::Duration cpu_per_publish = crbase::Microseconds(5);
-    int priority = crrt::kPriorityServer;
     // Session-lease period (0 = leases disabled, the classic trusting
-    // server). A client must renew within lease_grace periods or its
-    // session is reaped: closed, buffer reclaimed, admission released.
+    // server). A client must renew within 1.5 periods or its session is
+    // reaped: closed, buffer reclaimed, admission released.
     crbase::Duration lease_period = 0;
-    double lease_grace = 1.5;
     // Reaped sessions whose resume state is kept for Reconnect(); oldest
     // evicted beyond this bound.
     std::size_t reaped_history = 16;
@@ -182,9 +178,9 @@ class CrasServer {
     crcache::CacheOptions cache;
     // Multicast delivery groups (src/mcast). With mcast.enabled, grouped
     // opens of one title share a single server-owned disk feed session
-    // (admitted at the stream rate times 1 + repair_overhead); the members
-    // are charged memory only, like cache-served streams. Late joiners
-    // bridge from the pinned prefix when the cache is also enabled.
+    // (admitted at 1.05 times the stream rate, the extra for XOR repair);
+    // the members are charged memory only, like cache-served streams. Late
+    // joiners bridge from the pinned prefix when the cache is also enabled.
     crmcast::McastOptions mcast;
     // Observability hub (nullable). When set, the server instruments the
     // whole stack: the volume's member disks and drivers, the admission
@@ -199,7 +195,6 @@ class CrasServer {
   // member disk; admission runs per disk. The server subscribes its own
   // member-state listener (degradation controller), so several servers may
   // share one volume.
-  CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs);
   CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& fs,
              const Options& options);
   CrasServer(const CrasServer&) = delete;

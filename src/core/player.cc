@@ -7,6 +7,21 @@
 
 namespace cras {
 
+namespace {
+
+// Polling grain while waiting for late data, and the give-up horizon. The
+// give-up must not exceed the server's jitter allowance J: a frame later
+// than J is discarded by the time-driven rule anyway, and a player that
+// keeps waiting for it slips so far that every subsequent chunk has aged out
+// before it asks (an unrecoverable spiral). Give up, count the miss, and
+// stay on schedule — which is what crs_get semantics imply.
+constexpr crbase::Duration kPoll = crbase::Milliseconds(2);
+constexpr crbase::Duration kGiveUp = crbase::Milliseconds(100);
+// CPU charged per rendered frame (decode/display stand-in).
+constexpr crbase::Duration kCpuPerFrame = crbase::Microseconds(200);
+
+}  // namespace
+
 crbase::Duration PlayerStats::max_delay() const {
   crbase::Duration worst = 0;
   for (const FrameRecord& f : frames) {
@@ -40,7 +55,7 @@ crsim::Task SpawnCrasPlayer(crrt::Kernel& kernel, CrasServer& server,
                             const crmedia::MediaFile& file, const PlayerOptions& options,
                             PlayerStats* stats) {
   return kernel.Spawn(
-      "player-" + file.name, options.priority,
+      "player-" + file.name, crrt::kPriorityClient,
       [&server, &file, options, stats](crrt::ThreadContext& ctx) -> crsim::Task {
         if (options.start_delay > 0) {
           co_await ctx.Sleep(options.start_delay);
@@ -76,11 +91,11 @@ crsim::Task SpawnCrasPlayer(crrt::Kernel& kernel, CrasServer& server,
           // The application must get the CPU before it can fetch the frame:
           // under contention this wait is part of the measured delay (the
           // paper's Figure 10 effect).
-          co_await ctx.Compute(options.cpu_per_frame);
+          co_await ctx.Compute(kCpuPerFrame);
           // crs_get touches only the shared buffer; poll until the frame
           // lands or the give-up horizon passes.
           bool got = false;
-          while (ctx.Now() - due_at < options.give_up) {
+          while (ctx.Now() - due_at < kGiveUp) {
             if (server.WasShed(id)) {
               // The degradation controller closed the session; the stream is
               // over, not late.
@@ -103,7 +118,7 @@ crsim::Task SpawnCrasPlayer(crrt::Kernel& kernel, CrasServer& server,
               got = true;
               break;
             }
-            co_await ctx.Sleep(options.poll);
+            co_await ctx.Sleep(kPoll);
           }
           if (!got) {
             if (server.WasShed(id)) {
@@ -126,7 +141,7 @@ crsim::Task SpawnUfsPlayer(crrt::Kernel& kernel, crufs::UnixServer& server,
                            const crmedia::MediaFile& file, const PlayerOptions& options,
                            PlayerStats* stats) {
   return kernel.Spawn(
-      "ufs-player-" + file.name, options.priority,
+      "ufs-player-" + file.name, crrt::kPriorityClient,
       [&server, &file, options, stats](crrt::ThreadContext& ctx) -> crsim::Task {
         if (options.start_delay > 0) {
           co_await ctx.Sleep(options.start_delay);
@@ -143,7 +158,7 @@ crsim::Task SpawnUfsPlayer(crrt::Kernel& kernel, crufs::UnixServer& server,
           if (due_at > ctx.Now()) {
             co_await ctx.Sleep(due_at - ctx.Now());
           }
-          co_await ctx.Compute(options.cpu_per_frame);
+          co_await ctx.Compute(kCpuPerFrame);
           crbase::Status st = co_await server.Read(file.inode, chunk.offset, chunk.size);
           if (!st.ok()) {
             ++stats->frames_missed;

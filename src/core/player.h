@@ -9,6 +9,10 @@
 //  * CrasPlayer — crs_open / crs_start / crs_get against a CRAS server;
 //  * UfsPlayer  — read() against the Unix server at the frame schedule (the
 //    baseline with no rate guarantee).
+//
+// Both charge 200 µs of client CPU per frame. The CRAS player polls a late
+// frame every 2 ms and gives up after 100 ms, the server's jitter allowance
+// (constants in player.cc).
 
 #ifndef SRC_CORE_PLAYER_H_
 #define SRC_CORE_PLAYER_H_
@@ -64,17 +68,6 @@ struct PlayerOptions {
   // Consumption rate divisor for dynamic-QoS experiments: 3 plays every 3rd
   // frame (10 fps from a 30 fps stream), as in §2.4's example.
   std::int64_t frame_step = 1;
-  // Polling grain while waiting for late data, and the give-up horizon.
-  // The give-up must not exceed the server's jitter allowance J: a frame
-  // later than J is discarded by the time-driven rule anyway, and a player
-  // that keeps waiting for it slips so far that every subsequent chunk has
-  // aged out before it asks (an unrecoverable spiral). Give up, count the
-  // miss, and stay on schedule — which is what crs_get semantics imply.
-  crbase::Duration poll = crbase::Milliseconds(2);
-  crbase::Duration give_up = crbase::Milliseconds(100);
-  // CPU charged per rendered frame (decode/display stand-in).
-  crbase::Duration cpu_per_frame = crbase::Microseconds(200);
-  int priority = crrt::kPriorityClient;
 };
 
 // Spawns a player against a CRAS server. `stats` must outlive the task.

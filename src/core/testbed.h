@@ -4,7 +4,9 @@
 // rig; options.volume widens it to a striped or parity array.
 //
 // Used by integration tests, benches, and examples so every experiment runs
-// on an identical rig.
+// on an identical rig. The file system spans the volume's logical space, and
+// the Unix server runs the paper's configuration (a 4 MiB buffer cache,
+// 64 KiB clustered reads); neither takes options here.
 
 #ifndef SRC_CORE_TESTBED_H_
 #define SRC_CORE_TESTBED_H_
@@ -22,8 +24,6 @@ namespace cras {
 struct VolumeTestbedOptions {
   crrt::Kernel::Options kernel;
   crvol::VolumeOptions volume;
-  crufs::Ufs::Options ufs;
-  crufs::UnixServer::Options unix_server;
   CrasServer::Options cras;
   // Hub configuration (tracing off by default; metrics always on — the
   // registry only holds what attached components register).
@@ -45,8 +45,8 @@ class VolumeTestbed {
         hub(kernel.engine(), options.obs),
         volume_owner(crvol::MakeVolume(kernel.engine(), options.volume)),
         volume(*volume_owner),
-        fs(UfsOptionsFor(volume, options.ufs)),
-        unix_server(kernel, volume, fs, options.unix_server),
+        fs(UfsOptionsFor(volume)),
+        unix_server(kernel, volume, fs),
         cras_server(kernel, volume, fs,
                     WithObs(options.cras, options.attach_obs ? &hub : nullptr)) {}
 
@@ -75,8 +75,8 @@ class VolumeTestbed {
     return cras;
   }
 
-  static crufs::Ufs::Options UfsOptionsFor(const crvol::Volume& volume,
-                                           crufs::Ufs::Options ufs) {
+  static crufs::Ufs::Options UfsOptionsFor(const crvol::Volume& volume) {
+    crufs::Ufs::Options ufs;
     ufs.geometry = volume.geometry();
     ufs.total_sectors = volume.total_sectors();
     if (volume.data_disks() > 1) {

@@ -262,9 +262,6 @@ crbase::Result<FaultEvent> FaultPlan::ParseSpec(const std::string& spec) {
 FaultInjector::FaultInjector(crsim::Engine& engine, crvol::Volume& volume, FaultPlan plan)
     : FaultInjector(engine, &volume, nullptr, std::move(plan)) {}
 
-FaultInjector::FaultInjector(crsim::Engine& engine, crnet::Link& link, FaultPlan plan)
-    : FaultInjector(engine, nullptr, &link, std::move(plan)) {}
-
 FaultInjector::FaultInjector(crsim::Engine& engine, crvol::Volume* volume, crnet::Link* link,
                              FaultPlan plan)
     : FaultInjector(engine, volume,

@@ -176,7 +176,6 @@ class FaultPlan {
 class FaultInjector {
  public:
   FaultInjector(crsim::Engine& engine, crvol::Volume& volume, FaultPlan plan);
-  FaultInjector(crsim::Engine& engine, crnet::Link& link, FaultPlan plan);
   FaultInjector(crsim::Engine& engine, crvol::Volume* volume, crnet::Link* link,
                 FaultPlan plan);
   FaultInjector(crsim::Engine& engine, crvol::Volume* volume,

@@ -170,24 +170,9 @@ SessionId GroupManager::FeedOf(GroupId group) const {
   return it == groups_.end() ? kNoSession : it->second.feed;
 }
 
-TitleId GroupManager::TitleOf(GroupId group) const {
-  auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.title;
-}
-
 std::int64_t GroupManager::MergeChunkOf(SessionId member) const {
   auto it = member_merge_.find(member);
   return it == member_merge_.end() ? 0 : it->second;
-}
-
-std::vector<SessionId> GroupManager::Members(GroupId group) const {
-  auto it = groups_.find(group);
-  return it == groups_.end() ? std::vector<SessionId>{} : it->second.members;
-}
-
-std::size_t GroupManager::MemberCount(GroupId group) const {
-  auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.members.size();
 }
 
 void GroupManager::NoteShipCursor(GroupId group, std::int64_t next_chunk) {
@@ -195,11 +180,6 @@ void GroupManager::NoteShipCursor(GroupId group, std::int64_t next_chunk) {
   if (it != groups_.end()) {
     it->second.ship_cursor = std::max(it->second.ship_cursor, next_chunk);
   }
-}
-
-std::int64_t GroupManager::ShipCursor(GroupId group) const {
-  auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.ship_cursor;
 }
 
 }  // namespace crmcast

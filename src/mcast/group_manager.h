@@ -8,6 +8,8 @@
 // admission-charged like cache-served streams: their buffer memory is real,
 // their disk time is not, and the shared fallback reserve covers the
 // transition window when a member is demoted back to unicast disk service.
+// The feed itself is admitted at 1.05 times the stream rate, the margin
+// reserved for XOR repair traffic (kRepairOverhead in src/core/cras.cc).
 //
 // Joining is position-aware. A group that has not shipped anything yet
 // accepts any newcomer (the classic batching window before the first viewer
@@ -51,11 +53,6 @@ struct McastOptions {
   // joiner's merge point, covering fragments already past the cursor but
   // still in flight.
   std::int64_t merge_margin_chunks = 2;
-  // Fraction of the feed's stream rate reserved for XOR repair traffic.
-  // The feed session is admitted at rate * (1 + repair_overhead), so the
-  // repair channel rides a reservation the budget ledger audits instead of
-  // stealing slack from other admitted streams.
-  double repair_overhead = 0.05;
 };
 
 // Outcome of PlanJoin / the feed-creation path in CrasServer::HandleOpen.
@@ -106,16 +103,12 @@ class GroupManager {
   GroupId GroupOf(SessionId member) const;
   bool IsFeed(SessionId session) const { return feed_group_.count(session) != 0; }
   SessionId FeedOf(GroupId group) const;
-  TitleId TitleOf(GroupId group) const;
   std::int64_t MergeChunkOf(SessionId member) const;
-  std::vector<SessionId> Members(GroupId group) const;
-  std::size_t MemberCount(GroupId group) const;
   bool Alive(GroupId group) const { return groups_.count(group) != 0; }
 
   // The transport reports how far the feed has multicast; PlanJoin uses the
   // cursor to place merge points for late joiners.
   void NoteShipCursor(GroupId group, std::int64_t next_chunk);
-  std::int64_t ShipCursor(GroupId group) const;
 
   std::size_t group_count() const { return groups_.size(); }
   const GroupManagerStats& stats() const { return stats_; }

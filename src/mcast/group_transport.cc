@@ -9,21 +9,52 @@
 
 namespace crmcast {
 
+namespace {
+
+// Receiver: the reassembly buffer, and the cadence of the loss-bitmap report
+// thread (also the deadline sweep).
+constexpr std::int64_t kReceiverBufferBytes = 4 << 20;
+constexpr crbase::Duration kReportInterval = crbase::Milliseconds(25);
+static_assert(kReportInterval > 0);
+// A gap younger than this is assumed reordering, not loss.
+constexpr crbase::Duration kReorderGrace = crbase::Milliseconds(10);
+constexpr std::int64_t kReportBytes = 96;  // wire size of one loss report
+constexpr crbase::Duration kJitterAllowance = crbase::Milliseconds(100);
+
+// Sender: how far ahead of the feed's clock chunks ship, the CPU each costs,
+// the thread's priority (below CRAS, above clients) and the cadence of its
+// loop.
+constexpr crbase::Duration kLookahead = crbase::Milliseconds(250);
+constexpr crbase::Duration kCpuPerChunk = crbase::Microseconds(150);
+constexpr int kSenderPriority = crrt::kPriorityServer - 1;
+constexpr crbase::Duration kPoll = crbase::Milliseconds(5);
+// Cadence of the coded-repair pass over accumulated loss reports.
+constexpr crbase::Duration kRepairInterval = crbase::Milliseconds(30);
+constexpr std::int64_t kRepairPacketOverhead = 96;  // header bytes atop the parity
+// Cap on fragments XOR-ed into one parity packet.
+constexpr std::size_t kMaxWindowEntries = 16;
+static_assert(kMaxWindowEntries > 0);
+// Extra linger after every member's clock has passed the final chunk's
+// deadline, so reports and repairs already on the wire still land. The wait
+// for the slowest member is clock-driven, not part of this linger.
+constexpr crbase::Duration kDrain = crbase::Seconds(1);
+// Receiver playout clocks trail their session clocks by the client's chosen
+// startup lag, which the server cannot observe. Deadline checks on the
+// session clock (store pruning, the demote rule, bridge retransmits) extend
+// the chunk's life by this much so a repair the receiver can still use is
+// not refused as already-dead.
+constexpr crbase::Duration kPlayoutSlack = crbase::Milliseconds(500);
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // GroupReceiver
 // ---------------------------------------------------------------------------
 
-GroupReceiver::GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index,
-                             const Options& options)
-    : ReliableReceiver(kernel, options.buffer_bytes, options.jitter_allowance),
-      index_(index),
-      options_(options) {
-  CRAS_CHECK(index_ != nullptr);
-  CRAS_CHECK(options_.report_interval > 0);
-}
-
 GroupReceiver::GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index)
-    : GroupReceiver(kernel, index, Options{}) {}
+    : ReliableReceiver(kernel, kReceiverBufferBytes, kJitterAllowance), index_(index) {
+  CRAS_CHECK(index_ != nullptr);
+}
 
 void GroupReceiver::set_merge_chunk(std::int64_t merge_chunk) {
   CRAS_CHECK(merge_chunk >= 0);
@@ -39,7 +70,7 @@ void GroupReceiver::ConnectReverse(crnet::Link& reverse, GroupSender& sender,
 }
 
 crsim::Task GroupReceiver::Start() {
-  return kernel_->Spawn("mcast-report", options_.priority,
+  return kernel_->Spawn("mcast-report", crrt::kPriorityClient,
                         [this](crrt::ThreadContext& ctx) { return ReportThread(ctx); });
 }
 
@@ -112,12 +143,6 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
   }
   if (absent > 1 || blocked) {
     ++stats_.repair_decode_failed;
-    if (obs_ != nullptr) {
-      obs_->repair_decode_failed->Add();
-      obs_->hub->flight().Record(crobs::FlightEventKind::kRepairDecodeFailed,
-                                 static_cast<std::int64_t>(missing->seq), absent, 0,
-                                 "receiver");
-    }
     return;
   }
   // One absence — but only spend the decode if we actually want the data.
@@ -128,9 +153,6 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
     return;
   }
   ++stats_.repair_decodes;
-  if (obs_ != nullptr) {
-    obs_->repair_decodes->Add();
-  }
   crnet::NpsFragment recovered = *missing;
   recovered.retransmit = true;
   recovered.multicast = true;
@@ -139,7 +161,7 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
 
 crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
   while (!stopped_) {
-    co_await ctx.Sleep(options_.report_interval);
+    co_await ctx.Sleep(kReportInterval);
     // Sweep: give up on anything playout has moved past. The chunk index
     // supplies the deadline, so even a metadata-less placeholder dies on
     // schedule instead of lingering on a TTL.
@@ -169,7 +191,7 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     // from generating phantom reports for chunks simply not sent yet.
     while (due_swept_ < index_->count() &&
            index_->at(static_cast<std::size_t>(due_swept_)).timestamp <=
-               logical + options_.jitter_allowance) {
+               logical + kJitterAllowance) {
       if (!IsDone(due_swept_)) {
         Pending(due_swept_);
       }
@@ -181,7 +203,7 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     report.member = member_;
     const crbase::Time now = kernel_->Now();
     for (const auto& [seq, entry] : pending_) {
-      if (now - entry.created_at > options_.reorder_grace) {
+      if (now - entry.created_at > kReorderGrace) {
         report.entries.push_back(entry.Nak(seq));
       }
     }
@@ -189,29 +211,10 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
       continue;
     }
     ++stats_.reports_sent;
-    if (obs_ != nullptr) {
-      obs_->reports_sent->Add();
-    }
     GroupSender* sender = sender_;
-    reverse_->Send(options_.report_bytes,
+    reverse_->Send(kReportBytes,
                    [sender, report = std::move(report)] { sender->OnLossReport(report); });
   }
-}
-
-void GroupReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
-  AttachReceiveObs(hub, "mcast", name, "mcast-receiver");
-  if (hub == nullptr) {
-    obs_.reset();
-    return;
-  }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
-  crobs::Registry& metrics = hub->metrics();
-  const crobs::Labels labels = {{"stream", name}};
-  obs->reports_sent = metrics.GetCounter("mcast.rx_reports_sent", labels);
-  obs->repair_decodes = metrics.GetCounter("mcast.rx_repair_decodes", labels);
-  obs->repair_decode_failed = metrics.GetCounter("mcast.rx_repair_decode_failed", labels);
-  obs_ = std::move(obs);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +225,6 @@ GroupSender::GroupSender(crrt::Kernel& kernel, cras::CrasServer& server,
                          crnet::Link& forward, const Options& options)
     : kernel_(&kernel), server_(&server), link_(&forward), options_(options) {
   CRAS_CHECK(options_.repair_window_chunks > 0);
-  CRAS_CHECK(options_.max_window_entries > 0);
 }
 
 GroupSender::GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward)
@@ -255,7 +257,7 @@ GroupSender::Member* GroupSender::FindMember(SessionId session) {
 crsim::Task GroupSender::Start(GroupId group, const crmedia::ChunkIndex* index) {
   group_ = group;
   index_ = index;
-  return kernel_->Spawn("mcast-sender", options_.priority,
+  return kernel_->Spawn("mcast-sender", kSenderPriority,
                         [this, index](crrt::ThreadContext& ctx) {
                           return SenderThread(ctx, index);
                         });
@@ -348,7 +350,7 @@ void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
   }
   const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(loss.seq));
   if (server_->LogicalNow(member.session) >
-      crnet::ChunkDeadline(chunk) + options_.playout_slack) {
+      crnet::ChunkDeadline(chunk) + kPlayoutSlack) {
     ++stats_.retransmits_abandoned;
     return;
   }
@@ -413,7 +415,7 @@ void GroupSender::PruneStore() {
     return;
   }
   while (!store_.empty() &&
-         store_.begin()->second.deadline() + options_.playout_slack < min_logical) {
+         store_.begin()->second.deadline() + kPlayoutSlack < min_logical) {
     store_.erase(store_.begin());
   }
 }
@@ -441,7 +443,7 @@ void GroupSender::RepairTick() {
         if (seq < index_->count()) {
           const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(seq));
           if (server_->LogicalNow(member.session) <=
-              crnet::ChunkDeadline(chunk) + options_.playout_slack) {
+              crnet::ChunkDeadline(chunk) + kPlayoutSlack) {
             if (server_->DemoteGroupMember(member.session, "behind_window")) {
               member.unicast = true;
               member.unicast_cursor =
@@ -504,7 +506,7 @@ void GroupSender::RepairTick() {
           store_.at(need->seq).Fragment(need->frag_index, /*retransmit=*/false));
       sizes.push_back(packet.window.back().bytes);
     }
-    packet.bytes = XorParityBytes(sizes) + options_.repair_packet_overhead;
+    packet.bytes = XorParityBytes(sizes) + kRepairPacketOverhead;
     std::vector<std::function<void()>> delivers;
     delivers.reserve(targets.size());
     for (GroupReceiver* receiver : targets) {
@@ -524,7 +526,7 @@ void GroupSender::RepairTick() {
     window_needers.clear();
   };
   for (const Need& need : need_list) {
-    bool conflict = window.size() >= options_.max_window_entries;
+    bool conflict = window.size() >= kMaxWindowEntries;
     if (!conflict) {
       for (std::size_t mi : need.needers) {
         if (window_needers.count(mi) != 0) {
@@ -557,7 +559,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         break;
       }
       const crmedia::Chunk& chunk = index->at(static_cast<std::size_t>(cursor_));
-      if (server_->LogicalNow(feed) < chunk.timestamp - options_.lookahead) {
+      if (server_->LogicalNow(feed) < chunk.timestamp - kLookahead) {
         break;
       }
       std::optional<cras::BufferedChunk> buffered = server_->Get(feed, chunk.timestamp);
@@ -577,7 +579,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         }
         break;  // not filled yet; retry next poll
       }
-      co_await ctx.Compute(options_.cpu_per_chunk);
+      co_await ctx.Compute(kCpuPerChunk);
       ShipMulticast(cursor_, *buffered, ctx.Now());
       if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
         // The feed session's own frame ends its life at the fan-out: it is
@@ -607,7 +609,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
           break;
         }
         const crmedia::Chunk& chunk = index->at(static_cast<std::size_t>(cur));
-        if (server_->LogicalNow(member.session) < chunk.timestamp - options_.lookahead) {
+        if (server_->LogicalNow(member.session) < chunk.timestamp - kLookahead) {
           break;
         }
         std::optional<cras::BufferedChunk> buffered =
@@ -623,7 +625,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
           }
           break;
         }
-        co_await ctx.Compute(options_.cpu_per_chunk);
+        co_await ctx.Compute(kCpuPerChunk);
         {
           Member& fresh = members_[mi];  // re-take: vector may have moved
           const crnet::SentChunk sent{static_cast<std::uint64_t>(cur), *buffered, ctx.Now(),
@@ -648,7 +650,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
     }
 
     // Phase 3: coded repair over the accumulated loss bitmaps.
-    if (ctx.Now() - last_repair >= options_.repair_interval) {
+    if (ctx.Now() - last_repair >= kRepairInterval) {
       RepairTick();
       last_repair = ctx.Now();
     }
@@ -682,7 +684,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
           continue;
         }
         if (server_->LogicalNow(member.session) <=
-            last_deadline + options_.playout_slack) {
+            last_deadline + kPlayoutSlack) {
           shipping_done = false;
           break;
         }
@@ -690,14 +692,14 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
     }
     if (shipping_done) {
       if (drain_until == 0) {
-        drain_until = ctx.Now() + options_.lookahead + options_.drain;
+        drain_until = ctx.Now() + kLookahead + kDrain;
       } else if (ctx.Now() >= drain_until) {
         break;
       }
     } else {
       drain_until = 0;
     }
-    co_await ctx.Sleep(options_.poll);
+    co_await ctx.Sleep(kPoll);
   }
 }
 

@@ -13,7 +13,7 @@
 // Repair is coded, not per-client. Each GroupReceiver periodically reports
 // the sequence numbers/fragments it is still missing over its reverse link
 // (a loss *bitmap*, not a NAK per gap). The sender aggregates the reports
-// and, every repair_interval, multicasts XOR parity packets over windows of
+// and, every repair pass, multicasts XOR parity packets over windows of
 // recently sent fragments (src/mcast/xor_codec.h), partitioned so no
 // receiver is missing two fragments of one window — a single parity packet
 // then fixes a *different* loss at every receiver. Both ends test
@@ -84,22 +84,11 @@ struct GroupReceiverStats : crnet::ReassemblyStats {
 // instead of per-gap NAKs.
 class GroupReceiver final : public crnet::ReliableReceiver {
  public:
-  struct Options {
-    std::int64_t buffer_bytes = 4 << 20;
-    crbase::Duration jitter_allowance = crbase::Milliseconds(100);
-    // Cadence of the loss-bitmap report thread (also the deadline sweep).
-    crbase::Duration report_interval = crbase::Milliseconds(25);
-    // A gap younger than this is assumed reordering, not loss.
-    crbase::Duration reorder_grace = crbase::Milliseconds(10);
-    std::int64_t report_bytes = 96;  // wire size of one loss report
-    int priority = crrt::kPriorityClient;
-  };
-
   // `index` is the title's chunk index — the receiver knows the stream
   // layout (the player has it too), which gives every gap a playout
-  // deadline even when no fragment metadata ever arrived.
-  GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index,
-                const Options& options);
+  // deadline even when no fragment metadata ever arrived. The buffer size,
+  // report cadence, reordering grace, report size and jitter allowance are
+  // constants in group_transport.cc.
   GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index);
 
   // Chunks below the merge point arrive on the unicast bridge; the
@@ -121,18 +110,7 @@ class GroupReceiver final : public crnet::ReliableReceiver {
 
   const GroupReceiverStats& stats() const { return stats_; }
 
-  // Counters (mcast.rx_*) and a reassembly-latency histogram, labeled
-  // {stream}.
-  void AttachObs(crobs::Hub* hub, const std::string& name);
-
  private:
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* reports_sent = nullptr;
-    crobs::Counter* repair_decodes = nullptr;
-    crobs::Counter* repair_decode_failed = nullptr;
-  };
-
   crnet::ReassemblyStats& reassembly_stats() override { return stats_; }
   // Playout deadline of `seq` from the chunk index — defined even for
   // placeholders that never saw metadata.
@@ -143,7 +121,6 @@ class GroupReceiver final : public crnet::ReliableReceiver {
   bool Holds(std::uint64_t seq, int frag_index) const;
 
   const crmedia::ChunkIndex* index_;
-  Options options_;
   crnet::Link* reverse_ = nullptr;
   GroupSender* sender_ = nullptr;
   SessionId member_ = kNoSession;
@@ -155,7 +132,6 @@ class GroupReceiver final : public crnet::ReliableReceiver {
   std::uint64_t unicast_expected_ = 0;  // bridge/unicast stream, from 0
   std::uint64_t due_swept_ = 0;         // due sweep: playout-imminent check
   GroupReceiverStats stats_;
-  std::unique_ptr<ObsState> obs_;
 };
 
 struct GroupSenderStats {
@@ -177,31 +153,15 @@ struct GroupSenderStats {
 // Server-host transmitter for one delivery group.
 class GroupSender {
  public:
+  // The lookahead, per-chunk CPU, poll and repair cadences, parity window
+  // cap and header size, end-of-stream drain, playout slack and thread
+  // priority are constants in group_transport.cc.
   struct Options {
-    crbase::Duration lookahead = crbase::Milliseconds(250);
-    crbase::Duration poll = crbase::Milliseconds(5);
     std::int64_t max_packet_bytes = 8 * 1024;
-    crbase::Duration cpu_per_chunk = crbase::Microseconds(150);
-    // Cadence of the coded-repair pass over accumulated loss reports.
-    crbase::Duration repair_interval = crbase::Milliseconds(30);
     // How many recently multicast chunks stay repairable. A reported loss
     // older than this (and still in deadline on the member's clock) demotes
     // the member to unicast.
     std::int64_t repair_window_chunks = 64;
-    std::int64_t repair_packet_overhead = 96;  // header bytes atop the parity
-    // Cap on fragments XOR-ed into one parity packet.
-    std::size_t max_window_entries = 16;
-    // Extra linger after every member's clock has passed the final chunk's
-    // deadline, so reports and repairs already on the wire still land. The
-    // wait for the slowest member is clock-driven, not part of this knob.
-    crbase::Duration drain = crbase::Seconds(1);
-    // Receiver playout clocks trail their session clocks by the client's
-    // chosen startup lag, which the server cannot observe. Deadline checks
-    // on the session clock (store pruning, the demote rule, bridge
-    // retransmits) extend the chunk's life by this much so a repair the
-    // receiver can still use is not refused as already-dead.
-    crbase::Duration playout_slack = crbase::Milliseconds(500);
-    int priority = crrt::kPriorityServer - 1;
   };
 
   GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward,

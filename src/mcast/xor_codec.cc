@@ -4,35 +4,6 @@
 
 namespace crmcast {
 
-std::vector<std::uint8_t> XorParity(
-    const std::vector<std::vector<std::uint8_t>>& fragments) {
-  std::size_t longest = 0;
-  for (const std::vector<std::uint8_t>& fragment : fragments) {
-    longest = std::max(longest, fragment.size());
-  }
-  std::vector<std::uint8_t> parity(longest, 0);
-  for (const std::vector<std::uint8_t>& fragment : fragments) {
-    for (std::size_t i = 0; i < fragment.size(); ++i) {
-      parity[i] ^= fragment[i];
-    }
-  }
-  return parity;
-}
-
-std::vector<std::uint8_t> XorRecover(
-    const std::vector<std::uint8_t>& parity,
-    const std::vector<const std::vector<std::uint8_t>*>& present,
-    std::size_t missing_size) {
-  std::vector<std::uint8_t> recovered = parity;
-  for (const std::vector<std::uint8_t>* fragment : present) {
-    for (std::size_t i = 0; i < fragment->size() && i < recovered.size(); ++i) {
-      recovered[i] ^= (*fragment)[i];
-    }
-  }
-  recovered.resize(missing_size, 0);
-  return recovered;
-}
-
 std::int64_t XorParityBytes(const std::vector<std::int64_t>& fragment_bytes) {
   std::int64_t longest = 0;
   for (const std::int64_t bytes : fragment_bytes) {

@@ -6,7 +6,9 @@
 // with everything it has — so a single multicast repair packet can fix a
 // *different* loss at each receiver, as long as the sender partitions the
 // reported gaps so that no receiver is missing two fragments of the same
-// window (see GroupSender::RepairTick).
+// window (see GroupSender::RepairTick). The simulation carries no payload,
+// so only a parity packet's wire size is computed; GroupReceiver::OnRepair
+// applies the decode rule (exactly one window member absent).
 
 #ifndef SRC_MCAST_XOR_CODEC_H_
 #define SRC_MCAST_XOR_CODEC_H_
@@ -15,18 +17,6 @@
 #include <vector>
 
 namespace crmcast {
-
-// Bytewise XOR over all fragments, zero-padded to the longest.
-std::vector<std::uint8_t> XorParity(
-    const std::vector<std::vector<std::uint8_t>>& fragments);
-
-// Recovers the single missing fragment of a window from the parity and the
-// fragments that did arrive. `missing_size` truncates the zero-padded result
-// back to the lost fragment's true length.
-std::vector<std::uint8_t> XorRecover(
-    const std::vector<std::uint8_t>& parity,
-    const std::vector<const std::vector<std::uint8_t>*>& present,
-    std::size_t missing_size);
 
 // Wire size of a parity packet over fragments of the given sizes: the
 // longest fragment (the zero-padding never travels compressed — parity is

@@ -4,20 +4,29 @@
 
 namespace crmedia {
 
+namespace {
+
+// Bytes per read() call: `cat` on an 8 KiB-block FFS reads a block at a time.
+constexpr std::int64_t kCatReadSize = 8 * 1024;
+// Each burst of CPU work, back to back: a pure compute-bound loop.
+constexpr crbase::Duration kHogBurst = crbase::Milliseconds(20);
+
+}  // namespace
+
 crsim::Task SpawnCat(crrt::Kernel& kernel, crufs::UnixServer& server, crufs::InodeNumber inode,
                      const std::string& name, const CatOptions& options) {
-  return kernel.Spawn(name, options.priority,
+  return kernel.Spawn(name, crrt::kPriorityTimesharing,
                       [&server, inode, options](crrt::ThreadContext& ctx) -> crsim::Task {
                         std::int64_t offset = 0;
                         for (;;) {
                           crbase::Status st =
-                              co_await server.Read(inode, offset, options.read_size);
+                              co_await server.Read(inode, offset, kCatReadSize);
                           if (!st.ok()) {
                             // Past EOF: wrap around and keep streaming.
                             offset = 0;
                             continue;
                           }
-                          offset += options.read_size;
+                          offset += kCatReadSize;
                           if (options.think_time > 0) {
                             co_await ctx.Sleep(options.think_time);
                           }
@@ -25,13 +34,13 @@ crsim::Task SpawnCat(crrt::Kernel& kernel, crufs::UnixServer& server, crufs::Ino
                       });
 }
 
-crsim::Task SpawnCpuHog(crrt::Kernel& kernel, const std::string& name,
-                        const CpuHogOptions& options) {
-  return kernel.Spawn(name, options.priority, [options](crrt::ThreadContext& ctx) -> crsim::Task {
-    for (;;) {
-      co_await ctx.Compute(options.burst);
-    }
-  });
+crsim::Task SpawnCpuHog(crrt::Kernel& kernel, const std::string& name) {
+  return kernel.Spawn(name, crrt::kPriorityTimesharing,
+                      [](crrt::ThreadContext& ctx) -> crsim::Task {
+                        for (;;) {
+                          co_await ctx.Compute(kHogBurst);
+                        }
+                      });
 }
 
 }  // namespace crmedia

@@ -19,15 +19,15 @@
 
 namespace crmedia {
 
+// Both generators run at timesharing priority. A `cat` reads one 8 KiB block
+// per read() call, which triggers the Unix server's 64 KiB clustered
+// read-ahead; a CPU hog computes in back-to-back 20 ms bursts. Both sizes are
+// constants in load.cc.
 struct CatOptions {
-  // Bytes per read() call; `cat` on an 8 KiB-block FFS reads a block at a
-  // time and triggers 64 KiB clustered read-ahead in the server.
-  std::int64_t read_size = 8 * 1024;
   // Pause between reads. Zero models a flat-out `cat` (saturates the disk);
   // a positive value models intermittent activity (a compile, a page-in)
   // that contends in bursts.
   crbase::Duration think_time = 0;
-  int priority = crrt::kPriorityTimesharing;
 };
 
 // Spawns a thread that reads `inode` sequentially through `server`, forever
@@ -35,15 +35,8 @@ struct CatOptions {
 crsim::Task SpawnCat(crrt::Kernel& kernel, crufs::UnixServer& server, crufs::InodeNumber inode,
                      const std::string& name, const CatOptions& options = {});
 
-struct CpuHogOptions {
-  // Each burst of CPU work, back to back: a pure compute-bound loop.
-  crbase::Duration burst = crbase::Milliseconds(20);
-  int priority = crrt::kPriorityTimesharing;
-};
-
 // Spawns a compute-bound thread that never blocks for I/O.
-crsim::Task SpawnCpuHog(crrt::Kernel& kernel, const std::string& name,
-                        const CpuHogOptions& options = {});
+crsim::Task SpawnCpuHog(crrt::Kernel& kernel, const std::string& name);
 
 }  // namespace crmedia
 

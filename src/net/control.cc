@@ -6,6 +6,31 @@
 
 namespace crnet {
 
+namespace {
+
+// Service: the thread's priority (just below CRAS), and the CPU to parse and
+// dispatch one request (cheap; the real work is the server's own control-op
+// charge).
+constexpr int kServicePriority = crrt::kPriorityServer - 1;
+constexpr crbase::Duration kCpuPerOp = crbase::Microseconds(100);
+// Completed request ids whose replies are kept for duplicates; the oldest
+// is evicted past this bound.
+constexpr std::size_t kReplyCache = 512;
+constexpr std::int64_t kReplyBytes = 96;  // wire size of one reply
+
+// Client: the first retry comes after kInitialRto, and the timeout doubles
+// per retry up to kRtoCap.
+constexpr crbase::Duration kInitialRto = crbase::Milliseconds(60);
+constexpr crbase::Duration kRtoCap = crbase::Milliseconds(480);
+static_assert(kInitialRto > 0);
+static_assert(kRtoCap >= kInitialRto);
+// Total attempts (first send + retries) before DEADLINE_EXCEEDED.
+constexpr int kMaxAttempts = 8;
+static_assert(kMaxAttempts >= 1);
+constexpr std::int64_t kRequestBytes = 160;  // wire size of one request
+
+}  // namespace
+
 const char* ControlOpName(ControlOp op) {
   switch (op) {
     case ControlOp::kOpen:
@@ -27,12 +52,8 @@ const char* ControlOpName(ControlOp op) {
 // ---------------------------------------------------------------------------
 // ControlService
 
-ControlService::ControlService(crrt::Kernel& kernel, cras::CrasServer& server,
-                               const Options& options)
-    : kernel_(&kernel), server_(&server), options_(options), port_(kernel.engine()) {}
-
 ControlService::ControlService(crrt::Kernel& kernel, cras::CrasServer& server)
-    : ControlService(kernel, server, Options{}) {}
+    : kernel_(&kernel), server_(&server), port_(kernel.engine()) {}
 
 ControlService::~ControlService() {
   // Requests still queued are plain data (the callers' parked frames live in
@@ -47,7 +68,7 @@ void ControlService::Start() {
     return;
   }
   started_ = true;
-  thread_ = kernel_->Spawn("control", options_.priority,
+  thread_ = kernel_->Spawn("control", kServicePriority,
                            [this](crrt::ThreadContext& ctx) { return ServiceThread(ctx); });
 }
 
@@ -77,7 +98,7 @@ crsim::Task ControlService::ServiceThread(crrt::ThreadContext& ctx) {
       SendReply(request, it->second);
       continue;
     }
-    co_await ctx.Compute(options_.cpu_per_op);
+    co_await ctx.Compute(kCpuPerOp);
     ++stats_.executed;
     crbase::Result<cras::SessionId> result = cras::kInvalidSession;
     switch (request.op) {
@@ -108,7 +129,7 @@ crsim::Task ControlService::ServiceThread(crrt::ThreadContext& ctx) {
     }
     completed_.emplace(request.request_id, result);
     completed_order_.push_back(request.request_id);
-    while (completed_order_.size() > options_.reply_cache) {
+    while (completed_order_.size() > kReplyCache) {
       completed_.erase(completed_order_.front());
       completed_order_.pop_front();
     }
@@ -129,7 +150,7 @@ void ControlService::SendReply(const ControlRequest& request,
   ControlClient* origin = request.origin;
   const std::uint64_t id = request.request_id;
   const bool sent =
-      request.reply_link->Send(options_.reply_bytes, [origin, id, result] {
+      request.reply_link->Send(kReplyBytes, [origin, id, result] {
         origin->OnReply(id, result);
       });
   if (sent) {
@@ -150,15 +171,7 @@ ControlClient::ControlClient(crsim::Engine& engine, ControlService& service, Lin
       service_(&service),
       forward_(forward),
       reverse_(reverse),
-      options_(options) {
-  CRAS_CHECK(options_.max_attempts >= 1);
-  CRAS_CHECK(options_.initial_rto > 0);
-  CRAS_CHECK(options_.rto_cap >= options_.initial_rto);
-}
-
-ControlClient::ControlClient(crsim::Engine& engine, ControlService& service, Link* forward,
-                             Link* reverse)
-    : ControlClient(engine, service, forward, reverse, Options{}) {}
+      options_(options) {}
 
 ControlClient::~ControlClient() {
   // Calls still pending hold their callers' parked frames; cancelling the
@@ -177,7 +190,7 @@ void ControlClient::Begin(ControlRequest request, std::coroutine_handle<> h,
   const std::uint64_t id = request.request_id;
   Pending& pending = pending_[id];
   pending.request = std::move(request);
-  pending.rto = options_.initial_rto;
+  pending.rto = kInitialRto;
   pending.done = [h, out](crbase::Result<cras::SessionId> result) {
     *out = std::move(result);
     h.resume();
@@ -195,7 +208,7 @@ void ControlClient::SendAttempt(Pending& pending) {
     // A refused send (tx queue full) still counts as an attempt: the
     // retry timer below recovers, exactly as for a wire loss.
     ControlService* service = service_;
-    (void)forward_->Send(options_.request_bytes,
+    (void)forward_->Send(kRequestBytes,
                          [service, request = pending.request]() mutable {
                            service->Deliver(std::move(request));
                          });
@@ -209,7 +222,7 @@ void ControlClient::OnTimeout(std::uint64_t request_id) {
     return;  // reply landed; the cancel raced this event
   }
   Pending& pending = it->second;
-  if (pending.attempts >= options_.max_attempts) {
+  if (pending.attempts >= kMaxAttempts) {
     ++stats_.timeouts;
     Complete(request_id,
              crbase::DeadlineExceededError(std::string("control ") +
@@ -218,7 +231,7 @@ void ControlClient::OnTimeout(std::uint64_t request_id) {
     return;
   }
   ++stats_.retries;
-  pending.rto = std::min(2 * pending.rto, options_.rto_cap);
+  pending.rto = std::min(2 * pending.rto, kRtoCap);
   SendAttempt(pending);
 }
 

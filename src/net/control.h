@@ -7,14 +7,15 @@
 //
 //   ControlClient  — client-host endpoint. Every call carries a globally
 //                    unique request id and is retried with capped
-//                    exponential backoff until a reply lands or the attempt
-//                    budget is spent (then DEADLINE_EXCEEDED — the caller
-//                    is never wedged). Duplicate replies are dropped by id.
+//                    exponential backoff (60 ms doubling to 480 ms) until a
+//                    reply lands or 8 attempts are spent (then
+//                    DEADLINE_EXCEEDED — the caller is never wedged).
+//                    Duplicate replies are dropped by id.
 //   ControlService — server-host endpoint. Executes each request id at
 //                    most once: a duplicate of a completed request is
-//                    answered from a bounded reply cache without touching
-//                    the server, so a replayed Open admits no second
-//                    stream and a duplicate Close is a no-op.
+//                    answered from a reply cache of the last 512 ids
+//                    without touching the server, so a replayed Open admits
+//                    no second stream and a duplicate Close is a no-op.
 //
 // Close has at-least-once-tolerant semantics end to end: a retry whose
 // original already closed the session is answered from the reply cache,
@@ -97,18 +98,8 @@ struct ControlClientStats {
 // executes each against the CRAS control port, deduplicating by request id.
 class ControlService {
  public:
-  struct Options {
-    // CPU to parse/dispatch one request (cheap; the real work is the
-    // server's own control-op charge).
-    crbase::Duration cpu_per_op = crbase::Microseconds(100);
-    int priority = crrt::kPriorityServer - 1;
-    // Completed request ids whose replies are retained for duplicates;
-    // oldest evicted past this bound.
-    std::size_t reply_cache = 512;
-    std::int64_t reply_bytes = 96;  // wire size of one reply
-  };
-
-  ControlService(crrt::Kernel& kernel, cras::CrasServer& server, const Options& options);
+  // The service thread runs just below CRAS. Its CPU per request, reply
+  // cache bound and reply size are constants in control.cc.
   ControlService(crrt::Kernel& kernel, cras::CrasServer& server);
   ControlService(const ControlService&) = delete;
   ControlService& operator=(const ControlService&) = delete;
@@ -129,7 +120,6 @@ class ControlService {
 
   crrt::Kernel* kernel_;
   cras::CrasServer* server_;
-  Options options_;
   crsim::Port<ControlRequest> port_;
   // Reply cache: id -> result, FIFO-evicted.
   std::map<std::uint64_t, crbase::Result<cras::SessionId>> completed_;
@@ -150,20 +140,12 @@ class ControlClient {
   struct Options {
     // Disambiguates request ids across clients sharing one service.
     std::uint64_t client_id = 0;
-    // First retry after initial_rto; doubles per retry up to rto_cap.
-    crbase::Duration initial_rto = crbase::Milliseconds(60);
-    crbase::Duration rto_cap = crbase::Milliseconds(480);
-    // Total attempts (first send + retries) before DEADLINE_EXCEEDED.
-    int max_attempts = 8;
-    std::int64_t request_bytes = 160;  // wire size of one request
   };
 
   // `forward` carries requests (client -> server), `reverse` replies; either
   // may be null for a same-host hop.
   ControlClient(crsim::Engine& engine, ControlService& service, Link* forward,
                 Link* reverse, const Options& options);
-  ControlClient(crsim::Engine& engine, ControlService& service, Link* forward,
-                Link* reverse);
   ControlClient(const ControlClient&) = delete;
   ControlClient& operator=(const ControlClient&) = delete;
   // Reclaims the parked frames of calls still awaiting a reply.

@@ -31,9 +31,6 @@ std::optional<Time> Link::Accept(std::int64_t bytes) {
   if (options_.queue_limit != 0 && queued >= options_.queue_limit) {
     ++stats_.packets_dropped;
     ++stats_.tx_queue_drops;
-    if (obs_ != nullptr) {
-      obs_->tx_queue_drops->Add();
-    }
     return std::nullopt;
   }
   const double rate = options_.bandwidth_bytes_per_sec / impairments_.bandwidth_derating;
@@ -52,15 +49,9 @@ bool Link::Send(std::int64_t bytes, std::function<void()> deliver) {
     return false;
   }
   ++stats_.packets_sent;
-  if (obs_ != nullptr) {
-    obs_->packets_sent->Add();
-  }
   if (DrawWireLoss()) {
     ++stats_.packets_dropped;
     ++stats_.wire_drops;
-    if (obs_ != nullptr) {
-      obs_->wire_drops->Add();
-    }
   } else {
     DeliverOne(*end, bytes, std::move(deliver), /*multicast=*/false);
   }
@@ -96,11 +87,6 @@ LinkStats Link::stats() const {
 std::size_t Link::queue_depth() const {
   const auto ended = std::upper_bound(unfinished_.begin(), unfinished_.end(), engine_->Now());
   return static_cast<std::size_t>(unfinished_.end() - ended);
-}
-
-void Link::SetImpairments(const LinkImpairments& impairments) {
-  CRAS_CHECK(impairments.bandwidth_derating >= 1.0);
-  impairments_ = impairments;
 }
 
 void Link::SetLoss(double probability) {
@@ -165,8 +151,8 @@ void Link::StepLossState() {
 
 bool Link::DrawLossNow() {
   if (impairments_.gilbert_elliott) {
-    const double p = ge_in_bad_state_ ? impairments_.ge_loss_bad : impairments_.ge_loss_good;
-    return p > 0.0 && rng_.NextDouble() < p;
+    return ge_in_bad_state_ && impairments_.ge_loss_bad > 0.0 &&
+           rng_.NextDouble() < impairments_.ge_loss_bad;
   }
   return impairments_.loss_probability > 0.0 &&
          rng_.NextDouble() < impairments_.loss_probability;
@@ -215,33 +201,10 @@ void Link::DeliverOne(Time end, std::int64_t bytes, std::function<void()> delive
                           ++stats_.packets_delivered;
                         }
                         stats_.bytes_delivered += bytes;
-                        if (obs_ != nullptr) {
-                          if (!multicast) {
-                            obs_->packets_delivered->Add();
-                          }
-                          obs_->bytes_delivered->Add(bytes);
-                        }
                         if (deliver) {
                           deliver();
                         }
                       });
-}
-
-void Link::AttachObs(crobs::Hub* hub, const std::string& name) {
-  if (hub == nullptr) {
-    obs_.reset();
-    return;
-  }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
-  crobs::Registry& metrics = hub->metrics();
-  const crobs::Labels labels = {{"link", name}};
-  obs->packets_sent = metrics.GetCounter("link.packets_sent", labels);
-  obs->packets_delivered = metrics.GetCounter("link.packets_delivered", labels);
-  obs->bytes_delivered = metrics.GetCounter("link.bytes_delivered", labels);
-  obs->tx_queue_drops = metrics.GetCounter("link.tx_queue_drops", labels);
-  obs->wire_drops = metrics.GetCounter("link.wire_drops", labels);
-  obs_ = std::move(obs);
 }
 
 }  // namespace crnet

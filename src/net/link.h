@@ -16,9 +16,9 @@
 // experiments:
 //
 //   loss        — i.i.d. per-packet wire loss, or a Gilbert–Elliott
-//                 two-state Markov chain for bursty loss (good/bad states
-//                 with per-state loss probabilities, stepped once per
-//                 packet);
+//                 two-state Markov chain for bursty loss (stepped once per
+//                 packet; the good state loses nothing, the bad state
+//                 loses with `ge_loss_bad`);
 //   jitter      — uniform extra propagation delay in [0, jitter]; because
 //                 every packet propagates independently, jitter larger than
 //                 the serialization gap reorders deliveries;
@@ -42,14 +42,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/base/random.h"
 #include "src/base/time_units.h"
-#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 
 namespace crnet {
@@ -94,7 +91,6 @@ struct LinkImpairments {
   bool gilbert_elliott = false;
   double ge_p_enter_bad = 0.0;  // P(good -> bad) per packet
   double ge_p_exit_bad = 0.0;   // P(bad -> good) per packet
-  double ge_loss_good = 0.0;
   double ge_loss_bad = 1.0;
   // Uniform extra propagation delay in [0, jitter].
   Duration jitter = 0;
@@ -155,7 +151,6 @@ class Link {
 
   // ---- impairment control (live; crfault's link events land here) ----
   // A change applies to the packets accepted after it.
-  void SetImpairments(const LinkImpairments& impairments);
   void SetLoss(double probability);
   void SetBurstLoss(double p_enter_bad, double p_exit_bad, double loss_bad);
   void SetJitter(Duration jitter);
@@ -181,20 +176,7 @@ class Link {
                : static_cast<double>(SpentWireTime()) / static_cast<double>(engine_->Now());
   }
 
-  // Registers the link's counters keyed {link: name} — sent/delivered
-  // bytes and the split drop counters — mirroring the device/driver stats.
-  void AttachObs(crobs::Hub* hub, const std::string& name);
-
  private:
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* packets_sent = nullptr;
-    crobs::Counter* packets_delivered = nullptr;
-    crobs::Counter* bytes_delivered = nullptr;
-    crobs::Counter* tx_queue_drops = nullptr;
-    crobs::Counter* wire_drops = nullptr;
-  };
-
   // Admits a packet to the interface: nullopt (a counted tx-queue drop)
   // when the queue is full, else the packet's wire time is booked behind
   // `free_at_` and the result is when its serialization ends.
@@ -226,7 +208,6 @@ class Link {
   std::deque<Time> unfinished_;
   Duration committed_wire_time_ = 0;  // accepted packets' wire time, spent or not
   LinkStats stats_;  // busy_time is filled in by stats()
-  std::unique_ptr<ObsState> obs_;
 };
 
 }  // namespace crnet

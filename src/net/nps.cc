@@ -8,18 +8,34 @@
 
 namespace crnet {
 
+namespace {
+
+// Receiver.
+constexpr std::int64_t kReceiverBufferBytes = 1 << 20;
+constexpr crbase::Duration kJitterAllowance = crbase::Milliseconds(100);
+// NAK retry backoff doubles per attempt up to this cap.
+constexpr crbase::Duration kNakBackoffCap = crbase::Milliseconds(160);
+static_assert(kNakBackoffCap >= kNakDelay);
+constexpr int kMaxNaks = 10;  // per chunk, before giving up
+// Give-up horizon for a wholly lost chunk (sequence gap, so no metadata and
+// hence no logical deadline to test against).
+constexpr crbase::Duration kPlaceholderTtl = crbase::Milliseconds(500);
+constexpr std::int64_t kNakBytes = 64;  // wire size of one NAK packet
+
+// Sender: below CRAS, above clients; chunks fragment above 8 KiB.
+constexpr int kSenderPriority = crrt::kPriorityServer - 1;
+constexpr std::int64_t kMaxPacketBytes = 8 * 1024;
+
+constexpr std::int64_t kHeartbeatBytes = 64;  // wire size of one lease renewal
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // NpsReceiver
 // ---------------------------------------------------------------------------
 
-NpsReceiver::NpsReceiver(crrt::Kernel& kernel, const Options& options)
-    : ReliableReceiver(kernel, options.buffer_bytes, options.jitter_allowance),
-      options_(options) {
-  CRAS_CHECK(options_.nak_delay > 0);
-  CRAS_CHECK(options_.nak_backoff_cap >= options_.nak_delay);
-}
-
-NpsReceiver::NpsReceiver(crrt::Kernel& kernel) : NpsReceiver(kernel, Options{}) {}
+NpsReceiver::NpsReceiver(crrt::Kernel& kernel)
+    : ReliableReceiver(kernel, kReceiverBufferBytes, kJitterAllowance) {}
 
 void NpsReceiver::ConnectReverse(Link& reverse, NpsSender& sender) {
   reverse_ = &reverse;
@@ -36,7 +52,7 @@ void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   // its NAK timer starts running.
   if (fragment.seq >= expected_next_) {
     for (std::uint64_t seq = expected_next_; seq < fragment.seq; ++seq) {
-      ArmTimer(seq, Pending(seq), options_.nak_delay);
+      ArmTimer(seq, Pending(seq), kNakDelay);
     }
     expected_next_ = fragment.seq + 1;
   }
@@ -44,7 +60,7 @@ void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   // reordering grace; a chunk that completes at once never needs a timer.
   Reassembly* incomplete = Reassemble(fragment);
   if (incomplete != nullptr && !incomplete->timer_armed) {
-    ArmTimer(fragment.seq, *incomplete, options_.nak_delay);
+    ArmTimer(fragment.seq, *incomplete, kNakDelay);
   }
 }
 
@@ -67,14 +83,14 @@ void NpsReceiver::OnTimer(std::uint64_t seq) {
     // No repair path: the reordering grace has passed, the chunk will
     // never complete.
     give_up = true;
-  } else if (entry.naks >= options_.max_naks) {
+  } else if (entry.naks >= kMaxNaks) {
     give_up = true;
   } else if (has_metadata && clock().Now() > ChunkDeadline(entry.chunk)) {
     // Playout has moved past this chunk; repaired data would be discarded
     // on arrival.
     give_up = true;
   } else if (!has_metadata &&
-             kernel_->Now() - entry.created_at > options_.placeholder_ttl) {
+             kernel_->Now() - entry.created_at > kPlaceholderTtl) {
     give_up = true;
   }
   if (give_up) {
@@ -91,8 +107,8 @@ void NpsReceiver::OnTimer(std::uint64_t seq) {
     naks_metric_->Add();
   }
   NpsSender* sender = sender_;
-  reverse_->Send(options_.nak_bytes, [sender, nak] { sender->OnNak(nak); });
-  ArmTimer(seq, entry, std::min(entry.backoff * 2, options_.nak_backoff_cap));
+  reverse_->Send(kNakBytes, [sender, nak] { sender->OnNak(nak); });
+  ArmTimer(seq, entry, std::min(entry.backoff * 2, kNakBackoffCap));
 }
 
 void NpsReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
@@ -119,7 +135,7 @@ crsim::Task NpsSender::Start(cras::SessionId session, const crmedia::ChunkIndex*
   // hand it to the receiver so both ends stamp the same records.
   ftrace_ = server_->FrameTrace(session);
   receiver_->set_frame_trace(ftrace_);
-  return kernel_->Spawn("nps-sender", options_.priority,
+  return kernel_->Spawn("nps-sender", kSenderPriority,
                         [this, session, index](crrt::ThreadContext& ctx) {
                           return SenderThread(ctx, session, index);
                         });
@@ -170,12 +186,12 @@ void NpsSender::OnNak(const NpsNak& nak) {
 
 namespace {
 
-// The number of `poll` ticks from `now` to the first tick at which `clock`
+// The number of kNpsPoll ticks from `now` to the first tick at which `clock`
 // reads at least `logical`: the tick a loop of one-poll sleeps would wake on.
 // A stopped clock gets there only once someone restarts it, so it is
 // checked again after one poll.
-std::int64_t PollsUntil(const cras::LogicalClock& clock, crbase::Time now, crbase::Time logical,
-                        crbase::Duration poll) {
+std::int64_t PollsUntil(const cras::LogicalClock& clock, crbase::Time now,
+                        crbase::Time logical) {
   if (!clock.running()) {
     return 1;
   }
@@ -183,11 +199,11 @@ std::int64_t PollsUntil(const cras::LogicalClock& clock, crbase::Time now, crbas
   // rounds as the loop's Now() calls would.
   const double real = static_cast<double>(logical - clock.At(now)) / clock.rate();
   std::int64_t ticks = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(real / static_cast<double>(poll))));
-  while (ticks > 1 && clock.At(now + (ticks - 1) * poll) >= logical) {
+      1, static_cast<std::int64_t>(std::ceil(real / static_cast<double>(kNpsPoll))));
+  while (ticks > 1 && clock.At(now + (ticks - 1) * kNpsPoll) >= logical) {
     --ticks;
   }
-  while (clock.At(now + ticks * poll) < logical) {
+  while (clock.At(now + ticks * kNpsPoll) < logical) {
     ++ticks;
   }
   return ticks;
@@ -206,7 +222,7 @@ auto NpsSender::ParkForData(std::int64_t ticks) {
     }
     void await_resume() const { sender->park_.thread = {}; }
   };
-  return Awaiter{this, kernel_->Now() + ticks * options_.poll};
+  return Awaiter{this, kernel_->Now() + ticks * kNpsPoll};
 }
 
 void NpsSender::OnSessionData() {
@@ -218,7 +234,7 @@ void NpsSender::OnSessionData() {
   // seen the data on. A tick at exactly now counts as before the publish:
   // the loop queued its wake a poll earlier, ahead of the server's events.
   const crbase::Time tick =
-      park_.since + ((engine.Now() - park_.since) / options_.poll + 1) * options_.poll;
+      park_.since + ((engine.Now() - park_.since) / kNpsPoll + 1) * kNpsPoll;
   if (tick < park_.wake_at) {
     engine.Cancel(park_.wake);
     park_.wake_at = tick;
@@ -234,7 +250,7 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
   for (std::size_t cursor = 0; cursor < index->count(); ++cursor) {
     const crmedia::Chunk& chunk = index->at(cursor);
     // Ship each chunk `lookahead` before its logical due time, on the first
-    // `poll` tick at which the clock has got there. The logical clock may
+    // kNpsPoll tick at which the clock has got there. The logical clock may
     // still be negative during the stream's initial delay.
     const crbase::Time ship_at = chunk.timestamp - options_.lookahead;
     for (;;) {
@@ -245,7 +261,7 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
       if (clock->Now() >= ship_at) {
         break;
       }
-      co_await ctx.Sleep(PollsUntil(*clock, ctx.Now(), ship_at, options_.poll) * options_.poll);
+      co_await ctx.Sleep(PollsUntil(*clock, ctx.Now(), ship_at) * kNpsPoll);
     }
     // Drop retained chunks whose playout deadline has passed: a NAK for
     // them would be refused anyway.
@@ -276,7 +292,7 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
       if (clock->Now() > deadline) {
         break;
       }
-      co_await ParkForData(PollsUntil(*clock, ctx.Now(), deadline + 1, options_.poll));
+      co_await ParkForData(PollsUntil(*clock, ctx.Now(), deadline + 1));
     }
     if (!buffered.has_value()) {
       ++stats_.chunks_skipped;
@@ -293,7 +309,7 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
     // number, its own index, and the full metadata, so the receiver
     // reassembles explicitly — loss and reordering are the receiver's to
     // detect, not ours to signal.
-    const SentChunk sent{next_seq_++, *buffered, ctx.Now(), options_.max_packet_bytes};
+    const SentChunk sent{next_seq_++, *buffered, ctx.Now(), kMaxPacketBytes};
     sent_chunk_index_.push_back(buffered->chunk_index);
     if (retransmit_enabled_) {
       store_.emplace(sent.seq, sent);
@@ -337,12 +353,8 @@ LeaseClient::LeaseClient(crrt::Kernel& kernel, cras::CrasServer& server, Link& l
   CRAS_CHECK(options_.period > 0);
 }
 
-LeaseClient::LeaseClient(crrt::Kernel& kernel, cras::CrasServer& server, Link& link,
-                         cras::SessionId session)
-    : LeaseClient(kernel, server, link, session, Options{}) {}
-
 crsim::Task LeaseClient::Start() {
-  return kernel_->Spawn("lease-client", options_.priority,
+  return kernel_->Spawn("lease-client", crrt::kPriorityClient,
                         [this](crrt::ThreadContext& ctx) { return HeartbeatThread(ctx); });
 }
 
@@ -352,7 +364,7 @@ crsim::Task LeaseClient::HeartbeatThread(crrt::ThreadContext& ctx) {
     // missed renewal, exactly as a real lossy network would miss one.
     cras::CrasServer* server = server_;
     const cras::SessionId id = session_;
-    link_->Send(options_.heartbeat_bytes, [server, id] { server->RenewLease(id); });
+    link_->Send(kHeartbeatBytes, [server, id] { server->RenewLease(id); });
     ++heartbeats_sent_;
     co_await ctx.Sleep(options_.period);
   }

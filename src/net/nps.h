@@ -28,7 +28,8 @@
 // drops NAKed data whose playout deadline can no longer be met, so late
 // retransmissions never waste wire time. Without a reverse link the
 // protocol degrades to the classic best-effort NPS: an incomplete chunk is
-// abandoned after a short reordering grace.
+// abandoned after a short reordering grace. The protocol's timings and sizes
+// are constants: kNakDelay and kNpsPoll below, the rest in nps.cc.
 
 #ifndef SRC_NET_NPS_H_
 #define SRC_NET_NPS_H_
@@ -52,29 +53,29 @@ namespace crnet {
 
 class NpsSender;
 
+// Reordering grace before the receiver's first NAK for a chunk (or, with no
+// reverse link, before an incomplete chunk is abandoned). The NAK backoff,
+// its cap and the other receiver constants are in nps.cc.
+inline constexpr crbase::Duration kNakDelay = crbase::Milliseconds(20);
+static_assert(kNakDelay > 0);
+
+// The sender's tick. It sleeps straight to the first tick at which the
+// session clock reaches a chunk's send time (computed from the clock's rate,
+// so a seek or rate change is seen only at that tick), or one tick while the
+// clock is stopped. A chunk not yet in the shared buffer parks it until the
+// first tick after the session's next publish or close, or the tick at which
+// the chunk's deadline passes (computed the same way) and the chunk is
+// skipped.
+inline constexpr crbase::Duration kNpsPoll = crbase::Milliseconds(5);
+
 struct NpsReceiverStats : ReassemblyStats {
   std::int64_t naks_sent = 0;
 };
 
-// Client-side endpoint: the shared receiver end plus NAK repair.
+// Client-side endpoint: the shared receiver end (a 1 MiB buffer) plus NAK
+// repair.
 class NpsReceiver final : public ReliableReceiver {
  public:
-  struct Options {
-    std::int64_t buffer_bytes = 1 << 20;
-    crbase::Duration jitter_allowance = crbase::Milliseconds(100);
-    // Reordering grace before the first NAK (or, with no reverse link,
-    // before an incomplete chunk is abandoned).
-    crbase::Duration nak_delay = crbase::Milliseconds(20);
-    // NAK retry backoff doubles per attempt up to this cap.
-    crbase::Duration nak_backoff_cap = crbase::Milliseconds(160);
-    int max_naks = 10;  // per chunk, before giving up
-    // Give-up horizon for a wholly lost chunk (sequence gap, so no
-    // metadata and hence no logical deadline to test against).
-    crbase::Duration placeholder_ttl = crbase::Milliseconds(500);
-    std::int64_t nak_bytes = 64;  // wire size of one NAK packet
-  };
-
-  NpsReceiver(crrt::Kernel& kernel, const Options& options);
   explicit NpsReceiver(crrt::Kernel& kernel);
 
   // Packet arrival, invoked by the forward link's delivery events.
@@ -96,7 +97,6 @@ class NpsReceiver final : public ReliableReceiver {
   // NAK timer body: give up, or request repair and re-arm with backoff.
   void OnTimer(std::uint64_t seq);
 
-  Options options_;
   Link* reverse_ = nullptr;
   NpsSender* sender_ = nullptr;
   std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
@@ -122,17 +122,7 @@ class NpsSender {
     // How far ahead of the session's logical clock chunks are shipped;
     // hides the network serialization + propagation latency.
     crbase::Duration lookahead = crbase::Milliseconds(250);
-    // The sender's tick. It sleeps straight to the first tick at which the
-    // session clock reaches a chunk's send time (computed from the clock's
-    // rate, so a seek or rate change is seen only at that tick), or one
-    // tick while the clock is stopped. A chunk not yet in the shared buffer
-    // parks it until the first tick after the session's next publish or
-    // close, or the tick at which the chunk's deadline passes (computed the
-    // same way) and the chunk is skipped.
-    crbase::Duration poll = crbase::Milliseconds(5);
-    std::int64_t max_packet_bytes = 8 * 1024;  // fragmentation threshold
     crbase::Duration cpu_per_chunk = crbase::Microseconds(150);
-    int priority = crrt::kPriorityServer - 1;  // below CRAS, above clients
   };
 
   NpsSender(crrt::Kernel& kernel, cras::CrasServer& server, Link& link, NpsReceiver& receiver,
@@ -178,7 +168,7 @@ class NpsSender {
   };
 
   // A thread parked on a shared-buffer miss, waking on its tick grid
-  // `since + k * poll`.
+  // `since + k * kNpsPoll`.
   struct Park {
     std::coroutine_handle<> thread;  // null while not parked
     crbase::Time since = 0;          // the tick of the miss
@@ -226,14 +216,10 @@ class LeaseClient {
  public:
   struct Options {
     crbase::Duration period = crbase::Milliseconds(500);
-    std::int64_t heartbeat_bytes = 64;
-    int priority = crrt::kPriorityClient;
   };
 
   LeaseClient(crrt::Kernel& kernel, cras::CrasServer& server, Link& link,
               cras::SessionId session, const Options& options);
-  LeaseClient(crrt::Kernel& kernel, cras::CrasServer& server, Link& link,
-              cras::SessionId session);
   LeaseClient(const LeaseClient&) = delete;
   LeaseClient& operator=(const LeaseClient&) = delete;
 

@@ -11,14 +11,12 @@ namespace {
 // falls more than this many polls behind simply re-anchors on a full
 // snapshot.
 constexpr std::size_t kMaxBaselines = 8;
+// Below CRAS and the NPS senders: a stat dump must never delay stream I/O.
+constexpr int kServicePriority = crrt::kPriorityServer - 2;
 }  // namespace
 
-StatsQueryService::StatsQueryService(crrt::Kernel& kernel, const crobs::Hub& hub, Link* link,
-                                     const Options& options)
-    : kernel_(&kernel), hub_(&hub), link_(link), options_(options), port_(kernel.engine()) {}
-
 StatsQueryService::StatsQueryService(crrt::Kernel& kernel, const crobs::Hub& hub, Link* link)
-    : StatsQueryService(kernel, hub, link, Options{}) {}
+    : kernel_(&kernel), hub_(&hub), link_(link), port_(kernel.engine()) {}
 
 StatsQueryService::~StatsQueryService() {
   // Queries still queued hold their clients' parked chains; draining them
@@ -33,7 +31,7 @@ void StatsQueryService::Start() {
     return;
   }
   started_ = true;
-  thread_ = kernel_->Spawn("stats-query", options_.priority,
+  thread_ = kernel_->Spawn("stats-query", kServicePriority,
                            [this](crrt::ThreadContext& ctx) { return ServiceThread(ctx); });
 }
 
@@ -75,7 +73,7 @@ std::string StatsQueryService::RenderDelta(std::uint64_t since) {
 crsim::Task StatsQueryService::ServiceThread(crrt::ThreadContext& ctx) {
   for (;;) {
     QueryMsg msg = co_await port_.Receive();
-    co_await ctx.Compute(options_.cpu_per_query);
+    co_await ctx.Compute(kCpuPerQuery);
     std::string json;
     if (msg.dump) {
       json = hub_->flight().RenderDump(msg.reason);

@@ -6,7 +6,8 @@
 // service's port, a server-host thread renders the hub's snapshot to JSON
 // ({"sim_time_ns": ..., "metrics": {...}}), and the reply ships back across
 // the Link at link bandwidth (a stat dump is itself network traffic — on a
-// 10 Mb/s segment a verbose snapshot visibly delays the next one).
+// 10 Mb/s segment a verbose snapshot visibly delays the next one). Rendering
+// one snapshot costs the server kCpuPerQuery (500 µs) of CPU.
 //
 // Usage, from any simulated thread:
 //
@@ -33,6 +34,10 @@
 
 namespace crnet {
 
+// CPU charged for rendering one snapshot (walking the registry and
+// serializing; cheap but not free on the paper's 100 MHz Pentium).
+inline constexpr crbase::Duration kCpuPerQuery = crbase::Microseconds(500);
+
 struct StatsQueryStats {
   std::int64_t queries = 0;
   std::int64_t reply_bytes = 0;
@@ -40,18 +45,9 @@ struct StatsQueryStats {
 
 class StatsQueryService {
  public:
-  struct Options {
-    // CPU charged for rendering one snapshot (walking the registry and
-    // serializing; cheap but not free on the paper's 100 MHz Pentium).
-    crbase::Duration cpu_per_query = crbase::Microseconds(500);
-    // Below CRAS and NPS senders: a stat dump must never delay stream I/O.
-    int priority = crrt::kPriorityServer - 2;
-  };
-
   // `link` may be null: replies then resolve without network delay (a
-  // same-host query through shared memory).
-  StatsQueryService(crrt::Kernel& kernel, const crobs::Hub& hub, Link* link,
-                    const Options& options);
+  // same-host query through shared memory). The service thread runs below
+  // CRAS and the NPS senders: a stat dump must never delay stream I/O.
   StatsQueryService(crrt::Kernel& kernel, const crobs::Hub& hub, Link* link);
   StatsQueryService(const StatsQueryService&) = delete;
   StatsQueryService& operator=(const StatsQueryService&) = delete;
@@ -159,7 +155,6 @@ class StatsQueryService {
   crrt::Kernel* kernel_;
   const crobs::Hub* hub_;
   Link* link_;
-  Options options_;
   crsim::Port<QueryMsg> port_;
   StatsQueryStats stats_;
   crsim::Task thread_;

@@ -41,8 +41,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
       return "group_left";
     case FlightEventKind::kRepairSent:
       return "repair_sent";
-    case FlightEventKind::kRepairDecodeFailed:
-      return "repair_decode_failed";
     case FlightEventKind::kResettled:
       return "resettled";
     case FlightEventKind::kSloBurn:

@@ -57,7 +57,6 @@ enum class FlightEventKind : std::uint8_t {
   kGroupJoined,       // a: member session, b: group, value: merge chunk
   kGroupLeft,         // a: member session, b: group, detail: reason
   kRepairSent,        // a: group, b: window fragments, value: repair bytes
-  kRepairDecodeFailed,  // a: sequence number, b: missing fragments in window
   // Admission re-settled after a disturbance (member change, cache
   // fallback, group demote): the open set passes the current model again.
   // The gap from a kFaultInjected to the next kResettled is the fault's

@@ -70,22 +70,6 @@ StageBucket BucketOf(FrameStage stage) {
   return StageBucket::kPlayoutSlack;
 }
 
-const char* FramePathName(FramePath path) {
-  switch (path) {
-    case FramePath::kUnknown:
-      return "unknown";
-    case FramePath::kDisk:
-      return "disk";
-    case FramePath::kCache:
-      return "cache";
-    case FramePath::kMcastFeed:
-      return "mcast_feed";
-    case FramePath::kMcastMember:
-      return "mcast_member";
-  }
-  return "unknown";
-}
-
 FrameDecomposition Decompose(const FrameRecord& record) {
   FrameDecomposition d;
   crbase::Time first = -1;
@@ -272,11 +256,6 @@ SessionTrace* FrameTracer::Register(std::int64_t session_id, std::string_view la
   SessionTrace* raw = trace.get();
   sessions_.emplace(session_id, std::move(trace));
   return raw;
-}
-
-SessionTrace* FrameTracer::Find(std::int64_t session_id) const {
-  auto it = sessions_.find(session_id);
-  return it == sessions_.end() ? nullptr : it->second.get();
 }
 
 std::vector<const SessionTrace*> FrameTracer::Sessions() const {

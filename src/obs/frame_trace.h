@@ -73,7 +73,6 @@ StageBucket BucketOf(FrameStage stage);
 
 // How the frame's data was sourced at the scheduler boundary.
 enum class FramePath : int { kUnknown = 0, kDisk, kCache, kMcastFeed, kMcastMember };
-const char* FramePathName(FramePath path);
 
 enum class FrameOutcome : int { kInFlight = 0, kDelivered, kMissed };
 
@@ -179,7 +178,6 @@ class FrameTracer {
   // Find-or-create the per-session ring; nullptr when disabled. `label`
   // names the session's trace track ("s3"), interned once here.
   SessionTrace* Register(std::int64_t session_id, std::string_view label);
-  SessionTrace* Find(std::int64_t session_id) const;
 
   const StageAttribution& Totals() const { return totals_; }
   // Total stage stamps taken — the record-path event count benches divide

@@ -138,7 +138,6 @@ void SloMonitor::Evaluate(std::int64_t session, const Window& window) {
 
 std::int64_t SloMonitor::WindowFrames() const { return fleet_.Frames(); }
 std::int64_t SloMonitor::WindowMisses() const { return fleet_.Misses(); }
-double SloMonitor::MissBurnRate() const { return fleet_.MissBurn(); }
 StageBucket SloMonitor::DominantBucket() const { return fleet_.Dominant(); }
 
 void SloMonitor::WriteJson(std::ostream& out) const {

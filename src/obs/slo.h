@@ -63,7 +63,6 @@ class SloMonitor {
   // is a handful of buckets).
   std::int64_t WindowFrames() const;
   std::int64_t WindowMisses() const;
-  double MissBurnRate() const;
   StageBucket DominantBucket() const;
 
   std::int64_t burn_events() const { return burn_events_; }

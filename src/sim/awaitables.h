@@ -1,14 +1,12 @@
-// Basic awaitables: virtual-time sleep and manual-reset gates.
+// Virtual-time sleep awaitables.
 
 #ifndef SRC_SIM_AWAITABLES_H_
 #define SRC_SIM_AWAITABLES_H_
 
 #include <coroutine>
-#include <vector>
 
 #include "src/base/time_units.h"
 #include "src/sim/engine.h"
-#include "src/sim/task.h"
 
 namespace crsim {
 
@@ -28,48 +26,6 @@ inline SleepAwaiter Sleep(Engine& engine, Duration delay) { return SleepAwaiter{
 inline SleepAwaiter SleepUntil(Engine& engine, Time t) {
   return SleepAwaiter{&engine, t - engine.Now()};
 }
-
-// A manual-reset event. Waiters block until Open() is called; once open,
-// waits complete immediately until Close().
-class Gate {
- public:
-  explicit Gate(Engine& engine, bool open = false) : engine_(&engine), open_(open) {}
-
-  ~Gate() {
-    std::vector<std::coroutine_handle<>> waiters = std::move(waiters_);
-    for (std::coroutine_handle<> h : waiters) {
-      DestroyParkedChain(h);
-    }
-  }
-
-  void Open() {
-    open_ = true;
-    // Wake every waiter through the event queue so wakeups serialize with
-    // other same-time events deterministically.
-    for (std::coroutine_handle<> h : waiters_) {
-      engine_->ScheduleResumeAfter(0, h);
-    }
-    waiters_.clear();
-  }
-
-  void Close() { open_ = false; }
-  bool is_open() const { return open_; }
-
-  auto Wait() {
-    struct Awaiter {
-      Gate* gate;
-      bool await_ready() const { return gate->open_; }
-      void await_suspend(std::coroutine_handle<> h) { gate->waiters_.push_back(h); }
-      void await_resume() const {}
-    };
-    return Awaiter{this};
-  }
-
- private:
-  Engine* engine_;
-  bool open_;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
 
 }  // namespace crsim
 

@@ -8,16 +8,6 @@
 
 namespace crsim {
 
-const char* SchedPolicyName(SchedPolicy policy) {
-  switch (policy) {
-    case SchedPolicy::kFixedPriority:
-      return "fixed-priority";
-    case SchedPolicy::kRoundRobin:
-      return "round-robin";
-  }
-  return "?";
-}
-
 Cpu::Cpu(Engine& engine, SchedPolicy policy, Duration quantum)
     : engine_(&engine), policy_(policy), quantum_(quantum) {
   CRAS_CHECK(quantum_ > 0);
@@ -35,34 +25,7 @@ Cpu::~Cpu() {
 }
 
 void Cpu::RunAwaiter::await_suspend(std::coroutine_handle<> h) {
-  cpu->Enqueue(Request{priority, work, h, cpu->next_seq_++, tag});
-}
-
-void Cpu::Boost(Tag tag, int priority) {
-  if (tag == nullptr) {
-    return;
-  }
-  for (Request& request : ready_) {
-    if (request.tag == tag && request.priority < priority) {
-      request.priority = priority;
-    }
-  }
-  if (running_ && current_.tag == tag && current_.priority < priority) {
-    current_.priority = priority;  // already on the CPU: nothing to preempt
-  }
-  // A boosted queued request may now outrank the running one.
-  if (running_ && policy_ == SchedPolicy::kFixedPriority) {
-    int best = current_.priority;
-    for (const Request& request : ready_) {
-      best = std::max(best, request.priority);
-    }
-    if (best > current_.priority) {
-      PreemptRunning();
-      if (!running_) {
-        Dispatch();
-      }
-    }
-  }
+  cpu->Enqueue(Request{priority, work, h, cpu->next_seq_++});
 }
 
 void Cpu::Enqueue(Request req) {

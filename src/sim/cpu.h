@@ -20,7 +20,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "src/base/time_units.h"
 #include "src/sim/engine.h"
@@ -31,8 +30,6 @@ enum class SchedPolicy {
   kFixedPriority,
   kRoundRobin,
 };
-
-const char* SchedPolicyName(SchedPolicy policy);
 
 class Cpu {
  public:
@@ -47,24 +44,9 @@ class Cpu {
   void set_policy(SchedPolicy policy) { policy_ = policy; }
   Duration quantum() const { return quantum_; }
 
-  // Opaque grouping key for Boost(); typically the address of the lock or
-  // resource on whose behalf the work runs.
-  using Tag = const void*;
-
   // Awaitable that completes when `work` of CPU time has been consumed under
   // contention. Zero or negative work completes immediately.
-  auto Run(int priority, Duration work) { return RunAwaiter{this, priority, work, nullptr}; }
-
-  // As Run, but the request carries `tag` so its priority can later be
-  // raised by Boost() — the hook priority-inheritance locks use.
-  auto RunTagged(Tag tag, int priority, Duration work) {
-    return RunAwaiter{this, priority, work, tag};
-  }
-
-  // Raises every queued or running request carrying `tag` to at least
-  // `priority`, re-evaluating preemption. No-op on requests already at or
-  // above it; ignores untagged work.
-  void Boost(Tag tag, int priority);
+  auto Run(int priority, Duration work) { return RunAwaiter{this, priority, work}; }
 
   // Total CPU time handed out (for utilization accounting).
   Duration busy_time() const { return busy_time_; }
@@ -78,14 +60,12 @@ class Cpu {
     Duration remaining;
     std::coroutine_handle<> handle;
     std::uint64_t seq;  // FIFO tiebreak among equal priorities
-    Tag tag = nullptr;
   };
 
   struct RunAwaiter {
     Cpu* cpu;
     int priority;
     Duration work;
-    Tag tag;
 
     bool await_ready() const { return work <= 0; }
     void await_suspend(std::coroutine_handle<> h);

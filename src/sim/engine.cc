@@ -39,11 +39,6 @@ EventId Engine::ScheduleAfter(Duration d, Callback cb) {
   return Push(now_ + (d < 0 ? 0 : d), std::move(cb), {});
 }
 
-EventId Engine::ScheduleAfter(Duration d, Callback cb, std::coroutine_handle<> parked) {
-  CRAS_CHECK(cb != nullptr);
-  return Push(now_ + (d < 0 ? 0 : d), std::move(cb), parked);
-}
-
 EventId Engine::ScheduleResumeAt(Time t, std::coroutine_handle<> h) {
   CRAS_CHECK(h);
   return Push(t, nullptr, h);

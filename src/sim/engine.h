@@ -57,13 +57,12 @@ class Engine {
   // Schedules `cb` to run `d` from now. d < 0 is clamped to 0.
   EventId ScheduleAfter(Duration d, Callback cb);
 
-  // As ScheduleAt/ScheduleAfter, but additionally records that `parked` is a
-  // coroutine suspended solely waiting for this event (which `cb` will
-  // resume). If the engine is destroyed while the event is still pending and
-  // uncancelled, the frame — and every frame awaiting it — is destroyed
-  // instead of leaked. All coroutine wakeups should flow through these.
+  // As ScheduleAt, but additionally records that `parked` is a coroutine
+  // suspended solely waiting for this event (which `cb` will resume). If the
+  // engine is destroyed while the event is still pending and uncancelled, the
+  // frame — and every frame awaiting it — is destroyed instead of leaked. All
+  // coroutine wakeups should flow through this or the ScheduleResume forms.
   EventId ScheduleAt(Time t, Callback cb, std::coroutine_handle<> parked);
-  EventId ScheduleAfter(Duration d, Callback cb, std::coroutine_handle<> parked);
 
   // The common pure-wakeup form: the event just resumes `h` (no callback is
   // stored).

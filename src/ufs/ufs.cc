@@ -6,20 +6,29 @@
 
 namespace crufs {
 
-AllocPolicy TunedPolicy() { return AllocPolicy{}; }
+namespace {
 
-AllocPolicy StockPolicy() {
-  AllocPolicy policy;
-  policy.maxcontig = 8;            // 64 KiB runs
-  policy.rotdelay_blocks = 1;      // one-block rotational gap between runs
-  policy.group_switch_blocks = 256;  // spread every 2 MiB across groups
-  return policy;
+constexpr std::int64_t kCylindersPerGroup = 16;
+
+// A name in the flat root: non-empty, no '/', not "." or "..".
+Status ValidateName(const std::string& name) {
+  if (name.empty()) {
+    return crbase::InvalidArgumentError("empty name");
+  }
+  if (name.find('/') != std::string::npos) {
+    return crbase::InvalidArgumentError("'/' in name '" + name + "': the root is flat");
+  }
+  if (name == "." || name == "..") {
+    return crbase::InvalidArgumentError("'.' and '..' are not allowed");
+  }
+  return crbase::OkStatus();
 }
+
+}  // namespace
 
 Ufs::Ufs() : Ufs(Options{}) {}
 
 Ufs::Ufs(const Options& options) : options_(options) {
-  dirs_.insert("");  // the root
   sectors_per_block_ = kBlockSize / options_.geometry.sector_size;
   CRAS_CHECK(sectors_per_block_ * options_.geometry.sector_size == kBlockSize);
   const std::int64_t total_sectors =
@@ -45,58 +54,19 @@ Ufs::Ufs(const Options& options) : options_(options) {
 }
 
 std::int64_t Ufs::BlocksPerGroup() const {
-  return options_.cylinders_per_group * options_.geometry.sectors_per_cylinder() /
-         sectors_per_block_;
+  return kCylindersPerGroup * options_.geometry.sectors_per_cylinder() / sectors_per_block_;
 }
-
-namespace {
-
-// Validates a path ("a", "a/b/c"): non-empty components, no leading or
-// trailing slash, no "." / "..".
-Status ValidatePath(const std::string& path) {
-  if (path.empty()) {
-    return crbase::InvalidArgumentError("empty path");
-  }
-  std::size_t start = 0;
-  while (start <= path.size()) {
-    const std::size_t end = std::min(path.find('/', start), path.size());
-    const std::string component = path.substr(start, end - start);
-    if (component.empty()) {
-      return crbase::InvalidArgumentError("empty path component in '" + path + "'");
-    }
-    if (component == "." || component == "..") {
-      return crbase::InvalidArgumentError("'.' and '..' are not allowed: '" + path + "'");
-    }
-    if (end == path.size()) {
-      break;
-    }
-    start = end + 1;
-  }
-  return crbase::OkStatus();
-}
-
-// "a/b/c" -> "a/b"; "a" -> "" (the root).
-std::string ParentOf(const std::string& path) {
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
-}
-
-}  // namespace
 
 Result<InodeNumber> Ufs::Create(const std::string& name) {
-  CRAS_RETURN_IF_ERROR(ValidatePath(name));
-  if (directory_.contains(name) || dirs_.contains(name)) {
-    return crbase::AlreadyExistsError("path exists: " + name);
-  }
-  if (!dirs_.contains(ParentOf(name))) {
-    return crbase::NotFoundError("no such directory: " + ParentOf(name));
+  CRAS_RETURN_IF_ERROR(ValidateName(name));
+  if (directory_.contains(name)) {
+    return crbase::AlreadyExistsError("file exists: " + name);
   }
   const InodeNumber n = static_cast<InodeNumber>(inodes_.size());
   Inode inode;
   inode.number = n;
   inode.name = name;
   inodes_.push_back(std::move(inode));
-  cursors_.push_back(AllocCursor{});
   directory_[name] = n;
   return n;
 }
@@ -122,64 +92,6 @@ Status Ufs::Remove(const std::string& name) {
   inode.size_bytes = 0;
   directory_.erase(it);
   return crbase::OkStatus();
-}
-
-Status Ufs::Mkdir(const std::string& path) {
-  CRAS_RETURN_IF_ERROR(ValidatePath(path));
-  if (directory_.contains(path) || dirs_.contains(path)) {
-    return crbase::AlreadyExistsError("path exists: " + path);
-  }
-  if (!dirs_.contains(ParentOf(path))) {
-    return crbase::NotFoundError("no such directory: " + ParentOf(path));
-  }
-  dirs_.insert(path);
-  return crbase::OkStatus();
-}
-
-Status Ufs::Rmdir(const std::string& path) {
-  if (path.empty()) {
-    return crbase::InvalidArgumentError("cannot remove the root");
-  }
-  if (!dirs_.contains(path)) {
-    return crbase::NotFoundError("no such directory: " + path);
-  }
-  auto children = List(path);
-  CRAS_CHECK(children.ok());
-  if (!children->empty()) {
-    return crbase::FailedPreconditionError("directory not empty: " + path);
-  }
-  dirs_.erase(path);
-  return crbase::OkStatus();
-}
-
-bool Ufs::DirExists(const std::string& path) const {
-  return path.empty() || dirs_.contains(path);
-}
-
-Result<std::vector<std::string>> Ufs::List(const std::string& path) const {
-  if (!DirExists(path)) {
-    return crbase::NotFoundError("no such directory: " + path);
-  }
-  const std::string prefix = path.empty() ? "" : path + "/";
-  std::vector<std::string> children;
-  auto is_immediate_child = [&prefix](const std::string& candidate) {
-    if (candidate.size() <= prefix.size() || candidate.compare(0, prefix.size(), prefix) != 0) {
-      return false;
-    }
-    return candidate.find('/', prefix.size()) == std::string::npos;
-  };
-  for (const auto& [file_path, n] : directory_) {
-    if (is_immediate_child(file_path)) {
-      children.push_back(file_path.substr(prefix.size()));
-    }
-  }
-  for (const std::string& dir : dirs_) {
-    if (is_immediate_child(dir)) {
-      children.push_back(dir.substr(prefix.size()) + "/");
-    }
-  }
-  std::sort(children.begin(), children.end());
-  return children;
 }
 
 const Inode& Ufs::inode(InodeNumber n) const {
@@ -221,38 +133,19 @@ void Ufs::Release(std::int64_t block) {
   ++group_free_[static_cast<std::size_t>(block / BlocksPerGroup())];
 }
 
-std::int64_t Ufs::ChooseBlock(InodeNumber n, std::int64_t prev, std::int64_t file_blocks,
-                              std::int64_t run_length) {
-  const AllocPolicy& policy = options_.policy;
-  const std::int64_t bpg = BlocksPerGroup();
-
-  // FFS spreads large files: after group_switch_blocks blocks, jump to the
-  // group with the most free space.
-  if (prev >= 0 && file_blocks > 0 && file_blocks % policy.group_switch_blocks == 0) {
-    std::size_t best = 0;
-    for (std::size_t g = 1; g < group_free_.size(); ++g) {
-      if (group_free_[g] > group_free_[best]) {
-        best = g;
-      }
-    }
-    return FindFree(static_cast<std::int64_t>(best) * bpg);
-  }
-
+std::int64_t Ufs::ChooseBlock(InodeNumber n, std::int64_t prev) {
   if (prev >= 0) {
-    if (run_length < policy.maxcontig) {
-      const std::int64_t next = prev + 1;
-      if (next < total_blocks_ && !used_[static_cast<std::size_t>(next)]) {
-        return next;
-      }
-    } else {
-      // Run complete: skip the rotational-delay gap, then continue.
-      return FindFree(prev + 1 + policy.rotdelay_blocks);
+    // Continue the file's run where the next block is free.
+    const std::int64_t next = prev + 1;
+    if (next < total_blocks_ && !used_[static_cast<std::size_t>(next)]) {
+      return next;
     }
-    return FindFree(prev + 1);
+    return FindFree(next);
   }
   // First block of a file: FFS hashes the inode across cylinder groups so
   // unrelated files land all over the surface (which is why multi-stream
   // retrieval seeks at all). Fall forward to a group with space.
+  const std::int64_t bpg = BlocksPerGroup();
   const std::int64_t groups = static_cast<std::int64_t>(group_free_.size());
   std::int64_t group = (n * 37) % groups;
   for (std::int64_t probe = 0; probe < groups; ++probe) {
@@ -312,18 +205,15 @@ Status Ufs::Append(InodeNumber n, std::int64_t bytes) {
     return crbase::InvalidArgumentError("negative append");
   }
   Inode& inode = inodes_[static_cast<std::size_t>(n)];
-  AllocCursor& cursor = cursors_[static_cast<std::size_t>(n)];
   const std::int64_t end = inode.size_bytes + bytes;
   const std::int64_t needed_blocks = (end + kBlockSize - 1) / kBlockSize;
   while (static_cast<std::int64_t>(inode.block_map.size()) < needed_blocks) {
     const std::int64_t prev = inode.block_map.empty() ? -1 : inode.block_map.back();
-    const std::int64_t chosen =
-        ChooseBlock(n, prev, static_cast<std::int64_t>(inode.block_map.size()), cursor.run_length);
+    const std::int64_t chosen = ChooseBlock(n, prev);
     if (chosen < 0) {
       return crbase::ResourceExhaustedError("file system full");
     }
     Take(chosen);
-    cursor.run_length = (prev >= 0 && chosen == prev + 1) ? cursor.run_length + 1 : 1;
     inode.block_map.push_back(chosen);
   }
   inode.size_bytes = end;
@@ -357,7 +247,6 @@ Status Ufs::PreallocateContiguous(InodeNumber n, std::int64_t bytes) {
         inode.block_map.push_back(b);
       }
       inode.size_bytes = bytes;
-      cursors_[static_cast<std::size_t>(n)].run_length = needed;
       return crbase::OkStatus();
     }
   }
@@ -443,7 +332,6 @@ Status Ufs::Rearrange(InodeNumber n) {
     Take(placement[i]);
     inode.block_map[i] = placement[i];
   }
-  cursors_[static_cast<std::size_t>(n)].run_length = 1;
   return crbase::OkStatus();
 }
 

@@ -6,19 +6,19 @@
 // the Unix server. This module provides that layout:
 //
 //   * 8 KiB blocks over the disk's 512-byte sectors;
-//   * cylinder groups, a block bitmap per group;
+//   * 16-cylinder groups, a block bitmap per group;
 //   * inodes with a block map, created through an FFS-flavoured allocator
-//     whose contiguity is controlled by a tunefs-style `maxcontig` knob
-//     (the paper tunes it at file-system creation time so blocks are
-//     allocated "as contiguously as possible");
-//   * a flat root directory (name -> inode);
+//     tuned the way the paper tunes its file system at creation time
+//     (`tunefs`): blocks are allocated "as contiguously as possible", each
+//     file continuing its run from its last block;
+//   * one flat root directory (name -> inode);
 //   * extent queries (contiguous runs) used by CRAS to build reads of up to
 //     256 KiB;
 //   * fragmentation injection, to reproduce the paper's "edited file"
 //     problem (Section 3.2).
 //
 // Simplifications, documented for reviewers: metadata (superblock, bitmaps,
-// inodes, directories) lives in memory as if permanently cached, and file
+// inodes, the directory) lives in memory as if permanently cached, and file
 // *contents* are never materialized — only the block addresses matter,
 // because every result in the paper is a function of I/O timing. Creating
 // and growing files allocates blocks instantly ("offline mkfs"); the timed
@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -59,24 +58,6 @@ struct Extent {
   bool operator==(const Extent&) const = default;
 };
 
-// Allocation policy knobs. The defaults model a file system tuned the way
-// the paper tunes it (`tunefs` for maximum contiguity). `StockPolicy()`
-// models an untuned FFS: short contiguous runs with rotational-delay gaps
-// and periodic cylinder-group switches, which is what makes long files
-// scatter.
-struct AllocPolicy {
-  // Longest contiguous run the allocator will build before inserting a gap.
-  std::int64_t maxcontig = 1 << 30;
-  // Blocks skipped after each full run (FFS "rotdelay" gap).
-  std::int64_t rotdelay_blocks = 0;
-  // After this many blocks of one file, move to the next cylinder group
-  // (FFS spreads large files across groups).
-  std::int64_t group_switch_blocks = 1 << 30;
-};
-
-AllocPolicy TunedPolicy();   // the paper's configuration
-AllocPolicy StockPolicy();   // untuned FFS
-
 struct Inode {
   InodeNumber number = kInvalidInode;
   std::string name;
@@ -88,8 +69,6 @@ class Ufs {
  public:
   struct Options {
     crdisk::DiskGeometry geometry;
-    std::int64_t cylinders_per_group = 16;
-    AllocPolicy policy;
     // Striped-volume support. When total_sectors > 0 the file system spans
     // that many sectors of *logical* volume space (an N-disk volume is N
     // times larger than the per-disk `geometry`, which then only sizes
@@ -111,26 +90,17 @@ class Ufs {
   explicit Ufs(const Options& options);
 
   // --- namespace ---
-  // Names are slash-separated paths ("promos/kyoto.mpg"); every parent
-  // directory must already exist (the root does). Directory metadata lives
-  // with the rest of the metadata (in memory, as if cached); only file
-  // *data* blocks occupy the disk.
-  Result<InodeNumber> Create(const std::string& path);
-  Result<InodeNumber> Lookup(const std::string& path) const;
-  Status Remove(const std::string& path);
+  // Every file lives in the one root directory. A name is non-empty, holds
+  // no '/', and is neither "." nor ".."; Create rejects any other name
+  // (INVALID_ARGUMENT) and a name already taken (ALREADY_EXISTS).
+  Result<InodeNumber> Create(const std::string& name);
+  Result<InodeNumber> Lookup(const std::string& name) const;
+  Status Remove(const std::string& name);
   const Inode& inode(InodeNumber n) const;
 
-  // --- directories ---
-  Status Mkdir(const std::string& path);
-  // Removes an empty directory.
-  Status Rmdir(const std::string& path);
-  bool DirExists(const std::string& path) const;
-  // Immediate children of `path` (files and directories), sorted; child
-  // directories carry a trailing '/'.
-  Result<std::vector<std::string>> List(const std::string& path) const;
-
   // --- allocation ---
-  // Grows the file by `bytes`, allocating blocks under the current policy.
+  // Grows the file by `bytes`, allocating blocks contiguously after the
+  // file's last block where they are free.
   Status Append(InodeNumber n, std::int64_t bytes);
   // Reserves `bytes` of contiguous blocks up front — the paper's suggested
   // Unix-file-system modification enabling constant-rate writing (§4).
@@ -176,9 +146,8 @@ class Ufs {
   void Take(std::int64_t block);
   void Release(std::int64_t block);
   // Chooses the next block for file `n` whose previous block is `prev`
-  // (-1 for the first block) and that already has `file_blocks` blocks.
-  std::int64_t ChooseBlock(InodeNumber n, std::int64_t prev, std::int64_t file_blocks,
-                           std::int64_t run_length);
+  // (-1 for the first block).
+  std::int64_t ChooseBlock(InodeNumber n, std::int64_t prev);
 
   Options options_;
   std::int64_t sectors_per_block_ = 0;
@@ -188,16 +157,10 @@ class Ufs {
   std::int64_t free_blocks_ = 0;
   std::vector<bool> used_;
   std::vector<std::int64_t> group_free_;
-  std::map<std::string, InodeNumber> directory_;  // full path -> inode
-  std::set<std::string> dirs_;                     // full paths; "" is the root
+  std::map<std::string, InodeNumber> directory_;  // name -> inode
   // Deque: Inode references handed out (and held across coroutine suspension
   // points by the Unix server) must survive later Create() calls.
   std::deque<Inode> inodes_;
-  // Per-inode allocator cursor state.
-  struct AllocCursor {
-    std::int64_t run_length = 0;
-  };
-  std::deque<AllocCursor> cursors_;
 };
 
 }  // namespace crufs

@@ -7,17 +7,22 @@
 
 namespace crufs {
 
-UnixServer::UnixServer(crrt::Kernel& kernel, crdisk::IoTarget& driver, Ufs& fs)
-    : UnixServer(kernel, driver, fs, Options{}) {}
+namespace {
 
-UnixServer::UnixServer(crrt::Kernel& kernel, crdisk::IoTarget& driver, Ufs& fs,
-                       const Options& options)
+constexpr std::int64_t kCacheBlocks = 512;  // a 4 MiB buffer cache
+// CPU charged per request and per block served, modelling system-call and
+// copy overhead on the paper's 100 MHz Pentium.
+constexpr crbase::Duration kCpuPerRequest = crbase::Microseconds(400);
+constexpr crbase::Duration kCpuPerBlock = crbase::Microseconds(150);
+
+}  // namespace
+
+UnixServer::UnixServer(crrt::Kernel& kernel, crdisk::IoTarget& driver, Ufs& fs)
     : kernel_(&kernel),
       driver_(&driver),
       fs_(&fs),
-      options_(options),
       port_(kernel.engine()),
-      cache_(options.cache_blocks) {}
+      cache_(kCacheBlocks) {}
 
 UnixServer::~UnixServer() {
   // Requests still queued hold their clients' parked chains; draining them
@@ -62,7 +67,7 @@ crsim::Task UnixServer::Serve(crrt::ThreadContext& ctx, Request request) {
     request.Complete(crbase::OutOfRangeError("read beyond EOF"));
     co_return;
   }
-  co_await ctx.Compute(options_.cpu_per_request);
+  co_await ctx.Compute(kCpuPerRequest);
   if (request.length == 0) {
     request.Complete(crbase::OkStatus());
     co_return;
@@ -75,7 +80,7 @@ crsim::Task UnixServer::Serve(crrt::ThreadContext& ctx, Request request) {
 
   for (std::int64_t fb = first_block; fb <= last_block; ++fb) {
     const std::int64_t disk_block = inode.block_map[static_cast<std::size_t>(fb)];
-    co_await ctx.Compute(options_.cpu_per_block);
+    co_await ctx.Compute(kCpuPerBlock);
     if (cache_.Lookup(disk_block)) {
       continue;
     }
@@ -83,7 +88,7 @@ crsim::Task UnixServer::Serve(crrt::ThreadContext& ctx, Request request) {
     // blocks, none already cached, extending past the requested range as
     // read-ahead, up to cluster_blocks total.
     std::int64_t run = 1;
-    while (run < options_.cluster_blocks && fb + run < file_blocks) {
+    while (run < kClusterBlocks && fb + run < file_blocks) {
       const std::int64_t next = inode.block_map[static_cast<std::size_t>(fb + run)];
       if (next != disk_block + run || cache_.Contains(next)) {
         break;
@@ -106,7 +111,7 @@ crsim::Task UnixServer::Serve(crrt::ThreadContext& ctx, Request request) {
 }
 
 crsim::Task UnixServer::ServeWrite(crrt::ThreadContext& ctx, Request request) {
-  co_await ctx.Compute(options_.cpu_per_request);
+  co_await ctx.Compute(kCpuPerRequest);
   // Extend the file if the write ends past EOF (this is how editing grows a
   // movie; the allocator's policy decides where the new blocks land).
   const std::int64_t end = request.offset + request.length;
@@ -129,9 +134,9 @@ crsim::Task UnixServer::ServeWrite(crrt::ThreadContext& ctx, Request request) {
   // Write through, coalescing disk-contiguous runs like the read path.
   for (std::int64_t fb = first_block; fb <= last_block; ++fb) {
     const std::int64_t disk_block = inode.block_map[static_cast<std::size_t>(fb)];
-    co_await ctx.Compute(options_.cpu_per_block);
+    co_await ctx.Compute(kCpuPerBlock);
     std::int64_t run = 1;
-    while (run < options_.cluster_blocks && fb + run <= last_block) {
+    while (run < kClusterBlocks && fb + run <= last_block) {
       const std::int64_t next = inode.block_map[static_cast<std::size_t>(fb + run)];
       if (next != disk_block + run) {
         break;

@@ -1,9 +1,9 @@
 // The Unix server (Lites-style): the baseline read path.
 //
 // A single server thread serves all clients' read requests in arrival
-// order. Each miss issues a clustered read (up to `cluster_blocks`
-// contiguous blocks, with read-ahead past the requested range) through the
-// driver's *normal* queue. This reproduces the two structural reasons the
+// order, through a 4 MiB buffer cache. Each miss issues a clustered read
+// (up to kClusterBlocks contiguous blocks, with read-ahead past the
+// requested range) through the driver's *normal* queue. This reproduces the two structural reasons the
 // paper's UFS baseline cannot provide rate guarantees:
 //
 //   1. all clients — continuous-media players and background `cat`s alike —
@@ -36,6 +36,9 @@
 
 namespace crufs {
 
+// Blocks per clustered read: 64 KiB, Table 4's B_other.
+inline constexpr std::int64_t kClusterBlocks = 8;
+
 struct UnixServerStats {
   std::int64_t requests = 0;
   std::int64_t blocks_requested = 0;
@@ -48,17 +51,7 @@ struct UnixServerStats {
 
 class UnixServer {
  public:
-  struct Options {
-    std::int64_t cache_blocks = 512;   // 4 MiB buffer cache
-    std::int64_t cluster_blocks = 8;   // 64 KiB clustered reads (Table 4's B_other)
-    // CPU charged per request and per block served, modelling system-call
-    // and copy overhead on the paper's 100 MHz Pentium.
-    crbase::Duration cpu_per_request = crbase::Microseconds(400);
-    crbase::Duration cpu_per_block = crbase::Microseconds(150);
-  };
-
   UnixServer(crrt::Kernel& kernel, crdisk::IoTarget& driver, Ufs& fs);
-  UnixServer(crrt::Kernel& kernel, crdisk::IoTarget& driver, Ufs& fs, const Options& options);
   UnixServer(const UnixServer&) = delete;
   UnixServer& operator=(const UnixServer&) = delete;
   // Reclaims client frames whose requests were still queued unprocessed.
@@ -137,7 +130,6 @@ class UnixServer {
   crrt::Kernel* kernel_;
   crdisk::IoTarget* driver_;
   Ufs* fs_;
-  Options options_;
   crsim::Port<Request> port_;
   BufferCache cache_;
   UnixServerStats stats_;

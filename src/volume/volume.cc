@@ -9,6 +9,15 @@
 
 namespace crvol {
 
+namespace {
+
+// Stripe unit: 256 KiB matches the CRAS maximum coalesced read. It must be a
+// whole number of the member disks' sectors (checked at construction).
+constexpr std::int64_t kStripeUnitBytes = 256 * crbase::kKiB;
+static_assert(kStripeUnitBytes > 0);
+
+}  // namespace
+
 const char* MemberStateName(MemberState state) {
   switch (state) {
     case MemberState::kHealthy:
@@ -30,10 +39,9 @@ Volume::~Volume() {
 Volume::Volume(crsim::Engine& engine, const VolumeOptions& options) {
   CRAS_CHECK(options.disks >= 1) << "a volume needs at least one disk";
   sector_size_ = options.device.geometry.sector_size;
-  CRAS_CHECK(options.stripe_unit_bytes > 0 &&
-             options.stripe_unit_bytes % sector_size_ == 0)
-      << "stripe unit must be a positive whole number of sectors";
-  unit_sectors_ = options.stripe_unit_bytes / sector_size_;
+  CRAS_CHECK(kStripeUnitBytes % sector_size_ == 0)
+      << "stripe unit must be a whole number of sectors";
+  unit_sectors_ = kStripeUnitBytes / sector_size_;
   for (int d = 0; d < options.disks; ++d) {
     owned_devices_.push_back(std::make_unique<crdisk::DiskDevice>(engine, options.device));
     owned_drivers_.push_back(

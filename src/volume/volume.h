@@ -1,7 +1,7 @@
 // The multi-disk volume abstraction shared by the striped (data-only) and
 // parity (RAID-4/5-style) layouts: N member disks, each with its own
 // DiskDevice and dual-queue DiskDriver, presented as one flat logical
-// sector space.
+// sector space, striped in 256 KiB units (the CRAS maximum coalesced read).
 //
 // A volume is an IoTarget — Submit() maps a logical request through the
 // layout's MapRange(), fans the physical pieces out to the owning disks'
@@ -47,9 +47,8 @@ struct VolumeOptions {
   // capacity drops to (disks-1)/disks, and a single member failure degrades
   // service instead of losing it. Consumed by MakeVolume().
   bool parity = false;
-  // Stripe unit; must be a whole number of sectors. 256 KiB matches the
-  // CRAS maximum coalesced read.
-  std::int64_t stripe_unit_bytes = 256 * crbase::kKiB;
+  // The stripe unit is 256 KiB, the CRAS maximum coalesced read (a constant
+  // in volume.cc; stripe_unit_bytes() reports it).
   // Per-disk hardware; every spindle is identical (the homogeneous-array
   // configuration the admission model assumes).
   crdisk::DiskDevice::Options device;

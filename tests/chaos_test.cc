@@ -139,7 +139,7 @@ TEST(FaultPlanMerge, MergedPlansFireThroughOneInjector) {
   a.Merge(b);
   ASSERT_EQ(a.events().size(), 2u);
 
-  crfault::FaultInjector injector(engine, link, a);
+  crfault::FaultInjector injector(engine, nullptr, &link, a);
   injector.Arm();
   engine.RunFor(Milliseconds(30));
   EXPECT_EQ(link.impairments().loss_probability, 0.25);
@@ -152,7 +152,7 @@ TEST(FaultInjector, ArmAfterEventTimeFiresImmediately) {
   crnet::Link link(engine);
   FaultPlan plan;
   plan.LinkLoss(Milliseconds(10), 0.5);
-  crfault::FaultInjector injector(engine, link, plan);
+  crfault::FaultInjector injector(engine, nullptr, &link, plan);
   // The clock is already past the event's timestamp when Arm runs: the
   // event must fire at once, not be lost.
   engine.RunFor(Milliseconds(100));
@@ -211,8 +211,8 @@ TEST(ChaosSchedule, ConstraintsHoldAcrossSeeds) {
     std::vector<int> crashed_clients;
     for (std::size_t i = 0; i < plan.events().size(); ++i) {
       const FaultEvent& event = plan.events()[i];
-      EXPECT_GE(event.at, config.start) << "seed " << seed;
-      EXPECT_LE(event.at, config.horizon + config.max_window) << "seed " << seed;
+      EXPECT_GE(event.at, kScheduleStart) << "seed " << seed;
+      EXPECT_LE(event.at, kScheduleHorizon + kMaxWindow) << "seed " << seed;
       if (event.kind == FaultKind::kFailStop) {
         ASSERT_LT(i + 1, plan.events().size());
         const FaultEvent& recover = plan.events()[i + 1];
@@ -234,7 +234,7 @@ TEST(ChaosSchedule, ConstraintsHoldAcrossSeeds) {
       }
     }
     // Client crashes are capped and hit distinct clients.
-    EXPECT_LE(static_cast<int>(crashed_clients.size()), config.max_client_crashes);
+    EXPECT_LE(static_cast<int>(crashed_clients.size()), kMaxClientCrashes);
     std::sort(crashed_clients.begin(), crashed_clients.end());
     EXPECT_EQ(std::adjacent_find(crashed_clients.begin(), crashed_clients.end()),
               crashed_clients.end())

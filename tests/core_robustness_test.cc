@@ -79,7 +79,7 @@ TEST(MultipleServers, TwoCrasServersShareOneDisk) {
   // their total load fits — here each runs well under half the disk.
   VolumeTestbed bed;
   bed.StartServers();
-  CrasServer second(bed.kernel, bed.volume, bed.fs);
+  CrasServer second(bed.kernel, bed.volume, bed.fs, CrasServer::Options{});
   second.Start();
 
   auto file_a = crmedia::WriteMpeg1File(bed.fs, "a", Seconds(10));
@@ -112,7 +112,7 @@ TEST(MultipleServers, UncoordinatedAdmissionCanOversubscribe) {
   // the multiple-servers configuration, demonstrated rather than hidden.
   VolumeTestbed bed;
   bed.StartServers();
-  CrasServer second(bed.kernel, bed.volume, bed.fs);
+  CrasServer second(bed.kernel, bed.volume, bed.fs, CrasServer::Options{});
   second.Start();
 
   std::vector<crmedia::MediaFile> files;
@@ -155,9 +155,9 @@ TEST(MultipleServers, EveryServerOnTheVolumeHearsAMemberFailure) {
   // the dead disk can no longer carry, and stop admitting.
   VolumeTestbed bed;
   bed.StartServers();
-  CrasServer second(bed.kernel, bed.volume, bed.fs);
+  CrasServer second(bed.kernel, bed.volume, bed.fs, CrasServer::Options{});
   second.Start();
-  { CrasServer transient(bed.kernel, bed.volume, bed.fs); }
+  { CrasServer transient(bed.kernel, bed.volume, bed.fs, CrasServer::Options{}); }
 
   auto file_a = crmedia::WriteMpeg1File(bed.fs, "a", Seconds(10));
   auto file_b = crmedia::WriteMpeg1File(bed.fs, "b", Seconds(10));

@@ -1,4 +1,4 @@
-// Multicast delivery groups: XOR repair codec round trips, group
+// Multicast delivery groups: XOR parity packet sizing, group
 // bookkeeping, coded repair fixing different losses at different receivers
 // with one packet, the late-joiner bridge from the pinned prefix and its
 // per-fragment retransmits, the boundary-chunk deadline rule, and the
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/random.h"
 #include "src/core/cras.h"
 #include "src/core/testbed.h"
 #include "src/fault/fault.h"
@@ -32,31 +31,6 @@ using crbase::Seconds;
 
 // ---------------------------------------------------------------------------
 // Unit: XOR parity codec.
-
-TEST(XorCodec, RoundTripRecoversAnySingleMissingFragment) {
-  crbase::Rng rng(0xc0ded);
-  for (int iter = 0; iter < 40; ++iter) {
-    const std::size_t count = 2 + static_cast<std::size_t>(rng.NextBelow(16));
-    std::vector<std::vector<std::uint8_t>> fragments(count);
-    for (auto& fragment : fragments) {
-      fragment.resize(1 + static_cast<std::size_t>(rng.NextBelow(2000)));
-      for (auto& byte : fragment) {
-        byte = static_cast<std::uint8_t>(rng.NextBelow(256));
-      }
-    }
-    const std::vector<std::uint8_t> parity = XorParity(fragments);
-    const std::size_t missing = static_cast<std::size_t>(rng.NextBelow(count));
-    std::vector<const std::vector<std::uint8_t>*> present;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (i != missing) {
-        present.push_back(&fragments[i]);
-      }
-    }
-    const std::vector<std::uint8_t> recovered =
-        XorRecover(parity, present, fragments[missing].size());
-    EXPECT_EQ(recovered, fragments[missing]) << "iteration " << iter;
-  }
-}
 
 TEST(XorCodec, ParityBytesIsTheLongestFragment) {
   EXPECT_EQ(XorParityBytes({100, 8192, 512}), 8192);

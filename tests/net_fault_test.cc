@@ -192,7 +192,7 @@ TEST(LinkFaults, PlanDrivesImpairmentsOverTime) {
       .LinkJitter(Milliseconds(20), Milliseconds(3), 0.1, Milliseconds(8))
       .LinkDerate(Milliseconds(30), 4.0)
       .LinkRecover(Milliseconds(40));
-  crfault::FaultInjector injector(engine, link, plan);
+  crfault::FaultInjector injector(engine, nullptr, &link, plan);
   injector.Arm();
 
   engine.RunUntil(Milliseconds(15));
@@ -213,7 +213,7 @@ TEST(LinkFaults, BurstLossEventSwitchesToGilbertElliott) {
   Link link(engine, FastLink());
   crfault::FaultPlan plan;
   plan.LinkBurstLoss(Milliseconds(5), 0.02, 0.4, 0.9);
-  crfault::FaultInjector injector(engine, link, plan);
+  crfault::FaultInjector injector(engine, nullptr, &link, plan);
   injector.Arm();
   engine.RunUntil(Milliseconds(10));
   EXPECT_TRUE(link.impairments().gilbert_elliott);
@@ -244,7 +244,7 @@ TEST(LinkFaults, DestroyedInjectorFiresNoEvents) {
   {
     crfault::FaultPlan plan;
     plan.LinkLoss(Milliseconds(50), 1.0).LinkDerate(Milliseconds(60), 8.0);
-    crfault::FaultInjector injector(engine, link, plan);
+    crfault::FaultInjector injector(engine, nullptr, &link, plan);
     injector.Arm();
   }
   engine.RunUntil(Milliseconds(100));
@@ -411,7 +411,7 @@ TEST(NpsReassembly, BestEffortAbandonsIncompleteChunkAfterGrace) {
   // abandoned once the reordering grace expires.
   RxRig rig;
   rig.receiver.OnFragment(rig.Frag(0, 0, 2));
-  rig.kernel.engine().RunFor(NpsReceiver::Options{}.nak_delay * 2);
+  rig.kernel.engine().RunFor(kNakDelay * 2);
   EXPECT_EQ(rig.receiver.stats().chunks_received, 0);
   EXPECT_EQ(rig.receiver.stats().chunks_abandoned, 1);
   EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
@@ -532,7 +532,7 @@ TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
   LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
   crfault::FaultPlan plan;
   plan.LinkLoss(Seconds(3), 1.0).LinkRecover(Seconds(4));
-  crfault::FaultInjector injector(rig.server_host.engine(), rig.forward, plan);
+  crfault::FaultInjector injector(rig.server_host.engine(), nullptr, &rig.forward, plan);
   injector.Arm();
 
   auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));

@@ -269,7 +269,7 @@ TEST(Nps, SenderExitsWhenItsSessionCloses) {
   // The close woke the sender on its next tick and it returned, instead of
   // sleeping on towards the chunk's deadline or polling a clock that no
   // longer exists.
-  engine.RunUntil(closed_at + NpsSender::Options{}.poll);
+  engine.RunUntil(closed_at + kNpsPoll);
   EXPECT_TRUE(sender_task.done());
   EXPECT_GT(sent, 0);
   EXPECT_LT(sent, static_cast<std::int64_t>(movie->index.count()));
@@ -320,7 +320,7 @@ void FollowParkedWaits(QtPlayRig& rig, cras::SessionId session, const crsim::Tas
                        ParkedWaits* out) {
   crsim::Engine& engine = rig.server_host.engine();
   cras::CrasServer& server = rig.server_host.cras_server;
-  const crbase::Duration poll = NpsSender::Options{}.poll;
+  const crbase::Duration poll = kNpsPoll;
   const cras::TimeDrivenBufferStats* buffer = server.GetBufferStats(session);
   ASSERT_NE(buffer, nullptr);
   std::int64_t misses = buffer->get_misses;
@@ -374,7 +374,7 @@ TEST(Nps, ParkedSenderShipsOnThePollLoopsTick) {
 
 TEST(Nps, PublishOnAParkedSendersTickWakesItOnePollLater) {
   // With no CPU charged per chunk the sender stays on the 5 ms grid it
-  // starts on. The scheduler publishes cpu_per_interval after each
+  // starts on. The scheduler publishes kCpuPerInterval after each
   // interval boundary, so starting the sender that far past a grid point
   // puts the publishes on its ticks.
   NpsSender::Options options;
@@ -384,8 +384,7 @@ TEST(Nps, PublishOnAParkedSendersTickWakesItOnePollLater) {
   ASSERT_TRUE(movie.ok());
   const cras::SessionId session = OpenAndStart(rig, *movie);
   crsim::Engine& engine = rig.server_host.engine();
-  engine.RunUntil((engine.Now() / options.poll + 1) * options.poll +
-                  cras::CrasServer::Options{}.cpu_per_interval);
+  engine.RunUntil((engine.Now() / kNpsPoll + 1) * kNpsPoll + cras::kCpuPerInterval);
   crsim::Task sender_task = rig.sender.Start(session, &movie->index);
   ParkedWaits parked;
   FollowParkedWaits(rig, session, sender_task, &parked);
@@ -415,7 +414,7 @@ TEST(Nps, ChunkPastItsDeadlineIsSkippedOnThePollLoopsTick) {
   crsim::Task sender_task = rig.sender.Start(session, &movie->index);
   crsim::Engine& engine = rig.server_host.engine();
   cras::CrasServer& server = rig.server_host.cras_server;
-  const crbase::Duration poll = NpsSender::Options{}.poll;
+  const crbase::Duration poll = kNpsPoll;
   const cras::LogicalClock* clock = server.SessionClock(session);
   const cras::TimeDrivenBufferStats* buffer = server.GetBufferStats(session);
   ASSERT_NE(clock, nullptr);
@@ -519,7 +518,7 @@ TEST(Nps, SenderResumesWithinOnePollOfARestart) {
     for (; sent < rig.sender.stats().chunks_sent; ++sent, ++next) {
       ASSERT_LT(next, due.size());
       EXPECT_GE(engine.Now(), due[next]) << "chunk " << sent << " shipped early";
-      EXPECT_LE(engine.Now() - due[next], options.poll + Milliseconds(1))
+      EXPECT_LE(engine.Now() - due[next], kNpsPoll + Milliseconds(1))
           << "chunk " << sent << " shipped late";
     }
   }
@@ -621,7 +620,7 @@ TEST(StatsQuery, NullLinkAnswersWithoutNetworkDelay) {
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(ExtractCounter(json, "cras.sessions_opened"), 0);
   // Same-host path: only the snapshot-rendering CPU charge, no wire time.
-  EXPECT_GE(answered - asked, StatsQueryService::Options{}.cpu_per_query);
+  EXPECT_GE(answered - asked, kCpuPerQuery);
   EXPECT_LT(answered - asked, Milliseconds(10));
 }
 

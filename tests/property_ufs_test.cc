@@ -1,5 +1,5 @@
 // Property tests for the file-system allocator and extent mapping, swept
-// over allocation policies and random workloads.
+// over random workloads.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@ using crbase::kKiB;
 
 struct UfsCase {
   const char* name;
-  bool tuned;
   std::uint64_t seed;
   int files;
   int rounds;
@@ -32,9 +31,7 @@ class AllocatorInvariants : public ::testing::TestWithParam<UfsCase> {};
 // allocator invariants after every operation.
 TEST_P(AllocatorInvariants, RandomWorkloadKeepsAccountingConsistent) {
   const UfsCase& c = GetParam();
-  Ufs::Options options;
-  options.policy = c.tuned ? TunedPolicy() : StockPolicy();
-  Ufs fs(options);
+  Ufs fs;
   crbase::Rng rng(c.seed);
 
   std::vector<std::string> live;
@@ -90,10 +87,7 @@ TEST_P(AllocatorInvariants, RandomWorkloadKeepsAccountingConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, AllocatorInvariants,
-    ::testing::Values(UfsCase{"tuned_small", true, 101, 8, 60},
-                      UfsCase{"tuned_churn", true, 202, 4, 100},
-                      UfsCase{"stock_small", false, 303, 8, 60},
-                      UfsCase{"stock_churn", false, 404, 4, 100}),
+    ::testing::Values(UfsCase{"tuned_small", 101, 8, 60}, UfsCase{"tuned_churn", 202, 4, 100}),
     [](const ::testing::TestParamInfo<UfsCase>& info) { return info.param.name; });
 
 class ExtentProperty : public ::testing::TestWithParam<std::uint64_t> {};

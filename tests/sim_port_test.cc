@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "src/base/time_units.h"
-#include "src/sim/awaitables.h"
-#include "src/sim/semaphore.h"
 #include "src/sim/task.h"
 
 namespace crsim {
@@ -96,55 +94,6 @@ TEST(Port, DirectHandoffBypassesQueue) {
   EXPECT_EQ(port.size(), 0u);  // handed to the waiter, never queued
   e.Run();
   EXPECT_EQ(got, std::vector<int>{5});
-}
-
-Task AcquireN(Semaphore& sem, int n, std::vector<Time>* at, Engine& e) {
-  for (int i = 0; i < n; ++i) {
-    co_await sem.Acquire();
-    at->push_back(e.Now());
-  }
-}
-
-TEST(Semaphore, CountsDown) {
-  Engine e;
-  Semaphore sem(e, 2);
-  std::vector<Time> at;
-  Task t = AcquireN(sem, 2, &at, e);
-  EXPECT_TRUE(t.done());
-  EXPECT_EQ(sem.count(), 0);
-}
-
-TEST(Semaphore, BlocksAtZeroAndWakesOnRelease) {
-  Engine e;
-  Semaphore sem(e, 0);
-  std::vector<Time> at;
-  Task t = AcquireN(sem, 1, &at, e);
-  EXPECT_FALSE(t.done());
-  e.ScheduleAt(Milliseconds(42), [&] { sem.Release(); });
-  e.Run();
-  EXPECT_TRUE(t.done());
-  ASSERT_EQ(at.size(), 1u);
-  EXPECT_EQ(at[0], Milliseconds(42));
-}
-
-TEST(Semaphore, ReleaseHandsToWaiterNotCount) {
-  Engine e;
-  Semaphore sem(e, 0);
-  std::vector<Time> at;
-  Task t = AcquireN(sem, 1, &at, e);
-  sem.Release();
-  EXPECT_EQ(sem.count(), 0);  // the unit went to the waiter
-  e.Run();
-  EXPECT_TRUE(t.done());
-}
-
-TEST(Semaphore, TryAcquire) {
-  Engine e;
-  Semaphore sem(e, 1);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
 }
 
 }  // namespace

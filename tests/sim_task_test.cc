@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/time_units.h"
 #include "src/sim/awaitables.h"
 #include "src/sim/engine.h"
@@ -110,37 +112,6 @@ TEST(Task, MoveTransfersOwnership) {
   EXPECT_TRUE(b.valid());
   e.Run();
   EXPECT_TRUE(b.done());
-}
-
-TEST(Gate, BlocksUntilOpened) {
-  Engine e;
-  Gate gate(e);
-  std::vector<Time> passed;
-  auto waiter = [](Engine& eng, Gate& g, std::vector<Time>* out) -> Task {
-    co_await g.Wait();
-    out->push_back(eng.Now());
-  };
-  Task t1 = waiter(e, gate, &passed);
-  Task t2 = waiter(e, gate, &passed);
-  e.ScheduleAt(Milliseconds(30), [&] { gate.Open(); });
-  e.Run();
-  ASSERT_EQ(passed.size(), 2u);
-  EXPECT_EQ(passed[0], Milliseconds(30));
-  EXPECT_EQ(passed[1], Milliseconds(30));
-  EXPECT_TRUE(t1.done());
-  EXPECT_TRUE(t2.done());
-}
-
-TEST(Gate, OpenGatePassesImmediately) {
-  Engine e;
-  Gate gate(e, /*open=*/true);
-  bool passed = false;
-  Task t = [](Gate& g, bool* out) -> Task {
-    co_await g.Wait();
-    *out = true;
-  }(gate, &passed);
-  EXPECT_TRUE(passed);
-  EXPECT_TRUE(t.done());
 }
 
 }  // namespace

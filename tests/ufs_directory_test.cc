@@ -1,4 +1,4 @@
-// Hierarchical namespace tests.
+// Root-directory namespace tests: every file lives in one flat root.
 
 #include "src/ufs/ufs.h"
 
@@ -7,40 +7,15 @@
 namespace crufs {
 namespace {
 
-TEST(UfsDirectory, RootExistsAndListsCreatedFiles) {
-  Ufs fs;
-  EXPECT_TRUE(fs.DirExists(""));
-  ASSERT_TRUE(fs.Create("a.mpg").ok());
-  ASSERT_TRUE(fs.Create("b.mpg").ok());
-  auto children = fs.List("");
-  ASSERT_TRUE(children.ok());
-  EXPECT_EQ(*children, (std::vector<std::string>{"a.mpg", "b.mpg"}));
-}
-
-TEST(UfsDirectory, MkdirAndNestedCreate) {
-  Ufs fs;
-  ASSERT_TRUE(fs.Mkdir("movies").ok());
-  ASSERT_TRUE(fs.Mkdir("movies/japan").ok());
-  auto created = fs.Create("movies/japan/kyoto.mpg");
-  ASSERT_TRUE(created.ok());
-  auto found = fs.Lookup("movies/japan/kyoto.mpg");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(*found, *created);
-
-  auto root = fs.List("");
-  ASSERT_TRUE(root.ok());
-  EXPECT_EQ(*root, std::vector<std::string>{"movies/"});
-  auto japan = fs.List("movies/japan");
-  ASSERT_TRUE(japan.ok());
-  EXPECT_EQ(*japan, std::vector<std::string>{"kyoto.mpg"});
-}
-
 TEST(UfsDirectory, CreateRequiresParent) {
+  // No subdirectory can exist, so a name under one is refused and neither
+  // the file nor its would-be parent is made.
   Ufs fs;
   auto result = fs.Create("nosuchdir/file");
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), crbase::StatusCode::kNotFound);
-  EXPECT_FALSE(fs.Mkdir("a/b").ok());  // parent "a" missing too
+  EXPECT_EQ(result.status().code(), crbase::StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs.Lookup("nosuchdir/file").status().code(), crbase::StatusCode::kNotFound);
+  EXPECT_EQ(fs.Lookup("nosuchdir").status().code(), crbase::StatusCode::kNotFound);
 }
 
 TEST(UfsDirectory, PathValidation) {
@@ -49,48 +24,21 @@ TEST(UfsDirectory, PathValidation) {
   EXPECT_EQ(fs.Create("trailing/").status().code(), crbase::StatusCode::kInvalidArgument);
   EXPECT_EQ(fs.Create("a//b").status().code(), crbase::StatusCode::kInvalidArgument);
   EXPECT_EQ(fs.Create("a/../b").status().code(), crbase::StatusCode::kInvalidArgument);
-  EXPECT_EQ(fs.Mkdir(".").code(), crbase::StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs.Create(".").status().code(), crbase::StatusCode::kInvalidArgument);
 }
 
 TEST(UfsDirectory, NameCollisionsAcrossKinds) {
+  // Files are the only kind left: a taken name is refused without touching
+  // the file that holds it, and removing that file frees the name.
   Ufs fs;
-  ASSERT_TRUE(fs.Mkdir("x").ok());
+  auto x = fs.Create("x");
+  ASSERT_TRUE(x.ok());
   EXPECT_EQ(fs.Create("x").status().code(), crbase::StatusCode::kAlreadyExists);
-  ASSERT_TRUE(fs.Create("y").ok());
-  EXPECT_EQ(fs.Mkdir("y").code(), crbase::StatusCode::kAlreadyExists);
-}
-
-TEST(UfsDirectory, RmdirOnlyWhenEmpty) {
-  Ufs fs;
-  ASSERT_TRUE(fs.Mkdir("d").ok());
-  ASSERT_TRUE(fs.Create("d/f").ok());
-  EXPECT_EQ(fs.Rmdir("d").code(), crbase::StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(fs.Remove("d/f").ok());
-  EXPECT_TRUE(fs.Rmdir("d").ok());
-  EXPECT_FALSE(fs.DirExists("d"));
-  EXPECT_EQ(fs.Rmdir("d").code(), crbase::StatusCode::kNotFound);
-  EXPECT_EQ(fs.Rmdir("").code(), crbase::StatusCode::kInvalidArgument);
-}
-
-TEST(UfsDirectory, ListDistinguishesFilesAndSubdirs) {
-  Ufs fs;
-  ASSERT_TRUE(fs.Mkdir("d").ok());
-  ASSERT_TRUE(fs.Mkdir("d/sub").ok());
-  ASSERT_TRUE(fs.Create("d/file").ok());
-  auto children = fs.List("d");
-  ASSERT_TRUE(children.ok());
-  EXPECT_EQ(*children, (std::vector<std::string>{"file", "sub/"}));
-  EXPECT_FALSE(fs.List("nosuch").ok());
-}
-
-TEST(UfsDirectory, ListDoesNotLeakGrandchildren) {
-  Ufs fs;
-  ASSERT_TRUE(fs.Mkdir("a").ok());
-  ASSERT_TRUE(fs.Mkdir("a/b").ok());
-  ASSERT_TRUE(fs.Create("a/b/deep").ok());
-  auto children = fs.List("a");
-  ASSERT_TRUE(children.ok());
-  EXPECT_EQ(*children, std::vector<std::string>{"b/"});
+  auto found = fs.Lookup("x");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(*found, *x);
+  ASSERT_TRUE(fs.Remove("x").ok());
+  EXPECT_TRUE(fs.Create("x").ok());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// File-system layout, allocation policy, and extent tests.
+// File-system layout, allocation, and extent tests.
 
 #include "src/ufs/ufs.h"
 
@@ -13,20 +13,8 @@ namespace {
 using crbase::kKiB;
 using crbase::kMiB;
 
-Ufs MakeTuned() {
-  Ufs::Options options;
-  options.policy = TunedPolicy();
-  return Ufs(options);
-}
-
-Ufs MakeStock() {
-  Ufs::Options options;
-  options.policy = StockPolicy();
-  return Ufs(options);
-}
-
 TEST(Ufs, GeometryDerivedSizes) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   EXPECT_EQ(fs.block_size(), 8 * kKiB);
   EXPECT_EQ(fs.sectors_per_block(), 16);
   // ~2 GB disk in 8 KiB blocks.
@@ -36,7 +24,7 @@ TEST(Ufs, GeometryDerivedSizes) {
 }
 
 TEST(Ufs, CreateLookupRemove) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   auto created = fs.Create("movie.mpg");
   ASSERT_TRUE(created.ok());
   auto found = fs.Lookup("movie.mpg");
@@ -52,12 +40,18 @@ TEST(Ufs, CreateLookupRemove) {
 }
 
 TEST(Ufs, CreateRejectsEmptyName) {
-  Ufs fs = MakeTuned();
-  EXPECT_FALSE(fs.Create("").ok());
+  Ufs fs;
+  EXPECT_EQ(fs.Create("").status().code(), crbase::StatusCode::kInvalidArgument);
+  // The root is flat: no name holds a '/', and "." and ".." name no file.
+  for (const char* bad : {"a/b", "/a", "a/", ".", ".."}) {
+    EXPECT_EQ(fs.Create(bad).status().code(), crbase::StatusCode::kInvalidArgument) << bad;
+  }
+  ASSERT_TRUE(fs.Create("a").ok());
+  EXPECT_EQ(fs.Create("a").status().code(), crbase::StatusCode::kAlreadyExists);
 }
 
 TEST(Ufs, AppendAllocatesBlocks) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("f");
   ASSERT_TRUE(fs.Append(n, 100 * kKiB).ok());
   const Inode& inode = fs.inode(n);
@@ -67,19 +61,10 @@ TEST(Ufs, AppendAllocatesBlocks) {
 }
 
 TEST(Ufs, TunedPolicyIsFullyContiguous) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("movie");
   ASSERT_TRUE(fs.Append(n, 64 * kMiB).ok());
   EXPECT_DOUBLE_EQ(fs.ContiguityOf(n), 1.0);
-}
-
-TEST(Ufs, StockPolicyScattersLargeFiles) {
-  Ufs fs = MakeStock();
-  InodeNumber n = *fs.Create("movie");
-  ASSERT_TRUE(fs.Append(n, 64 * kMiB).ok());
-  const double contiguity = fs.ContiguityOf(n);
-  EXPECT_LT(contiguity, 0.95);
-  EXPECT_GT(contiguity, 0.5);  // still mostly runs, as FFS produces
 }
 
 TEST(Ufs, InterleavedWritersStayContiguousPerFile) {
@@ -87,7 +72,7 @@ TEST(Ufs, InterleavedWritersStayContiguousPerFile) {
   // each file's runs long (this is what contiguous preallocation policy
   // buys; a naive next-free allocator would interleave them block by
   // block).
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber a = *fs.Create("a");
   InodeNumber b = *fs.Create("b");
   for (int i = 0; i < 64; ++i) {
@@ -99,7 +84,7 @@ TEST(Ufs, InterleavedWritersStayContiguousPerFile) {
 }
 
 TEST(Ufs, RemoveFreesBlocks) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("f");
   ASSERT_TRUE(fs.Append(n, kMiB).ok());
   const std::int64_t free_before = fs.free_blocks();
@@ -108,7 +93,7 @@ TEST(Ufs, RemoveFreesBlocks) {
 }
 
 TEST(Ufs, PreallocateContiguousIsOneRun) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber filler = *fs.Create("filler");
   ASSERT_TRUE(fs.Append(filler, 10 * kMiB).ok());
   InodeNumber n = *fs.Create("rtwrite");
@@ -118,14 +103,14 @@ TEST(Ufs, PreallocateContiguousIsOneRun) {
 }
 
 TEST(Ufs, PreallocateRequiresEmptyFile) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("f");
   ASSERT_TRUE(fs.Append(n, kMiB).ok());
   EXPECT_EQ(fs.PreallocateContiguous(n, kMiB).code(), crbase::StatusCode::kFailedPrecondition);
 }
 
 TEST(Ufs, FragmentDestroysContiguity) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("edited");
   ASSERT_TRUE(fs.Append(n, 32 * kMiB).ok());
   ASSERT_DOUBLE_EQ(fs.ContiguityOf(n), 1.0);
@@ -138,7 +123,7 @@ TEST(Ufs, FragmentDestroysContiguity) {
 
 TEST(Ufs, RearrangeRestoresContiguity) {
   // §3.2 problem 3 and its remedy: fragment a file, then rearrange it.
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber keeper = *fs.Create("keeper");
   ASSERT_TRUE(fs.Append(keeper, 8 * kMiB).ok());
   InodeNumber n = *fs.Create("edited");
@@ -157,14 +142,14 @@ TEST(Ufs, RearrangeRestoresContiguity) {
 }
 
 TEST(Ufs, RearrangeEmptyFileIsNoop) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("empty");
   EXPECT_TRUE(fs.Rearrange(n).ok());
   EXPECT_FALSE(fs.Rearrange(999).ok());
 }
 
 TEST(Ufs, BlockLbaIsSectorAddress) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("f");
   ASSERT_TRUE(fs.Append(n, 64 * kKiB).ok());
   auto lba0 = fs.BlockLba(n, 0);
@@ -176,7 +161,7 @@ TEST(Ufs, BlockLbaIsSectorAddress) {
 }
 
 TEST(Ufs, GetExtentsCoalescesContiguousBlocks) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("movie");
   ASSERT_TRUE(fs.Append(n, kMiB).ok());
   auto extents = fs.GetExtents(n, 0, kMiB, 256 * kKiB);
@@ -190,7 +175,7 @@ TEST(Ufs, GetExtentsCoalescesContiguousBlocks) {
 }
 
 TEST(Ufs, GetExtentsWidensToBlockBoundaries) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("f");
   ASSERT_TRUE(fs.Append(n, 64 * kKiB).ok());
   // 1 byte spanning a block boundary region still reads whole blocks.
@@ -204,7 +189,7 @@ TEST(Ufs, GetExtentsWidensToBlockBoundaries) {
 }
 
 TEST(Ufs, GetExtentsOnFragmentedFileIsPerBlock) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("edited");
   ASSERT_TRUE(fs.Append(n, 256 * kKiB).ok());
   crbase::Rng rng(99);
@@ -216,7 +201,7 @@ TEST(Ufs, GetExtentsOnFragmentedFileIsPerBlock) {
 }
 
 TEST(Ufs, GetExtentsRejectsBadRanges) {
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("f");
   ASSERT_TRUE(fs.Append(n, 64 * kKiB).ok());
   EXPECT_FALSE(fs.GetExtents(n, 0, 128 * kKiB, 256 * kKiB).ok());  // beyond EOF
@@ -226,7 +211,7 @@ TEST(Ufs, GetExtentsRejectsBadRanges) {
 
 TEST(Ufs, FillsUpAndReportsExhaustion) {
   // A small-group config exercised to exhaustion.
-  Ufs fs = MakeTuned();
+  Ufs fs;
   InodeNumber n = *fs.Create("huge");
   EXPECT_EQ(fs.Append(n, 4 * crbase::kGiB).code(), crbase::StatusCode::kResourceExhausted);
 }
