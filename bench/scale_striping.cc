@@ -229,7 +229,7 @@ void MeasureDegraded(int disks, const crfault::FaultEvent& fail, DegradedPoint* 
     }
   }
   point->deadline_misses = bed.cras_server.stats().deadline_misses;
-  point->reconstruction_pieces = bed.volume.stats().reconstruction_pieces;
+  point->reconstruction_pieces = bed.volume.stats().total_reconstruction_pieces();
   // The controller's verdict must be the model's: the kept set is the
   // degraded capacity (or the whole load, when it already fit).
   CRAS_CHECK(point->kept == std::min(streams, point->degraded_capacity))

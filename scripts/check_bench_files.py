@@ -9,7 +9,7 @@ the benches report simulated quantities only, never host time.
 
 It also runs the figure and ablation benches whose printed tables are
 pinned in scripts/bench_stdout/<bench>.txt, and requires each one's stdout
-to match its pin byte for byte.
+to match its pin byte for byte. A bench on both lists runs once.
 
     python3 scripts/check_bench_files.py build
 
@@ -29,8 +29,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHES = ["cache_capacity", "net_degradation", "obs_overhead", "scale_striping",
            "mcast_fanout", "chaos_soak"]
 STDOUT_PINS = os.path.join(REPO, "scripts", "bench_stdout")
-PINNED_STDOUT = ["fig08_admission_1_5mbps", "fig09_admission_6mbps", "abl_cscan",
-                 "abl_fragmentation", "abl_read_size", "abl_zbr"]
+PINNED_STDOUT = ["fig06_throughput", "fig08_admission_1_5mbps", "fig09_admission_6mbps",
+                 "scale_striping", "abl_cscan", "abl_fragmentation", "abl_read_size", "abl_zbr"]
 
 
 def first_difference(want, got, path):
@@ -81,14 +81,16 @@ def main():
         return 1
     failed = False
     with tempfile.TemporaryDirectory(prefix="check_bench_files.") as fresh_dir:
-        for bench in BENCHES:
+        stdout = {}
+        for bench in dict.fromkeys(BENCHES + PINNED_STDOUT):
             binary = os.path.abspath(os.path.join(args.build_dir, "bench", bench))
-            run = subprocess.run([binary], cwd=fresh_dir, stdout=subprocess.DEVNULL,
-                                 stderr=subprocess.PIPE, text=True)
+            run = subprocess.run([binary], cwd=fresh_dir, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
             if run.returncode != 0:
-                print(f"check_bench_files: {bench} exited {run.returncode}\n{run.stderr}",
-                      file=sys.stderr)
+                print(f"check_bench_files: {bench} exited {run.returncode}\n"
+                      f"{run.stderr.decode(errors='replace')}", file=sys.stderr)
                 return 1
+            stdout[bench] = run.stdout
         for path in committed:
             name = os.path.basename(path)
             fresh = os.path.join(fresh_dir, name)
@@ -103,17 +105,10 @@ def main():
                 print(f"{name}: {diff}")
                 failed = True
         for bench in PINNED_STDOUT:
-            binary = os.path.abspath(os.path.join(args.build_dir, "bench", bench))
-            run = subprocess.run([binary], cwd=fresh_dir, stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE)
-            if run.returncode != 0:
-                print(f"check_bench_files: {bench} exited {run.returncode}\n"
-                      f"{run.stderr.decode(errors='replace')}", file=sys.stderr)
-                return 1
             with open(os.path.join(STDOUT_PINS, bench + ".txt"), "rb") as pin:
                 want = pin.read()
-            if run.stdout != want:
-                diff = first_line_difference(want.decode(), run.stdout.decode())
+            if stdout[bench] != want:
+                diff = first_line_difference(want.decode(), stdout[bench].decode())
                 print(f"{bench} stdout: {diff}")
                 failed = True
     if failed:

@@ -14,23 +14,23 @@ StreamCache::StreamCache(const CacheOptions& options) : options_(options) {
 }
 
 void StreamCache::AttachObs(crobs::Hub* hub) {
+  bound_.Release();
+  hub_ = hub;
   if (hub == nullptr) {
-    obs_ = ObsState{};
     return;
   }
   crobs::Registry& metrics = hub->metrics();
-  obs_.hub = hub;
-  obs_.prefix_hits = metrics.GetCounter("cache.hit_chunks", {{"kind", "prefix"}});
-  obs_.interval_hits = metrics.GetCounter("cache.hit_chunks", {{"kind", "interval"}});
-  obs_.miss_chunks = metrics.GetCounter("cache.miss_chunks");
-  obs_.fallbacks = metrics.GetCounter("cache.fallbacks");
-  obs_.pairs_formed = metrics.GetCounter("cache.pairs_formed");
-  obs_.pairs_broken = metrics.GetCounter("cache.pairs_broken");
-  obs_.pairs_active = metrics.GetGauge("cache.pairs_active");
-  obs_.pinned = metrics.GetGauge("cache.pinned_titles");
-  obs_.interval_pool = metrics.GetGauge("cache.interval_pool_bytes");
-  obs_.prefix_pool = metrics.GetGauge("cache.prefix_pool_bytes");
-  UpdateGauges();
+  bound_.Counter(metrics, "cache.hit_chunks", {{"kind", "prefix"}}, counters_.prefix_hit_chunks);
+  bound_.Counter(metrics, "cache.hit_chunks", {{"kind", "interval"}},
+                 counters_.interval_hit_chunks);
+  bound_.Counter(metrics, "cache.miss_chunks", {}, counters_.miss_chunks);
+  bound_.Counter(metrics, "cache.fallbacks", {}, counters_.fallbacks);
+  bound_.Counter(metrics, "cache.pairs_formed", {}, counters_.pairs_formed);
+  bound_.Counter(metrics, "cache.pairs_broken", {}, counters_.pairs_broken);
+  bound_.Gauge(metrics, "cache.pairs_active", {}, pairs_active_);
+  bound_.Gauge(metrics, "cache.pinned_titles", {}, pinned_titles_);
+  bound_.Gauge(metrics, "cache.interval_pool_bytes", {}, interval_pool_used_);
+  bound_.Gauge(metrics, "cache.prefix_pool_bytes", {}, prefix_pool_used_);
 }
 
 double StreamCache::DecayedScore(const TitleState& state, crbase::Time now) const {
@@ -97,7 +97,6 @@ void StreamCache::MaybePin(TitleId title, TitleState& state, crbase::Time now) {
   state.pinned = true;
   prefix_pool_used_ += state.prefix_bytes;
   ++pinned_titles_;
-  ++counters_.titles_pinned;
 }
 
 void StreamCache::NoteOpen(TitleId title, const crmedia::ChunkIndex& index,
@@ -115,7 +114,6 @@ void StreamCache::NoteOpen(TitleId title, const crmedia::ChunkIndex& index,
   state.score = DecayedScore(state, now) + 1.0;
   state.score_at = now;
   MaybePin(title, state, now);
-  UpdateGauges();
 }
 
 OpenDecision StreamCache::PlanOpen(TitleId title, std::int64_t start_chunk) const {
@@ -187,15 +185,13 @@ void StreamCache::Register(StreamId id, TitleId title, std::int64_t start_chunk,
     interval_pool_used_ += decision.reserved_bytes;
     ++pairs_active_;
     ++counters_.pairs_formed;
-    if (obs_.hub != nullptr) {
-      obs_.pairs_formed->Add();
-      obs_.hub->flight().Record(crobs::FlightEventKind::kCachePairFormed, id, pred.id,
-                                static_cast<double>(decision.reserved_bytes));
+    if (hub_ != nullptr) {
+      hub_->flight().Record(crobs::FlightEventKind::kCachePairFormed, id, pred.id,
+                            static_cast<double>(decision.reserved_bytes));
     }
   }
   state.streams.push_back(id);
   streams_.emplace(id, stream);
-  UpdateGauges();
 }
 
 void StreamCache::BreakPair(StreamState& stream, const char* reason) {
@@ -204,10 +200,9 @@ void StreamCache::BreakPair(StreamState& stream, const char* reason) {
   interval_pool_used_ -= stream.reserved_bytes;
   --pairs_active_;
   ++counters_.pairs_broken;
-  if (obs_.hub != nullptr) {
-    obs_.pairs_broken->Add();
-    obs_.hub->flight().Record(crobs::FlightEventKind::kCachePairBroken, stream.id, pred.id,
-                              static_cast<double>(stream.reserved_bytes), reason);
+  if (hub_ != nullptr) {
+    hub_->flight().Record(crobs::FlightEventKind::kCachePairBroken, stream.id, pred.id,
+                          static_cast<double>(stream.reserved_bytes), reason);
   }
   stream.predecessor = kNoStream;
   stream.reserved_bytes = 0;
@@ -226,11 +221,10 @@ std::vector<StreamId> StreamCache::Unregister(StreamId id) {
   if (dying.follower != kNoStream) {
     StreamState& follower = streams_.at(dying.follower);
     ++counters_.pairs_broken;
-    if (obs_.hub != nullptr) {
-      obs_.pairs_broken->Add();
-      obs_.hub->flight().Record(crobs::FlightEventKind::kCachePairBroken, follower.id, id,
-                                static_cast<double>(follower.reserved_bytes),
-                                dying.cache_served ? "pred-closed-merged" : "pred-closed");
+    if (hub_ != nullptr) {
+      hub_->flight().Record(crobs::FlightEventKind::kCachePairBroken, follower.id, id,
+                            static_cast<double>(follower.reserved_bytes),
+                            dying.cache_served ? "pred-closed-merged" : "pred-closed");
     }
     if (dying.cache_served) {
       // Interior chain death: the retained windows [follower..dying] and
@@ -241,10 +235,9 @@ std::vector<StreamId> StreamCache::Unregister(StreamId id) {
       follower.predecessor = pred.id;
       follower.reserved_bytes += dying.reserved_bytes;
       ++counters_.pairs_formed;
-      if (obs_.hub != nullptr) {
-        obs_.pairs_formed->Add();
-        obs_.hub->flight().Record(crobs::FlightEventKind::kCachePairFormed, follower.id,
-                                  pred.id, static_cast<double>(follower.reserved_bytes));
+      if (hub_ != nullptr) {
+        hub_->flight().Record(crobs::FlightEventKind::kCachePairFormed, follower.id, pred.id,
+                              static_cast<double>(follower.reserved_bytes));
       }
       // Net pairs: two broken (below for the dying stream), one formed.
     } else {
@@ -255,9 +248,8 @@ std::vector<StreamId> StreamCache::Unregister(StreamId id) {
       follower.cache_served = false;
       --pairs_active_;
       ++counters_.fallbacks;
-      if (obs_.hub != nullptr) {
-        obs_.fallbacks->Add();
-        obs_.hub->flight().Record(crobs::FlightEventKind::kCacheFallback, follower.id, 0);
+      if (hub_ != nullptr) {
+        hub_->flight().Record(crobs::FlightEventKind::kCacheFallback, follower.id, 0);
       }
       orphans.push_back(follower.id);
     }
@@ -272,10 +264,9 @@ std::vector<StreamId> StreamCache::Unregister(StreamId id) {
     interval_pool_used_ -= dying.reserved_bytes;
     --pairs_active_;
     ++counters_.pairs_broken;
-    if (obs_.hub != nullptr) {
-      obs_.pairs_broken->Add();
-      obs_.hub->flight().Record(crobs::FlightEventKind::kCachePairBroken, id, pred.id,
-                                static_cast<double>(dying.reserved_bytes), "closed");
+    if (hub_ != nullptr) {
+      hub_->flight().Record(crobs::FlightEventKind::kCachePairBroken, id, pred.id,
+                            static_cast<double>(dying.reserved_bytes), "closed");
     }
     if (dying.follower != kNoStream) {
       interval_pool_used_ += dying.reserved_bytes;  // transferred, not freed
@@ -287,7 +278,6 @@ std::vector<StreamId> StreamCache::Unregister(StreamId id) {
   // The title may have just lost its last in-prefix reader; keep the prefix
   // pinned regardless — eviction is on demand (MaybePin), keyed to
   // popularity, not residency.
-  UpdateGauges();
   return orphans;
 }
 
@@ -322,14 +312,6 @@ ServeResult StreamCache::ServableRun(StreamId id, std::int64_t first_chunk,
   result.chunks = prefix_hits + interval_hits;
   counters_.prefix_hit_chunks += prefix_hits;
   counters_.interval_hit_chunks += interval_hits;
-  if (obs_.hub != nullptr) {
-    if (prefix_hits > 0) {
-      obs_.prefix_hits->Add(prefix_hits);
-    }
-    if (interval_hits > 0) {
-      obs_.interval_hits->Add(interval_hits);
-    }
-  }
   if (stream.cache_served && result.chunks < last_chunk - first_chunk) {
     // The follower outran its feed (stalled or stopped predecessor). The
     // missed tail rides the admission model's fallback reserve this once;
@@ -337,14 +319,11 @@ ServeResult StreamCache::ServableRun(StreamId id, std::int64_t first_chunk,
     const std::int64_t missed = last_chunk - first_chunk - result.chunks;
     counters_.miss_chunks += missed;
     ++counters_.fallbacks;
-    if (obs_.hub != nullptr) {
-      obs_.miss_chunks->Add(missed);
-      obs_.fallbacks->Add();
-      obs_.hub->flight().Record(crobs::FlightEventKind::kCacheFallback, id, missed);
+    if (hub_ != nullptr) {
+      hub_->flight().Record(crobs::FlightEventKind::kCacheFallback, id, missed);
     }
     BreakPair(stream, "starved");
     result.demoted = true;
-    UpdateGauges();
   }
   return result;
 }
@@ -386,16 +365,6 @@ std::int64_t StreamCache::prefix_end_chunk(TitleId title) const {
 double StreamCache::popularity(TitleId title, crbase::Time now) const {
   auto it = titles_.find(title);
   return it == titles_.end() ? 0.0 : DecayedScore(it->second, now);
-}
-
-void StreamCache::UpdateGauges() {
-  if (obs_.hub == nullptr) {
-    return;
-  }
-  obs_.pairs_active->Set(static_cast<double>(pairs_active_));
-  obs_.pinned->Set(static_cast<double>(pinned_titles_));
-  obs_.interval_pool->Set(static_cast<double>(interval_pool_used_));
-  obs_.prefix_pool->Set(static_cast<double>(prefix_pool_used_));
 }
 
 }  // namespace crcache

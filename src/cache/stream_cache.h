@@ -108,7 +108,6 @@ struct CacheCounters {
   std::int64_t fallbacks = 0;     // streams demoted to disk service
   std::int64_t pairs_formed = 0;
   std::int64_t pairs_broken = 0;
-  std::int64_t titles_pinned = 0;
   std::int64_t titles_unpinned = 0;
 };
 
@@ -118,9 +117,10 @@ class StreamCache {
   StreamCache(const StreamCache&) = delete;
   StreamCache& operator=(const StreamCache&) = delete;
 
-  // Registers counters (hits/misses/fallbacks/pair churn) and gauges (pool
-  // occupancy, active pairs, pinned titles), plus flight-recorder events for
-  // pair formation/breakage and fallbacks.
+  // Binds counter series (hits/misses/fallbacks/pair churn) to counters()
+  // and gauge series (pool occupancy, active pairs, pinned titles) to the
+  // fields behind the accessors above, and flight-records pair formation,
+  // breakage and fallbacks.
   void AttachObs(crobs::Hub* hub);
 
   // ---- popularity / prefix front end ----
@@ -205,7 +205,6 @@ class StreamCache {
   // Breaks the (stream, stream.predecessor) pair and demotes the stream to
   // disk service. `reason` labels the flight event.
   void BreakPair(StreamState& stream, const char* reason);
-  void UpdateGauges();
 
   CacheOptions options_;
   std::map<TitleId, TitleState> titles_;
@@ -215,21 +214,9 @@ class StreamCache {
   std::int64_t pairs_active_ = 0;
   std::int64_t pinned_titles_ = 0;
   CacheCounters counters_;
-
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* prefix_hits = nullptr;
-    crobs::Counter* interval_hits = nullptr;
-    crobs::Counter* miss_chunks = nullptr;
-    crobs::Counter* fallbacks = nullptr;
-    crobs::Counter* pairs_formed = nullptr;
-    crobs::Counter* pairs_broken = nullptr;
-    crobs::Gauge* pairs_active = nullptr;
-    crobs::Gauge* pinned = nullptr;
-    crobs::Gauge* interval_pool = nullptr;
-    crobs::Gauge* prefix_pool = nullptr;
-  };
-  ObsState obs_;
+  crobs::Hub* hub_ = nullptr;
+  // The cache.* series: counters_ and the four occupancy fields above.
+  crobs::Bindings bound_;
 };
 
 }  // namespace crcache

@@ -68,13 +68,6 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
   AttachObs(options_.obs);
 }
 
-void CrasServer::Count(std::int64_t& stat, crobs::Counter* ObsState::*counter, std::int64_t n) {
-  stat += n;
-  if (obs_ != nullptr) {
-    (obs_.get()->*counter)->Add(n);
-  }
-}
-
 void CrasServer::AttachObs(crobs::Hub* hub) {
   if (hub == nullptr) {
     obs_.reset();
@@ -102,17 +95,17 @@ void CrasServer::AttachObs(crobs::Hub* hub) {
   obs->n_prefetch = trace.InternName("prefetch");
   obs->n_slack = trace.InternName("deadline_slack_ms");
   crobs::Registry& metrics = hub->metrics();
-  obs->sessions_opened = metrics.GetCounter("cras.sessions_opened");
-  obs->sessions_rejected = metrics.GetCounter("cras.sessions_rejected");
-  obs->deadline_misses = metrics.GetCounter("cras.deadline_misses");
-  obs->bytes_read = metrics.GetCounter("cras.bytes_read");
-  obs->bytes_written = metrics.GetCounter("cras.bytes_written");
-  obs->read_requests = metrics.GetCounter("cras.read_requests");
-  obs->write_requests = metrics.GetCounter("cras.write_requests");
-  obs->streams_shed = metrics.GetCounter("cras.streams_shed");
-  obs->sessions_reaped = metrics.GetCounter("cras.sessions_reaped");
-  obs->sessions_resumed = metrics.GetCounter("cras.sessions_resumed");
-  obs->bytes_from_cache = metrics.GetCounter("cras.bytes_from_cache");
+  bound_.Counter(metrics, "cras.sessions_opened", {}, stats_.sessions_opened);
+  bound_.Counter(metrics, "cras.sessions_rejected", {}, stats_.sessions_rejected);
+  bound_.Counter(metrics, "cras.deadline_misses", {}, stats_.deadline_misses);
+  bound_.Counter(metrics, "cras.bytes_read", {}, stats_.bytes_read);
+  bound_.Counter(metrics, "cras.bytes_written", {}, stats_.bytes_written);
+  bound_.Counter(metrics, "cras.read_requests", {}, stats_.read_requests);
+  bound_.Counter(metrics, "cras.write_requests", {}, stats_.write_requests);
+  bound_.Counter(metrics, "cras.streams_shed", {}, stats_.streams_shed);
+  bound_.Counter(metrics, "cras.sessions_reaped", {}, stats_.sessions_reaped);
+  bound_.Counter(metrics, "cras.sessions_resumed", {}, stats_.sessions_resumed);
+  bound_.Counter(metrics, "cras.bytes_from_cache", {}, stats_.bytes_from_cache);
   obs->streams_kept = metrics.GetGauge("cras.streams_kept");
   obs->lease_age_ms = metrics.GetHistogram("cras.lease_age_ms", {}, crobs::LatencyBucketsMs());
   obs->deadline_slack_ms =
@@ -330,9 +323,9 @@ crsim::Task CrasServer::IoDoneManagerThread(crrt::ThreadContext& ctx) {
       obs_->ledger->AddActual(batch.interval_slot, msg.disk, actual);
     }
     if (batch.kind == SessionKind::kRead) {
-      Count(stats_.bytes_read, &ObsState::bytes_read, msg.completion.bytes());
+      stats_.bytes_read += msg.completion.bytes();
     } else {
-      Count(stats_.bytes_written, &ObsState::bytes_written, msg.completion.bytes());
+      stats_.bytes_written += msg.completion.bytes();
     }
     if (batch.outstanding == 0) {
       if (obs_ != nullptr) {
@@ -386,7 +379,7 @@ crsim::Task CrasServer::DeadlineManagerThread(crrt::ThreadContext& ctx) {
     }
     co_await ctx.Compute(kCpuPerCompletion);
     // The paper's recovery action: notify a warning and continue.
-    Count(stats_.deadline_misses, &ObsState::deadline_misses);
+    ++stats_.deadline_misses;
     CRAS_LOG(kWarning) << "CRAS deadline miss: interval " << miss.period_index << " overran by "
                        << crbase::FormatDuration(miss.overrun);
   }
@@ -437,7 +430,7 @@ void CrasServer::SignalShutdown() { signal_port_.Send(1); }
 
 crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool internal_feed) {
   const auto reject = [this](crbase::Status st) {
-    Count(stats_.sessions_rejected, &ObsState::sessions_rejected);
+    ++stats_.sessions_rejected;
     return st;
   };
   if (params.index.empty()) {
@@ -536,7 +529,7 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   session.group_served = grouped;
   session.group_limit_chunk = grouped ? group_plan.merge_chunk : -1;
   const SessionId id = AddSession(std::move(session), demand, memory_only, cache_plan).id;
-  Count(stats_.sessions_opened, &ObsState::sessions_opened);
+  ++stats_.sessions_opened;
   if (grouped) {
     group_mgr_->AddMember(group_plan.group, id, group_plan.merge_chunk);
   }
@@ -790,7 +783,7 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
     // pipeline-fill latency a fresh start needs.
     resumed.clock->Start(SuggestedInitialDelay());
   }
-  Count(stats_.sessions_resumed, &ObsState::sessions_resumed);
+  ++stats_.sessions_resumed;
   reaped_.erase(it);
   CRAS_LOG(kInfo) << "CRAS session " << id << " reconnected and resumed";
   return crbase::OkStatus();
@@ -893,7 +886,7 @@ void CrasServer::ReapExpired() {
       };
       reaped_.erase(std::min_element(reaped_.begin(), reaped_.end(), reaped_before));
     }
-    Count(stats_.sessions_reaped, &ObsState::sessions_reaped);
+    ++stats_.sessions_reaped;
     if (obs_ != nullptr) {
       obs_->hub->flight().Record(crobs::FlightEventKind::kLeaseReap, id, 0,
                                  crobs::ToMillis(lease_age));
@@ -970,7 +963,7 @@ void CrasServer::ShedUntilAdmissible() {
   while (!sessions_.empty() && !admission_.Admissible()) {
     const SessionId id = std::min_element(sessions_.begin(), sessions_.end(), sheds_first)->first;
     shed_ids_.insert(id);
-    Count(stats_.streams_shed, &ObsState::streams_shed);
+    ++stats_.streams_shed;
     CRAS_LOG(kWarning) << "CRAS shedding session " << id << " (degraded array)";
     if (obs_ != nullptr) {
       obs_->hub->flight().Record(crobs::FlightEventKind::kStreamShed, id);
@@ -1010,10 +1003,6 @@ std::int64_t CrasServer::PublishCompletedBatches() {
       continue;  // closed while the I/O was in flight
     }
     const crbase::Time now = kernel_->Now();
-    if (now > batch.deadline) {
-      session->stats.max_publish_lag =
-          std::max(session->stats.max_publish_lag, now - batch.deadline);
-    }
     if (batch.kind == SessionKind::kWrite) {
       session->stats.chunks_written += batch.last_chunk - batch.first_chunk;
       session->stats.bytes_written += batch.bytes;
@@ -1112,7 +1101,6 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
     if (kind == SessionKind::kRead && session.ftrace != nullptr) {
       for (std::int64_t c = first; c < last; ++c) {
         session.ftrace->Stamp(c, crobs::FrameStage::kScheduled);
-        session.ftrace->SetPath(c, crobs::FramePath::kDisk);
       }
     }
     inflight_.emplace(batch.id, batch);
@@ -1179,10 +1167,9 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
               batch.bytes += session.index.at(static_cast<std::size_t>(c)).size;
               if (session.ftrace != nullptr) {
                 session.ftrace->Stamp(c, crobs::FrameStage::kScheduled);
-                session.ftrace->SetPath(c, crobs::FramePath::kCache);
               }
             }
-            Count(stats_.bytes_from_cache, &ObsState::bytes_from_cache, batch.bytes);
+            stats_.bytes_from_cache += batch.bytes;
             inflight_.emplace(batch.id, batch);
             completed_batches_.push_back(batch.id);
             first += run.chunks;
@@ -1267,9 +1254,9 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
   }
   for (Planned& p : planned) {
     if (p.request.kind == crdisk::IoKind::kRead) {
-      Count(stats_.read_requests, &ObsState::read_requests);
+      ++stats_.read_requests;
     } else {
-      Count(stats_.write_requests, &ObsState::write_requests);
+      ++stats_.write_requests;
     }
     volume_->NotePiece(p.segment);
     if (obs_ != nullptr) {

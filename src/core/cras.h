@@ -126,7 +126,6 @@ struct SessionStats {
   std::int64_t bytes_published = 0;
   std::int64_t chunks_written = 0;    // write sessions
   std::int64_t bytes_written = 0;
-  crbase::Duration max_publish_lag = 0;  // completion-to-boundary worst case
 };
 
 struct ServerStats {
@@ -185,7 +184,8 @@ class CrasServer {
     // Observability hub (nullable). When set, the server instruments the
     // whole stack: the volume's member disks and drivers, the admission
     // model, per-stream buffers, interval spans, per-batch prefetch spans,
-    // and a deadline-slack histogram. Null costs one pointer test per site.
+    // and a deadline-slack histogram; the cras.* counters read stats(). Null
+    // costs one pointer test per site. The hub must outlive the server.
     crobs::Hub* obs = nullptr;
   };
 
@@ -517,17 +517,6 @@ class CrasServer {
     std::uint32_t cat_batch = 0;      // async category for prefetch batches
     std::uint32_t n_prefetch = 0;     // async span, issue -> last completion
     std::uint32_t n_slack = 0;        // counter samples of deadline slack
-    crobs::Counter* sessions_opened = nullptr;
-    crobs::Counter* sessions_rejected = nullptr;
-    crobs::Counter* deadline_misses = nullptr;
-    crobs::Counter* bytes_read = nullptr;
-    crobs::Counter* bytes_written = nullptr;
-    crobs::Counter* read_requests = nullptr;
-    crobs::Counter* write_requests = nullptr;
-    crobs::Counter* streams_shed = nullptr;
-    crobs::Counter* sessions_reaped = nullptr;
-    crobs::Counter* sessions_resumed = nullptr;
-    crobs::Counter* bytes_from_cache = nullptr;
     crobs::Gauge* streams_kept = nullptr;
     // Age of the lease at each renewal — the observed heartbeat cadence.
     crobs::Histogram* lease_age_ms = nullptr;
@@ -542,8 +531,6 @@ class CrasServer {
     std::unique_ptr<crobs::BudgetLedger> ledger;
   };
   void AttachObs(crobs::Hub* hub);
-  // Adds `n` to server statistic `stat` and to its hub counter, if any.
-  void Count(std::int64_t& stat, crobs::Counter* ObsState::*counter, std::int64_t n = 1);
 
   crrt::Kernel* kernel_;
   crvol::Volume* volume_;
@@ -582,6 +569,8 @@ class CrasServer {
   std::uint64_t next_batch_id_ = 1;
 
   ServerStats stats_;
+  // The cras.* counter series read stats_.
+  crobs::Bindings bound_;
 
   std::unique_ptr<ObsState> obs_;
 

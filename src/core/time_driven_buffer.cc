@@ -13,21 +13,22 @@ TimeDrivenBuffer::TimeDrivenBuffer(std::int64_t capacity_bytes, Duration jitter_
 }
 
 void TimeDrivenBuffer::AttachObs(crobs::Hub* hub, const std::string& stream) {
+  bound_.Release();
   if (hub == nullptr) {
     obs_.reset();
     return;
   }
   auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
-  crobs::Tracer& trace = hub->trace();
-  obs->track = trace.InternTrack("buffers");
-  obs->name = trace.InternName(stream);
-  crobs::Registry& metrics = hub->metrics();
-  obs->resident = metrics.GetGauge("buffer.resident_bytes", {{"stream", stream}});
-  obs->puts = metrics.GetCounter("buffer.puts", {{"stream", stream}});
-  obs->discarded = metrics.GetCounter("buffer.discarded", {{"stream", stream}});
-  obs->evictions = metrics.GetCounter("buffer.overflow_evictions", {{"stream", stream}});
+  obs->trace = &hub->trace();
+  obs->track = obs->trace->InternTrack("buffers");
+  obs->name = obs->trace->InternName(stream);
   obs_ = std::move(obs);
+  crobs::Registry& metrics = hub->metrics();
+  const crobs::Labels labels = {{"stream", stream}};
+  bound_.Gauge(metrics, "buffer.resident_bytes", labels, resident_bytes_);
+  bound_.Counter(metrics, "buffer.puts", labels, stats_.puts);
+  bound_.Counter(metrics, "buffer.discarded", labels, stats_.discarded_obsolete);
+  bound_.Counter(metrics, "buffer.overflow_evictions", labels, stats_.overflow_evictions);
   RecordOccupancy();
 }
 
@@ -44,13 +45,8 @@ void TimeDrivenBuffer::NoteDropped(const Entry& entry) {
 }
 
 void TimeDrivenBuffer::RecordOccupancy() {
-  if (obs_ == nullptr) {
-    return;
-  }
-  obs_->resident->Set(static_cast<double>(resident_bytes_));
-  crobs::Tracer& trace = obs_->hub->trace();
-  if (trace.enabled()) {
-    trace.CounterSample(obs_->track, obs_->name, static_cast<double>(resident_bytes_));
+  if (obs_ != nullptr && obs_->trace->enabled()) {
+    obs_->trace->CounterSample(obs_->track, obs_->name, static_cast<double>(resident_bytes_));
   }
 }
 
@@ -77,8 +73,7 @@ void TimeDrivenBuffer::DiscardObsolete(Time logical_now) {
     NoteDropped(oldest);
     PopFront();
   }
-  if (discarded > 0 && obs_ != nullptr) {
-    obs_->discarded->Add(discarded);
+  if (discarded > 0) {
     RecordOccupancy();
   }
 }
@@ -114,9 +109,6 @@ void TimeDrivenBuffer::Put(const BufferedChunk& chunk, Time logical_now) {
     NoteDropped(oldest);
     PopFront();
     ++stats_.overflow_evictions;
-    if (obs_ != nullptr) {
-      obs_->evictions->Add();
-    }
   }
   if (append) {
     chunks_.push_back(Entry{chunk, false});
@@ -128,10 +120,7 @@ void TimeDrivenBuffer::Put(const BufferedChunk& chunk, Time logical_now) {
   resident_bytes_ += chunk.size;
   stats_.max_resident_bytes = std::max(stats_.max_resident_bytes, resident_bytes_);
   ++stats_.puts;
-  if (obs_ != nullptr) {
-    obs_->puts->Add();
-    RecordOccupancy();
-  }
+  RecordOccupancy();
 }
 
 std::optional<BufferedChunk> TimeDrivenBuffer::Get(Time t) {

@@ -83,10 +83,10 @@ class TimeDrivenBuffer {
   // Drops everything (crs_seek repositions the stream).
   void Clear();
 
-  // Registers per-stream occupancy/discard instruments keyed {stream}
-  // ("s1", "s2", ...): an occupancy gauge (high-water via the snapshot's
-  // max), put/discard counters, and an occupancy counter-sample series on
-  // the "buffers" trace track.
+  // Binds per-stream series keyed {stream} ("s1", "s2", ...) to the
+  // buffer's own counts — an occupancy gauge over resident_bytes() and the
+  // put/discard/eviction counters of stats() — and samples occupancy on the
+  // "buffers" trace track.
   void AttachObs(crobs::Hub* hub, const std::string& stream);
 
   // Points the buffer at the session's frame-trace ring (nullptr detaches).
@@ -100,13 +100,9 @@ class TimeDrivenBuffer {
 
  private:
   struct ObsState {
-    crobs::Hub* hub = nullptr;
+    crobs::Tracer* trace = nullptr;
     std::uint32_t track = 0;
     std::uint32_t name = 0;
-    crobs::Gauge* resident = nullptr;
-    crobs::Counter* puts = nullptr;
-    crobs::Counter* discarded = nullptr;
-    crobs::Counter* evictions = nullptr;
   };
 
   struct Entry {
@@ -114,6 +110,7 @@ class TimeDrivenBuffer {
     bool taken = false;  // consumed by Get at least once
   };
 
+  // Samples resident_bytes_ on the trace track (tracing only).
   void RecordOccupancy();
   // Frame-trace a chunk leaving the buffer unconsumed (no-op otherwise).
   void NoteDropped(const Entry& entry);
@@ -134,6 +131,7 @@ class TimeDrivenBuffer {
   std::size_t head_ = 0;
   std::int64_t resident_bytes_ = 0;
   TimeDrivenBufferStats stats_;
+  crobs::Bindings bound_;
   std::unique_ptr<ObsState> obs_;
   crobs::SessionTrace* ftrace_ = nullptr;
   crobs::FrameStage miss_stage_ = crobs::FrameStage::kPublished;

@@ -22,6 +22,7 @@ Duration DiskDevice::MeasureSeek(std::int64_t from_cylinder, std::int64_t to_cyl
 }
 
 void DiskDevice::AttachObs(crobs::Hub* hub, const std::string& name) {
+  bound_.Release();
   if (hub == nullptr) {
     obs_.reset();
     return;
@@ -37,8 +38,8 @@ void DiskDevice::AttachObs(crobs::Hub* hub, const std::string& name) {
   obs->n_rotation = trace.InternName("rotation");
   obs->n_transfer = trace.InternName("transfer");
   crobs::Registry& metrics = hub->metrics();
-  obs->requests = metrics.GetCounter("disk.requests", {{"disk", name}});
-  obs->sectors = metrics.GetCounter("disk.sectors", {{"disk", name}});
+  bound_.Counter(metrics, "disk.requests", {{"disk", name}}, stats_.requests);
+  bound_.Counter(metrics, "disk.sectors", {{"disk", name}}, stats_.sectors);
   obs->service_ms_rt = metrics.GetHistogram("disk.service_ms", {{"disk", name}, {"queue", "rt"}},
                                             crobs::LatencyBucketsMs());
   obs->service_ms_nr = metrics.GetHistogram("disk.service_ms", {{"disk", name}, {"queue", "nr"}},
@@ -127,8 +128,6 @@ void DiskDevice::StartIo(const DiskRequest& req, std::uint64_t request_id,
   stats_.command_time += command;
 
   if (obs_ != nullptr) {
-    obs_->requests->Add();
-    obs_->sectors->Add(req.sectors);
     (req.realtime ? obs_->service_ms_rt : obs_->service_ms_nr)
         ->Record(crobs::ToMillis(finish - now));
     crobs::Tracer& trace = obs_->hub->trace();

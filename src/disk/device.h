@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "src/base/logging.h"
 #include "src/base/time_units.h"
 #include "src/disk/geometry.h"
 #include "src/disk/request.h"
@@ -53,7 +54,12 @@ class DiskDevice {
   const DiskGeometry& geometry() const { return options_.geometry; }
   Duration command_overhead() const { return options_.command_overhead; }
   const DeviceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DeviceStats{}; }
+  // Zeroes stats(). Only while unattached: a counter series bound to a
+  // count never moves backwards.
+  void ResetStats() {
+    CRAS_CHECK(obs_ == nullptr) << "ResetStats on an attached device";
+    stats_ = DeviceStats{};
+  }
 
   // Diagnostic used by the calibration micro-benchmarks (Figure 12): the
   // true seek time between two cylinders, without issuing I/O.
@@ -75,10 +81,10 @@ class DiskDevice {
   // driver installs itself here.
   void set_on_idle(std::function<void()> fn) { on_idle_ = std::move(fn); }
 
-  // Registers this device's metrics and trace track under `name` ("disk0").
-  // Each request then records an "io.rt"/"io.nr" span with nested
-  // command/seek/rotation/transfer phases, plus request/sector counters and
-  // a service-time histogram keyed {disk, queue}.
+  // Registers this device's metrics and trace track under `name` ("disk0"):
+  // request/sector counter series bound to stats(), and per request an
+  // "io.rt"/"io.nr" span with nested command/seek/rotation/transfer phases
+  // and a service-time histogram keyed {disk, queue}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
@@ -91,8 +97,6 @@ class DiskDevice {
     std::uint32_t n_seek = 0;
     std::uint32_t n_rotation = 0;
     std::uint32_t n_transfer = 0;
-    crobs::Counter* requests = nullptr;
-    crobs::Counter* sectors = nullptr;
     crobs::Histogram* service_ms_rt = nullptr;
     crobs::Histogram* service_ms_nr = nullptr;
   };
@@ -105,6 +109,7 @@ class DiskDevice {
   bool busy_ = false;
   std::int64_t current_cylinder_ = 0;
   DeviceStats stats_;
+  crobs::Bindings bound_;
   std::function<void()> on_idle_;
   Duration fault_extra_latency_ = 0;
   int fault_requests_remaining_ = 0;

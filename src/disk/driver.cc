@@ -31,6 +31,7 @@ DiskDriver::~DiskDriver() {
 }
 
 void DiskDriver::AttachObs(crobs::Hub* hub, const std::string& name) {
+  bound_.Release();
   if (hub == nullptr) {
     obs_.reset();
     return;
@@ -45,8 +46,10 @@ void DiskDriver::AttachObs(crobs::Hub* hub, const std::string& name) {
   obs->n_depth_rt = trace.InternName("depth.rt");
   obs->n_depth_nr = trace.InternName("depth.nr");
   crobs::Registry& metrics = hub->metrics();
-  obs->submitted_rt = metrics.GetCounter("driver.submitted", {{"disk", name}, {"queue", "rt"}});
-  obs->submitted_nr = metrics.GetCounter("driver.submitted", {{"disk", name}, {"queue", "nr"}});
+  bound_.Counter(metrics, "driver.submitted", {{"disk", name}, {"queue", "rt"}},
+                 rt_stats_.submitted);
+  bound_.Counter(metrics, "driver.submitted", {{"disk", name}, {"queue", "nr"}},
+                 normal_stats_.submitted);
   obs->queue_ms_rt = metrics.GetHistogram("driver.queue_ms", {{"disk", name}, {"queue", "rt"}},
                                           crobs::LatencyBucketsMs());
   obs->queue_ms_nr = metrics.GetHistogram("driver.queue_ms", {{"disk", name}, {"queue", "nr"}},
@@ -67,7 +70,6 @@ std::uint64_t DiskDriver::Submit(DiskRequest req) {
   stats.max_depth = std::max(stats.max_depth, queue.size());
 
   if (obs_ != nullptr) {
-    (realtime ? obs_->submitted_rt : obs_->submitted_nr)->Add();
     crobs::Tracer& trace = obs_->hub->trace();
     if (trace.enabled()) {
       trace.AsyncBegin(obs_->track, obs_->cat_queue, realtime ? obs_->n_rt : obs_->n_nr, id);

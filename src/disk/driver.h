@@ -60,10 +60,10 @@ class DiskDriver : public IoTarget {
   std::uint64_t Submit(DiskRequest req) override;
 
   // Registers this driver's queue metrics and trace track under `name`
-  // ("disk0"). Each request records an async "rt"/"nr" span on the
+  // ("disk0"): submitted counter series keyed {disk, queue}, bound to each
+  // queue's stats, and per request an async "rt"/"nr" span on the
   // "<name>.queue" track from submission to dispatch, a queue-delay
-  // histogram keyed {disk, queue}, submitted counters, and depth counter
-  // samples.
+  // histogram keyed {disk, queue}, and depth counter samples.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
   std::size_t realtime_depth() const { return rt_queue_.size(); }
@@ -90,8 +90,6 @@ class DiskDriver : public IoTarget {
     std::uint32_t n_nr = 0;
     std::uint32_t n_depth_rt = 0;
     std::uint32_t n_depth_nr = 0;
-    crobs::Counter* submitted_rt = nullptr;
-    crobs::Counter* submitted_nr = nullptr;
     crobs::Histogram* queue_ms_rt = nullptr;
     crobs::Histogram* queue_ms_nr = nullptr;
   };
@@ -109,6 +107,7 @@ class DiskDriver : public IoTarget {
   std::vector<Pending> normal_queue_;
   DriverQueueStats rt_stats_;
   DriverQueueStats normal_stats_;
+  crobs::Bindings bound_;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 0;
   std::unique_ptr<ObsState> obs_;

@@ -5,6 +5,7 @@
 namespace crmcast {
 
 void GroupManager::AttachObs(crobs::Hub* hub) {
+  bound_.Release();
   if (hub == nullptr) {
     obs_ = ObsState{};
     return;
@@ -13,9 +14,9 @@ void GroupManager::AttachObs(crobs::Hub* hub) {
   obs_.hub = hub;
   obs_.groups = metrics.GetGauge("mcast.groups");
   obs_.group_size = metrics.GetGauge("mcast.group_size");
-  obs_.formed = metrics.GetCounter("mcast.groups_formed");
-  obs_.joined = metrics.GetCounter("mcast.members_joined");
-  obs_.left = metrics.GetCounter("mcast.members_left");
+  bound_.Counter(metrics, "mcast.groups_formed", {}, stats_.groups_formed);
+  bound_.Counter(metrics, "mcast.members_joined", {}, stats_.members_joined);
+  bound_.Counter(metrics, "mcast.members_left", {}, stats_.members_left);
   UpdateGauges();
 }
 
@@ -68,9 +69,6 @@ GroupId GroupManager::CreateGroup(TitleId title, SessionId feed) {
   groups_.emplace(id, std::move(group));
   feed_group_.emplace(feed, id);
   ++stats_.groups_formed;
-  if (obs_.formed != nullptr) {
-    obs_.formed->Add();
-  }
   if (obs_.hub != nullptr) {
     obs_.hub->flight().Record(crobs::FlightEventKind::kGroupFormed, id, feed);
   }
@@ -87,9 +85,6 @@ void GroupManager::AddMember(GroupId group, SessionId member, std::int64_t merge
   member_group_[member] = group;
   member_merge_[member] = merge_chunk;
   ++stats_.members_joined;
-  if (obs_.joined != nullptr) {
-    obs_.joined->Add();
-  }
   if (obs_.hub != nullptr) {
     obs_.hub->flight().Record(crobs::FlightEventKind::kGroupJoined, member, group,
                               static_cast<double>(merge_chunk));
@@ -106,9 +101,6 @@ SessionId GroupManager::RemoveMember(SessionId member, const std::string& reason
   member_group_.erase(mit);
   member_merge_.erase(member);
   ++stats_.members_left;
-  if (obs_.left != nullptr) {
-    obs_.left->Add();
-  }
   if (obs_.hub != nullptr) {
     obs_.hub->flight().Record(crobs::FlightEventKind::kGroupLeft, member, group_id, 0,
                               reason);
@@ -148,9 +140,6 @@ std::vector<SessionId> GroupManager::DissolveByFeed(SessionId feed) {
     member_group_.erase(member);
     member_merge_.erase(member);
     ++stats_.members_left;
-    if (obs_.left != nullptr) {
-      obs_.left->Add();
-    }
     if (obs_.hub != nullptr) {
       obs_.hub->flight().Record(crobs::FlightEventKind::kGroupLeft, member, group_id, 0,
                                 "dissolved");

@@ -127,9 +127,6 @@ class GroupManager {
     crobs::Hub* hub = nullptr;
     crobs::Gauge* groups = nullptr;
     crobs::Gauge* group_size = nullptr;
-    crobs::Counter* formed = nullptr;
-    crobs::Counter* joined = nullptr;
-    crobs::Counter* left = nullptr;
   };
 
   void UpdateGauges();
@@ -141,6 +138,8 @@ class GroupManager {
   std::map<SessionId, GroupId> feed_group_;
   GroupId next_group_ = 1;
   GroupManagerStats stats_;
+  // The mcast.groups_formed / members_joined / members_left series.
+  crobs::Bindings bound_;
   ObsState obs_;
 };
 

@@ -210,7 +210,6 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     if (report.entries.empty()) {
       continue;
     }
-    ++stats_.reports_sent;
     GroupSender* sender = sender_;
     reverse_->Send(kReportBytes,
                    [sender, report = std::move(report)] { sender->OnLossReport(report); });
@@ -287,29 +286,19 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
     if (!delivers.empty()) {
       link_->Multicast(fragment.bytes, std::move(delivers));
     }
-    ++stats_.packets_multicast;
-    stats_.bytes_multicast += fragment.bytes;
   }
   for (Member* target : targets) {
     if (target->trace != nullptr) {
       // Each member's frame enters the wire here; the fan-out itself is the
       // member's first traced stage (no per-member disk work exists).
-      target->trace->SetPath(chunk.chunk_index, crobs::FramePath::kMcastMember);
       target->trace->StampAt(chunk.chunk_index, crobs::FrameStage::kSent, sent_at);
     }
   }
   ++stats_.chunks_multicast;
-  if (obs_ != nullptr) {
-    obs_->chunks_multicast->Add();
-  }
   // One disk read served every multicast target; each target beyond the
   // first is a read a unicast server would have issued.
   if (targets.size() > 1) {
-    const std::int64_t saved = static_cast<std::int64_t>(targets.size()) - 1;
-    stats_.deduped_chunk_reads += saved;
-    if (obs_ != nullptr) {
-      obs_->deduped_chunk_reads->Add(saved);
-    }
+    stats_.deduped_chunk_reads += static_cast<std::int64_t>(targets.size()) - 1;
   }
   return targets.size();
 }
@@ -374,7 +363,6 @@ void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
 }
 
 void GroupSender::OnLossReport(const LossReport& report) {
-  ++stats_.reports_received;
   Member* member = FindMember(report.member);
   if (member == nullptr || member->dead) {
     return;
@@ -515,12 +503,9 @@ void GroupSender::RepairTick() {
     link_->Multicast(packet.bytes, std::move(delivers));
     ++stats_.repair_packets;
     stats_.repair_bytes += packet.bytes;
-    if (obs_ != nullptr) {
-      obs_->repair_packets->Add();
-      obs_->repair_bytes->Add(packet.bytes);
-      obs_->hub->flight().Record(crobs::FlightEventKind::kRepairSent, group_,
-                                 static_cast<std::int64_t>(packet.window.size()),
-                                 packet.bytes, "");
+    if (hub_ != nullptr) {
+      hub_->flight().Record(crobs::FlightEventKind::kRepairSent, group_,
+                            static_cast<std::int64_t>(packet.window.size()), packet.bytes, "");
     }
     window.clear();
     window_needers.clear();
@@ -584,7 +569,6 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
       if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
         // The feed session's own frame ends its life at the fan-out: it is
         // "delivered" to the group, not played out locally.
-        feed_trace->SetPath(buffered->chunk_index, crobs::FramePath::kMcastFeed);
         feed_trace->ResolveDelivered(buffered->chunk_index);
       }
       ++cursor_;
@@ -704,19 +688,17 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
 }
 
 void GroupSender::AttachObs(crobs::Hub* hub, const std::string& name) {
+  bound_.Release();
+  hub_ = hub;
   if (hub == nullptr) {
-    obs_.reset();
     return;
   }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
   crobs::Registry& metrics = hub->metrics();
   const crobs::Labels labels = {{"group", name}};
-  obs->chunks_multicast = metrics.GetCounter("mcast.tx_chunks", labels);
-  obs->repair_packets = metrics.GetCounter("mcast.tx_repair_packets", labels);
-  obs->repair_bytes = metrics.GetCounter("mcast.tx_repair_bytes", labels);
-  obs->deduped_chunk_reads = metrics.GetCounter("mcast.deduped_chunk_reads", labels);
-  obs_ = std::move(obs);
+  bound_.Counter(metrics, "mcast.tx_chunks", labels, stats_.chunks_multicast);
+  bound_.Counter(metrics, "mcast.tx_repair_packets", labels, stats_.repair_packets);
+  bound_.Counter(metrics, "mcast.tx_repair_bytes", labels, stats_.repair_bytes);
+  bound_.Counter(metrics, "mcast.deduped_chunk_reads", labels, stats_.deduped_chunk_reads);
 }
 
 }  // namespace crmcast

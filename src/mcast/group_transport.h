@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -71,7 +70,6 @@ struct RepairPacket {
 };
 
 struct GroupReceiverStats : crnet::ReassemblyStats {
-  std::int64_t reports_sent = 0;
   std::int64_t repair_decodes = 0;        // parity packet recovered a fragment
   std::int64_t repair_useless = 0;        // parity covered nothing we miss
   std::int64_t repair_decode_failed = 0;  // >1 window member absent
@@ -136,8 +134,6 @@ class GroupReceiver final : public crnet::ReliableReceiver {
 
 struct GroupSenderStats {
   std::int64_t chunks_multicast = 0;
-  std::int64_t packets_multicast = 0;  // original fragments, paid once each
-  std::int64_t bytes_multicast = 0;
   std::int64_t chunks_skipped = 0;  // never appeared in the shared buffer
   std::int64_t patch_chunks = 0;    // bridge chunks below a merge point
   std::int64_t unicast_chunks = 0;  // demoted-member chunks
@@ -145,7 +141,6 @@ struct GroupSenderStats {
   std::int64_t retransmits_abandoned = 0;
   std::int64_t repair_packets = 0;
   std::int64_t repair_bytes = 0;
-  std::int64_t reports_received = 0;
   std::int64_t deduped_chunk_reads = 0;  // reads the fan-out saved vs unicast
   std::int64_t members_demoted = 0;      // fell past the repair window
 };
@@ -187,7 +182,8 @@ class GroupSender {
   const GroupSenderStats& stats() const { return stats_; }
   std::size_t retained_chunks() const { return store_.size(); }
 
-  // Counters (mcast.tx_*), labeled {group}.
+  // Counter series (mcast.tx_*, mcast.deduped_chunk_reads) bound to
+  // stats(), labeled {group}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
@@ -203,14 +199,6 @@ class GroupSender {
     crobs::SessionTrace* trace = nullptr;
     // Multicast losses reported since the last repair pass.
     std::map<std::uint64_t, std::vector<int>> missing;
-  };
-
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* chunks_multicast = nullptr;
-    crobs::Counter* repair_packets = nullptr;
-    crobs::Counter* repair_bytes = nullptr;
-    crobs::Counter* deduped_chunk_reads = nullptr;
   };
 
   crsim::Task SenderThread(crrt::ThreadContext& ctx, const crmedia::ChunkIndex* index);
@@ -239,7 +227,8 @@ class GroupSender {
   std::map<std::uint64_t, crnet::SentChunk> store_;
   std::set<std::uint64_t> skipped_;  // never sent; repair requests ignored
   GroupSenderStats stats_;
-  std::unique_ptr<ObsState> obs_;
+  crobs::Hub* hub_ = nullptr;
+  crobs::Bindings bound_;
 };
 
 }  // namespace crmcast

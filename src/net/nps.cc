@@ -103,18 +103,21 @@ void NpsReceiver::OnTimer(std::uint64_t seq) {
   const NpsNak nak = entry.Nak(seq);
   ++entry.naks;
   ++stats_.naks_sent;
-  if (naks_metric_ != nullptr) {
-    naks_metric_->Add();
-  }
   NpsSender* sender = sender_;
   reverse_->Send(kNakBytes, [sender, nak] { sender->OnNak(nak); });
   ArmTimer(seq, entry, std::min(entry.backoff * 2, kNakBackoffCap));
 }
 
 void NpsReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
+  bound_.Release();
   AttachReceiveObs(hub, "nps", name, "receiver");
-  naks_metric_ =
-      hub != nullptr ? hub->metrics().GetCounter("nps.rx_naks_sent", {{"stream", name}}) : nullptr;
+  if (hub != nullptr) {
+    crobs::Registry& metrics = hub->metrics();
+    const crobs::Labels labels = {{"stream", name}};
+    bound_.Counter(metrics, "nps.rx_chunks", labels, stats_.chunks_received);
+    bound_.Counter(metrics, "nps.rx_chunks_abandoned", labels, stats_.chunks_abandoned);
+    bound_.Counter(metrics, "nps.rx_naks_sent", labels, stats_.naks_sent);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -154,23 +157,18 @@ void NpsSender::SendFragment(const NpsFragment& fragment) {
 
 void NpsSender::OnNak(const NpsNak& nak) {
   ++stats_.naks_received;
-  if (obs_ != nullptr) {
-    obs_->naks_received->Add();
-  }
   auto it = store_.find(nak.seq);
   if (it == store_.end()) {
-    ++stats_.naks_unknown;  // already pruned (deadline passed long ago)
-    return;
+    return;  // already pruned (deadline passed long ago)
   }
   const SentChunk& sent = it->second;
   // Deadline-aware give-up: once the chunk's playout deadline has passed,
   // a retransmission could only arrive to be discarded — drop it here.
   if (server_->LogicalNow(session_) > sent.deadline()) {
     ++stats_.retransmits_abandoned;
-    if (obs_ != nullptr) {
-      obs_->retransmits_abandoned->Add();
-      obs_->hub->flight().Record(crobs::FlightEventKind::kNakGiveUp,
-                                 static_cast<std::int64_t>(nak.seq), 0, 0, "sender");
+    if (hub_ != nullptr) {
+      hub_->flight().Record(crobs::FlightEventKind::kNakGiveUp,
+                            static_cast<std::int64_t>(nak.seq), 0, 0, "sender");
     }
     store_.erase(it);
     return;
@@ -178,9 +176,6 @@ void NpsSender::OnNak(const NpsNak& nak) {
   sent.ForEachMissing(nak.missing, [&](int index) {
     SendFragment(sent.Fragment(index, /*retransmit=*/true));
     ++stats_.fragments_retransmitted;
-    if (obs_ != nullptr) {
-      obs_->fragments_retransmitted->Add();
-    }
   });
 }
 
@@ -329,18 +324,16 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
 }
 
 void NpsSender::AttachObs(crobs::Hub* hub, const std::string& name) {
+  bound_.Release();
+  hub_ = hub;
   if (hub == nullptr) {
-    obs_.reset();
     return;
   }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
   crobs::Registry& metrics = hub->metrics();
   const crobs::Labels labels = {{"stream", name}};
-  obs->naks_received = metrics.GetCounter("nps.tx_naks_received", labels);
-  obs->fragments_retransmitted = metrics.GetCounter("nps.tx_retransmits", labels);
-  obs->retransmits_abandoned = metrics.GetCounter("nps.tx_retransmits_abandoned", labels);
-  obs_ = std::move(obs);
+  bound_.Counter(metrics, "nps.tx_naks_received", labels, stats_.naks_received);
+  bound_.Counter(metrics, "nps.tx_retransmits", labels, stats_.fragments_retransmitted);
+  bound_.Counter(metrics, "nps.tx_retransmits_abandoned", labels, stats_.retransmits_abandoned);
 }
 
 // ---------------------------------------------------------------------------

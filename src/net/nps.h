@@ -37,7 +37,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,8 +86,8 @@ class NpsReceiver final : public ReliableReceiver {
 
   const NpsReceiverStats& stats() const { return stats_; }
 
-  // Counters (nps.rx_*) and a reassembly-latency histogram, labeled
-  // {stream, name}.
+  // Counter series (nps.rx_*) bound to stats() and a reassembly-latency
+  // histogram, labeled {stream, name}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
@@ -101,7 +100,7 @@ class NpsReceiver final : public ReliableReceiver {
   NpsSender* sender_ = nullptr;
   std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
   NpsReceiverStats stats_;
-  crobs::Counter* naks_metric_ = nullptr;
+  crobs::Bindings bound_;
 };
 
 struct NpsSenderStats {
@@ -112,7 +111,6 @@ struct NpsSenderStats {
   std::int64_t naks_received = 0;
   std::int64_t fragments_retransmitted = 0;
   std::int64_t retransmits_abandoned = 0;  // NAKed, but playout deadline passed
-  std::int64_t naks_unknown = 0;           // for a chunk already pruned
 };
 
 // Server-side transmitter for one stream session.
@@ -156,17 +154,10 @@ class NpsSender {
   // whenever a reverse link is connected).
   std::int64_t ChunkIndexOf(std::uint64_t seq) const;
 
-  // Counters (nps.tx_*), labeled {stream, name}.
+  // Counter series (nps.tx_*) bound to stats(), labeled {stream, name}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
 
  private:
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* naks_received = nullptr;
-    crobs::Counter* fragments_retransmitted = nullptr;
-    crobs::Counter* retransmits_abandoned = nullptr;
-  };
-
   // A thread parked on a shared-buffer miss, waking on its tick grid
   // `since + k * kNpsPoll`.
   struct Park {
@@ -203,7 +194,8 @@ class NpsSender {
   // sender stall, and the give-up still needs a frame to attribute.
   std::vector<std::int64_t> sent_chunk_index_;
   NpsSenderStats stats_;
-  std::unique_ptr<ObsState> obs_;
+  crobs::Hub* hub_ = nullptr;
+  crobs::Bindings bound_;
 };
 
 // Client-side lease heartbeat generator: a thread that renews the session's

@@ -72,7 +72,6 @@ std::optional<cras::BufferedChunk> ReliableReceiver::Get(crbase::Time t) {
 
 bool ReliableReceiver::CountArrival(const NpsFragment& fragment) {
   ReassemblyStats& stats = reassembly_stats();
-  ++stats.fragments_received;
   if (fragment.retransmit) {
     ++stats.retransmitted_fragments;
   }
@@ -163,7 +162,6 @@ void ReliableReceiver::Complete(std::uint64_t seq, Reassembly& entry) {
   stats.bytes_received += entry.chunk.size;
   stats.max_network_latency = std::max(stats.max_network_latency, now - entry.sent_at);
   if (obs_ != nullptr) {
-    obs_->chunks_received->Add();
     obs_->reassembly_ms->Record(crobs::ToMillis(now - entry.sent_at));
   }
   MarkDone(seq);
@@ -176,7 +174,6 @@ void ReliableReceiver::Abandon(std::uint64_t seq, Reassembly& entry, std::int64_
   }
   ++reassembly_stats().chunks_abandoned;
   if (obs_ != nullptr) {
-    obs_->chunks_abandoned->Add();
     obs_->hub->flight().Record(crobs::FlightEventKind::kNakGiveUp,
                                static_cast<std::int64_t>(seq), entry.naks, 0, obs_->source);
   }
@@ -204,12 +201,8 @@ void ReliableReceiver::AttachReceiveObs(crobs::Hub* hub, const std::string& pref
   auto obs = std::make_unique<ObsState>();
   obs->hub = hub;
   obs->source = source;
-  crobs::Registry& metrics = hub->metrics();
-  const crobs::Labels labels = {{"stream", name}};
-  obs->chunks_received = metrics.GetCounter(prefix + ".rx_chunks", labels);
-  obs->chunks_abandoned = metrics.GetCounter(prefix + ".rx_chunks_abandoned", labels);
-  obs->reassembly_ms =
-      metrics.GetHistogram(prefix + ".reassembly_ms", labels, crobs::LatencyBucketsMs());
+  obs->reassembly_ms = hub->metrics().GetHistogram(prefix + ".reassembly_ms", {{"stream", name}},
+                                                   crobs::LatencyBucketsMs());
   obs_ = std::move(obs);
 }
 

@@ -108,7 +108,6 @@ struct SentChunk {
 struct ReassemblyStats {
   std::int64_t chunks_received = 0;
   std::int64_t bytes_received = 0;
-  std::int64_t fragments_received = 0;
   std::int64_t duplicate_fragments = 0;    // already held, or chunk already done
   std::int64_t out_of_order_fragments = 0; // arrived behind a higher index
   std::int64_t retransmitted_fragments = 0;
@@ -197,9 +196,9 @@ class ReliableReceiver {
   // Completed or abandoned.
   bool IsDone(std::uint64_t seq) const;
 
-  // Registers `<prefix>.rx_chunks`, `<prefix>.rx_chunks_abandoned` and the
-  // `<prefix>.reassembly_ms` histogram, labeled {stream, name}; give-ups
-  // are flight-recorded with `source` as the detail. nullptr detaches.
+  // Registers the `<prefix>.reassembly_ms` histogram, labeled {stream,
+  // name}; give-ups are flight-recorded with `source` as the detail.
+  // nullptr detaches.
   void AttachReceiveObs(crobs::Hub* hub, const std::string& prefix, const std::string& name,
                         const char* source);
 
@@ -210,8 +209,6 @@ class ReliableReceiver {
   struct ObsState {
     crobs::Hub* hub = nullptr;
     const char* source = "";
-    crobs::Counter* chunks_received = nullptr;
-    crobs::Counter* chunks_abandoned = nullptr;
     crobs::Histogram* reassembly_ms = nullptr;
   };
 

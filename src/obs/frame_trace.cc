@@ -167,13 +167,6 @@ void SessionTrace::StampAt(std::int64_t chunk, FrameStage stage, crbase::Time at
   }
 }
 
-void SessionTrace::SetPath(std::int64_t chunk, FramePath path) {
-  FrameRecord& record = Slot(chunk);
-  if (record.path == FramePath::kUnknown) {
-    record.path = path;
-  }
-}
-
 void SessionTrace::Deliver(std::int64_t chunk) {
   FrameRecord& record = Slot(chunk);
   if (record.outcome != FrameOutcome::kInFlight) {
@@ -228,9 +221,9 @@ FrameTracer::FrameTracer(const crsim::Engine& engine, Hub* hub, const Options& o
   // table (the ROADMAP's batched-lookup treatment).
   Registry& reg = hub_->metrics();
   name_frame_ = hub_->trace().InternName("frame");
-  delivered_ = reg.GetCounter("frames.delivered");
-  missed_ = reg.GetCounter("frames.missed");
-  violations_ = reg.GetCounter("frames.conservation_violations");
+  bound_.Counter(reg, "frames.delivered", {}, totals_.frames_delivered);
+  bound_.Counter(reg, "frames.missed", {}, totals_.frames_missed);
+  bound_.Counter(reg, "frames.conservation_violations", {}, totals_.conservation_violations);
   e2e_ms_ = reg.GetHistogram("frames.e2e_ms", {}, LatencyBucketsMs());
   for (int i = 0; i < kStageBucketCount; ++i) {
     bucket_ms_[i] = reg.GetHistogram(
@@ -273,10 +266,6 @@ std::vector<const SessionTrace*> FrameTracer::Sessions() const {
 void FrameTracer::OnResolve(const SessionTrace& session, const FrameRecord& record,
                             const FrameDecomposition& d) {
   totals_.Add(record, d);
-  (record.outcome == FrameOutcome::kDelivered ? delivered_ : missed_)->Add();
-  if (!d.monotone) {
-    violations_->Add();
-  }
   e2e_ms_->Record(static_cast<double>(d.end_to_end_ns) / 1e6);
   for (int i = 0; i < kStageBucketCount; ++i) {
     if (d.bucket_ns[i] != 0) {

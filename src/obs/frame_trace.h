@@ -30,13 +30,12 @@
 #include <vector>
 
 #include "src/base/time_units.h"
+#include "src/obs/metrics.h"
 #include "src/sim/engine.h"
 
 namespace crobs {
 
-class Counter;
 class FrameTracer;
-class Histogram;
 class Hub;
 
 // Stages a logical frame passes from the scheduler boundary to a client's
@@ -71,16 +70,12 @@ inline constexpr int kStageBucketCount = 6;
 const char* StageBucketName(StageBucket bucket);
 StageBucket BucketOf(FrameStage stage);
 
-// How the frame's data was sourced at the scheduler boundary.
-enum class FramePath : int { kUnknown = 0, kDisk, kCache, kMcastFeed, kMcastMember };
-
 enum class FrameOutcome : int { kInFlight = 0, kDelivered, kMissed };
 
 struct FrameRecord {
   std::int64_t chunk_index = -1;
   // -1 = stage never reached. Indexed by FrameStage.
   crbase::Time stage[kFrameStageCount] = {-1, -1, -1, -1, -1, -1, -1, -1};
-  FramePath path = FramePath::kUnknown;
   FrameOutcome outcome = FrameOutcome::kInFlight;
   FrameStage miss_stage = FrameStage::kPlayout;  // meaningful when kMissed
 };
@@ -129,7 +124,6 @@ class SessionTrace {
   // derives kDiskStart from the completion's service time.
   void Stamp(std::int64_t chunk, FrameStage stage);
   void StampAt(std::int64_t chunk, FrameStage stage, crbase::Time at);
-  void SetPath(std::int64_t chunk, FramePath path);
 
   // Resolution — first resolution wins; later calls are no-ops.
   // Deliver stamps kPlayout now; ResolveDelivered keeps the stamps as they
@@ -202,11 +196,11 @@ class FrameTracer {
   std::unordered_map<std::int64_t, std::unique_ptr<SessionTrace>> sessions_;
   StageAttribution totals_;
   std::uint64_t stamps_ = 0;
+  // When enabled: frames.delivered, frames.missed and
+  // frames.conservation_violations read totals_.
+  Bindings bound_;
   // Interned names / cached instrument pointers (populated when enabled).
   std::uint32_t name_frame_ = 0;
-  Counter* delivered_ = nullptr;
-  Counter* missed_ = nullptr;
-  Counter* violations_ = nullptr;
   Histogram* e2e_ms_ = nullptr;
   Histogram* bucket_ms_[kStageBucketCount] = {};
 };

@@ -55,9 +55,9 @@ BudgetLedger::BudgetLedger(Registry* metrics, const Options& options)
   if (options_.max_intervals == 0) {
     options_.max_intervals = 1;
   }
-  c_intervals_ = metrics_->GetCounter("ledger.intervals");
-  c_overruns_ = metrics_->GetCounter("ledger.overruns");
-  c_late_ = metrics_->GetCounter("ledger.late_attributions");
+  bound_.Counter(*metrics_, "ledger.intervals", {}, intervals_closed_);
+  bound_.Counter(*metrics_, "ledger.overruns", {}, overruns_);
+  bound_.Counter(*metrics_, "ledger.late_attributions", {}, late_attributions_);
 }
 
 BudgetLedger::IntervalRow* BudgetLedger::FindRow(std::int64_t slot) {
@@ -74,7 +74,6 @@ BudgetLedger::IntervalRow* BudgetLedger::OpenRow(std::int64_t slot) {
   IntervalRow* row = FindRow(slot);
   if (row == nullptr || row->closed) {
     ++late_attributions_;
-    c_late_->Add();
     return nullptr;
   }
   return row;
@@ -101,7 +100,6 @@ void BudgetLedger::BeginInterval(std::int64_t slot, crbase::Time now) {
       // the eviction masquerade as a clean interval.
       Audit(rows_.front());
       ++late_attributions_;
-      c_late_->Add();
     }
     rows_.pop_front();
   }
@@ -148,7 +146,6 @@ void BudgetLedger::AuditIfDone(IntervalRow& row) {
 void BudgetLedger::Audit(IntervalRow& row) {
   row.closed = true;
   ++intervals_closed_;
-  c_intervals_->Add();
   for (const DiskRow& d : row.disks) {
     RecordUtil(d.disk, kCommand, d.actual.command_ms, d.predicted.command_ms);
     RecordUtil(d.disk, kSeek, d.actual.seek_ms, d.predicted.seek_ms);
@@ -157,7 +154,6 @@ void BudgetLedger::Audit(IntervalRow& row) {
     RecordUtil(d.disk, kTotal, d.actual.total_ms(), d.predicted.total_ms());
     if (d.overrun()) {
       ++overruns_;
-      c_overruns_->Add();
     }
   }
 }

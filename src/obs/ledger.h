@@ -130,9 +130,8 @@ class BudgetLedger {
   std::int64_t intervals_closed_ = 0;
   std::int64_t overruns_ = 0;
   std::int64_t late_attributions_ = 0;
-  Counter* c_intervals_ = nullptr;
-  Counter* c_overruns_ = nullptr;
-  Counter* c_late_ = nullptr;
+  // ledger.intervals, ledger.overruns and ledger.late_attributions.
+  Bindings bound_;
   std::vector<std::array<Histogram*, kUtilTerms>> util_;  // [disk][term], null until used
 };
 

@@ -269,6 +269,35 @@ Histogram* Registry::GetHistogram(const std::string& name, Labels labels,
   return series->histogram.get();
 }
 
+void Bindings::Counter(Registry& registry, const std::string& name, Labels labels,
+                       const std::int64_t& count) {
+  crobs::Counter* counter = registry.GetCounter(name, std::move(labels));
+  counter->bound_.push_back({&count, count});
+  counters_.emplace_back(counter, &count);
+}
+
+void Bindings::Gauge(Registry& registry, const std::string& name, Labels labels,
+                     const std::int64_t& value) {
+  crobs::Gauge* gauge = registry.GetGauge(name, std::move(labels));
+  gauge->bound_.push_back(&value);
+  gauges_.emplace_back(gauge, &value);
+}
+
+void Bindings::Release() {
+  for (const auto& [counter, count] : counters_) {
+    auto it = std::find_if(counter->bound_.begin(), counter->bound_.end(),
+                           [count](const crobs::Counter::Source& s) { return s.count == count; });
+    counter->value_ += *count - it->base;
+    counter->bound_.erase(it);
+  }
+  for (const auto& [gauge, value] : gauges_) {
+    gauge->value_ = static_cast<double>(*value);
+    std::erase(gauge->bound_, value);
+  }
+  counters_.clear();
+  gauges_.clear();
+}
+
 RegistrySnapshot Registry::Snapshot() const {
   RegistrySnapshot snapshot;
   snapshot.families.reserve(families_.size());

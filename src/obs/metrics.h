@@ -1,13 +1,17 @@
 // Metrics registry: named, label-keyed counters, gauges, and fixed-bin
-// histograms with cheap inline recording.
+// histograms.
 //
-// Instruments are looked up once (registration walks a map) and then held by
-// pointer at the recording site, so the hot path is a single add/store —
-// cheap enough for per-request simulator paths. Registration of the same
-// (name, labels) pair returns the same instrument, so independent components
-// may share a series. Snapshot() renders the whole registry into a
-// deterministic tree (families and series in lexicographic order), which the
-// JSON serializer and the snapshot-determinism tests rely on.
+// A count a component already keeps is *bound*, not recorded twice: the
+// component holds a Bindings member that points a counter or gauge series
+// at its own std::int64_t field, and the series reads that field when it is
+// read. Updating the count stays a plain `++stats_.x`. Only facts no
+// component keeps (a verdict tally, a sampled gauge, every histogram) are
+// pushed: the instrument is looked up once (registration walks a map) and
+// held by pointer at the recording site. Registration of the same (name,
+// labels) pair returns the same instrument, so independent components may
+// share a series. Snapshot() renders the whole registry into a deterministic
+// tree (families and series in lexicographic order), which the JSON
+// serializer and the snapshot-determinism tests rely on.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -34,17 +38,32 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 const char* MetricKindName(MetricKind kind);
 
-// Monotonically non-decreasing count.
+// Monotonically non-decreasing count: what Add() recorded, plus what each
+// count bound to it (Bindings) has gained since it was bound.
 class Counter {
  public:
   void Add(std::int64_t n = 1) { value_ += n; }
-  std::int64_t value() const { return value_; }
+  std::int64_t value() const {
+    std::int64_t total = value_;
+    for (const Source& source : bound_) {
+      total += *source.count - source.base;
+    }
+    return total;
+  }
 
  private:
+  friend class Bindings;
+  struct Source {
+    const std::int64_t* count;
+    std::int64_t base;  // *count when it was bound
+  };
+
   std::int64_t value_ = 0;
+  std::vector<Source> bound_;
 };
 
-// Last-written value (with convenience accumulate/max forms).
+// Last-written value (with convenience accumulate/max forms), or the value
+// of the count last bound to it (Bindings) while one is.
 class Gauge {
  public:
   void Set(double v) { value_ = v; }
@@ -54,10 +73,14 @@ class Gauge {
       value_ = v;
     }
   }
-  double value() const { return value_; }
+  double value() const {
+    return bound_.empty() ? value_ : static_cast<double>(*bound_.back());
+  }
 
  private:
+  friend class Bindings;
   double value_ = 0;
+  std::vector<const std::int64_t*> bound_;
 };
 
 // Fixed-bin histogram (crstats::Histogram) behind the registry interface.
@@ -157,6 +180,34 @@ class Registry {
   Series* GetSeries(const std::string& name, MetricKind kind, Labels labels);
 
   std::map<std::string, Family> families_;
+};
+
+// The registry series bound to one component's own counts. Each binding
+// resolves its series once, when it is made. Released — by Release(), or
+// when the Bindings is destroyed — a binding folds its last reading into
+// the series: a counter adds what its count gained while bound, a gauge
+// keeps the count's last value. So the totals of a closed session's buffer
+// survive it, and a series two live components share adds up. A component
+// declares its Bindings after the counts it binds, and the registry must
+// outlive it.
+class Bindings {
+ public:
+  Bindings() = default;
+  Bindings(const Bindings&) = delete;
+  Bindings& operator=(const Bindings&) = delete;
+  ~Bindings() { Release(); }
+
+  // Counter series (name, labels) counts what `count` gains from now on.
+  void Counter(Registry& registry, const std::string& name, Labels labels,
+               const std::int64_t& count);
+  // Gauge series (name, labels) reads `value`.
+  void Gauge(Registry& registry, const std::string& name, Labels labels,
+             const std::int64_t& value);
+  void Release();
+
+ private:
+  std::vector<std::pair<crobs::Counter*, const std::int64_t*>> counters_;
+  std::vector<std::pair<crobs::Gauge*, const std::int64_t*>> gauges_;
 };
 
 }  // namespace crobs

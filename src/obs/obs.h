@@ -1,12 +1,14 @@
 // Observability hub: one Registry + one Tracer per simulation, plus the
 // flight recorder, frame tracer and SLO watchdog built on them.
 //
-// Components receive a `crobs::Hub*` (nullable) through their Options and
-// register instruments / intern trace tracks at construction. A null hub —
-// the default everywhere — means no instrumentation state is even allocated,
-// so the uninstrumented path costs one pointer test. A server event (a
-// deadline miss, a verdict, a fault) is written once, to flight(); the
-// recorder mirrors it into the trace while tracing is on.
+// Components receive a `crobs::Hub*` (nullable) through their Options,
+// bind the counts they keep to registry series (crobs::Bindings), and
+// register the remaining instruments / intern trace tracks at construction.
+// A null hub — the default everywhere — means nothing is bound and no
+// instrumentation state is even allocated, so the uninstrumented path costs
+// one pointer test. The hub must outlive every component bound to it. A
+// server event (a deadline miss, a verdict, a fault) is written once, to
+// flight(); the recorder mirrors it into the trace while tracing is on.
 
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_

@@ -48,6 +48,8 @@ Volume::Volume(crsim::Engine& engine, const VolumeOptions& options) {
         std::make_unique<crdisk::DiskDriver>(engine, *owned_devices_.back(), options.driver));
   }
   member_states_.assign(static_cast<std::size_t>(options.disks), MemberState::kHealthy);
+  stats_.pieces.assign(static_cast<std::size_t>(options.disks), 0);
+  stats_.reconstruction_pieces.assign(static_cast<std::size_t>(options.disks), 0);
   units_per_disk_ = options.device.geometry.total_sectors() / unit_sectors_;
   CRAS_CHECK(units_per_disk_ > 0) << "stripe unit larger than a member disk";
 }
@@ -99,29 +101,27 @@ int Volume::AddMemberStateListener(MemberStateListener listener) {
 }
 
 void Volume::AttachObs(crobs::Hub* hub, const std::string& prefix) {
+  bound_.Release();
   if (hub == nullptr) {
-    obs_.reset();
     for (int d = 0; d < disks(); ++d) {
       driver(d).AttachObs(nullptr, "");
       device(d).AttachObs(nullptr, "");
     }
     return;
   }
-  auto obs = std::make_unique<ObsState>();
-  obs->hub = hub;
   crobs::Registry& metrics = hub->metrics();
-  obs->requests = metrics.GetCounter("volume.requests", {{"volume", prefix}});
-  obs->splits = metrics.GetCounter("volume.splits", {{"volume", prefix}});
+  bound_.Counter(metrics, "volume.requests", {{"volume", prefix}}, stats_.requests_submitted);
+  bound_.Counter(metrics, "volume.splits", {{"volume", prefix}}, stats_.requests_split);
   for (int d = 0; d < disks(); ++d) {
     const std::string disk_name = prefix + std::to_string(d);
-    obs->pieces.push_back(
-        metrics.GetCounter("volume.pieces", {{"volume", prefix}, {"disk", disk_name}}));
-    obs->reconstructions.push_back(metrics.GetCounter(
-        "volume.reconstruction_pieces", {{"volume", prefix}, {"disk", disk_name}}));
+    const crobs::Labels labels = {{"volume", prefix}, {"disk", disk_name}};
+    const auto disk = static_cast<std::size_t>(d);
+    bound_.Counter(metrics, "volume.pieces", labels, stats_.pieces[disk]);
+    bound_.Counter(metrics, "volume.reconstruction_pieces", labels,
+                   stats_.reconstruction_pieces[disk]);
     driver(d).AttachObs(hub, disk_name);
     device(d).AttachObs(hub, disk_name);
   }
-  obs_ = std::move(obs);
 }
 
 std::uint64_t Volume::Submit(crdisk::DiskRequest req) {
@@ -130,12 +130,6 @@ std::uint64_t Volume::Submit(crdisk::DiskRequest req) {
   std::vector<Segment> segments = MapRange(req.lba, req.sectors, req.kind);
   if (segments.size() > 1) {
     ++stats_.requests_split;
-  }
-  if (obs_ != nullptr) {
-    obs_->requests->Add();
-    if (segments.size() > 1) {
-      obs_->splits->Add();
-    }
   }
   for (const Segment& segment : segments) {
     NotePiece(segment);

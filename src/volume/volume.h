@@ -28,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +59,15 @@ struct VolumeOptions {
 struct VolumeStats {
   std::int64_t requests_submitted = 0;  // through Submit(); fan-out pieces not counted
   std::int64_t requests_split = 0;      // requests that fanned out to more than one piece
-  std::int64_t reconstruction_pieces = 0;  // degraded-read and parity-update pieces
+  // One entry per member disk: the pieces issued to it, and those of them
+  // that exist only for redundancy (degraded-read and parity-update pieces).
+  std::vector<std::int64_t> pieces;
+  std::vector<std::int64_t> reconstruction_pieces;
+
+  std::int64_t total_reconstruction_pieces() const {
+    return std::accumulate(reconstruction_pieces.begin(), reconstruction_pieces.end(),
+                           std::int64_t{0});
+  }
 };
 
 enum class MemberState {
@@ -78,7 +87,7 @@ class Volume : public crdisk::IoTarget {
     std::int64_t sectors = 0;
     // True for pieces that exist only because of redundancy: degraded-mode
     // reads that rebuild a failed member's data from the survivors, and
-    // parity-update writes. Counted separately by the observability hooks.
+    // parity-update writes. Counted separately in stats().
     bool reconstruction = false;
   };
 
@@ -145,23 +154,19 @@ class Volume : public crdisk::IoTarget {
   const VolumeStats& stats() const { return stats_; }
 
   // Registers the whole array: each member device and driver under
-  // "<prefix><i>" ("disk0", "disk1", ...), plus volume-level counters —
-  // logical requests, fan-out splits, per-member-disk pieces and
-  // reconstruction pieces keyed {volume, disk}.
+  // "<prefix><i>" ("disk0", "disk1", ...), plus volume-level counter series
+  // bound to stats() — logical requests and fan-out splits, and per member
+  // disk the pieces and reconstruction pieces keyed {volume, disk}.
   void AttachObs(crobs::Hub* hub, const std::string& prefix);
 
-  // Observability hook for schedulers that fan out via MapRange() +
-  // driver().Submit() directly, bypassing Submit(): counts one issued piece
-  // against the segment's member disk. No-op when unattached.
+  // Counts one issued piece against the segment's member disk. Submit()
+  // calls it; so do schedulers that fan out via MapRange() +
+  // driver().Submit() directly, bypassing Submit().
   void NotePiece(const Segment& segment) {
+    const auto disk = static_cast<std::size_t>(segment.disk);
+    ++stats_.pieces[disk];
     if (segment.reconstruction) {
-      ++stats_.reconstruction_pieces;
-    }
-    if (obs_ != nullptr) {
-      obs_->pieces[static_cast<std::size_t>(segment.disk)]->Add();
-      if (segment.reconstruction) {
-        obs_->reconstructions[static_cast<std::size_t>(segment.disk)]->Add();
-      }
+      ++stats_.reconstruction_pieces[disk];
     }
   }
 
@@ -179,14 +184,6 @@ class Volume : public crdisk::IoTarget {
   void set_units_per_disk(std::int64_t units) { units_per_disk_ = units; }
 
  private:
-  struct ObsState {
-    crobs::Hub* hub = nullptr;
-    crobs::Counter* requests = nullptr;
-    crobs::Counter* splits = nullptr;
-    std::vector<crobs::Counter*> pieces;           // one per member disk
-    std::vector<crobs::Counter*> reconstructions;  // one per member disk
-  };
-
   std::vector<std::unique_ptr<crdisk::DiskDevice>> owned_devices_;
   std::vector<std::unique_ptr<crdisk::DiskDriver>> owned_drivers_;
   std::vector<MemberState> member_states_;
@@ -199,9 +196,9 @@ class Volume : public crdisk::IoTarget {
   std::int64_t total_sectors_ = 0;
   std::uint64_t next_id_ = 1;
   VolumeStats stats_;
+  crobs::Bindings bound_;
   // Frames parked in Execute() on a fan-out not yet fully completed.
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> inflight_parked_;
-  std::unique_ptr<ObsState> obs_;
 };
 
 // Builds the layout `options` asks for: a ParityVolume when options.parity,

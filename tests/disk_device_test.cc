@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/time_units.h"
+#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 
 namespace crdisk {
@@ -128,6 +129,16 @@ TEST(DiskDevice, StatsAccumulate) {
             stats.seek_time + stats.rotation_time + stats.transfer_time + stats.command_time);
   device.ResetStats();
   EXPECT_EQ(device.stats().requests, 0);
+}
+
+TEST(DiskDevice, ResetStatsRefusesAnAttachedDevice) {
+  // The hub's disk.requests series reads stats().requests; a reset would
+  // move it backwards.
+  crsim::Engine engine;
+  crobs::Hub hub(engine);
+  DiskDevice device(engine, DefaultOptions());
+  device.AttachObs(&hub, "disk0");
+  EXPECT_DEATH(device.ResetStats(), "attached device");
 }
 
 TEST(DiskDevice, WriteTimingEqualsReadTiming) {

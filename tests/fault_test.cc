@@ -195,7 +195,7 @@ TEST(Degradation, KeptStreamsRideOutAMidPlaybackFailure) {
     EXPECT_TRUE(event.kind != crobs::FlightEventKind::kDeadlineMiss) << "slot " << event.b;
   }
   // The failure actually bit: the survivors served reconstruction reads.
-  EXPECT_GT(rig.bed->volume.stats().reconstruction_pieces, 0);
+  EXPECT_GT(rig.bed->volume.stats().total_reconstruction_pieces(), 0);
   // The dead member served nothing new after the drain; the survivors kept
   // going.
   const std::int64_t failed_sectors = rig.bed->volume.device(1).stats().sectors;

@@ -300,7 +300,7 @@ TEST(FrameTraceIntegration, HealthyPlaybackBurnsNoSloBudget) {
 
 // ---------------------------------------------------------------------------
 // Integration: cache path. A follower served from memory still decomposes
-// with zero unattributed time, and its records carry the cache path tag.
+// with zero unattributed time, and its records show no disk read.
 // ---------------------------------------------------------------------------
 
 TEST(FrameTraceIntegration, CacheHitFramesConserveAttribution) {
@@ -331,23 +331,24 @@ TEST(FrameTraceIntegration, CacheHitFramesConserveAttribution) {
   EXPECT_EQ(totals.frames_delivered, a_stats.frames_played + b_stats.frames_played);
 
   // The premise holds (the follower actually hit the cache), and at least
-  // one surviving delivered record is tagged with the cache path.
+  // one surviving delivered record was scheduled but never read from disk.
   const crobs::RegistrySnapshot snapshot = bed.hub.metrics().Snapshot();
   const crobs::SeriesSnapshot* hits =
       snapshot.Find("cache.hit_chunks", {{"kind", "interval"}});
   ASSERT_NE(hits, nullptr);
   EXPECT_GT(hits->counter, 0);
-  std::int64_t cache_path_frames = 0;
+  std::int64_t cache_served_frames = 0;
   for (const SessionTrace* session : bed.hub.frames().Sessions()) {
     for (std::int64_t chunk = 0; chunk < 1024; ++chunk) {
       const FrameRecord* record = session->Find(chunk);
-      if (record != nullptr && record->path == FramePath::kCache &&
-          record->outcome == FrameOutcome::kDelivered) {
-        ++cache_path_frames;
+      if (record != nullptr && record->outcome == FrameOutcome::kDelivered &&
+          record->stage[static_cast<int>(FrameStage::kScheduled)] >= 0 &&
+          record->stage[static_cast<int>(FrameStage::kDiskStart)] < 0) {
+        ++cache_served_frames;
       }
     }
   }
-  EXPECT_GT(cache_path_frames, 0);
+  EXPECT_GT(cache_served_frames, 0);
 }
 
 // ---------------------------------------------------------------------------

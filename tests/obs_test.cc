@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/core/player.h"
 #include "src/core/testbed.h"
 #include "src/media/media_file.h"
+#include "src/net/nps.h"
 #include "src/obs/ledger.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -128,6 +130,274 @@ TEST(Registry, FindMissingReturnsNull) {
   const RegistrySnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.Find("nope"), nullptr);
   EXPECT_EQ(snap.Find("io", {{"disk", "d9"}}), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Bindings: a series that reads a count its component keeps itself
+// ---------------------------------------------------------------------------
+
+TEST(Bindings, BoundCounterReadsItsSourceAtSnapshotTime) {
+  Registry registry;
+  std::int64_t requests = 3;  // counted before the binding: not the series'
+  Bindings bound;
+  bound.Counter(registry, "disk.requests", {{"disk", "d0"}}, requests);
+  EXPECT_EQ(registry.Snapshot().Find("disk.requests", {{"disk", "d0"}})->counter, 0);
+  requests += 5;
+  EXPECT_EQ(registry.Snapshot().Find("disk.requests", {{"disk", "d0"}})->counter, 5);
+  requests += 2;
+  EXPECT_EQ(registry.Snapshot().Find("disk.requests", {{"disk", "d0"}})->counter, 7);
+}
+
+TEST(Bindings, ReleasedBindingKeepsItsLastReading) {
+  Registry registry;
+  std::int64_t puts = 0;
+  std::int64_t resident = 0;
+  {
+    Bindings bound;
+    bound.Counter(registry, "buffer.puts", {}, puts);
+    bound.Gauge(registry, "buffer.resident_bytes", {}, resident);
+    puts = 4;
+    resident = 300;
+  }
+  // Unbound: later changes are not read.
+  puts = 100;
+  resident = 7;
+  RegistrySnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.Find("buffer.puts")->counter, 4);
+  EXPECT_EQ(snap.Find("buffer.resident_bytes")->gauge, 300);
+
+  // A counter adds the next binding's gains to the folded total; a gauge
+  // reads the live value again.
+  Bindings again;
+  again.Counter(registry, "buffer.puts", {}, puts);
+  again.Gauge(registry, "buffer.resident_bytes", {}, resident);
+  puts += 3;
+  snap = registry.Snapshot();
+  EXPECT_EQ(snap.Find("buffer.puts")->counter, 7);
+  EXPECT_EQ(snap.Find("buffer.resident_bytes")->gauge, 7);
+  again.Release();
+  puts += 50;
+  resident = 9;
+  snap = registry.Snapshot();
+  EXPECT_EQ(snap.Find("buffer.puts")->counter, 7);
+  EXPECT_EQ(snap.Find("buffer.resident_bytes")->gauge, 7);
+}
+
+TEST(Bindings, LiveBindingsOfOneCounterSeriesAddUp) {
+  Registry registry;
+  std::int64_t first_puts = 0;
+  std::int64_t second_puts = 0;
+  Bindings first;
+  Bindings second;
+  first.Counter(registry, "buffer.puts", {{"stream", "s1"}}, first_puts);
+  second.Counter(registry, "buffer.puts", {{"stream", "s1"}}, second_puts);
+  first_puts = 3;
+  second_puts = 4;
+  EXPECT_EQ(registry.GetCounter("buffer.puts", {{"stream", "s1"}})->value(), 7);
+  first.Release();
+  second_puts = 6;
+  EXPECT_EQ(registry.Snapshot().Find("buffer.puts", {{"stream", "s1"}})->counter, 9);
+}
+
+cras::BufferedChunk ChunkAt(std::int64_t index) {
+  cras::BufferedChunk chunk;
+  chunk.chunk_index = index;
+  chunk.timestamp = Milliseconds(40) * index;
+  chunk.duration = Milliseconds(40);
+  chunk.size = 1000;
+  return chunk;
+}
+
+TEST(Bindings, ReattachingAComponentNeitherDoublesNorDropsACount) {
+  crsim::Engine engine;
+  Hub hub(engine);
+  cras::TimeDrivenBuffer buffer(1 << 20, Milliseconds(100));
+  const auto puts = [&hub] {
+    return hub.Snapshot().Find("buffer.puts", {{"stream", "s1"}})->counter;
+  };
+  const auto resident = [&hub] {
+    return hub.Snapshot().Find("buffer.resident_bytes", {{"stream", "s1"}})->gauge;
+  };
+  buffer.AttachObs(&hub, "s1");
+  buffer.Put(ChunkAt(0), 0);
+  buffer.Put(ChunkAt(1), 0);
+  EXPECT_EQ(puts(), 2);
+  buffer.AttachObs(&hub, "s1");
+  EXPECT_EQ(puts(), 2);
+  buffer.Put(ChunkAt(2), 0);
+  EXPECT_EQ(puts(), 3);
+  EXPECT_EQ(resident(), 3000);
+  buffer.AttachObs(nullptr, "");
+  EXPECT_EQ(puts(), 3);
+  EXPECT_EQ(resident(), 3000);
+  // Detached, the buffer still counts for itself; the series does not.
+  buffer.Put(ChunkAt(3), 0);
+  EXPECT_EQ(buffer.stats().puts, 4);
+  EXPECT_EQ(puts(), 3);
+}
+
+// The whole stack on one hub: the cache on, a session closed and another
+// reaped mid-run, and an NPS viewer on a lossy link. At the end every bound
+// series equals the count its component keeps, and the closed session's
+// buffer series still shows its total.
+TEST(Bindings, EveryBoundSeriesEqualsItsComponentsCount) {
+  cras::VolumeTestbedOptions options;
+  options.obs.frames.enabled = true;
+  options.cras.cache.enabled = true;
+  options.cras.cache.prefix_length = Seconds(6);
+  options.cras.lease_period = Milliseconds(500);
+  cras::VolumeTestbed bed(options);
+  crrt::Kernel client_host(bed.engine(), crrt::Kernel::Options{});
+  crnet::Link::Options forward_options;
+  forward_options.impairments.loss_probability = 0.05;
+  crnet::Link forward(bed.engine(), forward_options);
+  crnet::Link reverse(bed.engine());
+  crnet::NpsReceiver receiver(client_host);
+  crnet::NpsSender sender(bed.kernel, bed.cras_server, forward, receiver);
+  receiver.ConnectReverse(reverse, sender);
+  sender.AttachObs(&bed.hub, "viewer");
+  receiver.AttachObs(&bed.hub, "viewer");
+  bed.StartServers();
+  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(12));
+
+  cras::SessionId closed = cras::kInvalidSession;
+  cras::SessionId reaped = cras::kInvalidSession;
+  cras::SessionId remote = cras::kInvalidSession;
+  std::int64_t closed_puts = -1;
+  crsim::Task remote_sender;
+  crsim::Task client = bed.kernel.Spawn(
+      "client", crrt::kPriorityClient, [&](crrt::ThreadContext& ctx) -> crsim::Task {
+        const std::array<cras::SessionId*, 3> ids = {&closed, &reaped, &remote};
+        for (cras::SessionId* id : ids) {
+          cras::OpenParams params;
+          params.inode = movie.inode;
+          params.index = movie.index;
+          auto opened = co_await bed.cras_server.Open(std::move(params));
+          CRAS_CHECK(opened.ok());
+          *id = *opened;
+          (void)co_await bed.cras_server.StartStream(*id,
+                                                     bed.cras_server.SuggestedInitialDelay());
+        }
+        remote_sender = sender.Start(remote, &movie.index);
+        // Only `closed` and `remote` heartbeat, so the reaper takes `reaped`.
+        // `remote` heartbeats past the end of the run.
+        for (int tick = 0; tick < 60; ++tick) {
+          co_await ctx.Sleep(Milliseconds(200));
+          bed.cras_server.RenewLease(remote);
+          if (tick < 15) {
+            bed.cras_server.RenewLease(closed);
+          } else if (tick == 15) {
+            closed_puts = bed.cras_server.GetBufferStats(closed)->puts;
+            (void)co_await bed.cras_server.Close(closed);
+          }
+        }
+      });
+  crsim::Task player = client_host.Spawn(
+      "viewer", crrt::kPriorityClient, [&](crrt::ThreadContext& ctx) -> crsim::Task {
+        const crbase::Duration delay = bed.cras_server.SuggestedInitialDelay() + Seconds(1);
+        receiver.clock().Start(delay);
+        co_await ctx.Sleep(delay);
+        for (const crmedia::Chunk& chunk : movie.index.chunks()) {
+          while (receiver.clock().Now() < chunk.timestamp) {
+            co_await ctx.Sleep(Milliseconds(5));
+          }
+          (void)receiver.Get(chunk.timestamp);
+        }
+      });
+  bed.engine().RunFor(Seconds(10));
+
+  ASSERT_TRUE(bed.cras_server.WasReaped(reaped));
+  ASSERT_FALSE(bed.cras_server.HasSession(closed));
+  ASSERT_GT(closed_puts, 0);
+  const RegistrySnapshot snap = bed.hub.Snapshot();
+  const auto counter = [&snap](std::string_view name, Labels labels = {}) {
+    const SeriesSnapshot* series = snap.Find(name, std::move(labels));
+    return series != nullptr ? series->counter : -1;
+  };
+  const auto gauge = [&snap](std::string_view name) {
+    const SeriesSnapshot* series = snap.Find(name);
+    return series != nullptr ? series->gauge : -1.0;
+  };
+
+  const cras::ServerStats& server = bed.cras_server.stats();
+  EXPECT_GT(server.sessions_reaped, 0);
+  EXPECT_EQ(counter("cras.sessions_opened"), server.sessions_opened);
+  EXPECT_EQ(counter("cras.sessions_rejected"), server.sessions_rejected);
+  EXPECT_EQ(counter("cras.deadline_misses"), server.deadline_misses);
+  EXPECT_EQ(counter("cras.bytes_read"), server.bytes_read);
+  EXPECT_EQ(counter("cras.bytes_written"), server.bytes_written);
+  EXPECT_EQ(counter("cras.read_requests"), server.read_requests);
+  EXPECT_EQ(counter("cras.write_requests"), server.write_requests);
+  EXPECT_EQ(counter("cras.streams_shed"), server.streams_shed);
+  EXPECT_EQ(counter("cras.sessions_reaped"), server.sessions_reaped);
+  EXPECT_EQ(counter("cras.sessions_resumed"), server.sessions_resumed);
+  EXPECT_EQ(counter("cras.bytes_from_cache"), server.bytes_from_cache);
+
+  const crcache::StreamCache& cache = *bed.cras_server.cache();
+  const crcache::CacheCounters& hits = cache.counters();
+  EXPECT_GT(hits.prefix_hit_chunks, 0);
+  EXPECT_EQ(counter("cache.hit_chunks", {{"kind", "prefix"}}), hits.prefix_hit_chunks);
+  EXPECT_EQ(counter("cache.hit_chunks", {{"kind", "interval"}}), hits.interval_hit_chunks);
+  EXPECT_EQ(counter("cache.miss_chunks"), hits.miss_chunks);
+  EXPECT_EQ(counter("cache.fallbacks"), hits.fallbacks);
+  EXPECT_EQ(counter("cache.pairs_formed"), hits.pairs_formed);
+  EXPECT_EQ(counter("cache.pairs_broken"), hits.pairs_broken);
+  EXPECT_EQ(gauge("cache.pairs_active"), cache.pairs_active());
+  EXPECT_EQ(gauge("cache.pinned_titles"), cache.pinned_titles());
+  EXPECT_EQ(gauge("cache.interval_pool_bytes"), cache.interval_pool_used());
+  EXPECT_EQ(gauge("cache.prefix_pool_bytes"), cache.prefix_pool_used());
+
+  const BudgetLedger& ledger = *bed.hub.ledger();
+  EXPECT_GT(ledger.intervals_closed(), 0);
+  EXPECT_EQ(counter("ledger.intervals"), ledger.intervals_closed());
+  EXPECT_EQ(counter("ledger.overruns"), ledger.overruns());
+  EXPECT_EQ(counter("ledger.late_attributions"), ledger.late_attributions());
+
+  const crdisk::DiskDriver& driver = bed.volume.driver(0);
+  EXPECT_EQ(counter("disk.requests", {{"disk", "disk0"}}), bed.volume.device(0).stats().requests);
+  EXPECT_EQ(counter("disk.sectors", {{"disk", "disk0"}}), bed.volume.device(0).stats().sectors);
+  EXPECT_EQ(counter("driver.submitted", {{"disk", "disk0"}, {"queue", "rt"}}),
+            driver.realtime_stats().submitted);
+  EXPECT_EQ(counter("driver.submitted", {{"disk", "disk0"}, {"queue", "nr"}}),
+            driver.normal_stats().submitted);
+  EXPECT_EQ(counter("volume.requests", {{"volume", "disk"}}),
+            bed.volume.stats().requests_submitted);
+  EXPECT_EQ(counter("volume.splits", {{"volume", "disk"}}), bed.volume.stats().requests_split);
+  const crvol::VolumeStats& volume = bed.volume.stats();
+  EXPECT_GT(volume.pieces[0], 0);
+  for (int d = 0; d < bed.volume.disks(); ++d) {
+    const Labels labels = {{"volume", "disk"}, {"disk", "disk" + std::to_string(d)}};
+    const auto disk = static_cast<std::size_t>(d);
+    EXPECT_EQ(counter("volume.pieces", labels), volume.pieces[disk]);
+    EXPECT_EQ(counter("volume.reconstruction_pieces", labels),
+              volume.reconstruction_pieces[disk]);
+  }
+
+  const std::string stream = "s" + std::to_string(closed);
+  EXPECT_EQ(counter("buffer.puts", {{"stream", stream}}), closed_puts);
+  const std::string live = "s" + std::to_string(remote);
+  const cras::TimeDrivenBufferStats& buffer = *bed.cras_server.GetBufferStats(remote);
+  EXPECT_EQ(counter("buffer.puts", {{"stream", live}}), buffer.puts);
+  EXPECT_EQ(counter("buffer.discarded", {{"stream", live}}), buffer.discarded_obsolete);
+  EXPECT_EQ(counter("buffer.overflow_evictions", {{"stream", live}}), buffer.overflow_evictions);
+
+  EXPECT_GT(sender.stats().naks_received, 0);
+  EXPECT_EQ(counter("nps.tx_naks_received", {{"stream", "viewer"}}),
+            sender.stats().naks_received);
+  EXPECT_EQ(counter("nps.tx_retransmits", {{"stream", "viewer"}}),
+            sender.stats().fragments_retransmitted);
+  EXPECT_EQ(counter("nps.tx_retransmits_abandoned", {{"stream", "viewer"}}),
+            sender.stats().retransmits_abandoned);
+  EXPECT_EQ(counter("nps.rx_chunks", {{"stream", "viewer"}}), receiver.stats().chunks_received);
+  EXPECT_EQ(counter("nps.rx_chunks_abandoned", {{"stream", "viewer"}}),
+            receiver.stats().chunks_abandoned);
+  EXPECT_EQ(counter("nps.rx_naks_sent", {{"stream", "viewer"}}), receiver.stats().naks_sent);
+
+  const StageAttribution& frames = bed.hub.frames().Totals();
+  EXPECT_GT(frames.frames_delivered, 0);
+  EXPECT_EQ(counter("frames.delivered"), frames.frames_delivered);
+  EXPECT_EQ(counter("frames.missed"), frames.frames_missed);
+  EXPECT_EQ(counter("frames.conservation_violations"), frames.conservation_violations);
 }
 
 // ---------------------------------------------------------------------------
