@@ -63,7 +63,7 @@ CrasServer::CrasServer(crrt::Kernel& kernel, crvol::Volume& volume, crufs::Ufs& 
                         options_.cache.interval_pool_bytes + options_.cache.prefix_pool_bytes);
   }
   if (options_.mcast.enabled) {
-    group_mgr_ = std::make_unique<crmcast::GroupManager>(options_.mcast);
+    group_mgr_ = std::make_unique<crmcast::GroupManager>();
   }
   AttachObs(options_.obs);
 }
@@ -193,7 +193,7 @@ crsim::Task CrasServer::RequestManagerThread(crrt::ThreadContext& ctx) {
         result = HandleOpen(std::move(msg.params));
         break;
       case ControlMsg::kClose:
-        result = reply(HandleClose(msg.id));
+        result = reply(EndSession(msg.id));
         if (cache_fallback_pending_) {
           // The close orphaned a cached follower: settle it now — re-admit
           // on the bandwidth the close just freed (plus the fallback
@@ -481,25 +481,11 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
         group_plan.group = group_mgr_->CreateGroup(params.inode, *feed);
         group_plan.merge_chunk = 0;
         founded_group = true;
-        if (Session* f = FindSession(*feed)) {
-          f->feed = true;
-        }
       }
       // On feed rejection the open proceeds as a plain unicast session.
     }
   }
   const bool grouped = group_plan.joined;
-  // Founding failed half-open state is unwound on member rejection below.
-  const auto unwind_group = [&] {
-    if (grouped) {
-      // The member never registered; drop the placeholder and close the
-      // feed we just opened if it is now the group's only occupant.
-      if (founded_group) {
-        group_mgr_->DissolveByFeed(group_plan.feed);
-        (void)HandleClose(group_plan.feed);
-      }
-    }
-  };
 
   // Plan cache service first: a stream trailing a predecessor inside a
   // pinned prefix is admitted at memory cost (never dearer than disk cost,
@@ -516,7 +502,11 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   // deadline and the memory budget must hold.
   const bool memory_only = grouped || cache_plan.serve == crcache::ServeClass::kCached;
   if (!admission_.Try(next_session_id_, demand, memory_only).admit) {
-    unwind_group();
+    if (founded_group) {
+      // The member never registered: closing the feed just opened for it
+      // dissolves the group it founded.
+      (void)EndSession(group_plan.feed);
+    }
     return reject(crbase::ResourceExhaustedError("admission test failed"));
   }
 
@@ -525,10 +515,8 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   session.kind = params.kind;
   session.inode = params.inode;
   session.index = std::move(params.index);
-  session.rate_factor = params.rate_factor;
-  session.group_served = grouped;
-  session.group_limit_chunk = grouped ? group_plan.merge_chunk : -1;
-  const SessionId id = AddSession(std::move(session), demand, memory_only, cache_plan).id;
+  const SessionId id =
+      AddSession(std::move(session), params.rate_factor, demand, memory_only, cache_plan).id;
   ++stats_.sessions_opened;
   if (grouped) {
     group_mgr_->AddMember(group_plan.group, id, group_plan.merge_chunk);
@@ -536,13 +524,13 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   return id;
 }
 
-CrasServer::Session& CrasServer::AddSession(Session session, const StreamDemand& demand,
-                                            bool memory_only,
+CrasServer::Session& CrasServer::AddSession(Session session, double rate,
+                                            const StreamDemand& demand, bool memory_only,
                                             const crcache::OpenDecision& cache_plan) {
   const std::int64_t buffer_bytes = admission_.Commit(session.id, demand, memory_only);
   session.buffer = std::make_unique<TimeDrivenBuffer>(buffer_bytes, kJitterAllowance);
   session.clock = std::make_unique<LogicalClock>(kernel_->engine());
-  session.clock->SetRate(session.rate_factor);
+  session.clock->SetRate(rate);
   session.lease_renewed_at = kernel_->Now();
   if (obs_ != nullptr) {
     const std::string name = "s" + std::to_string(session.id);
@@ -564,32 +552,49 @@ CrasServer::Session& CrasServer::AddSession(Session session, const StreamDemand&
   return added;
 }
 
-crbase::Status CrasServer::HandleClose(SessionId id) {
+crbase::Status CrasServer::EndSession(SessionId id, SessionEnd how) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
     return crbase::NotFoundError("no such session");
   }
-  SessionId feed_to_close = kInvalidSession;
-  if (group_mgr_ != nullptr) {
-    if (it->second.feed) {
-      // A dying feed dissolves its group: every member falls back to
-      // unicast disk service at its current position (never a silent
-      // miss) and is settled — re-admitted on the freed feed bandwidth or
-      // shed — by the next owner of the control flow.
-      for (const crmcast::SessionId member : group_mgr_->DissolveByFeed(id)) {
-        if (Session* m = FindSession(member); m != nullptr && m->group_served) {
-          ResumeUnicast(*m);
-          cache_fallback_pending_ = true;
-        }
-      }
-    } else {
-      feed_to_close = group_mgr_->RemoveMember(id, "close");
+  Session& session = it->second;
+  ResumeState resume;
+  crbase::Duration lease_age = 0;
+  if (how == SessionEnd::kShed) {
+    ended_[id].shed = true;
+    ++stats_.streams_shed;
+    CRAS_LOG(kWarning) << "CRAS shedding session " << id << " (degraded array)";
+    if (obs_ != nullptr) {
+      obs_->hub->flight().Record(crobs::FlightEventKind::kStreamShed, id);
     }
+  } else if (how == SessionEnd::kReaped) {
+    // Read before the close releases them: the demand and the clock.
+    resume = ResumeState{id, session.kind, session.inode, std::move(session.index),
+                         admission_.demand(id), session.clock->rate(),
+                         session.clock->running(), session.clock->Now()};
+    lease_age = kernel_->Now() - session.lease_renewed_at;
+    CRAS_LOG(kWarning) << "CRAS reaping session " << id << " (lease lapsed "
+                       << crbase::FormatDuration(lease_age) << " ago)";
+  }
+  SessionId feed_to_close = kInvalidSession;
+  if (IsFeed(id)) {
+    // A dying feed dissolves its group: every member falls back to unicast
+    // disk service at its current position (never a silent miss) and is
+    // settled — re-admitted on the freed feed bandwidth or shed — by the
+    // next owner of the control flow.
+    for (const crmcast::SessionId member : group_mgr_->DissolveByFeed(id)) {
+      if (Session* m = FindSession(member); m != nullptr) {
+        ResumeUnicast(*m);
+        cache_fallback_pending_ = true;
+      }
+    }
+  } else if (group_mgr_ != nullptr) {
+    feed_to_close = group_mgr_->RemoveMember(id, "close");
   }
   admission_.Release(id);
   if (cache_ != nullptr) {
     // Orphaned followers fall back to disk service. Settling them (re-admit
-    // or shed) is the caller's job — HandleClose runs inside shed loops and
+    // or shed) is the caller's job — EndSession runs inside shed loops and
     // must not recurse.
     for (const crcache::StreamId orphan : cache_->Unregister(id)) {
       cache_fallback_pending_ |= admission_.ChargeDisk(orphan);
@@ -601,17 +606,28 @@ crbase::Status CrasServer::HandleClose(SessionId id) {
       batch.session = kInvalidSession;
     }
   }
+  const std::function<void()> listener = std::move(session.data_listener);
   sessions_.erase(it);
-  if (auto listener = data_listeners_.find(id); listener != data_listeners_.end()) {
-    const std::function<void()> data_listener = std::move(listener->second);
-    data_listeners_.erase(listener);
-    data_listener();
+  if (listener) {
+    listener();
   }
   if (feed_to_close != kInvalidSession) {
     // The last member left: the group dissolved with it, so the
     // server-owned feed has nobody to serve. One level of recursion only —
     // a feed close never returns another feed.
-    (void)HandleClose(feed_to_close);
+    (void)EndSession(feed_to_close);
+  }
+  if (how == SessionEnd::kReaped) {
+    ended_[id].reaped = true;
+    resumable_.push_back(std::move(resume));
+    if (resumable_.size() > kResumeHistory) {
+      resumable_.pop_front();
+    }
+    ++stats_.sessions_reaped;
+    if (obs_ != nullptr) {
+      obs_->hub->flight().Record(crobs::FlightEventKind::kLeaseReap, id, 0,
+                                 crobs::ToMillis(lease_age));
+    }
   }
   return crbase::OkStatus();
 }
@@ -624,16 +640,13 @@ crbase::Status CrasServer::HandleStart(SessionId id, crbase::Duration initial_de
   if (initial_delay < 0) {
     return crbase::InvalidArgumentError("negative initial delay");
   }
-  session->started = true;
   session->clock->Start(initial_delay);
-  if (session->group_served && group_mgr_ != nullptr) {
+  if (InGroup(id)) {
     // The first member to start also starts the group's feed: member
     // clocks trail the feed clock by their arrival offset, which is
     // exactly the lag the prefix bridge covers.
-    const crmcast::GroupId group = group_mgr_->GroupOf(id);
-    const crmcast::SessionId feed = group_mgr_->FeedOf(group);
-    if (Session* f = FindSession(feed); f != nullptr && !f->started) {
-      f->started = true;
+    const crmcast::SessionId feed = group_mgr_->FeedOf(group_mgr_->GroupOf(id));
+    if (Session* f = FindSession(feed); f != nullptr && !f->clock->running()) {
       f->clock->Start(initial_delay);
     }
   }
@@ -645,7 +658,6 @@ crbase::Status CrasServer::HandleStop(SessionId id) {
   if (session == nullptr) {
     return crbase::NotFoundError("no such session");
   }
-  session->started = false;
   session->clock->Stop();
   return crbase::OkStatus();
 }
@@ -668,11 +680,11 @@ crbase::Status CrasServer::HandleSeek(SessionId id, crbase::Time logical) {
   session->prefetch_pos = session->index.at(static_cast<std::size_t>(chunk)).timestamp;
   bool resettle = false;
   SessionId feed_to_close = kInvalidSession;
-  if (session->group_served && group_mgr_ != nullptr) {
+  if (InGroup(id)) {
     // A seek breaks position compatibility with the group: the member
     // leaves and is disk-charged at its new play point.
     feed_to_close = group_mgr_->RemoveMember(id, "seek");
-    LeaveGroup(*session);
+    admission_.ChargeDisk(id);
     resettle = true;
   }
   if (cache_ != nullptr) {
@@ -684,7 +696,7 @@ crbase::Status CrasServer::HandleSeek(SessionId id, crbase::Time logical) {
     resettle |= DetachFromCache(id);
   }
   if (feed_to_close != kInvalidSession) {
-    (void)HandleClose(feed_to_close);
+    (void)EndSession(feed_to_close);
   }
   if (resettle) {
     ShedUntilAdmissible();
@@ -703,13 +715,13 @@ crbase::Status CrasServer::HandleSetRate(SessionId id, double rate_factor) {
   if (session->kind != SessionKind::kRead) {
     return crbase::FailedPreconditionError("rate change on a write session");
   }
-  if (session->group_served && group_mgr_ != nullptr) {
+  if (InGroup(id)) {
     // A non-unit rate cannot ride the group's shared feed; the member
     // leaves before re-admission at the new rate.
     const SessionId feed_to_close = group_mgr_->RemoveMember(id, "set_rate");
-    LeaveGroup(*session);
+    admission_.ChargeDisk(id);
     if (feed_to_close != kInvalidSession) {
-      (void)HandleClose(feed_to_close);
+      (void)EndSession(feed_to_close);
     }
     ShedUntilAdmissible();
     session = FindSession(id);
@@ -731,14 +743,13 @@ crbase::Status CrasServer::HandleSetRate(SessionId id, double rate_factor) {
   // the stream is disk-charged by now (any cache or group service dropped).
   StreamDemand new_demand = admission_.demand(id);
   new_demand.rate_bytes_per_sec =
-      new_demand.rate_bytes_per_sec / session->rate_factor * rate_factor;
+      new_demand.rate_bytes_per_sec / session->clock->rate() * rate_factor;
   if (!admission_.Try(id, new_demand, /*memory_only=*/false).admit) {
     return crbase::ResourceExhaustedError("admission test failed at the new rate");
   }
   // The buffer grows in place (resident chunks and statistics stay); a
   // slowed stream keeps its larger buffer, still wired and charged.
   session->buffer->Grow(admission_.Commit(id, new_demand, /*memory_only=*/false));
-  session->rate_factor = rate_factor;
   session->clock->SetRate(rate_factor);
   return crbase::OkStatus();
 }
@@ -749,42 +760,45 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
     session->lease_renewed_at = kernel_->Now();
     return crbase::OkStatus();
   }
-  auto it = reaped_.find(id);
-  if (it == reaped_.end()) {
+  const auto it = std::find_if(resumable_.begin(), resumable_.end(),
+                               [id](const ResumeState& r) { return r.id == id; });
+  if (it == resumable_.end()) {
     return crbase::NotFoundError("no such session (never opened, or resume state evicted)");
   }
-  ReapedSession& old = it->second;
-  Session& saved = old.session;
-
+  Session session;
+  session.id = id;
+  session.kind = it->kind;
+  session.inode = it->inode;
   // Resume position, needed up front: the cache plans service at the chunk
   // the stream will actually resume from.
-  if (saved.kind == SessionKind::kRead) {
-    saved.next_chunk = std::max<std::int64_t>(saved.index.FindByTime(old.logical_pos), 0);
-    saved.prefetch_pos = saved.index.at(static_cast<std::size_t>(saved.next_chunk)).timestamp;
+  if (it->kind == SessionKind::kRead) {
+    session.next_chunk = std::max<std::int64_t>(it->index.FindByTime(it->logical_pos), 0);
+    session.prefetch_pos = it->index.at(static_cast<std::size_t>(session.next_chunk)).timestamp;
   }
   crcache::OpenDecision cache_plan;
-  if (cache_ != nullptr && saved.kind == SessionKind::kRead) {
-    cache_->NoteOpen(saved.inode, saved.index, kernel_->Now());
-    cache_plan = cache_->PlanOpen(saved.inode, saved.next_chunk);
+  if (cache_ != nullptr && it->kind == SessionKind::kRead) {
+    cache_->NoteOpen(it->inode, it->index, kernel_->Now());
+    cache_plan = cache_->PlanOpen(it->inode, session.next_chunk);
   }
 
   // Re-run the admission test: the array may have degraded (or filled up)
   // since the session was reaped, and a resumed stream gets no special
   // claim over the ones admitted meanwhile.
   const bool memory_only = cache_plan.serve == crcache::ServeClass::kCached;
-  if (!admission_.Try(id, old.demand, memory_only).admit) {
+  if (!admission_.Try(id, it->demand, memory_only).admit) {
     return crbase::ResourceExhaustedError("admission test failed on resume");
   }
 
-  Session& resumed = AddSession(std::move(saved), old.demand, memory_only, cache_plan);
-  resumed.clock->SeekTo(old.logical_pos);
-  if (resumed.started) {
+  session.index = std::move(it->index);
+  Session& resumed = AddSession(std::move(session), it->rate, it->demand, memory_only, cache_plan);
+  resumed.clock->SeekTo(it->logical_pos);
+  if (it->running) {
     // Resume playing from where the reaper froze it, after the same
     // pipeline-fill latency a fresh start needs.
     resumed.clock->Start(SuggestedInitialDelay());
   }
   ++stats_.sessions_resumed;
-  reaped_.erase(it);
+  resumable_.erase(it);
   CRAS_LOG(kInfo) << "CRAS session " << id << " reconnected and resumed";
   return crbase::OkStatus();
 }
@@ -793,14 +807,8 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
 // Multicast demotion
 // ---------------------------------------------------------------------------
 
-void CrasServer::LeaveGroup(Session& session) {
-  session.group_served = false;
-  session.group_limit_chunk = -1;
-  admission_.ChargeDisk(session.id);
-}
-
 void CrasServer::ResumeUnicast(Session& session) {
-  LeaveGroup(session);
+  admission_.ChargeDisk(session.id);
   const std::int64_t count = static_cast<std::int64_t>(session.index.count());
   std::int64_t chunk = session.index.FindByTime(session.clock->Now());
   if (chunk < 0) {
@@ -820,14 +828,14 @@ void CrasServer::ResumeUnicast(Session& session) {
 
 bool CrasServer::DemoteGroupMember(SessionId id, const std::string& reason) {
   Session* session = FindSession(id);
-  if (session == nullptr || !session->group_served || group_mgr_ == nullptr) {
+  if (session == nullptr || !InGroup(id)) {
     return false;
   }
   const SessionId feed_to_close = group_mgr_->RemoveMember(id, reason);
   ResumeUnicast(*session);
   if (feed_to_close != kInvalidSession) {
     // The demoted member was the group's last: nobody left to feed.
-    (void)HandleClose(feed_to_close);
+    (void)EndSession(feed_to_close);
   }
   // Re-settle: the member is disk-charged from here on (the fallback
   // reserve covered the flip); the freed feed bandwidth may re-admit it,
@@ -850,47 +858,17 @@ void CrasServer::RenewLease(SessionId id) {
 }
 
 void CrasServer::ReapExpired() {
-  const crbase::Time now = kernel_->Now();
   const auto deadline = static_cast<crbase::Duration>(
       kLeaseGrace * static_cast<double>(options_.lease_period));
   std::vector<SessionId> expired;
   for (const auto& [id, session] : sessions_) {
-    if (session.feed) {
-      continue;  // server-owned: no client lease to lapse
-    }
-    if (now - session.lease_renewed_at > deadline) {
+    // A group feed is server-owned: it has no client lease to lapse.
+    if (kernel_->Now() - session.lease_renewed_at > deadline && !IsFeed(id)) {
       expired.push_back(id);
     }
   }
-  for (SessionId id : expired) {
-    Session& session = sessions_.at(id);
-    ReapedSession record{Session{}, admission_.demand(id), session.clock->Now(), now};
-    Session& saved = record.session;
-    saved.id = id;
-    saved.kind = session.kind;
-    saved.inode = session.inode;
-    saved.index = std::move(session.index);
-    saved.rate_factor = session.rate_factor;
-    saved.started = session.started;
-    const crbase::Duration lease_age = now - session.lease_renewed_at;
-    CRAS_LOG(kWarning) << "CRAS reaping session " << id << " (lease lapsed "
-                       << crbase::FormatDuration(lease_age) << " ago)";
-    CRAS_CHECK(HandleClose(id).ok());
-    reaped_ids_.insert(id);
-    reaped_.emplace(id, std::move(record));
-    while (reaped_.size() > options_.reaped_history) {
-      // Evict the oldest resume state: the earliest reap (one sweep reaps
-      // in ascending id order).
-      const auto reaped_before = [](const auto& a, const auto& b) {
-        return std::tie(a.second.reaped_at, a.first) < std::tie(b.second.reaped_at, b.first);
-      };
-      reaped_.erase(std::min_element(reaped_.begin(), reaped_.end(), reaped_before));
-    }
-    ++stats_.sessions_reaped;
-    if (obs_ != nullptr) {
-      obs_->hub->flight().Record(crobs::FlightEventKind::kLeaseReap, id, 0,
-                                 crobs::ToMillis(lease_age));
-    }
+  for (const SessionId id : expired) {
+    CRAS_CHECK(EndSession(id, SessionEnd::kReaped).ok());
   }
   if (cache_fallback_pending_) {
     // A reaped predecessor orphaned a cached follower: re-admit it on the
@@ -951,7 +929,7 @@ void CrasServer::ShedUntilAdmissible() {
   // The victim is the session with the least key: class, then rate
   // (highest first), then id (youngest first).
   const auto shed_key = [this](const Session& s) {
-    const int cls = s.feed                                           ? 3
+    const int cls = IsFeed(s.id)                                     ? 3
                     : admission_.memory_only(s.id)                   ? 2
                     : cache_ != nullptr && cache_->HasFollower(s.id) ? 1
                                                                      : 0;
@@ -962,13 +940,7 @@ void CrasServer::ShedUntilAdmissible() {
   };
   while (!sessions_.empty() && !admission_.Admissible()) {
     const SessionId id = std::min_element(sessions_.begin(), sessions_.end(), sheds_first)->first;
-    shed_ids_.insert(id);
-    ++stats_.streams_shed;
-    CRAS_LOG(kWarning) << "CRAS shedding session " << id << " (degraded array)";
-    if (obs_ != nullptr) {
-      obs_->hub->flight().Record(crobs::FlightEventKind::kStreamShed, id);
-    }
-    CRAS_CHECK(HandleClose(id).ok());
+    CRAS_CHECK(EndSession(id, SessionEnd::kShed).ok());
   }
   cache_fallback_pending_ = false;
   if (obs_ != nullptr) {
@@ -1025,10 +997,8 @@ std::int64_t CrasServer::PublishCompletedBatches() {
       session->stats.bytes_published += chunk.size;
       ++published;
     }
-    if (!data_listeners_.empty()) {
-      if (auto listener = data_listeners_.find(batch.session); listener != data_listeners_.end()) {
-        listener->second();
-      }
+    if (session->data_listener) {
+      session->data_listener();
     }
   }
   return published;
@@ -1107,11 +1077,11 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
   };
 
   for (auto& [id, session] : sessions_) {
-    if (!session.started) {
+    if (!session.clock->running()) {
       continue;
     }
     if (session.kind == SessionKind::kRead) {
-      const crbase::Duration advance = ScaleDuration(options_.interval, session.rate_factor);
+      const crbase::Duration advance = ScaleDuration(options_.interval, session.clock->rate());
       // "CRAS schedules pre-fetches according to the logical rate": stay at
       // most two interval-windows ahead of the logical clock — exactly the
       // double-buffered depth B_i was sized for. A client that allowed a
@@ -1126,11 +1096,10 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
         // A delivery-group member schedules only its bridge patch
         // [0, merge): everything past the merge point arrives through the
         // group's multicast feed, never through this session's own I/O.
+        const bool member = InGroup(id);
         const std::int64_t limit =
-            session.group_served && session.group_limit_chunk >= 0
-                ? std::min(count, session.group_limit_chunk)
-                : count;
-        if (session.group_served && session.next_chunk >= limit) {
+            member ? std::min(count, group_mgr_->MergeChunkOf(id)) : count;
+        if (member && session.next_chunk >= limit) {
           break;  // patch complete; the multicast feed carries the rest
         }
         if (session.prefetch_pos > session.clock->Now() + 2 * advance) {
@@ -1175,7 +1144,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
             first += run.chunks;
           }
         }
-        if (session.group_served && first < last) {
+        if (member && first < last) {
           // The pinned prefix no longer covers this member's bridge patch
           // (unpinned under pressure, or never reached this far): the
           // remainder is disk I/O a memory-only member must not issue
@@ -1186,7 +1155,7 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
           if (feed_orphan != kInvalidSession) {
             feeds_to_close.push_back(feed_orphan);
           }
-          LeaveGroup(session);
+          admission_.ChargeDisk(id);
           cache_fallback_pending_ = true;
         }
         plan_range(session, first, last, SessionKind::kRead);
@@ -1220,15 +1189,15 @@ std::int64_t CrasServer::IssueIntervalIo(std::int64_t interval_slot, crbase::Tim
 
   for (const SessionId feed : feeds_to_close) {
     // A patch-miss demote emptied its group mid-planning; the feed closes
-    // here, outside the session iteration (HandleClose mutates the map).
-    (void)HandleClose(feed);
+    // here, outside the session iteration (EndSession mutates the map).
+    (void)EndSession(feed);
   }
   if (cache_fallback_pending_) {
     // A stream was demoted mid-planning (its window outran its feed). Its
     // own tail rides the fallback reserve, but the set may no longer be
     // admissible with it disk-charged: settle before submitting, and drop
     // the work planned for any session the settling shed (its batches were
-    // orphaned by HandleClose).
+    // orphaned by EndSession).
     ShedUntilAdmissible();
     std::erase_if(planned, [this](const Planned& p) {
       auto it = inflight_.find(p.batch_id);
@@ -1298,13 +1267,8 @@ const LogicalClock* CrasServer::SessionClock(SessionId id) const {
 }
 
 void CrasServer::SetDataListener(SessionId id, std::function<void()> listener) {
-  if (FindSession(id) == nullptr) {
-    return;
-  }
-  if (listener) {
-    data_listeners_[id] = std::move(listener);
-  } else {
-    data_listeners_.erase(id);
+  if (Session* session = FindSession(id); session != nullptr) {
+    session->data_listener = std::move(listener);
   }
 }
 

@@ -53,9 +53,14 @@
 // whose lease has lapsed — buffer reclaimed, wired memory unwired,
 // admission share released — so a crashed or partitioned client can never
 // strand server resources. A reaped session's resume state (position,
-// demand, index) is remembered for a bounded history; Reconnect(id) renews
-// a live lease, or re-admits and resumes a reaped session at its last
-// logical position.
+// demand, index) is remembered for the last kResumeHistory reaps;
+// Reconnect(id) renews a live lease, or re-admits and resumes a reaped
+// session at its last logical position.
+//
+// A session's server state is one Session in the id-ordered table. Close,
+// shed and reap all end it through one function (EndSession), which leaves
+// behind only how it ended (for WasShed/WasReaped) and, after a reap, its
+// resume state.
 
 #ifndef SRC_CORE_CRAS_H_
 #define SRC_CORE_CRAS_H_
@@ -67,7 +72,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -94,6 +98,10 @@ namespace cras {
 // server on the paper's hardware. The server's other CPU charges are
 // constants in cras.cc.
 inline constexpr crbase::Duration kCpuPerInterval = crbase::Microseconds(200);
+
+// Reaped sessions whose resume state is kept for Reconnect(); past this
+// bound the earliest reap is evicted.
+inline constexpr std::size_t kResumeHistory = 16;
 
 enum class SessionKind {
   kRead,   // constant-rate retrieval (the paper's only mode)
@@ -163,9 +171,6 @@ class CrasServer {
     // server). A client must renew within 1.5 periods or its session is
     // reaped: closed, buffer reclaimed, admission released.
     crbase::Duration lease_period = 0;
-    // Reaped sessions whose resume state is kept for Reconnect(); oldest
-    // evicted beyond this bound.
-    std::size_t reaped_history = 16;
     // "Making all the read requests to disks in cylinder order to minimize
     // the seek time" (§2.2). Off only for the A2 ablation.
     bool sort_requests_by_cylinder = true;
@@ -282,11 +287,11 @@ class CrasServer {
   // (closed, reaped or shed). Valid until the session closes.
   const LogicalClock* SessionClock(SessionId id) const;
   // Calls `listener` after each batch published into session `id`'s shared
-  // buffer, and once more when the session closes, so a delivery thread
-  // that missed in Get() can wait for data instead of polling. It runs
-  // inside the publish or close, so it must not call back into the server.
-  // One per session; an empty function removes it. No-op on an unknown
-  // session.
+  // buffer, and once more when the session ends (closed, shed or reaped;
+  // the session is already gone then), so a delivery thread that missed in
+  // Get() can wait for data instead of polling. It runs inside the publish
+  // or the end, so it must not call back into the server. One per session;
+  // an empty function removes it. No-op on an unknown session.
   void SetDataListener(SessionId id, std::function<void()> listener);
 
   // Session `id`'s frame-trace ring, or nullptr (unknown session, or frame
@@ -315,12 +320,12 @@ class CrasServer {
   // the degraded array's guarantees for the remaining streams). Remembered
   // past the close, so a client polling a vanished session can tell "shed"
   // from "never existed".
-  bool WasShed(SessionId id) const { return shed_ids_.count(id) != 0; }
+  bool WasShed(SessionId id) const { return ended_.contains(id) && ended_.at(id).shed; }
   // Whether the lease reaper ever reaped session `id` (it may have been
-  // resumed since). Lets a silent client distinguish "lease lapsed" from
-  // "never existed".
-  bool WasReaped(SessionId id) const { return reaped_ids_.count(id) != 0; }
-  std::size_t resumable_sessions() const { return reaped_.size(); }
+  // resumed since, and even shed after that). Lets a silent client
+  // distinguish "lease lapsed" from "never existed".
+  bool WasReaped(SessionId id) const { return ended_.contains(id) && ended_.at(id).reaped; }
+  std::size_t resumable_sessions() const { return resumable_.size(); }
   std::int64_t buffer_bytes_reserved() const { return admission_.reserved_bytes(); }
   std::size_t open_sessions() const { return sessions_.size(); }
   crbase::Result<SessionStats> GetSessionStats(SessionId id) const;
@@ -384,23 +389,18 @@ class CrasServer {
     }
   };
 
+  // One open session: everything the server keeps about it. Facts other
+  // records already hold are read there: whether it plays and at what rate
+  // from its clock (running(), rate()), its demand and charge class from
+  // admission_, and its delivery-group membership from group_mgr_ (GroupOf,
+  // MergeChunkOf, IsFeed).
   struct Session {
     SessionId id = kInvalidSession;
     SessionKind kind = SessionKind::kRead;
     crufs::InodeNumber inode = crufs::kInvalidInode;
     crmedia::ChunkIndex index;
-    double rate_factor = 1.0;  // scales the demand held in admission_
     std::unique_ptr<TimeDrivenBuffer> buffer;
     std::unique_ptr<LogicalClock> clock;
-    bool started = false;
-    // Delivery-group member: interval data arrives via the group's
-    // multicast feed, so admission charges memory only and the scheduler
-    // plans I/O only for the cache-bridged patch [0, group_limit_chunk).
-    bool group_served = false;
-    // Server-owned feed session of a delivery group: carries the group's
-    // one disk stream. No client lease (the reaper skips it); shed last.
-    bool feed = false;
-    std::int64_t group_limit_chunk = -1;  // member patch bound; -1 = none
     crbase::Time prefetch_pos = 0;   // logical time of the next window
     std::int64_t next_chunk = 0;     // first chunk not yet scheduled
     std::deque<std::int64_t> write_queue;  // produced, not yet written
@@ -408,16 +408,32 @@ class CrasServer {
     // Frame-trace ring for this session (owned by the hub's FrameTracer);
     // null when frame tracing is off, so stamping costs one pointer test.
     crobs::SessionTrace* ftrace = nullptr;
+    // SetDataListener's listener; empty unless a remote delivery thread
+    // waits on this session.
+    std::function<void()> data_listener;
     SessionStats stats;
   };
 
-  // Resume state of a reaped session, kept for Reconnect(): the session's
-  // identity, index, rate and started flag, its demand and clock reading.
-  struct ReapedSession {
-    Session session;
+  enum class SessionEnd { kClosed, kShed, kReaped };
+
+  // How a session that is gone ended. A plain close leaves no entry; a
+  // session reaped, resumed and then shed has both flags.
+  struct Ended {
+    bool shed = false;
+    bool reaped = false;
+  };
+
+  // What a reaped session leaves for Reconnect(): its identity, index and
+  // demand, and its clock's rate, running state and reading at the reap.
+  struct ResumeState {
+    SessionId id = kInvalidSession;
+    SessionKind kind = SessionKind::kRead;
+    crufs::InodeNumber inode = crufs::kInvalidInode;
+    crmedia::ChunkIndex index;
     StreamDemand demand;
-    crbase::Time logical_pos = 0;  // clock reading at reap time
-    crbase::Time reaped_at = 0;    // eviction order of the bounded history
+    double rate = 1.0;
+    bool running = false;
+    crbase::Time logical_pos = 0;
   };
 
   struct Batch {
@@ -462,21 +478,26 @@ class CrasServer {
   // Request-manager operations. `internal_feed` marks the server's own
   // recursive open of a delivery-group feed session.
   crbase::Result<SessionId> HandleOpen(OpenParams params, bool internal_feed = false);
-  crbase::Status HandleClose(SessionId id);
+  // Ends session `id`, the one path for a close, a shed and a reap: leaves
+  // its delivery group (closing a feed nobody is left on), releases its
+  // admission share, unregisters it from the cache, orphans its in-flight
+  // batches, erases it and then calls its data listener. A shed is marked,
+  // counted and recorded before the close; a reap captures its resume
+  // state before the close and stores it after.
+  crbase::Status EndSession(SessionId id, SessionEnd how = SessionEnd::kClosed);
   crbase::Status HandleStart(SessionId id, crbase::Duration initial_delay);
   crbase::Status HandleStop(SessionId id);
   crbase::Status HandleSeek(SessionId id, crbase::Time logical);
   crbase::Status HandleSetRate(SessionId id, double rate_factor);
   crbase::Status HandleReconnect(SessionId id);
   // Commits `session`'s admission at `demand` (memory-only or
-  // disk-charged), gives it its wired buffer, clock and obs instruments,
-  // enters it in the table and registers a read stream with the cache at
-  // its next chunk.
-  Session& AddSession(Session session, const StreamDemand& demand, bool memory_only,
-                      const crcache::OpenDecision& cache_plan);
+  // disk-charged), gives it its wired buffer, a stopped clock at `rate` and
+  // obs instruments, enters it in the table and registers a read stream
+  // with the cache at its next chunk.
+  Session& AddSession(Session session, double rate, const StreamDemand& demand,
+                      bool memory_only, const crcache::OpenDecision& cache_plan);
 
-  // Lease-reaper operations: closes every session whose lease lapsed,
-  // remembering its resume state.
+  // Lease-reaper operation: reaps every session whose lease lapsed.
   void ReapExpired();
 
   // Scheduler phases.
@@ -488,15 +509,19 @@ class CrasServer {
 
   Session* FindSession(SessionId id);
   const Session* FindSession(SessionId id) const;
+  // Whether session `id` is a delivery-group member / a group's feed.
+  bool InGroup(SessionId id) const {
+    return group_mgr_ != nullptr && group_mgr_->GroupOf(id) != crmcast::kNoGroup;
+  }
+  bool IsFeed(SessionId id) const { return group_mgr_ != nullptr && group_mgr_->IsFeed(id); }
   // Drops session `id`'s cache service (and its follower's pair, if any)
   // and re-registers it as a plain disk-served chain member at its current
   // scheduling position. Returns true if any stream's serving class changed
   // (the caller then re-runs ShedUntilAdmissible).
   bool DetachFromCache(SessionId id);
-  // Clears a group member's group flags and charges it disk time.
-  // Membership bookkeeping (GroupManager) is the caller's to update.
-  void LeaveGroup(Session& session);
-  // LeaveGroup, then resumes scheduling at the clock's current position.
+  // Charges a former group member disk time and resumes its scheduling at
+  // the clock's current position. Membership bookkeeping (GroupManager) is
+  // the caller's to update.
   void ResumeUnicast(Session& session);
 
   // Degradation-controller operations.
@@ -554,15 +579,14 @@ class CrasServer {
   crsim::Port<int> signal_port_;
   crsim::Port<MemberChange> fault_port_;
 
+  // Open sessions in id order: the order the scheduler plans their I/O in.
   std::map<SessionId, Session> sessions_;
-  // SetDataListener's listeners. Only remote delivery threads register
-  // one, so they are kept beside the sessions rather than in Session: a
-  // server with none pays one empty() test per published batch.
-  std::map<SessionId, std::function<void()>> data_listeners_;
   SessionId next_session_id_ = 1;
-  std::set<SessionId> shed_ids_;
-  std::set<SessionId> reaped_ids_;
-  std::map<SessionId, ReapedSession> reaped_;
+  // Shed or reaped sessions, by how they ended.
+  std::map<SessionId, Ended> ended_;
+  // Resume states in reap order (sweeps run in time order and reap in id
+  // order), at most kResumeHistory: the front is the earliest reap.
+  std::deque<ResumeState> resumable_;
 
   std::map<std::uint64_t, Batch> inflight_;
   std::deque<std::uint64_t> completed_batches_;

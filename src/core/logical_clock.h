@@ -43,10 +43,11 @@ class LogicalClock {
   // Starts (or resumes) the clock from its current reading, backed off by
   // `initial_delay` of real time: a freshly opened stream started with delay
   // d reads -d*rate now and exactly zero after d (the startup latency while
-  // CRAS fills the first buffers); a stopped stream resumes where it froze.
+  // CRAS fills the first buffers); a stopped stream resumes where it froze;
+  // a running one backs off from where it is.
   void Start(Duration initial_delay = 0) {
     CRAS_CHECK(initial_delay >= 0);
-    base_logical_ -= static_cast<Time>(rate_ * static_cast<double>(initial_delay));
+    base_logical_ = Now() - static_cast<Time>(rate_ * static_cast<double>(initial_delay));
     base_real_ = engine_->Now();
     running_ = true;
   }

@@ -46,7 +46,7 @@ JoinPlan GroupManager::PlanJoin(TitleId title, std::int64_t prefix_end_chunk) co
     if (group.ship_cursor > 0) {
       // Feed already rolling: the joiner must bridge [0, merge) from the
       // pinned prefix — no coverage, no group.
-      merge = group.ship_cursor + options_.merge_margin_chunks;
+      merge = group.ship_cursor + kMergeMarginChunks;
       if (merge > prefix_end_chunk) {
         continue;
       }

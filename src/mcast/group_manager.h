@@ -22,9 +22,12 @@
 //
 // The manager is pure bookkeeping — no I/O, no timers — so CrasServer can
 // consult it synchronously inside admission, and the transport can poll it
-// between shipping rounds. Demotion/teardown policy lives in CrasServer
-// (DemoteGroupMember, HandleClose); the manager only records membership and
-// emits the group_formed / group_joined / group_left flight events.
+// between shipping rounds. It is the one record of membership: the server
+// asks it which group a session is in (GroupOf), where a member merges
+// (MergeChunkOf) and which sessions are feeds (IsFeed). Demotion/teardown
+// policy lives in CrasServer (DemoteGroupMember, EndSession); the manager
+// only records membership and emits the group_formed / group_joined /
+// group_left flight events.
 
 #ifndef SRC_MCAST_GROUP_MANAGER_H_
 #define SRC_MCAST_GROUP_MANAGER_H_
@@ -46,13 +49,13 @@ using GroupId = std::int64_t;
 
 inline constexpr SessionId kNoSession = -1;
 inline constexpr GroupId kNoGroup = -1;
+// Slack added to the feed's shipping cursor when computing a late joiner's
+// merge point, covering fragments already past the cursor but still in
+// flight.
+inline constexpr std::int64_t kMergeMarginChunks = 2;
 
 struct McastOptions {
   bool enabled = false;
-  // Slack added to the feed's shipping cursor when computing a late
-  // joiner's merge point, covering fragments already past the cursor but
-  // still in flight.
-  std::int64_t merge_margin_chunks = 2;
 };
 
 // Outcome of PlanJoin / the feed-creation path in CrasServer::HandleOpen.
@@ -74,7 +77,7 @@ struct GroupManagerStats {
 
 class GroupManager {
  public:
-  explicit GroupManager(const McastOptions& options) : options_(options) {}
+  GroupManager() = default;
   GroupManager(const GroupManager&) = delete;
   GroupManager& operator=(const GroupManager&) = delete;
 
@@ -112,7 +115,6 @@ class GroupManager {
 
   std::size_t group_count() const { return groups_.size(); }
   const GroupManagerStats& stats() const { return stats_; }
-  const McastOptions& options() const { return options_; }
 
  private:
   struct Group {
@@ -131,7 +133,6 @@ class GroupManager {
 
   void UpdateGauges();
 
-  McastOptions options_;
   std::map<GroupId, Group> groups_;
   std::map<SessionId, GroupId> member_group_;
   std::map<SessionId, std::int64_t> member_merge_;

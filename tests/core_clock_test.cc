@@ -59,6 +59,22 @@ TEST(LogicalClock, StopFreezesAndResumesFromSameValue) {
   EXPECT_EQ(clock.Now(), Seconds(3));
 }
 
+TEST(LogicalClock, StartWhileRunningBacksOffFromItsReading) {
+  // A second Start on a playing clock backs off from where the clock is,
+  // not from where it last started.
+  crsim::Engine engine;
+  LogicalClock clock(engine);
+  clock.Start();
+  engine.ScheduleAt(Seconds(2), [] {});
+  engine.Run();
+  ASSERT_EQ(clock.Now(), Seconds(2));
+  clock.Start(Milliseconds(100));
+  EXPECT_EQ(clock.Now(), Seconds(2) - Milliseconds(100));
+  engine.ScheduleAt(Seconds(3), [] {});
+  engine.Run();
+  EXPECT_EQ(clock.Now(), Seconds(3) - Milliseconds(100));
+}
+
 TEST(LogicalClock, SeekRepositions) {
   crsim::Engine engine;
   LogicalClock clock(engine);

@@ -176,6 +176,32 @@ TEST(CrasServer, StopPausesPrefetching) {
   EXPECT_EQ(bed.cras_server.LogicalNow(id), frozen);
 }
 
+TEST(CrasServer, SecondStartDoesNotRewindAPlayingStream) {
+  // A duplicate crs_start on a playing stream backs its clock off by at
+  // most the new initial delay, never back to where it first started.
+  VolumeTestbed bed;
+  bed.StartServers();
+  crmedia::MediaFile file = MakeMpeg1(bed, "movie", Seconds(30));
+  SessionId id = kInvalidSession;
+  crbase::Status status;
+  crsim::Task t = OpenAndStart(bed, file, &id, &status);
+  bed.engine().RunFor(Seconds(3));
+  ASSERT_TRUE(status.ok());
+  const crbase::Time before = bed.cras_server.LogicalNow(id);
+  ASSERT_GT(before, Seconds(1));
+
+  const crbase::Duration delay = bed.cras_server.SuggestedInitialDelay();
+  crbase::Time after = 0;
+  crsim::Task restarter = bed.kernel.Spawn(
+      "restarter", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+        CRAS_CHECK((co_await bed.cras_server.StartStream(id, delay)).ok());
+        after = bed.cras_server.LogicalNow(id);
+      });
+  bed.engine().RunFor(Milliseconds(50));
+  EXPECT_GE(after, before - delay);
+  EXPECT_LT(after, before);
+}
+
 TEST(CrasServer, SeekRepositionsStream) {
   VolumeTestbed bed;
   bed.StartServers();

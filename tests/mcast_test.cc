@@ -42,10 +42,7 @@ TEST(XorCodec, ParityBytesIsTheLongestFragment) {
 // Unit: group membership bookkeeping and join placement.
 
 TEST(GroupManager, PlanJoinBatchesBeforeShippingAndBridgesAfter) {
-  McastOptions options;
-  options.enabled = true;
-  options.merge_margin_chunks = 2;
-  GroupManager mgr(options);
+  GroupManager mgr;
 
   // No group yet: the caller must found one.
   EXPECT_FALSE(mgr.PlanJoin(/*title=*/7, /*prefix_end_chunk=*/0).joined);
@@ -65,17 +62,18 @@ TEST(GroupManager, PlanJoinBatchesBeforeShippingAndBridgesAfter) {
   // Rolling feed: the merge point is cursor + margin, and joining needs the
   // pinned prefix to cover the bridge.
   mgr.NoteShipCursor(group, 10);
+  const std::int64_t merge = 10 + kMergeMarginChunks;
   EXPECT_FALSE(mgr.PlanJoin(7, /*prefix_end_chunk=*/5).joined)
-      << "prefix too short to bridge to chunk 12";
+      << "prefix too short to bridge to chunk " << merge;
   plan = mgr.PlanJoin(7, /*prefix_end_chunk=*/40);
   EXPECT_TRUE(plan.joined);
-  EXPECT_EQ(plan.merge_chunk, 12);
+  EXPECT_EQ(plan.merge_chunk, merge);
 
   // Another title never matches.
   EXPECT_FALSE(mgr.PlanJoin(8, 40).joined);
 
   // Departures: the last member out hands the feed back.
-  mgr.AddMember(group, 2, 12);
+  mgr.AddMember(group, 2, merge);
   EXPECT_EQ(mgr.RemoveMember(1, "close"), kNoSession);
   EXPECT_EQ(mgr.RemoveMember(2, "close"), 100);
   EXPECT_FALSE(mgr.Alive(group));

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -564,18 +566,16 @@ struct LeaseRig {
 
   LeaseRig() : LeaseRig(Milliseconds(200)) {}
 
-  explicit LeaseRig(crbase::Duration lease_period, std::size_t reaped_history = 16)
-      : options(WithLease(lease_period, reaped_history)),
+  explicit LeaseRig(crbase::Duration lease_period)
+      : options(WithLease(lease_period)),
         bed(std::make_unique<cras::VolumeTestbed>(options)),
         loop(bed->engine()) {
     bed->StartServers();
   }
 
-  static cras::VolumeTestbedOptions WithLease(crbase::Duration period,
-                                              std::size_t reaped_history) {
+  static cras::VolumeTestbedOptions WithLease(crbase::Duration period) {
     cras::VolumeTestbedOptions options;
     options.cras.lease_period = period;
-    options.cras.reaped_history = reaped_history;
     return options;
   }
 
@@ -691,36 +691,39 @@ TEST(Lease, ReconnectResumesReapedSessionAtItsPosition) {
 }
 
 TEST(Lease, HistoryEvictsTheEarliestReap) {
-  // Room for one resume state. The younger session is reaped first, the
-  // older one later: the later reap is the one kept.
-  LeaseRig rig(Milliseconds(200), /*reaped_history=*/1);
-  auto first = crmedia::WriteMpeg1File(rig.bed->fs, "first", Seconds(8));
-  auto second = crmedia::WriteMpeg1File(rig.bed->fs, "second", Seconds(8));
-  ASSERT_TRUE(first.ok() && second.ok());
-  rig.OpenAndStart(*first);
+  // The oldest session outlives kResumeHistory younger ones, each reaped in
+  // turn, and is reaped last: the history then holds the later reaps, so
+  // the first younger one is evicted and the oldest id is kept.
+  LeaseRig rig;
+  auto movie = crmedia::WriteMpeg1File(rig.bed->fs, "movie", Seconds(8));
+  ASSERT_TRUE(movie.ok());
+  rig.OpenAndStart(*movie);
   const cras::SessionId older = rig.session;
-  rig.OpenAndStart(*second);
-  const cras::SessionId younger = rig.session;
-  ASSERT_LT(older, younger);
-
   LeaseClient::Options hb;
   hb.period = Milliseconds(80);
   LeaseClient lease(rig.bed->kernel, rig.bed->cras_server, rig.loop, older, hb);
   crsim::Task heartbeat = lease.Start();
-  rig.bed->engine().RunFor(Seconds(1));
-  ASSERT_TRUE(rig.bed->cras_server.WasReaped(younger));
+
+  std::vector<cras::SessionId> younger;
+  for (std::size_t i = 0; i < cras::kResumeHistory; ++i) {
+    rig.OpenAndStart(*movie);
+    younger.push_back(rig.session);
+    rig.bed->engine().RunFor(Milliseconds(400));
+    ASSERT_TRUE(rig.bed->cras_server.WasReaped(rig.session));
+    ASSERT_EQ(rig.bed->cras_server.open_sessions(), 1u);
+  }
   ASSERT_FALSE(rig.bed->cras_server.WasReaped(older));
   lease.Stop();
   rig.bed->engine().RunFor(Seconds(1));
   ASSERT_TRUE(rig.bed->cras_server.WasReaped(older));
-  EXPECT_EQ(rig.bed->cras_server.resumable_sessions(), 1u);
+  EXPECT_EQ(rig.bed->cras_server.resumable_sessions(), cras::kResumeHistory);
 
   crbase::Status older_status = crbase::InternalError("not run");
   crbase::Status younger_status = crbase::InternalError("not run");
   crsim::Task reconnecter = rig.bed->kernel.Spawn(
       "client-reconnect", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
         older_status = co_await rig.bed->cras_server.Reconnect(older);
-        younger_status = co_await rig.bed->cras_server.Reconnect(younger);
+        younger_status = co_await rig.bed->cras_server.Reconnect(younger.front());
       });
   rig.bed->engine().RunFor(Milliseconds(50));
   EXPECT_TRUE(older_status.ok()) << older_status.ToString();
@@ -844,6 +847,184 @@ TEST(Lease, DisabledByDefaultNothingReaps) {
   EXPECT_EQ(bed.cras_server.stats().sessions_reaped, 0);
   EXPECT_FALSE(bed.cras_server.WasReaped(session));
 }
+
+// ---------------------------------------------------------------------------
+// One end path: a close, a shed and a reap end a session the same way.
+
+enum class Ending { kClose, kShed, kReap };
+
+const char* EndingName(Ending how) {
+  switch (how) {
+    case Ending::kClose:
+      return "Close";
+    case Ending::kShed:
+      return "Shed";
+    case Ending::kReap:
+      return "Reap";
+  }
+  return "?";
+}
+
+void PrintTo(Ending how, std::ostream* os) { *os << EndingName(how); }
+
+// Sessions of one title, opened and never started: no batch is published,
+// so a data listener runs only when its session ends. A keeper renews
+// every lease in `renewed` each 80 ms (the lease period is 200 ms).
+struct EndRig {
+  std::unique_ptr<cras::VolumeTestbed> bed;
+  crmedia::MediaFile movie;
+  std::vector<cras::SessionId> renewed;
+  std::vector<crsim::Task> tasks;
+  std::unique_ptr<crfault::FaultInjector> injector;
+
+  EndRig(int disks, bool parity) {
+    cras::VolumeTestbedOptions options;
+    options.volume.disks = disks;
+    options.volume.parity = parity;
+    options.cras.lease_period = Milliseconds(200);
+    options.cras.mcast.enabled = true;
+    bed = std::make_unique<cras::VolumeTestbed>(options);
+    bed->StartServers();
+    movie = *crmedia::WriteMpeg1File(bed->fs, "movie", Seconds(8));
+    tasks.push_back(bed->kernel.Spawn(
+        "keeper", crrt::kPriorityClient, [this](crrt::ThreadContext& ctx) -> crsim::Task {
+          for (;;) {
+            co_await ctx.Sleep(Milliseconds(80));
+            for (const cras::SessionId id : renewed) {
+              bed->cras_server.RenewLease(id);
+            }
+          }
+        }));
+  }
+
+  cras::SessionId Open(bool grouped) {
+    cras::SessionId id = cras::kInvalidSession;
+    tasks.push_back(bed->kernel.Spawn(
+        "client", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+          cras::OpenParams params;
+          params.inode = movie.inode;
+          params.index = movie.index;
+          params.grouped = grouped;
+          auto opened = co_await bed->cras_server.Open(std::move(params));
+          CRAS_CHECK(opened.ok()) << opened.status().ToString();
+          id = *opened;
+        }));
+    bed->engine().RunFor(Milliseconds(5));
+    CRAS_CHECK(id != cras::kInvalidSession);
+    renewed.push_back(id);
+    return id;
+  }
+
+  // Closes `id`, fails member 1 of the array, or stops renewing `id`; then
+  // runs a second, long past the lease grace.
+  void End(Ending how, cras::SessionId id) {
+    switch (how) {
+      case Ending::kClose:
+        tasks.push_back(bed->kernel.Spawn(
+            "closer", crrt::kPriorityClient, [this, id](crrt::ThreadContext&) -> crsim::Task {
+              CRAS_CHECK((co_await bed->cras_server.Close(id)).ok());
+            }));
+        break;
+      case Ending::kShed: {
+        crfault::FaultPlan plan;
+        plan.FailStop(bed->engine().Now(), /*disk=*/1);
+        injector = std::make_unique<crfault::FaultInjector>(bed->engine(), bed->volume, plan);
+        injector->Arm();
+        break;
+      }
+      case Ending::kReap:
+        std::erase(renewed, id);
+        break;
+    }
+    bed->engine().RunFor(Seconds(1));
+  }
+};
+
+class SessionEnd : public ::testing::TestWithParam<Ending> {};
+
+TEST_P(SessionEnd, ReleasesTheSessionOnceAndRecordsHowItEnded) {
+  // The 4-disk parity array of the degradation tests, filled to one stream
+  // past its degraded capacity: a member failure sheds exactly the
+  // youngest stream, the one this test ends.
+  const Ending how = GetParam();
+  EndRig rig(/*disks=*/4, /*parity=*/true);
+  cras::CrasServer& server = rig.bed->cras_server;
+  crvol::VolumeAdmissionModel degraded = server.volume_admission();
+  degraded.SetMemberFailed(1, true);
+  cras::StreamDemand demand;
+  demand.rate_bytes_per_sec = rig.movie.index.WorstRate(server.options().interval);
+  demand.chunk_bytes = rig.movie.index.max_chunk_bytes();
+  std::size_t capacity = 0;
+  while (degraded.Admissible(std::vector<cras::StreamDemand>(capacity + 1, demand),
+                             server.options().memory_budget_bytes)) {
+    ++capacity;
+  }
+  for (std::size_t i = 0; i < capacity; ++i) {
+    rig.Open(/*grouped=*/false);
+  }
+  const std::int64_t reserved = server.buffer_bytes_reserved();
+  const cras::SessionId id = rig.Open(/*grouped=*/false);
+  ASSERT_GT(server.buffer_bytes_reserved(), reserved);
+  int listener_calls = 0;
+  bool open_in_listener = false;
+  server.SetDataListener(id, [&] {
+    ++listener_calls;
+    open_in_listener = server.HasSession(id);
+  });
+
+  rig.End(how, id);
+
+  EXPECT_FALSE(server.HasSession(id));
+  EXPECT_EQ(server.open_sessions(), capacity);
+  EXPECT_EQ(listener_calls, 1);
+  EXPECT_FALSE(open_in_listener);
+  EXPECT_EQ(server.WasShed(id), how == Ending::kShed);
+  EXPECT_EQ(server.WasReaped(id), how == Ending::kReap);
+  EXPECT_EQ(server.resumable_sessions(), how == Ending::kReap ? 1u : 0u);
+  EXPECT_EQ(server.buffer_bytes_reserved(), reserved);
+  ASSERT_EQ(rig.bed->hub.flight().dropped(), 0u);
+  int shed_events = 0;
+  int reap_events = 0;
+  for (const crobs::FlightEvent& event : rig.bed->hub.flight().events()) {
+    shed_events += event.kind == crobs::FlightEventKind::kStreamShed && event.a == id;
+    reap_events += event.kind == crobs::FlightEventKind::kLeaseReap && event.a == id;
+  }
+  EXPECT_EQ(shed_events, how == Ending::kShed ? 1 : 0);
+  EXPECT_EQ(reap_events, how == Ending::kReap ? 1 : 0);
+}
+
+TEST_P(SessionEnd, LastGroupMemberTakesItsFeedWithIt) {
+  // A 2-disk striped array without parity: a member failure leaves nothing
+  // admissible, and the shed takes the group member before its feed.
+  const Ending how = GetParam();
+  EndRig rig(/*disks=*/2, /*parity=*/false);
+  cras::CrasServer& server = rig.bed->cras_server;
+  const cras::SessionId id = rig.Open(/*grouped=*/true);
+  const crmcast::GroupManager& groups = *server.mcast_groups();
+  const crmcast::GroupId group = groups.GroupOf(id);
+  ASSERT_NE(group, crmcast::kNoGroup);
+  const cras::SessionId feed = groups.FeedOf(group);
+  ASSERT_TRUE(server.HasSession(feed));
+
+  rig.End(how, id);
+
+  EXPECT_EQ(groups.GroupOf(id), crmcast::kNoGroup);
+  EXPECT_EQ(groups.group_count(), 0u);
+  EXPECT_FALSE(server.HasSession(id));
+  EXPECT_FALSE(server.HasSession(feed));
+  EXPECT_EQ(server.WasShed(id), how == Ending::kShed);
+  EXPECT_EQ(server.WasReaped(id), how == Ending::kReap);
+  // The emptied feed is closed, neither shed nor reaped.
+  EXPECT_FALSE(server.WasShed(feed));
+  EXPECT_FALSE(server.WasReaped(feed));
+  EXPECT_EQ(server.buffer_bytes_reserved(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Endings, SessionEnd,
+                         ::testing::Values(Ending::kClose, Ending::kShed, Ending::kReap),
+                         [](const ::testing::TestParamInfo<Ending>& info) {
+                           return std::string(EndingName(info.param));
+                         });
 
 }  // namespace
 }  // namespace crnet
