@@ -20,7 +20,9 @@
 // as the group widens. The headline acceptance checks are asserted: at
 // 16+ viewers grouped spends strictly fewer server bytes AND disk reads
 // per delivered frame than unicast, misses zero frames, and leaves the
-// BudgetLedger clean.
+// BudgetLedger clean. Unicast at 1 and 4 viewers, where the disk is not
+// overloaded, must miss zero frames under both loss models too: NAK repair
+// is judged on the viewer's clock, which trails the session's.
 //
 // Besides the table, the bench writes BENCH_mcast_fanout.json (current
 // directory, or the path given with --out <file>).
@@ -395,6 +397,15 @@ int main(int argc, char** argv) {
   }
   std::printf("\nAt 16 and 64 viewers: grouped < unicast on server bytes and disk reads "
               "per frame, zero grouped misses, clean ledger (checks passed).\n");
+  for (const std::string loss : {"iid", "burst"}) {
+    for (int viewers : {1, 4}) {
+      const FanoutPoint* unicast = find(viewers, loss, false);
+      CRAS_CHECK(unicast != nullptr);
+      CRAS_CHECK(unicast->frames_missed == 0)
+          << loss << "@" << viewers << ": unicast missed " << unicast->frames_missed;
+    }
+  }
+  std::printf("At 1 and 4 viewers: zero unicast misses (check passed).\n");
 
   WriteJson(json_path, points);
   std::printf("Wrote %s\n", json_path.c_str());

@@ -10,9 +10,11 @@
 //
 // Expected shape: without repair the missed-frame rate tracks the wire loss
 // rate; with repair it collapses to ~0 until loss is high enough that
-// retransmissions themselves die or arrive past the playout deadline. The
-// headline acceptance check is asserted: at 1% loss, repair cuts missed
-// frames by at least 10x.
+// retransmissions themselves die or arrive past the playout deadline. Two
+// checks are asserted: at 1% loss, repair cuts missed frames by at least
+// 10x; and with repair no frame is missed at any swept rate, up to 5%. This
+// viewer plays 250 ms behind the session, so the second check fails if the
+// sender refuses a repair the viewer could still use.
 //
 // Besides the table, the bench writes BENCH_net_degradation.json (current
 // directory, or the path given with --out <file>).
@@ -238,6 +240,11 @@ int main(int argc, char** argv) {
   std::printf("\nAt 1%% loss: %lld missed without repair, %lld with (>= 10x check passed).\n",
               static_cast<long long>(without->frames_missed),
               static_cast<long long>(with->frames_missed));
+  for (const NetPoint& p : points) {
+    CRAS_CHECK(!p.reliability || p.frames_missed == 0)
+        << "repair missed " << p.frames_missed << " frame(s) at loss " << p.loss_pct << "%";
+  }
+  std::printf("With repair: 0 missed at every loss rate (check passed).\n");
 
   WriteJson(json_path, points);
   std::printf("Wrote %s\n", json_path.c_str());

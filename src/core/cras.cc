@@ -589,7 +589,8 @@ crbase::Status CrasServer::EndSession(SessionId id, SessionEnd how) {
       }
     }
   } else if (group_mgr_ != nullptr) {
-    feed_to_close = group_mgr_->RemoveMember(id, "close");
+    feed_to_close = group_mgr_->RemoveMember(
+        id, how == SessionEnd::kShed ? "shed" : how == SessionEnd::kReaped ? "reap" : "close");
   }
   admission_.Release(id);
   if (cache_ != nullptr) {

@@ -479,7 +479,8 @@ class CrasServer {
   // recursive open of a delivery-group feed session.
   crbase::Result<SessionId> HandleOpen(OpenParams params, bool internal_feed = false);
   // Ends session `id`, the one path for a close, a shed and a reap: leaves
-  // its delivery group (closing a feed nobody is left on), releases its
+  // its delivery group with a group_left event that names the ending
+  // (close, shed or reap), closing a feed nobody is left on; releases its
   // admission share, unregisters it from the cache, orphans its in-flight
   // batches, erases it and then calls its data listener. A shed is marked,
   // counted and recorded before the close; a reap captures its resume

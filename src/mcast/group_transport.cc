@@ -38,12 +38,6 @@ static_assert(kMaxWindowEntries > 0);
 // deadline, so reports and repairs already on the wire still land. The wait
 // for the slowest member is clock-driven, not part of this linger.
 constexpr crbase::Duration kDrain = crbase::Seconds(1);
-// Receiver playout clocks trail their session clocks by the client's chosen
-// startup lag, which the server cannot observe. Deadline checks on the
-// session clock (store pruning, the demote rule, bridge retransmits) extend
-// the chunk's life by this much so a repair the receiver can still use is
-// not refused as already-dead.
-constexpr crbase::Duration kPlayoutSlack = crbase::Milliseconds(500);
 
 }  // namespace
 
@@ -198,13 +192,13 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
       ++due_swept_;
     }
     // Bitmap report: every surviving gap older than the reordering grace,
-    // in one packet.
+    // in one packet, each entry stamped with this sweep's clock reading.
     LossReport report;
     report.member = member_;
     const crbase::Time now = kernel_->Now();
     for (const auto& [seq, entry] : pending_) {
       if (now - entry.created_at > kReorderGrace) {
-        report.entries.push_back(entry.Nak(seq));
+        report.entries.push_back(entry.Nak(seq, logical));
       }
     }
     if (report.entries.empty()) {
@@ -220,14 +214,8 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
 // GroupSender
 // ---------------------------------------------------------------------------
 
-GroupSender::GroupSender(crrt::Kernel& kernel, cras::CrasServer& server,
-                         crnet::Link& forward, const Options& options)
-    : kernel_(&kernel), server_(&server), link_(&forward), options_(options) {
-  CRAS_CHECK(options_.repair_window_chunks > 0);
-}
-
 GroupSender::GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward)
-    : GroupSender(kernel, server, forward, Options{}) {}
+    : kernel_(&kernel), server_(&server), link_(&forward) {}
 
 void GroupSender::AddMember(SessionId session, GroupReceiver& receiver) {
   Member member;
@@ -271,8 +259,8 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
       targets.push_back(&member);
     }
   }
-  const crnet::SentChunk sent{seq, chunk, sent_at, options_.max_packet_bytes};
-  store_.emplace(seq, sent);
+  const crnet::SentChunk sent{seq, chunk, sent_at};
+  crnet::Retain(store_, sent);
 
   for (int i = 0; i < sent.frag_count(); ++i) {
     crnet::NpsFragment fragment = sent.Fragment(i, /*retransmit=*/false);
@@ -338,8 +326,7 @@ void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
     return;
   }
   const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(loss.seq));
-  if (server_->LogicalNow(member.session) >
-      crnet::ChunkDeadline(chunk) + kPlayoutSlack) {
+  if (loss.viewer_now > crnet::ChunkDeadline(chunk)) {
     ++stats_.retransmits_abandoned;
     return;
   }
@@ -355,7 +342,7 @@ void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
     }
     buffered = it->second.chunk;
   }
-  const crnet::SentChunk sent{loss.seq, *buffered, kernel_->Now(), options_.max_packet_bytes};
+  const crnet::SentChunk sent{loss.seq, *buffered, kernel_->Now()};
   sent.ForEachMissing(loss.missing, [&](int index) {
     SendUnicast(member, sent.Fragment(index, /*retransmit=*/true));
     ++stats_.fragments_retransmitted;
@@ -378,41 +365,17 @@ void GroupSender::OnLossReport(const LossReport& report) {
     if (member->unicast || entry.seq < static_cast<std::uint64_t>(member->merge_chunk)) {
       RetransmitUnicast(*member, entry);
     } else {
-      member->missing[entry.seq] = entry.missing;
+      member->missing[entry.seq] = entry;
     }
-  }
-}
-
-void GroupSender::PruneStore() {
-  // The repair window: keep the last repair_window_chunks multicast chunks,
-  // and nothing whose playout deadline every remaining member has passed.
-  while (store_.size() > static_cast<std::size_t>(options_.repair_window_chunks)) {
-    store_.erase(store_.begin());
-  }
-  crbase::Time min_logical = 0;
-  bool any = false;
-  for (const Member& member : members_) {
-    if (member.dead || member.unicast) {
-      continue;
-    }
-    const crbase::Time logical = server_->LogicalNow(member.session);
-    min_logical = any ? std::min(min_logical, logical) : logical;
-    any = true;
-  }
-  if (!any) {
-    return;
-  }
-  while (!store_.empty() &&
-         store_.begin()->second.deadline() + kPlayoutSlack < min_logical) {
-    store_.erase(store_.begin());
   }
 }
 
 void GroupSender::RepairTick() {
   // Expand each member's reported multicast losses into concrete
-  // (seq, frag) needs; a loss that already left the repair window demotes
-  // the member to unicast if its own clock says the chunk were still
-  // repairable — it fell behind the group, not behind its deadline.
+  // (seq, frag) needs. A loss the member's reported clock reading had
+  // already passed is dropped; one still of use to it that has left the
+  // repair window demotes the member to unicast — it fell behind the group,
+  // not behind its deadline.
   struct Need {
     std::uint64_t seq = 0;
     int frag_index = 0;
@@ -425,27 +388,25 @@ void GroupSender::RepairTick() {
       member.missing.clear();
       continue;
     }
-    for (const auto& [seq, frags] : member.missing) {
-      auto it = store_.find(seq);
-      if (it == store_.end()) {
-        if (seq < index_->count()) {
-          const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(seq));
-          if (server_->LogicalNow(member.session) <=
-              crnet::ChunkDeadline(chunk) + kPlayoutSlack) {
-            if (server_->DemoteGroupMember(member.session, "behind_window")) {
-              member.unicast = true;
-              member.unicast_cursor =
-                  std::max(member.unicast_cursor, static_cast<std::int64_t>(seq));
-              ++stats_.members_demoted;
-            } else {
-              member.dead = !server_->HasSession(member.session);
-            }
-            break;  // member left the multicast path; drop its needs
-          }
-        }
-        continue;  // past deadline everywhere: nothing to repair
+    for (const auto& [seq, loss] : member.missing) {
+      if (seq >= index_->count() ||
+          loss.viewer_now > crnet::ChunkDeadline(index_->at(static_cast<std::size_t>(seq)))) {
+        continue;  // past the member's deadline: nothing to repair
       }
-      it->second.ForEachMissing(frags, [&](int frag) { needs[{seq, frag}].push_back(mi); });
+      auto it = store_.find(seq);
+      if (it != store_.end()) {
+        it->second.ForEachMissing(loss.missing,
+                                  [&](int frag) { needs[{seq, frag}].push_back(mi); });
+        continue;
+      }
+      if (server_->DemoteGroupMember(member.session, "behind_window")) {
+        member.unicast = true;
+        member.unicast_cursor = std::max(member.unicast_cursor, static_cast<std::int64_t>(seq));
+        ++stats_.members_demoted;
+      } else {
+        member.dead = !server_->HasSession(member.session);
+      }
+      break;  // member left the multicast path; drop its needs
     }
     member.missing.clear();
   }
@@ -574,7 +535,6 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
       ++cursor_;
       server_->mcast_groups()->NoteShipCursor(group_, static_cast<std::int64_t>(cursor_));
     }
-    PruneStore();
 
     // Phase 2: unicast walks — bridge patches below each merge point, and
     // full streams for demoted members. Index loop: AddMember may grow the
@@ -612,8 +572,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         co_await ctx.Compute(kCpuPerChunk);
         {
           Member& fresh = members_[mi];  // re-take: vector may have moved
-          const crnet::SentChunk sent{static_cast<std::uint64_t>(cur), *buffered, ctx.Now(),
-                                      options_.max_packet_bytes};
+          const crnet::SentChunk sent{static_cast<std::uint64_t>(cur), *buffered, ctx.Now()};
           for (int i = 0; i < sent.frag_count(); ++i) {
             SendUnicast(fresh, sent.Fragment(i, /*retransmit=*/false));
           }
@@ -667,8 +626,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         if (member.dead || !server_->HasSession(member.session)) {
           continue;
         }
-        if (server_->LogicalNow(member.session) <=
-            last_deadline + kPlayoutSlack) {
+        if (server_->LogicalNow(member.session) <= last_deadline) {
           shipping_done = false;
           break;
         }

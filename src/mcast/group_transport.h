@@ -17,12 +17,15 @@
 // recently sent fragments (src/mcast/xor_codec.h), partitioned so no
 // receiver is missing two fragments of one window — a single parity packet
 // then fixes a *different* loss at every receiver. Both ends test
-// crnet::ChunkDeadline before spending wire time or decode effort.
+// crnet::ChunkDeadline on the viewer's clock before spending wire time or
+// decode effort: the receiver sweeps on its own clock, and every report
+// entry carries that clock's reading, which is all the sender judges by. It
+// retains its last crnet::kRepairWindowChunks multicast chunks.
 //
 // Degradation is explicit, mirroring the cache's demote-to-disk rule: a
 // reported loss that has already left the sender's repair window (the
-// receiver fell too far behind) while still being repairable on the
-// member's own clock demotes the member to unicast — the sender calls
+// receiver fell too far behind) while its reported reading is still before
+// the chunk's deadline demotes the member to unicast — the sender calls
 // CrasServer::DemoteGroupMember, admission re-settles, and from then on the
 // member is served like a plain NPS stream. Never a silent miss.
 //
@@ -149,18 +152,10 @@ struct GroupSenderStats {
 class GroupSender {
  public:
   // The lookahead, per-chunk CPU, poll and repair cadences, parity window
-  // cap and header size, end-of-stream drain, playout slack and thread
-  // priority are constants in group_transport.cc.
-  struct Options {
-    std::int64_t max_packet_bytes = 8 * 1024;
-    // How many recently multicast chunks stay repairable. A reported loss
-    // older than this (and still in deadline on the member's clock) demotes
-    // the member to unicast.
-    std::int64_t repair_window_chunks = 64;
-  };
-
-  GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward,
-              const Options& options);
+  // cap and header size, end-of-stream drain and thread priority are
+  // constants in group_transport.cc; the packet size and the repair window
+  // are the reliability core's (crnet::kMaxPacketBytes,
+  // crnet::kRepairWindowChunks).
   GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward);
   GroupSender(const GroupSender&) = delete;
   GroupSender& operator=(const GroupSender&) = delete;
@@ -175,8 +170,9 @@ class GroupSender {
   crsim::Task Start(GroupId group, const crmedia::ChunkIndex* index);
 
   // Loss-report arrival, invoked by a reverse link's delivery events.
-  // Bridge/unicast losses are retransmitted immediately (deadline-checked);
-  // multicast losses accumulate for the next coded-repair pass.
+  // Bridge/unicast losses are retransmitted immediately unless the entry's
+  // clock reading is past the chunk's deadline; multicast losses accumulate
+  // for the next coded-repair pass.
   void OnLossReport(const LossReport& report);
 
   const GroupSenderStats& stats() const { return stats_; }
@@ -197,8 +193,9 @@ class GroupSender {
     bool dead = false;                // session gone
     // The member session's frame-trace ring (nullptr when tracing is off).
     crobs::SessionTrace* trace = nullptr;
-    // Multicast losses reported since the last repair pass.
-    std::map<std::uint64_t, std::vector<int>> missing;
+    // Multicast losses reported since the last repair pass, with the
+    // member's clock reading.
+    std::map<std::uint64_t, crnet::NpsNak> missing;
   };
 
   crsim::Task SenderThread(crrt::ThreadContext& ctx, const crmedia::ChunkIndex* index);
@@ -212,18 +209,17 @@ class GroupSender {
   // Resends the fragments a bridge or demoted-member loss names.
   void RetransmitUnicast(Member& member, const crnet::NpsNak& loss);
   void RepairTick();
-  void PruneStore();
   Member* FindMember(SessionId session);
 
   crrt::Kernel* kernel_;
   cras::CrasServer* server_;
   crnet::Link* link_;
-  Options options_;
   GroupId group_ = kNoGroup;
   const crmedia::ChunkIndex* index_ = nullptr;
   std::uint64_t cursor_ = 0;  // next chunk the feed multicasts
   std::vector<Member> members_;
-  // Multicast chunks retained for coded repair while inside the window.
+  // The last crnet::kRepairWindowChunks multicast chunks, kept for coded
+  // repair (crnet::Retain).
   std::map<std::uint64_t, crnet::SentChunk> store_;
   std::set<std::uint64_t> skipped_;  // never sent; repair requests ignored
   GroupSenderStats stats_;

@@ -22,9 +22,8 @@ constexpr int kMaxNaks = 10;  // per chunk, before giving up
 constexpr crbase::Duration kPlaceholderTtl = crbase::Milliseconds(500);
 constexpr std::int64_t kNakBytes = 64;  // wire size of one NAK packet
 
-// Sender: below CRAS, above clients; chunks fragment above 8 KiB.
+// Sender: below CRAS, above clients.
 constexpr int kSenderPriority = crrt::kPriorityServer - 1;
-constexpr std::int64_t kMaxPacketBytes = 8 * 1024;
 
 constexpr std::int64_t kHeartbeatBytes = 64;  // wire size of one lease renewal
 
@@ -95,12 +94,12 @@ void NpsReceiver::OnTimer(std::uint64_t seq) {
   }
   if (give_up) {
     // A wholly-lost placeholder maps its sequence number to its frame
-    // through the sender's durable send log (present whenever a reverse
-    // link is connected).
+    // through the sender's retransmit store (kept whenever a reverse link
+    // is connected).
     Abandon(seq, entry, sender_ != nullptr ? sender_->ChunkIndexOf(seq) : -1);
     return;
   }
-  const NpsNak nak = entry.Nak(seq);
+  const NpsNak nak = entry.Nak(seq, clock().Now());
   ++entry.naks;
   ++stats_.naks_sent;
   NpsSender* sender = sender_;
@@ -133,7 +132,6 @@ NpsSender::NpsSender(crrt::Kernel& kernel, cras::CrasServer& server, Link& link,
     : NpsSender(kernel, server, link, receiver, Options{}) {}
 
 crsim::Task NpsSender::Start(cras::SessionId session, const crmedia::ChunkIndex* index) {
-  session_ = session;
   // Frame identity rides the session: cache the server's trace ring once and
   // hand it to the receiver so both ends stamp the same records.
   ftrace_ = server_->FrameTrace(session);
@@ -145,9 +143,8 @@ crsim::Task NpsSender::Start(cras::SessionId session, const crmedia::ChunkIndex*
 }
 
 std::int64_t NpsSender::ChunkIndexOf(std::uint64_t seq) const {
-  return seq < sent_chunk_index_.size()
-             ? sent_chunk_index_[static_cast<std::size_t>(seq)]
-             : -1;
+  auto it = store_.find(seq);
+  return it != store_.end() ? it->second.chunk.chunk_index : -1;
 }
 
 void NpsSender::SendFragment(const NpsFragment& fragment) {
@@ -159,18 +156,18 @@ void NpsSender::OnNak(const NpsNak& nak) {
   ++stats_.naks_received;
   auto it = store_.find(nak.seq);
   if (it == store_.end()) {
-    return;  // already pruned (deadline passed long ago)
+    return;  // aged out of the repair window
   }
   const SentChunk& sent = it->second;
-  // Deadline-aware give-up: once the chunk's playout deadline has passed,
-  // a retransmission could only arrive to be discarded — drop it here.
-  if (server_->LogicalNow(session_) > sent.deadline()) {
+  // The viewer's clock had passed the chunk's deadline when it asked: a
+  // retransmission could only arrive to be discarded — drop it here. The
+  // chunk stays retained until it ages out, so it can still be named.
+  if (nak.viewer_now > ChunkDeadline(sent.chunk)) {
     ++stats_.retransmits_abandoned;
     if (hub_ != nullptr) {
       hub_->flight().Record(crobs::FlightEventKind::kNakGiveUp,
                             static_cast<std::int64_t>(nak.seq), 0, 0, "sender");
     }
-    store_.erase(it);
     return;
   }
   sent.ForEachMissing(nak.missing, [&](int index) {
@@ -258,14 +255,6 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
       }
       co_await ctx.Sleep(PollsUntil(*clock, ctx.Now(), ship_at) * kNpsPoll);
     }
-    // Drop retained chunks whose playout deadline has passed: a NAK for
-    // them would be refused anyway.
-    if (retransmit_enabled_) {
-      const crbase::Time logical = server_->LogicalNow(session);
-      while (!store_.empty() && store_.begin()->second.deadline() < logical) {
-        store_.erase(store_.begin());
-      }
-    }
     // Fetch from the shared buffer (crs_get). CRAS publishes a session's
     // window once per interval, and whenever that publish leads the window
     // by less than the lookahead, the first chunks of the window are asked
@@ -304,10 +293,9 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
     // number, its own index, and the full metadata, so the receiver
     // reassembles explicitly — loss and reordering are the receiver's to
     // detect, not ours to signal.
-    const SentChunk sent{next_seq_++, *buffered, ctx.Now(), kMaxPacketBytes};
-    sent_chunk_index_.push_back(buffered->chunk_index);
+    const SentChunk sent{next_seq_++, *buffered, ctx.Now()};
     if (retransmit_enabled_) {
-      store_.emplace(sent.seq, sent);
+      Retain(store_, sent);
     }
     for (int i = 0; i < sent.frag_count(); ++i) {
       const NpsFragment fragment = sent.Fragment(i, /*retransmit=*/false);

@@ -22,10 +22,11 @@
 // NPS's own is the repair policy. With a reverse link connected
 // (ConnectReverse), the receiver detects gaps — a missing fragment, or a
 // wholly lost chunk revealed by a sequence-number jump — and requests
-// repair with NAKs under capped exponential backoff. Both ends are
-// deadline-aware: the receiver abandons a chunk its logical clock has
-// passed (the buffer would discard it on arrival anyway), and the sender
-// drops NAKed data whose playout deadline can no longer be met, so late
+// repair with NAKs under capped exponential backoff. Both ends judge the
+// deadline on the viewer's clock: the receiver abandons a chunk its logical
+// clock has passed (the buffer would discard it on arrival anyway), and each
+// NAK carries that clock's reading, so the sender drops a resend whose
+// playout deadline the viewer had already passed when it asked and late
 // retransmissions never waste wire time. Without a reverse link the
 // protocol degrades to the classic best-effort NPS: an incomplete chunk is
 // abandoned after a short reordering grace. The protocol's timings and sizes
@@ -38,7 +39,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/base/time_units.h"
 #include "src/core/cras.h"
@@ -135,23 +135,24 @@ class NpsSender {
   // awaited or dropped.
   crsim::Task Start(cras::SessionId session, const crmedia::ChunkIndex* index);
 
-  // Retain sent chunks (until their playout deadline) so NAKs can be
+  // Retain the last kRepairWindowChunks sent chunks so NAKs can be
   // answered. Called by NpsReceiver::ConnectReverse.
   void EnableRetransmit() { retransmit_enabled_ = true; }
 
   // Repair request arrival, invoked by the reverse link's delivery events.
-  // Retransmits the missing fragments — unless the chunk's playout deadline
-  // has passed, in which case the data is dropped here, at the sender.
+  // Retransmits the missing fragments of a retained chunk — unless the
+  // NAK's reading of the viewer's clock is past the chunk's playout
+  // deadline, in which case the data is dropped here, at the sender.
   void OnNak(const NpsNak& nak);
 
   const NpsSenderStats& stats() const { return stats_; }
   std::size_t retained_chunks() const { return store_.size(); }
 
-  // Chunk index behind NPS sequence number `seq`, or -1 if the chunk is no
-  // longer retained. Sequence numbers are *not* chunk indexes — a skipped
-  // chunk consumes no seq — so the receiver maps a wholly-lost placeholder
-  // back to its frame identity through here (it holds the sender pointer
-  // whenever a reverse link is connected).
+  // Chunk index behind NPS sequence number `seq`, read from the retransmit
+  // store, or -1 if the chunk is no longer retained. Sequence numbers are
+  // *not* chunk indexes — a skipped chunk consumes no seq — so the receiver
+  // maps a wholly-lost placeholder back to its frame identity through here
+  // (it holds the sender pointer whenever a reverse link is connected).
   std::int64_t ChunkIndexOf(std::uint64_t seq) const;
 
   // Counter series (nps.tx_*) bound to stats(), labeled {stream, name}.
@@ -183,16 +184,13 @@ class NpsSender {
   NpsReceiver* receiver_;
   Options options_;
   bool retransmit_enabled_ = false;
-  cras::SessionId session_ = cras::kInvalidSession;
   crobs::SessionTrace* ftrace_ = nullptr;  // cached from the server at Start
   Park park_;
   std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, SentChunk> store_;  // retained until the playout deadline
-  // seq -> chunk index for every chunk ever sent. Identity must outlive the
-  // retransmit store: the store prunes past-deadline entries, but the
-  // receiver may only observe a wholly-lost chunk's sequence gap after a
-  // sender stall, and the give-up still needs a frame to attribute.
-  std::vector<std::int64_t> sent_chunk_index_;
+  // The last kRepairWindowChunks sent chunks (crnet::Retain), kept only
+  // with a reverse link: NAKs are answered from here, and ChunkIndexOf
+  // names a wholly lost chunk from here.
+  std::map<std::uint64_t, SentChunk> store_;
   NpsSenderStats stats_;
   crobs::Hub* hub_ = nullptr;
   crobs::Bindings bound_;

@@ -12,7 +12,7 @@ namespace crnet {
 // ---------------------------------------------------------------------------
 
 int SentChunk::frag_count() const {
-  return static_cast<int>((chunk.size + max_packet_bytes - 1) / max_packet_bytes);
+  return static_cast<int>((chunk.size + kMaxPacketBytes - 1) / kMaxPacketBytes);
 }
 
 NpsFragment SentChunk::Fragment(int index, bool retransmit) const {
@@ -20,20 +20,28 @@ NpsFragment SentChunk::Fragment(int index, bool retransmit) const {
   fragment.seq = seq;
   fragment.frag_index = index;
   fragment.frag_count = frag_count();
-  fragment.bytes = std::min(max_packet_bytes, chunk.size - index * max_packet_bytes);
+  fragment.bytes = std::min(kMaxPacketBytes, chunk.size - index * kMaxPacketBytes);
   fragment.chunk = chunk;
   fragment.sent_at = sent_at;
   fragment.retransmit = retransmit;
   return fragment;
 }
 
+void Retain(std::map<std::uint64_t, SentChunk>& store, const SentChunk& sent) {
+  store.emplace(sent.seq, sent);
+  if (store.size() > static_cast<std::size_t>(kRepairWindowChunks)) {
+    store.erase(store.begin());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ReliableReceiver
 // ---------------------------------------------------------------------------
 
-NpsNak ReliableReceiver::Reassembly::Nak(std::uint64_t seq) const {
+NpsNak ReliableReceiver::Reassembly::Nak(std::uint64_t seq, crbase::Time viewer_now) const {
   NpsNak nak;
   nak.seq = seq;
+  nak.viewer_now = viewer_now;
   for (int i = 0; i < frag_count; ++i) {
     if (!have[static_cast<std::size_t>(i)]) {
       nak.missing.push_back(i);

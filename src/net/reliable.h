@@ -5,12 +5,14 @@
 // once:
 //
 //   NpsFragment, NpsNak — the wire format. A chunk travels as numbered
-//       fragments, each carrying the chunk's sequence number and full
-//       metadata; a repair request names the fragments of one chunk that
-//       are still missing.
-//   SentChunk — a sender's record of a chunk it put on the wire: the
-//       fragment split, any one fragment built on demand (first send or
-//       repair), and the chunk's playout deadline.
+//       fragments of at most kMaxPacketBytes, each carrying the chunk's
+//       sequence number and full metadata; a repair request names the
+//       fragments of one chunk that are still missing, and the viewer's
+//       playout-clock reading when it asked.
+//   SentChunk, Retain — a sender's record of a chunk it put on the wire
+//       (the fragment split, and any one fragment built on demand for a
+//       first send or a repair), and the one retention rule: a sender keeps
+//       its last kRepairWindowChunks.
 //   ReliableReceiver — the client end: per-sequence reassembly, the
 //       bounded record of finished sequence numbers, the time-driven
 //       buffer and playout clock a remote player consumes, frame-trace
@@ -39,18 +41,29 @@
 namespace crnet {
 
 // The one shared playout-deadline rule: a chunk is repair-worthy until the
-// end of its playout slot, `timestamp + duration`, on the *logical* clock.
-// The NAK sender's refusal check, the receiver's drop rule, the sender's
-// store pruning, and grouped XOR repair (src/mcast) all call this helper so
-// the boundary chunk — logical clock exactly at the deadline — is treated
-// identically everywhere: still repairable at the deadline, dead strictly
-// past it.
+// end of its playout slot, `timestamp + duration`, on the *viewer's*
+// logical clock. The receivers' give-up and drop rules read their own
+// clock; both senders judge a repair request by the reading it carries
+// (NpsNak::viewer_now), never by the server's session clock. All of them
+// call this helper so the boundary chunk — clock exactly at the deadline —
+// is treated identically everywhere: still repairable at the deadline,
+// dead strictly past it.
 inline crbase::Time ChunkDeadline(const cras::BufferedChunk& chunk) {
   return chunk.timestamp + chunk.duration;
 }
 inline crbase::Time ChunkDeadline(const crmedia::Chunk& chunk) {
   return chunk.timestamp + chunk.duration;
 }
+
+// The largest packet either sender puts on the wire: a chunk travels as
+// ceil(size / kMaxPacketBytes) fragments, the last carrying the remainder.
+inline constexpr std::int64_t kMaxPacketBytes = 8 * 1024;
+
+// How many of its most recently sent chunks a sender keeps for repair. A
+// request for an older chunk finds nothing to resend: NPS ignores it, and
+// grouped delivery demotes the member that still wanted it (src/mcast).
+inline constexpr std::int64_t kRepairWindowChunks = 64;
+static_assert(kRepairWindowChunks > 0);
 
 // One packet: a fragment of chunk number `seq`. Every fragment carries the
 // full chunk metadata, so reassembly survives the loss of any subset.
@@ -67,22 +80,24 @@ struct NpsFragment {
 
 // A repair request: the fragments of `seq` the receiver is still missing.
 // An empty `missing` list means "everything" (the whole chunk was lost and
-// the receiver does not know its fragment count).
+// the receiver does not know its fragment count). `viewer_now` is the
+// viewer's playout-clock reading when it asked: a sender refuses the resend
+// if and only if that reading is past the chunk's deadline, so no lag
+// between the session clock and the viewer's has to be guessed.
 struct NpsNak {
   std::uint64_t seq = 0;
   std::vector<int> missing;
+  crbase::Time viewer_now = 0;
 };
 
 // A chunk as its sender put it on the wire, split into fragments of
-// `max_packet_bytes` (the last one carries the remainder).
+// kMaxPacketBytes (the last one carries the remainder).
 struct SentChunk {
   std::uint64_t seq = 0;
   cras::BufferedChunk chunk;
   crbase::Time sent_at = 0;  // original send start (sender host time)
-  std::int64_t max_packet_bytes = 0;
 
   int frag_count() const;
-  crbase::Time deadline() const { return ChunkDeadline(chunk); }
   // Fragment `index`, marked as repair traffic when `retransmit` is set.
   NpsFragment Fragment(int index, bool retransmit) const;
   // Calls `f(index)` for each fragment a repair request names: all of them
@@ -103,6 +118,11 @@ struct SentChunk {
     }
   }
 };
+
+// Files `sent` in a sender's retransmit store and drops the oldest chunk
+// beyond kRepairWindowChunks: the one retention rule of both senders. No
+// clock is read; a request's own reading decides whether a resend is of use.
+void Retain(std::map<std::uint64_t, SentChunk>& store, const SentChunk& sent);
 
 // The receive counters every transport's receiver keeps.
 struct ReassemblyStats {
@@ -167,9 +187,10 @@ class ReliableReceiver {
     crbase::Duration backoff = 0;  // the delay the timer was last armed with
     int naks = 0;                  // repair requests sent for this chunk
 
-    // The repair request for this chunk: its missing fragments, or the
-    // whole chunk while it is a placeholder.
-    NpsNak Nak(std::uint64_t seq) const;
+    // The repair request for this chunk, stamped with the viewer's clock
+    // reading: its missing fragments, or the whole chunk while it is a
+    // placeholder.
+    NpsNak Nak(std::uint64_t seq, crbase::Time viewer_now) const;
   };
 
   ReliableReceiver(crrt::Kernel& kernel, std::int64_t buffer_bytes,

@@ -1,14 +1,16 @@
 // Multicast delivery groups: XOR parity packet sizing, group
 // bookkeeping, coded repair fixing different losses at different receivers
 // with one packet, the late-joiner bridge from the pinned prefix and its
-// per-fragment retransmits, the boundary-chunk deadline rule, and the
-// demote-to-unicast path for a receiver that falls past the repair window.
+// per-fragment retransmits, the boundary-chunk deadline rule, repair judged
+// on the clock reading a loss report carries, and the demote-to-unicast
+// path for a receiver that falls past the repair window.
 // The degradation invariant mirrors the cache's: a member the group can no
 // longer carry is demoted to unicast disk service and re-settled — never
 // silently missed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -285,7 +287,14 @@ TEST(McastIntegration, LateJoinerBridgesFromPrefixThenMerges) {
   const GroupId group = mgr->GroupOf(a.session);
   ASSERT_NE(group, kNoGroup);
   tasks.push_back(sender.Start(group, &movie.index));
-  bed.engine().RunFor(Seconds(20));
+  // The sender retains its last crnet::kRepairWindowChunks multicast chunks
+  // and never more, however long the feed runs.
+  std::size_t most_retained = 0;
+  for (int step = 0; step < 200; ++step) {
+    bed.engine().RunFor(Milliseconds(100));
+    most_retained = std::max(most_retained, sender.retained_chunks());
+  }
+  EXPECT_EQ(most_retained, static_cast<std::size_t>(crnet::kRepairWindowChunks));
 
   // B joined A's group as a late joiner with a real bridge.
   ASSERT_NE(b.session, cras::kInvalidSession);
@@ -330,13 +339,12 @@ TEST(McastIntegration, LateJoinerBridgesFromPrefixThenMerges) {
 TEST(McastIntegration, BridgeRetransmitResendsOnlyTheNamedFragment) {
   cras::VolumeTestbed bed(GroupedRigOptions());
   bed.StartServers();
-  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(12));
+  // A 25 KB MPEG2 chunk travels as four crnet::kMaxPacketBytes fragments.
+  const auto movie = *crmedia::WriteMpeg2File(bed.fs, "hot", Seconds(12));
   crnet::Link::Options forward_options;
   forward_options.bandwidth_bytes_per_sec = 12.5e6;
   crnet::Link forward(bed.engine(), forward_options);
-  GroupSender::Options sender_options;
-  sender_options.max_packet_bytes = 4096;  // a 6,250 B MPEG1 chunk is two fragments
-  GroupSender sender(bed.kernel, bed.cras_server, forward, sender_options);
+  GroupSender sender(bed.kernel, bed.cras_server, forward);
 
   Viewer a, b;
   std::vector<crsim::Task> tasks;
@@ -353,21 +361,44 @@ TEST(McastIntegration, BridgeRetransmitResendsOnlyTheNamedFragment) {
   bed.engine().RunFor(Seconds(3));
   ASSERT_NE(b.session, cras::kInvalidSession);
   const std::int64_t playing = movie.index.FindByTime(bed.cras_server.LogicalNow(b.session));
-  ASSERT_GE(playing, 0);
+  ASSERT_GE(playing, 2);
   ASSERT_LT(playing, mgr->MergeChunkOf(b.session));
-  ASSERT_GT(movie.index.at(static_cast<std::size_t>(playing)).size, 4096);
+  ASSERT_GT(movie.index.at(static_cast<std::size_t>(playing)).size, 3 * crnet::kMaxPacketBytes);
 
   // B reports fragment 1 of that chunk missing: exactly that fragment goes
   // back on the wire, and the counter counts fragments, not chunks.
+  const crbase::Time viewer_now = b.receiver->clock().Now();
   const std::int64_t retransmitted = sender.stats().fragments_retransmitted;
   const std::int64_t unicast_packets = forward.stats().packets_sent;
-  LossReport report;
-  report.member = b.session;
-  report.entries.push_back(crnet::NpsNak{static_cast<std::uint64_t>(playing), {1}});
-  sender.OnLossReport(report);
+  auto report_loss = [&](std::int64_t chunk, crbase::Time reading) {
+    LossReport report;
+    report.member = b.session;
+    report.entries.push_back(crnet::NpsNak{static_cast<std::uint64_t>(chunk), {1}, reading});
+    sender.OnLossReport(report);
+  };
+  report_loss(playing, viewer_now);
   EXPECT_EQ(sender.stats().fragments_retransmitted - retransmitted, 1);
   EXPECT_EQ(forward.stats().packets_sent - unicast_packets, 1);
   EXPECT_EQ(sender.stats().retransmits_abandoned, 0);
+
+  // The sender judges by the report's reading of B's clock alone. A chunk
+  // the session clock has already passed is resent while the reading is
+  // before its deadline...
+  const crmedia::Chunk& behind = movie.index.at(static_cast<std::size_t>(playing - 2));
+  ASSERT_LT(crnet::ChunkDeadline(behind), bed.cras_server.LogicalNow(b.session));
+  ASSERT_LE(viewer_now, crnet::ChunkDeadline(behind));
+  report_loss(playing - 2, viewer_now);
+  EXPECT_EQ(sender.stats().fragments_retransmitted - retransmitted, 2);
+  EXPECT_EQ(sender.stats().retransmits_abandoned, 0);
+  // ...and a chunk the session clock has not passed is refused once the
+  // reading is past its deadline.
+  const crbase::Time deadline =
+      crnet::ChunkDeadline(movie.index.at(static_cast<std::size_t>(playing)));
+  ASSERT_LE(bed.cras_server.LogicalNow(b.session), deadline);
+  report_loss(playing, deadline + 1);
+  EXPECT_EQ(sender.stats().fragments_retransmitted - retransmitted, 2);
+  EXPECT_EQ(forward.stats().packets_sent - unicast_packets, 2);
+  EXPECT_EQ(sender.stats().retransmits_abandoned, 1);
 
   bed.engine().RunFor(Seconds(16));
   EXPECT_EQ(a.frames_missed, 0);
@@ -384,13 +415,11 @@ TEST(McastIntegration, ReceiverPastRepairWindowDemotesAndResettles) {
   crnet::Link::Options forward_options;
   forward_options.bandwidth_bytes_per_sec = 12.5e6;
   crnet::Link forward(bed.engine(), forward_options);
-  GroupSender::Options sender_options;
-  sender_options.repair_window_chunks = 4;  // a tiny window, easy to fall past
-  GroupSender sender(bed.kernel, bed.cras_server, forward, sender_options);
+  GroupSender sender(bed.kernel, bed.cras_server, forward);
 
   // A starts promptly; B joins the same (not yet shipping) group but delays
   // its playout by several seconds, so its clock trails the feed far beyond
-  // the four-chunk repair window.
+  // the repair window.
   Viewer a, b;
   std::vector<crsim::Task> tasks;
   SpawnViewer(bed, sender, forward, movie, /*open_at=*/0, /*extra_delay=*/0, &a, &tasks);
@@ -405,13 +434,19 @@ TEST(McastIntegration, ReceiverPastRepairWindowDemotesAndResettles) {
   tasks.push_back(sender.Start(group, &movie.index));
 
   // Run until the feed has multicast well past the window, then claim B
-  // lost chunk 0. The store pruned it long ago, but B's clock says it is
-  // still repairable: that is the fell-behind signal.
+  // lost chunk 0. It aged out of the window long ago. Read past its
+  // deadline, the loss is of no use to B and changes nothing; read on B's
+  // own clock, it is still repairable: that is the fell-behind signal.
   bed.engine().RunFor(Seconds(4));
-  ASSERT_GT(sender.stats().chunks_multicast, 4);
+  ASSERT_GT(sender.stats().chunks_multicast, crnet::kRepairWindowChunks);
   LossReport report;
   report.member = b.session;
-  report.entries.push_back(crnet::NpsNak{0, {}});
+  report.entries.push_back(crnet::NpsNak{0, {}, crnet::ChunkDeadline(movie.index.at(0)) + 1});
+  sender.OnLossReport(report);
+  bed.engine().RunFor(Milliseconds(100));
+  EXPECT_EQ(sender.stats().members_demoted, 0);
+  EXPECT_EQ(mgr->GroupOf(b.session), group);
+  report.entries.front().viewer_now = b.receiver->clock().Now();
   sender.OnLossReport(report);
   bed.engine().RunFor(Seconds(14));
 
@@ -450,9 +485,7 @@ TEST(McastIntegration, ClientCrashDuringDemoteResettleConservesMembership) {
   crnet::Link::Options forward_options;
   forward_options.bandwidth_bytes_per_sec = 12.5e6;
   crnet::Link forward(bed.engine(), forward_options);
-  GroupSender::Options sender_options;
-  sender_options.repair_window_chunks = 4;
-  GroupSender sender(bed.kernel, bed.cras_server, forward, sender_options);
+  GroupSender sender(bed.kernel, bed.cras_server, forward);
   sender.AttachObs(&bed.hub, "g1");
 
   Viewer a, b;
@@ -494,10 +527,10 @@ TEST(McastIntegration, ClientCrashDuringDemoteResettleConservesMembership) {
   // Demote B (stale loss report) at 4 s; A's crash lands 10 ms later, while
   // the demote's re-settle is the freshest admission state.
   bed.engine().RunFor(Seconds(4) - Milliseconds(100));
-  ASSERT_GT(sender.stats().chunks_multicast, 4);
+  ASSERT_GT(sender.stats().chunks_multicast, crnet::kRepairWindowChunks);
   LossReport report;
   report.member = b.session;
-  report.entries.push_back(crnet::NpsNak{0, {}});
+  report.entries.push_back(crnet::NpsNak{0, {}, b.receiver->clock().Now()});
   sender.OnLossReport(report);
   bed.engine().RunFor(Seconds(16));
 

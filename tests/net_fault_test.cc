@@ -432,7 +432,8 @@ struct LossyQtPlayRig {
   NpsSender sender;
 
   explicit LossyQtPlayRig(const LinkImpairments& impairments, bool reliability)
-      : client_host(server_host.engine(), crrt::Kernel::Options{}),
+      : server_host(Traced()),
+        client_host(server_host.engine(), crrt::Kernel::Options{}),
         forward(server_host.engine(), ImpairedOptions(impairments)),
         reverse(server_host.engine()),
         receiver(client_host),
@@ -448,6 +449,13 @@ struct LossyQtPlayRig {
     options.impairments = impairments;
     return options;
   }
+
+  // Frame tracing on, so a test can see how each frame was resolved.
+  static cras::VolumeTestbedOptions Traced() {
+    cras::VolumeTestbedOptions options;
+    options.obs.frames.enabled = true;
+    return options;
+  }
 };
 
 struct PlayResult {
@@ -455,29 +463,37 @@ struct PlayResult {
   std::int64_t frames_missing = 0;
 };
 
-// Opens+starts a session, streams `movie` through the rig, and consumes
-// every frame by logical time on the client host.
-PlayResult StreamMovie(LossyQtPlayRig& rig, const crmedia::MediaFile& movie,
-                       crbase::Duration run_for) {
+// A movie streaming through the rig: the session, the tasks that serve and
+// play it, and what the player saw so far.
+struct Playback {
   cras::SessionId session = cras::kInvalidSession;
-  crsim::Task opener = rig.server_host.kernel.Spawn(
-      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+  PlayResult result;
+  std::vector<crsim::Task> tasks;
+};
+
+// Opens+starts a session and streams `movie` through the rig; the client
+// host consumes every frame by logical time, its playout clock about 250 ms
+// behind the session's. The rig's engine has run 50 ms on return.
+void StartMovie(LossyQtPlayRig& rig, const crmedia::MediaFile& movie, Playback* play) {
+  play->tasks.push_back(rig.server_host.kernel.Spawn(
+      "qtserver", crrt::kPriorityClient,
+      [&rig, &movie, play](crrt::ThreadContext&) -> crsim::Task {
         cras::OpenParams params;
         params.inode = movie.inode;
         params.index = movie.index;
         auto opened = co_await rig.server_host.cras_server.Open(std::move(params));
         CRAS_CHECK(opened.ok());
-        session = *opened;
+        play->session = *opened;
         (void)co_await rig.server_host.cras_server.StartStream(
-            session, rig.server_host.cras_server.SuggestedInitialDelay());
-      });
+            play->session, rig.server_host.cras_server.SuggestedInitialDelay());
+      }));
   rig.server_host.engine().RunFor(Milliseconds(50));
-  CRAS_CHECK(session != cras::kInvalidSession);
-  crsim::Task sender_task = rig.sender.Start(session, &movie.index);
+  CRAS_CHECK(play->session != cras::kInvalidSession);
+  play->tasks.push_back(rig.sender.Start(play->session, &movie.index));
 
-  PlayResult result;
-  crsim::Task player = rig.client_host.Spawn(
-      "qtclient", crrt::kPriorityClient, [&](crrt::ThreadContext& ctx) -> crsim::Task {
+  play->tasks.push_back(rig.client_host.Spawn(
+      "qtclient", crrt::kPriorityClient,
+      [&rig, &movie, play](crrt::ThreadContext& ctx) -> crsim::Task {
         const crbase::Duration delay =
             rig.server_host.cras_server.SuggestedInitialDelay() + Milliseconds(200);
         rig.receiver.clock().Start(delay);
@@ -487,14 +503,21 @@ PlayResult StreamMovie(LossyQtPlayRig& rig, const crmedia::MediaFile& movie,
             co_await ctx.Sleep(Milliseconds(2));
           }
           if (rig.receiver.Get(chunk.timestamp).has_value()) {
-            ++result.frames_ok;
+            ++play->result.frames_ok;
           } else {
-            ++result.frames_missing;
+            ++play->result.frames_missing;
           }
         }
-      });
+      }));
+}
+
+// StartMovie, then runs the rig for `run_for`.
+PlayResult StreamMovie(LossyQtPlayRig& rig, const crmedia::MediaFile& movie,
+                       crbase::Duration run_for) {
+  Playback play;
+  StartMovie(rig, movie, &play);
   rig.server_host.engine().RunFor(run_for);
-  return result;
+  return play.result;
 }
 
 TEST(NpsReliability, RetransmitRepairsIidLoss) {
@@ -503,7 +526,18 @@ TEST(NpsReliability, RetransmitRepairsIidLoss) {
   LossyQtPlayRig rig(impairments, /*reliability=*/true);
   auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
   ASSERT_TRUE(movie.ok());
-  const PlayResult result = StreamMovie(rig, *movie, Seconds(12));
+  Playback play;
+  StartMovie(rig, *movie, &play);
+  // The sender retains its last kRepairWindowChunks chunks and never more,
+  // however long the stream runs.
+  std::size_t most_retained = 0;
+  for (int step = 0; step < 120; ++step) {
+    rig.server_host.engine().RunFor(Milliseconds(100));
+    most_retained = std::max(most_retained, rig.sender.retained_chunks());
+  }
+  const PlayResult result = play.result;
+  ASSERT_GT(rig.sender.stats().chunks_sent, kRepairWindowChunks);
+  EXPECT_EQ(most_retained, static_cast<std::size_t>(kRepairWindowChunks));
 
   EXPECT_EQ(result.frames_missing, 0);
   EXPECT_EQ(result.frames_ok, static_cast<std::int64_t>(movie->index.count()));
@@ -530,7 +564,9 @@ TEST(NpsReliability, WithoutRepairLossLosesFrames) {
 TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
   // A total loss window mid-stream: repair cannot succeed (retransmits are
   // lost too), so both ends must give up on the dead chunks — and resume
-  // cleanly when the wire heals.
+  // cleanly when the wire heals. Every chunk sent into the blackout was
+  // wholly lost; the viewer learns of the gap only when the wire heals,
+  // and by then its clock has passed the oldest ones.
   LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
   crfault::FaultPlan plan;
   plan.LinkLoss(Seconds(3), 1.0).LinkRecover(Seconds(4));
@@ -551,8 +587,67 @@ TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
   // chunks, and late NAKs were refused at the sender.
   EXPECT_GT(rig.receiver.stats().chunks_abandoned, 0);
   EXPECT_GT(rig.receiver.stats().naks_sent, 0);
+  EXPECT_GT(rig.sender.stats().retransmits_abandoned, 0);
+  // A refused chunk stays retained, so each wholly lost chunk's give-up
+  // still names its frame: every missed frame is resolved as missed.
+  const crobs::StageAttribution& frames = rig.server_host.hub.frames().Totals();
+  EXPECT_EQ(frames.frames_missed, result.frames_missing);
+  EXPECT_EQ(frames.frames_delivered, result.frames_ok);
   // After recovery the stream runs clean again: the last frames all played.
   EXPECT_GT(result.frames_ok, 0);
+}
+
+// The sender judges a NAK by the viewer's clock reading it carries, never
+// by the server's session clock: this rig's viewer plays about 250 ms
+// behind its session. The NAKs are handed to the sender as the reverse link
+// would deliver them. No chunk is skipped, so sequence numbers are chunk
+// indexes.
+TEST(NpsReliability, SenderJudgesANakByTheViewersClockReading) {
+  LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  Playback play;
+  StartMovie(rig, *movie, &play);
+  rig.server_host.engine().RunFor(Seconds(3));
+  ASSERT_EQ(rig.sender.stats().chunks_skipped, 0);
+  const crbase::Time server_now = rig.server_host.cras_server.LogicalNow(play.session);
+  const crbase::Time viewer_now = rig.receiver.clock().Now();
+  auto deadline_of = [&](std::int64_t chunk) {
+    return ChunkDeadline(movie->index.at(static_cast<std::size_t>(chunk)));
+  };
+  const std::int64_t playing = movie->index.FindByTime(server_now);
+
+  // A chunk whose deadline the server's clock has passed, but the viewer's
+  // has not, is resent.
+  const std::int64_t behind = playing - 2;
+  ASSERT_LT(deadline_of(behind), server_now);
+  ASSERT_LE(viewer_now, deadline_of(behind));
+  rig.sender.OnNak(NpsNak{static_cast<std::uint64_t>(behind), {}, viewer_now});
+  EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 1);
+  EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 0);
+
+  // A chunk already sent (the sender ships 250 ms ahead of the session
+  // clock) whose deadline the server's clock has not passed is refused once
+  // the reading is past it. The refused chunk is not forgotten: it ages out
+  // of the window like any other, and its frame can still be named.
+  const std::int64_t ahead = playing + 1;
+  ASSERT_LT(ahead, rig.sender.stats().chunks_sent);
+  ASSERT_LE(server_now, deadline_of(ahead));
+  const std::size_t retained = rig.sender.retained_chunks();
+  const auto seq = static_cast<std::uint64_t>(ahead);
+  rig.sender.OnNak(NpsNak{seq, {}, deadline_of(ahead) + 1});
+  EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 1);
+  EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 1);
+  EXPECT_EQ(rig.sender.retained_chunks(), retained);
+  EXPECT_EQ(rig.sender.ChunkIndexOf(seq), ahead);
+  // Asked for at the deadline itself, the same chunk is still resent.
+  rig.sender.OnNak(NpsNak{seq, {}, deadline_of(ahead)});
+  EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 2);
+  EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 1);
+
+  rig.server_host.engine().RunFor(Seconds(6));
+  EXPECT_EQ(play.result.frames_missing, 0);
+  EXPECT_EQ(rig.receiver.stats().retransmitted_fragments, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -1018,6 +1113,15 @@ TEST_P(SessionEnd, LastGroupMemberTakesItsFeedWithIt) {
   EXPECT_FALSE(server.WasShed(feed));
   EXPECT_FALSE(server.WasReaped(feed));
   EXPECT_EQ(server.buffer_bytes_reserved(), 0);
+  // The member's one group_left event names how it ended.
+  const char* const left_as[] = {"close", "shed", "reap"};
+  std::vector<std::string> left;
+  for (const crobs::FlightEvent& event : rig.bed->hub.flight().events()) {
+    if (event.kind == crobs::FlightEventKind::kGroupLeft && event.a == id) {
+      left.push_back(event.detail);
+    }
+  }
+  EXPECT_EQ(left, std::vector<std::string>{left_as[static_cast<int>(how)]});
 }
 
 INSTANTIATE_TEST_SUITE_P(Endings, SessionEnd,
