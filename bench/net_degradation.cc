@@ -14,7 +14,8 @@
 // checks are asserted: at 1% loss, repair cuts missed frames by at least
 // 10x; and with repair no frame is missed at any swept rate, up to 5%. This
 // viewer plays 250 ms behind the session, so the second check fails if the
-// sender refuses a repair the viewer could still use.
+// sender refuses a repair the viewer could still use. Every row also checks
+// that the frame tracer resolved every frame.
 //
 // Besides the table, the bench writes BENCH_net_degradation.json (current
 // directory, or the path given with --out <file>).
@@ -129,6 +130,11 @@ NetPoint RunPoint(double loss_probability, bool reliability) {
   CRAS_CHECK(point.attribution.unattributed_ns == 0)
       << point.attribution.unattributed_ns << " ns unattributed at loss "
       << point.loss_pct << "%";
+  // Every frame is resolved, a wholly lost one too: the receiver names it
+  // from the control file, with or without a reverse link.
+  CRAS_CHECK(point.attribution.frames_resolved() == point.frames_total)
+      << point.attribution.frames_resolved() << " of " << point.frames_total
+      << " frames resolved at loss " << point.loss_pct << "%";
   return point;
 }
 

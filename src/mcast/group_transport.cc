@@ -46,14 +46,15 @@ constexpr crbase::Duration kDrain = crbase::Seconds(1);
 // ---------------------------------------------------------------------------
 
 GroupReceiver::GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index)
-    : ReliableReceiver(kernel, kReceiverBufferBytes, kJitterAllowance), index_(index) {
-  CRAS_CHECK(index_ != nullptr);
+    : ReliableReceiver(kernel, kReceiverBufferBytes, kJitterAllowance) {
+  CRAS_CHECK(index != nullptr);
+  index_ = index;
 }
 
 void GroupReceiver::set_merge_chunk(std::int64_t merge_chunk) {
   CRAS_CHECK(merge_chunk >= 0);
   merge_chunk_ = merge_chunk;
-  mcast_expected_ = static_cast<std::uint64_t>(merge_chunk);
+  mcast_expected_ = merge_chunk;
 }
 
 void GroupReceiver::ConnectReverse(crnet::Link& reverse, GroupSender& sender,
@@ -68,52 +69,33 @@ crsim::Task GroupReceiver::Start() {
                         [this](crrt::ThreadContext& ctx) { return ReportThread(ctx); });
 }
 
-crbase::Time GroupReceiver::DeadlineOf(std::uint64_t seq) const {
-  if (seq >= index_->count()) {
-    return 0;
-  }
-  return crnet::ChunkDeadline(index_->at(static_cast<std::size_t>(seq)));
-}
-
 void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
   if (!CountArrival(fragment)) {
     return;
   }
   // Gap detection runs against two independent cursors: the multicast
-  // stream (sequence numbers from the merge point up) and the unicast
-  // bridge (from 0 up to the merge point). Retransmitted/repaired
-  // fragments never move a cursor — they fill holes, they don't reveal new
-  // ones.
+  // stream (chunks from the merge point up) and the unicast bridge (from 0
+  // up to the merge point). Retransmitted/repaired fragments never move a
+  // cursor — they fill holes, they don't reveal new ones.
   if (!fragment.retransmit) {
-    std::uint64_t& expected = fragment.multicast ? mcast_expected_ : unicast_expected_;
-    for (std::uint64_t seq = expected; seq < fragment.seq; ++seq) {
-      if (!IsDone(seq)) {
-        Pending(seq);
-      }
+    std::int64_t& expected = fragment.multicast ? mcast_expected_ : unicast_expected_;
+    for (; expected < fragment.chunk; ++expected) {
+      OpenGap(expected);
     }
-    if (fragment.seq >= expected) {
-      expected = fragment.seq + 1;
-    }
+    expected = std::max(expected, fragment.chunk + 1);
   }
   Reassemble(fragment);
 }
 
-bool GroupReceiver::Holds(std::uint64_t seq, int frag_index) const {
-  if (abandoned_.count(seq) != 0) {
+bool GroupReceiver::Holds(std::int64_t chunk, int frag_index) const {
+  if (abandoned_.count(chunk) != 0) {
     return false;
   }
-  if (IsDone(seq)) {
+  if (IsDone(chunk)) {
     return true;  // completed: every fragment is on hand
   }
-  auto it = pending_.find(seq);
-  if (it == pending_.end() || it->second.frag_count == 0) {
-    return false;
-  }
-  const Reassembly& entry = it->second;
-  if (frag_index < 0 || frag_index >= entry.frag_count) {
-    return false;
-  }
-  return entry.have[static_cast<std::size_t>(frag_index)];
+  auto it = pending_.find(chunk);
+  return it != pending_.end() && it->second.have[static_cast<std::size_t>(frag_index)];
 }
 
 void GroupReceiver::OnRepair(const RepairPacket& packet) {
@@ -123,10 +105,10 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
   int absent = 0;
   bool blocked = false;  // an absent member was abandoned: data gone for good
   for (const crnet::NpsFragment& ref : packet.window) {
-    if (!Holds(ref.seq, ref.frag_index)) {
+    if (!Holds(ref.chunk, ref.frag_index)) {
       ++absent;
       missing = &ref;
-      if (abandoned_.count(ref.seq) != 0) {
+      if (abandoned_.count(ref.chunk) != 0) {
         blocked = true;
       }
     }
@@ -140,8 +122,8 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
     return;
   }
   // One absence — but only spend the decode if we actually want the data.
-  const bool wanted =
-      missing->seq >= static_cast<std::uint64_t>(merge_chunk_) && !IsDone(missing->seq);
+  const std::int64_t chunk = missing->chunk;
+  const bool wanted = chunk >= merge_chunk_ && !IsDone(chunk);
   if (!wanted) {
     ++stats_.repair_useless;
     return;
@@ -156,21 +138,14 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
 crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
   while (!stopped_) {
     co_await ctx.Sleep(kReportInterval);
-    // Sweep: give up on anything playout has moved past. The chunk index
-    // supplies the deadline, so even a metadata-less placeholder dies on
-    // schedule instead of lingering on a TTL.
+    // Sweep: give up on anything playout has moved past.
     const crbase::Time logical = clock().Now();
     for (auto it = pending_.begin(); it != pending_.end();) {
-      const std::uint64_t seq = it->first;
-      if (logical > DeadlineOf(seq)) {
-        Reassembly& entry = it->second;
-        ++it;  // Abandon erases; advance first
-        // Multicast sequence numbers are chunk indices, so even a
-        // metadata-less placeholder resolves against the right frame.
-        Abandon(seq, entry, static_cast<std::int64_t>(seq));
-        abandoned_.insert(seq);
-      } else {
-        ++it;
+      Reassembly& entry = it->second;
+      ++it;  // Abandon erases; advance first
+      if (logical > crnet::ChunkDeadline(entry.chunk)) {
+        abandoned_.insert(entry.chunk.chunk_index);
+        Abandon(entry);
       }
     }
     if (reverse_ == nullptr || sender_ == nullptr) {
@@ -178,27 +153,25 @@ crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
     }
     // Due sweep: arrival-driven gap detection cannot reveal a loss no
     // later packet follows — the tail of the unicast bridge, or the last
-    // chunks of the movie. Walk the index once (monotone cursor) and
-    // placeholder any chunk whose playout time is imminent and still
-    // absent, so it gets reported and, failing repair, swept at its
-    // deadline. The jitter allowance of slack keeps an on-schedule stream
-    // from generating phantom reports for chunks simply not sent yet.
-    while (due_swept_ < index_->count() &&
+    // chunks of the movie. Walk the index once (monotone cursor) and open a
+    // gap for any chunk whose playout time is imminent and still absent, so
+    // it gets reported and, failing repair, swept at its deadline. The
+    // jitter allowance of slack keeps an on-schedule stream from generating
+    // phantom reports for chunks simply not sent yet.
+    for (; due_swept_ < static_cast<std::int64_t>(index_->count()) &&
            index_->at(static_cast<std::size_t>(due_swept_)).timestamp <=
-               logical + kJitterAllowance) {
-      if (!IsDone(due_swept_)) {
-        Pending(due_swept_);
-      }
-      ++due_swept_;
+               logical + kJitterAllowance;
+         ++due_swept_) {
+      OpenGap(due_swept_);
     }
     // Bitmap report: every surviving gap older than the reordering grace,
     // in one packet, each entry stamped with this sweep's clock reading.
     LossReport report;
     report.member = member_;
     const crbase::Time now = kernel_->Now();
-    for (const auto& [seq, entry] : pending_) {
+    for (const auto& [chunk, entry] : pending_) {
       if (now - entry.created_at > kReorderGrace) {
-        report.entries.push_back(entry.Nak(seq, logical));
+        report.entries.push_back(entry.Nak(logical));
       }
     }
     if (report.entries.empty()) {
@@ -250,16 +223,14 @@ crsim::Task GroupSender::Start(GroupId group, const crmedia::ChunkIndex* index) 
                         });
 }
 
-std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedChunk& chunk,
-                                       crbase::Time sent_at) {
+std::size_t GroupSender::ShipMulticast(const cras::BufferedChunk& chunk, crbase::Time sent_at) {
   std::vector<Member*> targets;
   for (Member& member : members_) {
-    if (!member.dead && !member.unicast &&
-        static_cast<std::uint64_t>(member.merge_chunk) <= seq) {
+    if (!member.dead && !member.unicast && member.merge_chunk <= chunk.chunk_index) {
       targets.push_back(&member);
     }
   }
-  const crnet::SentChunk sent{seq, chunk, sent_at};
+  const crnet::SentChunk sent{chunk, sent_at};
   crnet::Retain(store_, sent);
 
   for (int i = 0; i < sent.frag_count(); ++i) {
@@ -322,10 +293,10 @@ void GroupSender::RefreshMember(Member& member, const crmedia::ChunkIndex* index
 }
 
 void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
-  if (loss.seq >= index_->count()) {
+  if (loss.chunk < 0 || loss.chunk >= static_cast<std::int64_t>(index_->count())) {
     return;
   }
-  const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(loss.seq));
+  const crmedia::Chunk& chunk = index_->at(static_cast<std::size_t>(loss.chunk));
   if (loss.viewer_now > crnet::ChunkDeadline(chunk)) {
     ++stats_.retransmits_abandoned;
     return;
@@ -335,14 +306,14 @@ void GroupSender::RetransmitUnicast(Member& member, const crnet::NpsNak& loss) {
   std::optional<cras::BufferedChunk> buffered =
       server_->Get(member.session, chunk.timestamp);
   if (!buffered.has_value()) {
-    auto it = store_.find(loss.seq);
+    auto it = store_.find(loss.chunk);
     if (it == store_.end()) {
       ++stats_.retransmits_abandoned;
       return;
     }
     buffered = it->second.chunk;
   }
-  const crnet::SentChunk sent{loss.seq, *buffered, kernel_->Now()};
+  const crnet::SentChunk sent{*buffered, kernel_->Now()};
   sent.ForEachMissing(loss.missing, [&](int index) {
     SendUnicast(member, sent.Fragment(index, /*retransmit=*/true));
     ++stats_.fragments_retransmitted;
@@ -359,49 +330,49 @@ void GroupSender::OnLossReport(const LossReport& report) {
     return;
   }
   for (const crnet::NpsNak& entry : report.entries) {
-    if (skipped_.count(entry.seq) != 0) {
+    if (skipped_.count(entry.chunk) != 0) {
       continue;  // never sent: the server-side skip is already accounted
     }
-    if (member->unicast || entry.seq < static_cast<std::uint64_t>(member->merge_chunk)) {
+    if (member->unicast || entry.chunk < member->merge_chunk) {
       RetransmitUnicast(*member, entry);
     } else {
-      member->missing[entry.seq] = entry;
+      member->missing[entry.chunk] = entry;
     }
   }
 }
 
 void GroupSender::RepairTick() {
   // Expand each member's reported multicast losses into concrete
-  // (seq, frag) needs. A loss the member's reported clock reading had
+  // (chunk, frag) needs. A loss the member's reported clock reading had
   // already passed is dropped; one still of use to it that has left the
   // repair window demotes the member to unicast — it fell behind the group,
   // not behind its deadline.
   struct Need {
-    std::uint64_t seq = 0;
+    std::int64_t chunk = 0;
     int frag_index = 0;
     std::vector<std::size_t> needers;  // indices into members_
   };
-  std::map<std::pair<std::uint64_t, int>, std::vector<std::size_t>> needs;
+  std::map<std::pair<std::int64_t, int>, std::vector<std::size_t>> needs;
   for (std::size_t mi = 0; mi < members_.size(); ++mi) {
     Member& member = members_[mi];
     if (member.dead || member.unicast) {
       member.missing.clear();
       continue;
     }
-    for (const auto& [seq, loss] : member.missing) {
-      if (seq >= index_->count() ||
-          loss.viewer_now > crnet::ChunkDeadline(index_->at(static_cast<std::size_t>(seq)))) {
+    for (const auto& [chunk, loss] : member.missing) {
+      if (chunk < 0 || chunk >= static_cast<std::int64_t>(index_->count()) ||
+          loss.viewer_now > crnet::ChunkDeadline(index_->at(static_cast<std::size_t>(chunk)))) {
         continue;  // past the member's deadline: nothing to repair
       }
-      auto it = store_.find(seq);
+      auto it = store_.find(chunk);
       if (it != store_.end()) {
         it->second.ForEachMissing(loss.missing,
-                                  [&](int frag) { needs[{seq, frag}].push_back(mi); });
+                                  [&](int frag) { needs[{chunk, frag}].push_back(mi); });
         continue;
       }
       if (server_->DemoteGroupMember(member.session, "behind_window")) {
         member.unicast = true;
-        member.unicast_cursor = std::max(member.unicast_cursor, static_cast<std::int64_t>(seq));
+        member.unicast_cursor = std::max(member.unicast_cursor, chunk);
         ++stats_.members_demoted;
       } else {
         member.dead = !server_->HasSession(member.session);
@@ -418,7 +389,7 @@ void GroupSender::RepairTick() {
   std::vector<Need> need_list;
   for (auto& [key, needers] : needs) {
     Need need;
-    need.seq = key.first;
+    need.chunk = key.first;
     need.frag_index = key.second;
     for (std::size_t mi : needers) {
       if (!members_[mi].dead && !members_[mi].unicast) {
@@ -452,7 +423,7 @@ void GroupSender::RepairTick() {
     std::vector<std::int64_t> sizes;
     for (const Need* need : window) {
       packet.window.push_back(
-          store_.at(need->seq).Fragment(need->frag_index, /*retransmit=*/false));
+          store_.at(need->chunk).Fragment(need->frag_index, /*retransmit=*/false));
       sizes.push_back(packet.window.back().bytes);
     }
     packet.bytes = XorParityBytes(sizes) + kRepairPacketOverhead;
@@ -494,7 +465,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
                                       const crmedia::ChunkIndex* index) {
   const GroupManager* mgr = server_->mcast_groups();
   CRAS_CHECK(mgr != nullptr);
-  const std::uint64_t count = index->count();
+  const auto count = static_cast<std::int64_t>(index->count());
   crbase::Time last_repair = ctx.Now();
   crbase::Time drain_until = 0;
   for (;;) {
@@ -514,26 +485,25 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
           skipped_.insert(cursor_);
           ++stats_.chunks_skipped;
           if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
-            feed_trace->Miss(static_cast<std::int64_t>(cursor_),
-                             crobs::FrameStage::kSent);
+            feed_trace->Miss(cursor_, crobs::FrameStage::kSent);
           }
           // Members never see this chunk on the feed; their own deadline
           // sweeps resolve the per-member misses.
           ++cursor_;
-          server_->mcast_groups()->NoteShipCursor(group_, static_cast<std::int64_t>(cursor_));
+          server_->mcast_groups()->NoteShipCursor(group_, cursor_);
           continue;
         }
         break;  // not filled yet; retry next poll
       }
       co_await ctx.Compute(kCpuPerChunk);
-      ShipMulticast(cursor_, *buffered, ctx.Now());
+      ShipMulticast(*buffered, ctx.Now());
       if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
         // The feed session's own frame ends its life at the fan-out: it is
         // "delivered" to the group, not played out locally.
         feed_trace->ResolveDelivered(buffered->chunk_index);
       }
       ++cursor_;
-      server_->mcast_groups()->NoteShipCursor(group_, static_cast<std::int64_t>(cursor_));
+      server_->mcast_groups()->NoteShipCursor(group_, cursor_);
     }
 
     // Phase 2: unicast walks — bridge patches below each merge point, and
@@ -546,8 +516,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         if (member.dead) {
           break;
         }
-        const std::int64_t limit =
-            member.unicast ? static_cast<std::int64_t>(count) : member.merge_chunk;
+        const std::int64_t limit = member.unicast ? count : member.merge_chunk;
         const std::int64_t cur = member.unicast ? member.unicast_cursor : member.patch_cursor;
         if (cur >= limit) {
           break;
@@ -572,7 +541,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         co_await ctx.Compute(kCpuPerChunk);
         {
           Member& fresh = members_[mi];  // re-take: vector may have moved
-          const crnet::SentChunk sent{static_cast<std::uint64_t>(cur), *buffered, ctx.Now()};
+          const crnet::SentChunk sent{*buffered, ctx.Now()};
           for (int i = 0; i < sent.frag_count(); ++i) {
             SendUnicast(fresh, sent.Fragment(i, /*retransmit=*/false));
           }
@@ -606,8 +575,7 @@ crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
         if (member.dead) {
           continue;
         }
-        const std::int64_t limit =
-            member.unicast ? static_cast<std::int64_t>(count) : member.merge_chunk;
+        const std::int64_t limit = member.unicast ? count : member.merge_chunk;
         const std::int64_t cur = member.unicast ? member.unicast_cursor : member.patch_cursor;
         if (cur < limit) {
           shipping_done = false;

@@ -11,7 +11,7 @@
 // bridge costs wire time but no disk time.
 //
 // Repair is coded, not per-client. Each GroupReceiver periodically reports
-// the sequence numbers/fragments it is still missing over its reverse link
+// the chunks/fragments it is still missing over its reverse link
 // (a loss *bitmap*, not a NAK per gap). The sender aggregates the reports
 // and, every repair pass, multicasts XOR parity packets over windows of
 // recently sent fragments (src/mcast/xor_codec.h), partitioned so no
@@ -30,9 +30,9 @@
 // member is served like a plain NPS stream. Never a silent miss.
 //
 // The fragment format, the sent-chunk record and the receiver's reassembly,
-// buffer and clock are the reliability core NPS uses too
-// (src/net/reliable.h); this file holds only the grouped walks and the
-// coded-repair policy.
+// buffer, clock and control file are the reliability core NPS uses too
+// (src/net/reliable.h): on every path a chunk is named by its index. This
+// file holds only the grouped walks and the coded-repair policy.
 
 #ifndef SRC_MCAST_GROUP_TRANSPORT_H_
 #define SRC_MCAST_GROUP_TRANSPORT_H_
@@ -65,8 +65,8 @@ struct LossReport {
 
 // One multicast XOR parity packet: the bytewise XOR of every fragment in
 // `window`. A receiver holding all but one window member recovers it; each
-// window entry carries its fragment's full metadata, so a decode
-// synthesizes the lost fragment outright.
+// window entry names its fragment (chunk index and fragment index), so a
+// decode synthesizes the lost fragment outright.
 struct RepairPacket {
   std::vector<crnet::NpsFragment> window;
   std::int64_t bytes = 0;  // wire size: max fragment size + header overhead
@@ -85,15 +85,14 @@ struct GroupReceiverStats : crnet::ReassemblyStats {
 // instead of per-gap NAKs.
 class GroupReceiver final : public crnet::ReliableReceiver {
  public:
-  // `index` is the title's chunk index — the receiver knows the stream
-  // layout (the player has it too), which gives every gap a playout
-  // deadline even when no fragment metadata ever arrived. The buffer size,
-  // report cadence, reordering grace, report size and jitter allowance are
-  // constants in group_transport.cc.
+  // `index` is the title's chunk index, the control file every gap is
+  // opened from (crnet::ReliableReceiver). The buffer size, report cadence,
+  // reordering grace, report size and jitter allowance are constants in
+  // group_transport.cc.
   GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* index);
 
   // Chunks below the merge point arrive on the unicast bridge; the
-  // multicast gap tracker starts expecting sequence numbers from here.
+  // multicast gap tracker starts expecting chunks from here.
   void set_merge_chunk(std::int64_t merge_chunk);
 
   // Loss reports travel over `reverse` to `sender`, identified as `member`
@@ -113,25 +112,21 @@ class GroupReceiver final : public crnet::ReliableReceiver {
 
  private:
   crnet::ReassemblyStats& reassembly_stats() override { return stats_; }
-  // Playout deadline of `seq` from the chunk index — defined even for
-  // placeholders that never saw metadata.
-  crbase::Time DeadlineOf(std::uint64_t seq) const;
   crsim::Task ReportThread(crrt::ThreadContext& ctx);
-  // True when this receiver holds fragment (seq, frag_index) — completed
-  // chunks hold everything; abandoned ones hold nothing.
-  bool Holds(std::uint64_t seq, int frag_index) const;
+  // True when this receiver holds fragment `frag_index` of `chunk` —
+  // completed chunks hold everything; abandoned ones hold nothing.
+  bool Holds(std::int64_t chunk, int frag_index) const;
 
-  const crmedia::ChunkIndex* index_;
   crnet::Link* reverse_ = nullptr;
   GroupSender* sender_ = nullptr;
   SessionId member_ = kNoSession;
   std::int64_t merge_chunk_ = 0;
   bool stopped_ = false;
-  std::set<std::uint64_t> abandoned_;  // finished without data
-  // Gap trackers: every seq below a cursor has an entry or is done.
-  std::uint64_t mcast_expected_ = 0;    // multicast stream, from merge_chunk_
-  std::uint64_t unicast_expected_ = 0;  // bridge/unicast stream, from 0
-  std::uint64_t due_swept_ = 0;         // due sweep: playout-imminent check
+  std::set<std::int64_t> abandoned_;  // finished without data
+  // Gap trackers: every chunk below a cursor has an entry or is done.
+  std::int64_t mcast_expected_ = 0;    // multicast stream, from merge_chunk_
+  std::int64_t unicast_expected_ = 0;  // bridge/unicast stream, from 0
+  std::int64_t due_swept_ = 0;         // due sweep: playout-imminent check
   GroupReceiverStats stats_;
 };
 
@@ -195,14 +190,13 @@ class GroupSender {
     crobs::SessionTrace* trace = nullptr;
     // Multicast losses reported since the last repair pass, with the
     // member's clock reading.
-    std::map<std::uint64_t, crnet::NpsNak> missing;
+    std::map<std::int64_t, crnet::NpsNak> missing;
   };
 
   crsim::Task SenderThread(crrt::ThreadContext& ctx, const crmedia::ChunkIndex* index);
   // Fans one chunk out to every multicast-eligible member. Returns the
   // number of members it reached.
-  std::size_t ShipMulticast(std::uint64_t seq, const cras::BufferedChunk& chunk,
-                            crbase::Time sent_at);
+  std::size_t ShipMulticast(const cras::BufferedChunk& chunk, crbase::Time sent_at);
   void SendUnicast(const Member& member, const crnet::NpsFragment& fragment);
   // Re-detects server-side state changes (demotions, closed sessions).
   void RefreshMember(Member& member, const crmedia::ChunkIndex* index);
@@ -216,12 +210,12 @@ class GroupSender {
   crnet::Link* link_;
   GroupId group_ = kNoGroup;
   const crmedia::ChunkIndex* index_ = nullptr;
-  std::uint64_t cursor_ = 0;  // next chunk the feed multicasts
+  std::int64_t cursor_ = 0;  // next chunk the feed multicasts
   std::vector<Member> members_;
   // The last crnet::kRepairWindowChunks multicast chunks, kept for coded
   // repair (crnet::Retain).
-  std::map<std::uint64_t, crnet::SentChunk> store_;
-  std::set<std::uint64_t> skipped_;  // never sent; repair requests ignored
+  std::map<std::int64_t, crnet::SentChunk> store_;
+  std::set<std::int64_t> skipped_;  // never sent; repair requests ignored
   GroupSenderStats stats_;
   crobs::Hub* hub_ = nullptr;
   crobs::Bindings bound_;

@@ -17,9 +17,6 @@ constexpr crbase::Duration kJitterAllowance = crbase::Milliseconds(100);
 constexpr crbase::Duration kNakBackoffCap = crbase::Milliseconds(160);
 static_assert(kNakBackoffCap >= kNakDelay);
 constexpr int kMaxNaks = 10;  // per chunk, before giving up
-// Give-up horizon for a wholly lost chunk (sequence gap, so no metadata and
-// hence no logical deadline to test against).
-constexpr crbase::Duration kPlaceholderTtl = crbase::Milliseconds(500);
 constexpr std::int64_t kNakBytes = 64;  // wire size of one NAK packet
 
 // Sender: below CRAS, above clients.
@@ -36,75 +33,66 @@ constexpr std::int64_t kHeartbeatBytes = 64;  // wire size of one lease renewal
 NpsReceiver::NpsReceiver(crrt::Kernel& kernel)
     : ReliableReceiver(kernel, kReceiverBufferBytes, kJitterAllowance) {}
 
+void NpsReceiver::Open(const crmedia::ChunkIndex* index, crobs::SessionTrace* trace) {
+  index_ = index;
+  set_frame_trace(trace);
+}
+
 void NpsReceiver::ConnectReverse(Link& reverse, NpsSender& sender) {
   reverse_ = &reverse;
   sender_ = &sender;
-  sender.EnableRetransmit();
 }
 
 void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   if (!CountArrival(fragment)) {
     return;
   }
-  // A jump past the expected next sequence number reveals wholly lost
-  // chunks: open a placeholder (metadata unknown) for each skipped one so
-  // its NAK timer starts running.
-  if (fragment.seq >= expected_next_) {
-    for (std::uint64_t seq = expected_next_; seq < fragment.seq; ++seq) {
-      ArmTimer(seq, Pending(seq), kNakDelay);
+  // A jump past the expected next chunk reveals wholly lost or skipped
+  // chunks: open each as a gap so its NAK timer starts running.
+  const std::int64_t chunk = fragment.chunk;
+  for (; expected_next_ < chunk; ++expected_next_) {
+    if (Reassembly* gap = OpenGap(expected_next_)) {
+      ArmTimer(*gap, kNakDelay);
     }
-    expected_next_ = fragment.seq + 1;
   }
+  expected_next_ = std::max(expected_next_, chunk + 1);
   // The first fragment of a chunk that is still incomplete starts the
   // reordering grace; a chunk that completes at once never needs a timer.
   Reassembly* incomplete = Reassemble(fragment);
   if (incomplete != nullptr && !incomplete->timer_armed) {
-    ArmTimer(fragment.seq, *incomplete, kNakDelay);
+    ArmTimer(*incomplete, kNakDelay);
   }
 }
 
-void NpsReceiver::ArmTimer(std::uint64_t seq, Reassembly& entry, crbase::Duration delay) {
-  entry.timer = kernel_->engine().ScheduleAfter(delay, [this, seq] { OnTimer(seq); });
+void NpsReceiver::ArmTimer(Reassembly& entry, crbase::Duration delay) {
+  const std::int64_t chunk = entry.chunk.chunk_index;
+  entry.timer = kernel_->engine().ScheduleAfter(delay, [this, chunk] { OnTimer(chunk); });
   entry.timer_armed = true;
   entry.backoff = delay;
 }
 
-void NpsReceiver::OnTimer(std::uint64_t seq) {
-  auto it = pending_.find(seq);
+void NpsReceiver::OnTimer(std::int64_t chunk) {
+  auto it = pending_.find(chunk);
   if (it == pending_.end()) {
     return;
   }
   Reassembly& entry = it->second;
   entry.timer_armed = false;
-  const bool has_metadata = entry.frag_count > 0;
-  bool give_up = false;
-  if (reverse_ == nullptr || sender_ == nullptr) {
-    // No repair path: the reordering grace has passed, the chunk will
-    // never complete.
-    give_up = true;
-  } else if (entry.naks >= kMaxNaks) {
-    give_up = true;
-  } else if (has_metadata && clock().Now() > ChunkDeadline(entry.chunk)) {
-    // Playout has moved past this chunk; repaired data would be discarded
-    // on arrival.
-    give_up = true;
-  } else if (!has_metadata &&
-             kernel_->Now() - entry.created_at > kPlaceholderTtl) {
-    give_up = true;
-  }
-  if (give_up) {
-    // A wholly-lost placeholder maps its sequence number to its frame
-    // through the sender's retransmit store (kept whenever a reverse link
-    // is connected).
-    Abandon(seq, entry, sender_ != nullptr ? sender_->ChunkIndexOf(seq) : -1);
+  // Give up when there is no repair path (the reordering grace has passed,
+  // the chunk will never complete), when the NAKs are spent, or once
+  // playout has moved past the chunk (repaired data would be discarded on
+  // arrival).
+  if (reverse_ == nullptr || entry.naks >= kMaxNaks ||
+      clock().Now() > ChunkDeadline(entry.chunk)) {
+    Abandon(entry);
     return;
   }
-  const NpsNak nak = entry.Nak(seq, clock().Now());
+  const NpsNak nak = entry.Nak(clock().Now());
   ++entry.naks;
   ++stats_.naks_sent;
   NpsSender* sender = sender_;
   reverse_->Send(kNakBytes, [sender, nak] { sender->OnNak(nak); });
-  ArmTimer(seq, entry, std::min(entry.backoff * 2, kNakBackoffCap));
+  ArmTimer(entry, std::min(entry.backoff * 2, kNakBackoffCap));
 }
 
 void NpsReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
@@ -133,18 +121,14 @@ NpsSender::NpsSender(crrt::Kernel& kernel, cras::CrasServer& server, Link& link,
 
 crsim::Task NpsSender::Start(cras::SessionId session, const crmedia::ChunkIndex* index) {
   // Frame identity rides the session: cache the server's trace ring once and
-  // hand it to the receiver so both ends stamp the same records.
+  // hand it to the receiver with the index, so both ends name and stamp the
+  // same records.
   ftrace_ = server_->FrameTrace(session);
-  receiver_->set_frame_trace(ftrace_);
+  receiver_->Open(index, ftrace_);
   return kernel_->Spawn("nps-sender", kSenderPriority,
                         [this, session, index](crrt::ThreadContext& ctx) {
                           return SenderThread(ctx, session, index);
                         });
-}
-
-std::int64_t NpsSender::ChunkIndexOf(std::uint64_t seq) const {
-  auto it = store_.find(seq);
-  return it != store_.end() ? it->second.chunk.chunk_index : -1;
 }
 
 void NpsSender::SendFragment(const NpsFragment& fragment) {
@@ -154,19 +138,18 @@ void NpsSender::SendFragment(const NpsFragment& fragment) {
 
 void NpsSender::OnNak(const NpsNak& nak) {
   ++stats_.naks_received;
-  auto it = store_.find(nak.seq);
+  auto it = store_.find(nak.chunk);
   if (it == store_.end()) {
     return;  // aged out of the repair window
   }
   const SentChunk& sent = it->second;
   // The viewer's clock had passed the chunk's deadline when it asked: a
   // retransmission could only arrive to be discarded — drop it here. The
-  // chunk stays retained until it ages out, so it can still be named.
+  // chunk stays retained until it ages out like any other.
   if (nak.viewer_now > ChunkDeadline(sent.chunk)) {
     ++stats_.retransmits_abandoned;
     if (hub_ != nullptr) {
-      hub_->flight().Record(crobs::FlightEventKind::kNakGiveUp,
-                            static_cast<std::int64_t>(nak.seq), 0, 0, "sender");
+      hub_->flight().Record(crobs::FlightEventKind::kNakGiveUp, nak.chunk, 0, 0, "sender");
     }
     return;
   }
@@ -289,14 +272,11 @@ crsim::Task NpsSender::SenderThread(crrt::ThreadContext& ctx, cras::SessionId se
     }
     co_await ctx.Compute(options_.cpu_per_chunk);
 
-    // Fragment onto the wire. Each fragment carries the chunk's sequence
-    // number, its own index, and the full metadata, so the receiver
-    // reassembles explicitly — loss and reordering are the receiver's to
-    // detect, not ours to signal.
-    const SentChunk sent{next_seq_++, *buffered, ctx.Now()};
-    if (retransmit_enabled_) {
-      Retain(store_, sent);
-    }
+    // Fragment onto the wire. Each fragment carries its own index and its
+    // chunk's, so the receiver reassembles explicitly — loss and reordering
+    // are the receiver's to detect, not ours to signal.
+    const SentChunk sent{*buffered, ctx.Now()};
+    Retain(store_, sent);
     for (int i = 0; i < sent.frag_count(); ++i) {
       const NpsFragment fragment = sent.Fragment(i, /*retransmit=*/false);
       SendFragment(fragment);

@@ -18,19 +18,23 @@
 //
 // Reliability (for impaired links — see crnet::LinkImpairments): the wire
 // format, the sent-chunk record and the receiver's reassembly, buffer and
-// clock are the core both transports share (src/net/reliable.h). What is
+// clock are the core both transports share (src/net/reliable.h). A chunk is
+// named by its index in the viewer's control file, which the sender hands
+// the receiver at Start, so a gap (a wholly lost or skipped chunk, revealed
+// when a later one arrives) is a chunk the receiver already knows. What is
 // NPS's own is the repair policy. With a reverse link connected
-// (ConnectReverse), the receiver detects gaps — a missing fragment, or a
-// wholly lost chunk revealed by a sequence-number jump — and requests
-// repair with NAKs under capped exponential backoff. Both ends judge the
+// (ConnectReverse), the receiver requests repair of each missing fragment
+// with NAKs under capped exponential backoff. Both ends judge the
 // deadline on the viewer's clock: the receiver abandons a chunk its logical
 // clock has passed (the buffer would discard it on arrival anyway), and each
 // NAK carries that clock's reading, so the sender drops a resend whose
 // playout deadline the viewer had already passed when it asked and late
 // retransmissions never waste wire time. Without a reverse link the
 // protocol degrades to the classic best-effort NPS: an incomplete chunk is
-// abandoned after a short reordering grace. The protocol's timings and sizes
-// are constants: kNakDelay and kNpsPoll below, the rest in nps.cc.
+// abandoned after a short reordering grace. The sender always keeps its
+// last kRepairWindowChunks sent chunks for repair. The protocol's timings
+// and sizes are constants: kNakDelay and kNpsPoll below, the rest in
+// nps.cc.
 
 #ifndef SRC_NET_NPS_H_
 #define SRC_NET_NPS_H_
@@ -77,11 +81,15 @@ class NpsReceiver final : public ReliableReceiver {
  public:
   explicit NpsReceiver(crrt::Kernel& kernel);
 
+  // Takes a session on: `index` is the viewer's control file, which names
+  // every chunk on the wire, and `trace` the session's frame-trace ring
+  // (set_frame_trace). Called by NpsSender::Start.
+  void Open(const crmedia::ChunkIndex* index, crobs::SessionTrace* trace);
+
   // Packet arrival, invoked by the forward link's delivery events.
   void OnFragment(const NpsFragment& fragment);
 
-  // Enables repair: NAKs travel over `reverse` to `sender`, which starts
-  // retaining sent chunks for retransmission.
+  // Enables repair: NAKs travel over `reverse` to `sender`.
   void ConnectReverse(Link& reverse, NpsSender& sender);
 
   const NpsReceiverStats& stats() const { return stats_; }
@@ -92,13 +100,13 @@ class NpsReceiver final : public ReliableReceiver {
 
  private:
   ReassemblyStats& reassembly_stats() override { return stats_; }
-  void ArmTimer(std::uint64_t seq, Reassembly& entry, crbase::Duration delay);
+  void ArmTimer(Reassembly& entry, crbase::Duration delay);
   // NAK timer body: give up, or request repair and re-arm with backoff.
-  void OnTimer(std::uint64_t seq);
+  void OnTimer(std::int64_t chunk);
 
   Link* reverse_ = nullptr;
   NpsSender* sender_ = nullptr;
-  std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
+  std::int64_t expected_next_ = 0;  // every chunk below this has an entry or is done
   NpsReceiverStats stats_;
   crobs::Bindings bound_;
 };
@@ -131,13 +139,10 @@ class NpsSender {
 
   // Spawns the transmitter thread for `session`, walking `index` to its
   // end, or until the session is gone (closed, reaped or shed; a session
-  // resumed by Reconnect needs a fresh Start). The returned task may be
-  // awaited or dropped.
+  // resumed by Reconnect needs a fresh Start). Hands the receiver `index`
+  // and the session's frame-trace ring (NpsReceiver::Open). The returned
+  // task may be awaited or dropped.
   crsim::Task Start(cras::SessionId session, const crmedia::ChunkIndex* index);
-
-  // Retain the last kRepairWindowChunks sent chunks so NAKs can be
-  // answered. Called by NpsReceiver::ConnectReverse.
-  void EnableRetransmit() { retransmit_enabled_ = true; }
 
   // Repair request arrival, invoked by the reverse link's delivery events.
   // Retransmits the missing fragments of a retained chunk — unless the
@@ -147,13 +152,6 @@ class NpsSender {
 
   const NpsSenderStats& stats() const { return stats_; }
   std::size_t retained_chunks() const { return store_.size(); }
-
-  // Chunk index behind NPS sequence number `seq`, read from the retransmit
-  // store, or -1 if the chunk is no longer retained. Sequence numbers are
-  // *not* chunk indexes — a skipped chunk consumes no seq — so the receiver
-  // maps a wholly-lost placeholder back to its frame identity through here
-  // (it holds the sender pointer whenever a reverse link is connected).
-  std::int64_t ChunkIndexOf(std::uint64_t seq) const;
 
   // Counter series (nps.tx_*) bound to stats(), labeled {stream, name}.
   void AttachObs(crobs::Hub* hub, const std::string& name);
@@ -183,14 +181,11 @@ class NpsSender {
   Link* link_;
   NpsReceiver* receiver_;
   Options options_;
-  bool retransmit_enabled_ = false;
   crobs::SessionTrace* ftrace_ = nullptr;  // cached from the server at Start
   Park park_;
-  std::uint64_t next_seq_ = 0;
-  // The last kRepairWindowChunks sent chunks (crnet::Retain), kept only
-  // with a reverse link: NAKs are answered from here, and ChunkIndexOf
-  // names a wholly lost chunk from here.
-  std::map<std::uint64_t, SentChunk> store_;
+  // The last kRepairWindowChunks sent chunks (crnet::Retain), by chunk
+  // index: NAKs are answered from here.
+  std::map<std::int64_t, SentChunk> store_;
   NpsSenderStats stats_;
   crobs::Hub* hub_ = nullptr;
   crobs::Bindings bound_;

@@ -11,24 +11,18 @@ namespace crnet {
 // SentChunk
 // ---------------------------------------------------------------------------
 
-int SentChunk::frag_count() const {
-  return static_cast<int>((chunk.size + kMaxPacketBytes - 1) / kMaxPacketBytes);
-}
-
 NpsFragment SentChunk::Fragment(int index, bool retransmit) const {
   NpsFragment fragment;
-  fragment.seq = seq;
+  fragment.chunk = chunk.chunk_index;
   fragment.frag_index = index;
-  fragment.frag_count = frag_count();
   fragment.bytes = std::min(kMaxPacketBytes, chunk.size - index * kMaxPacketBytes);
-  fragment.chunk = chunk;
   fragment.sent_at = sent_at;
   fragment.retransmit = retransmit;
   return fragment;
 }
 
-void Retain(std::map<std::uint64_t, SentChunk>& store, const SentChunk& sent) {
-  store.emplace(sent.seq, sent);
+void Retain(std::map<std::int64_t, SentChunk>& store, const SentChunk& sent) {
+  store.emplace(sent.chunk.chunk_index, sent);
   if (store.size() > static_cast<std::size_t>(kRepairWindowChunks)) {
     store.erase(store.begin());
   }
@@ -38,13 +32,13 @@ void Retain(std::map<std::uint64_t, SentChunk>& store, const SentChunk& sent) {
 // ReliableReceiver
 // ---------------------------------------------------------------------------
 
-NpsNak ReliableReceiver::Reassembly::Nak(std::uint64_t seq, crbase::Time viewer_now) const {
+NpsNak ReliableReceiver::Reassembly::Nak(crbase::Time viewer_now) const {
   NpsNak nak;
-  nak.seq = seq;
+  nak.chunk = chunk.chunk_index;
   nak.viewer_now = viewer_now;
-  for (int i = 0; i < frag_count; ++i) {
-    if (!have[static_cast<std::size_t>(i)]) {
-      nak.missing.push_back(i);
+  for (std::size_t i = 0; i < have.size(); ++i) {
+    if (!have[i]) {
+      nak.missing.push_back(static_cast<int>(i));
     }
   }
   return nak;
@@ -55,7 +49,7 @@ ReliableReceiver::ReliableReceiver(crrt::Kernel& kernel, std::int64_t buffer_byt
     : kernel_(&kernel), buffer_(buffer_bytes, jitter_allowance), clock_(kernel.engine()) {}
 
 ReliableReceiver::~ReliableReceiver() {
-  for (auto& [seq, entry] : pending_) {
+  for (auto& [chunk, entry] : pending_) {
     if (entry.timer_armed) {
       kernel_->engine().Cancel(entry.timer);
     }
@@ -83,33 +77,41 @@ bool ReliableReceiver::CountArrival(const NpsFragment& fragment) {
   if (fragment.retransmit) {
     ++stats.retransmitted_fragments;
   }
-  if (IsDone(fragment.seq)) {
+  if (IsDone(fragment.chunk)) {
     ++stats.duplicate_fragments;
     return false;
   }
   return true;
 }
 
-ReliableReceiver::Reassembly& ReliableReceiver::Pending(std::uint64_t seq) {
-  auto [it, inserted] = pending_.try_emplace(seq);
+ReliableReceiver::Reassembly& ReliableReceiver::Pending(std::int64_t chunk) {
+  auto [it, inserted] = pending_.try_emplace(chunk);
+  Reassembly& entry = it->second;
   if (inserted) {
-    it->second.created_at = kernel_->Now();
+    CRAS_CHECK(index_ != nullptr && chunk >= 0 &&
+               chunk < static_cast<std::int64_t>(index_->count()));
+    const crmedia::Chunk& known = index_->at(static_cast<std::size_t>(chunk));
+    entry.chunk = cras::BufferedChunk{chunk, known.timestamp, known.duration, known.size};
+    entry.have.assign(static_cast<std::size_t>(FragmentCount(known.size)), false);
+    entry.created_at = kernel_->Now();
   }
-  return it->second;
+  return entry;
+}
+
+ReliableReceiver::Reassembly* ReliableReceiver::OpenGap(std::int64_t chunk) {
+  if (IsDone(chunk) || pending_.count(chunk) != 0) {
+    return nullptr;
+  }
+  return &Pending(chunk);
 }
 
 ReliableReceiver::Reassembly* ReliableReceiver::Reassemble(const NpsFragment& fragment) {
-  Reassembly& entry = Pending(fragment.seq);
-  if (entry.frag_count == 0) {
-    // First fragment to arrive for this sequence number: adopt the chunk
-    // metadata every fragment carries.
-    CRAS_CHECK(fragment.frag_count > 0);
-    entry.chunk = fragment.chunk;
-    entry.frag_count = fragment.frag_count;
-    entry.have.assign(static_cast<std::size_t>(fragment.frag_count), false);
+  Reassembly& entry = Pending(fragment.chunk);
+  CRAS_CHECK(fragment.frag_index >= 0 &&
+             fragment.frag_index < static_cast<int>(entry.have.size()));
+  if (entry.received == 0) {
     entry.sent_at = fragment.sent_at;
   }
-  CRAS_CHECK(fragment.frag_index >= 0 && fragment.frag_index < entry.frag_count);
   ReassemblyStats& stats = reassembly_stats();
   if (fragment.frag_index < entry.max_frag_seen) {
     ++stats.out_of_order_fragments;
@@ -124,20 +126,25 @@ ReliableReceiver::Reassembly* ReliableReceiver::Reassemble(const NpsFragment& fr
   if (!fragment.retransmit) {
     entry.last_fresh_at = kernel_->Now();
   }
-  if (entry.received == entry.frag_count) {
-    Complete(fragment.seq, entry);
+  if (entry.received == static_cast<int>(entry.have.size())) {
+    Complete(entry);
     return nullptr;
   }
   return &entry;
 }
 
-bool ReliableReceiver::IsDone(std::uint64_t seq) const {
-  return seq < done_below_ || done_above_.count(seq) != 0;
+bool ReliableReceiver::IsDone(std::int64_t chunk) const {
+  return chunk < done_below_ || done_above_.count(chunk) != 0;
 }
 
-void ReliableReceiver::MarkDone(std::uint64_t seq) {
-  if (seq != done_below_) {
-    done_above_.insert(seq);
+void ReliableReceiver::Finish(Reassembly& entry) {
+  if (entry.timer_armed) {
+    kernel_->engine().Cancel(entry.timer);
+  }
+  const std::int64_t chunk = entry.chunk.chunk_index;
+  pending_.erase(chunk);
+  if (chunk != done_below_) {
+    done_above_.insert(chunk);
     return;
   }
   ++done_below_;
@@ -147,10 +154,7 @@ void ReliableReceiver::MarkDone(std::uint64_t seq) {
   }
 }
 
-void ReliableReceiver::Complete(std::uint64_t seq, Reassembly& entry) {
-  if (entry.timer_armed) {
-    kernel_->engine().Cancel(entry.timer);
-  }
+void ReliableReceiver::Complete(Reassembly& entry) {
   const crbase::Time now = kernel_->Now();
   cras::BufferedChunk local = entry.chunk;
   local.filled_at = now;
@@ -172,32 +176,27 @@ void ReliableReceiver::Complete(std::uint64_t seq, Reassembly& entry) {
   if (obs_ != nullptr) {
     obs_->reassembly_ms->Record(crobs::ToMillis(now - entry.sent_at));
   }
-  MarkDone(seq);
-  pending_.erase(seq);
+  Finish(entry);
 }
 
-void ReliableReceiver::Abandon(std::uint64_t seq, Reassembly& entry, std::int64_t lost_chunk) {
-  if (entry.timer_armed) {
-    kernel_->engine().Cancel(entry.timer);
-  }
+void ReliableReceiver::Abandon(Reassembly& entry) {
+  const std::int64_t chunk = entry.chunk.chunk_index;
   ++reassembly_stats().chunks_abandoned;
   if (obs_ != nullptr) {
-    obs_->hub->flight().Record(crobs::FlightEventKind::kNakGiveUp,
-                               static_cast<std::int64_t>(seq), entry.naks, 0, obs_->source);
+    obs_->hub->flight().Record(crobs::FlightEventKind::kNakGiveUp, chunk, entry.naks, 0,
+                               obs_->source);
   }
-  const std::int64_t chunk_index = entry.frag_count > 0 ? entry.chunk.chunk_index : lost_chunk;
-  if (ftrace_ != nullptr && chunk_index >= 0) {
+  if (ftrace_ != nullptr) {
     if (entry.last_fresh_at >= 0) {
-      ftrace_->StampAt(chunk_index, crobs::FrameStage::kArrived, entry.last_fresh_at);
-    } else if (entry.frag_count > 0) {
+      ftrace_->StampAt(chunk, crobs::FrameStage::kArrived, entry.last_fresh_at);
+    } else if (entry.received > 0) {
       // Only repair traffic arrived: zero wire time, the wait was all repair.
-      ftrace_->StampAt(chunk_index, crobs::FrameStage::kArrived, entry.sent_at);
+      ftrace_->StampAt(chunk, crobs::FrameStage::kArrived, entry.sent_at);
     }
-    ftrace_->Miss(chunk_index, entry.received > 0 ? crobs::FrameStage::kCompleted
-                                                  : crobs::FrameStage::kArrived);
+    ftrace_->Miss(chunk, entry.received > 0 ? crobs::FrameStage::kCompleted
+                                            : crobs::FrameStage::kArrived);
   }
-  MarkDone(seq);
-  pending_.erase(seq);
+  Finish(entry);
 }
 
 void ReliableReceiver::AttachReceiveObs(crobs::Hub* hub, const std::string& prefix,

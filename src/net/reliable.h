@@ -2,23 +2,28 @@
 // (src/net/nps.h) and grouped delivery (src/mcast/group_transport.h). The
 // two differ only in how a lost fragment is repaired — NAKs with backoff,
 // or loss bitmaps answered by XOR parity — so everything else lives here
-// once:
+// once. A chunk's one identity, on the wire and at both ends, is its
+// position in the stream's chunk index: the control file the viewer gave
+// at open.
 //
 //   NpsFragment, NpsNak — the wire format. A chunk travels as numbered
-//       fragments of at most kMaxPacketBytes, each carrying the chunk's
-//       sequence number and full metadata; a repair request names the
+//       fragments of at most kMaxPacketBytes, each naming its chunk by
+//       index (the control file holds the rest); a repair request names the
 //       fragments of one chunk that are still missing, and the viewer's
 //       playout-clock reading when it asked.
 //   SentChunk, Retain — a sender's record of a chunk it put on the wire
 //       (the fragment split, and any one fragment built on demand for a
 //       first send or a repair), and the one retention rule: a sender keeps
 //       its last kRepairWindowChunks.
-//   ReliableReceiver — the client end: per-sequence reassembly, the
-//       bounded record of finished sequence numbers, the time-driven
-//       buffer and playout clock a remote player consumes, frame-trace
-//       stamps on completion, give-up and playout, and the receive
-//       counters. A transport's receiver derives from it and adds only its
-//       gap detection and repair policy.
+//   ReliableReceiver — the client end: it holds the control file, so a gap
+//       (a chunk it learns is missing because a later one arrived first)
+//       opens an entry that already knows the chunk's metadata, fragment
+//       count and deadline. Per-chunk reassembly, the bounded record of
+//       finished chunks, the time-driven buffer and playout clock a remote
+//       player consumes, frame-trace stamps on completion, give-up and
+//       playout, and the receive counters live here too. A transport's
+//       receiver derives from it and adds only its gap detection and repair
+//       policy.
 
 #ifndef SRC_NET_RELIABLE_H_
 #define SRC_NET_RELIABLE_H_
@@ -58,6 +63,9 @@ inline crbase::Time ChunkDeadline(const crmedia::Chunk& chunk) {
 // The largest packet either sender puts on the wire: a chunk travels as
 // ceil(size / kMaxPacketBytes) fragments, the last carrying the remainder.
 inline constexpr std::int64_t kMaxPacketBytes = 8 * 1024;
+inline int FragmentCount(std::int64_t chunk_size) {
+  return static_cast<int>((chunk_size + kMaxPacketBytes - 1) / kMaxPacketBytes);
+}
 
 // How many of its most recently sent chunks a sender keeps for repair. A
 // request for an older chunk finds nothing to resend: NPS ignores it, and
@@ -65,27 +73,25 @@ inline constexpr std::int64_t kMaxPacketBytes = 8 * 1024;
 inline constexpr std::int64_t kRepairWindowChunks = 64;
 static_assert(kRepairWindowChunks > 0);
 
-// One packet: a fragment of chunk number `seq`. Every fragment carries the
-// full chunk metadata, so reassembly survives the loss of any subset.
+// One packet: fragment `frag_index` of chunk index `chunk`. The receiver
+// takes the chunk's timestamp, duration, size and fragment count from its
+// control file.
 struct NpsFragment {
-  std::uint64_t seq = 0;  // chunk sequence number
+  std::int64_t chunk = 0;
   int frag_index = 0;
-  int frag_count = 1;
   std::int64_t bytes = 0;  // payload bytes in this fragment
-  cras::BufferedChunk chunk;
   crbase::Time sent_at = 0;  // original chunk send start (sender host time)
   bool retransmit = false;
   bool multicast = false;  // delivered by group fan-out, not a unicast send
 };
 
-// A repair request: the fragments of `seq` the receiver is still missing.
-// An empty `missing` list means "everything" (the whole chunk was lost and
-// the receiver does not know its fragment count). `viewer_now` is the
-// viewer's playout-clock reading when it asked: a sender refuses the resend
-// if and only if that reading is past the chunk's deadline, so no lag
-// between the session clock and the viewer's has to be guessed.
+// A repair request: the fragments of chunk index `chunk` the receiver is
+// still missing. `viewer_now` is the viewer's playout-clock reading when it
+// asked: a sender refuses the resend if and only if that reading is past the
+// chunk's deadline, so no lag between the session clock and the viewer's has
+// to be guessed.
 struct NpsNak {
-  std::uint64_t seq = 0;
+  std::int64_t chunk = 0;
   std::vector<int> missing;
   crbase::Time viewer_now = 0;
 };
@@ -93,26 +99,18 @@ struct NpsNak {
 // A chunk as its sender put it on the wire, split into fragments of
 // kMaxPacketBytes (the last one carries the remainder).
 struct SentChunk {
-  std::uint64_t seq = 0;
   cras::BufferedChunk chunk;
   crbase::Time sent_at = 0;  // original send start (sender host time)
 
-  int frag_count() const;
+  int frag_count() const { return FragmentCount(chunk.size); }
   // Fragment `index`, marked as repair traffic when `retransmit` is set.
   NpsFragment Fragment(int index, bool retransmit) const;
-  // Calls `f(index)` for each fragment a repair request names: all of them
-  // for an empty list. Indices outside the chunk are skipped.
+  // Calls `f(index)` for each fragment a repair request names. Indices
+  // outside the chunk are skipped.
   template <typename F>
   void ForEachMissing(const std::vector<int>& missing, F&& f) const {
-    const int count = frag_count();
-    if (missing.empty()) {
-      for (int index = 0; index < count; ++index) {
-        f(index);
-      }
-      return;
-    }
     for (int index : missing) {
-      if (index >= 0 && index < count) {
+      if (index >= 0 && index < frag_count()) {
         f(index);
       }
     }
@@ -122,7 +120,7 @@ struct SentChunk {
 // Files `sent` in a sender's retransmit store and drops the oldest chunk
 // beyond kRepairWindowChunks: the one retention rule of both senders. No
 // clock is read; a request's own reading decides whether a resend is of use.
-void Retain(std::map<std::uint64_t, SentChunk>& store, const SentChunk& sent);
+void Retain(std::map<std::int64_t, SentChunk>& store, const SentChunk& sent);
 
 // The receive counters every transport's receiver keeps.
 struct ReassemblyStats {
@@ -137,9 +135,9 @@ struct ReassemblyStats {
 
 // Client-host end of a stream: reassembled chunks land in a time-driven
 // buffer, from which a remote player consumes by logical time exactly as a
-// local one would. Reassembly works from explicit per-sequence state and
-// never trusts arrival order; the derived transport decides which sequence
-// numbers a gap reveals and how a missing fragment is repaired.
+// local one would. Reassembly works from explicit per-chunk state and never
+// trusts arrival order; the derived transport decides which chunks a gap
+// reveals and how a missing fragment is repaired.
 class ReliableReceiver {
  public:
   ReliableReceiver(const ReliableReceiver&) = delete;
@@ -159,22 +157,20 @@ class ReliableReceiver {
   cras::LogicalClock& clock() { return clock_; }
   const cras::TimeDrivenBufferStats& buffer_stats() const { return buffer_.stats(); }
   std::size_t incomplete_chunks() const { return pending_.size(); }
-  // Finished sequence numbers recorded above the low-water mark: the only
-  // part of the finished record that grows, and only while an older chunk
-  // is still pending.
+  // Finished chunks recorded above the low-water mark: the only part of the
+  // finished record that grows, and only while an older chunk is still
+  // pending.
   std::size_t finished_above() const { return done_above_.size(); }
 
  protected:
-  // Reassembly state for one sequence number. A placeholder (opened for a
-  // chunk known only from a gap) has frag_count == 0 until a fragment
-  // arrives.
+  // Reassembly state for one chunk, opened from its control-file entry
+  // whether a fragment or a gap revealed it.
   struct Reassembly {
     cras::BufferedChunk chunk;
-    int frag_count = 0;
-    std::vector<bool> have;
+    std::vector<bool> have;  // one per fragment
     int received = 0;
     int max_frag_seen = -1;
-    crbase::Time sent_at = 0;
+    crbase::Time sent_at = 0;     // carried by the first fragment to arrive
     crbase::Time created_at = 0;  // receiver host time
     // Arrival of the newest *fresh* (non-repair) fragment: the frame
     // trace's wire/repair boundary. A chunk completed entirely by fresh
@@ -188,9 +184,8 @@ class ReliableReceiver {
     int naks = 0;                  // repair requests sent for this chunk
 
     // The repair request for this chunk, stamped with the viewer's clock
-    // reading: its missing fragments, or the whole chunk while it is a
-    // placeholder.
-    NpsNak Nak(std::uint64_t seq, crbase::Time viewer_now) const;
+    // reading: every fragment still missing.
+    NpsNak Nak(crbase::Time viewer_now) const;
   };
 
   ReliableReceiver(crrt::Kernel& kernel, std::int64_t buffer_bytes,
@@ -204,18 +199,19 @@ class ReliableReceiver {
   // Counts an arriving fragment. False when its chunk already finished: a
   // late copy, counted as a duplicate and dropped.
   bool CountArrival(const NpsFragment& fragment);
-  // The pending entry for `seq`, opened as a placeholder on first use.
-  Reassembly& Pending(std::uint64_t seq);
-  // Files a counted fragment into its entry (adopting the chunk metadata
-  // on the first one) and completes the chunk when it was the last one
-  // missing. Returns the entry while the chunk is still incomplete; nullptr
-  // once it completed or when the fragment was a duplicate.
+  // Opens the entry of `chunk`, a gap, unless it is pending or finished
+  // already. Returns the entry it opened, or nullptr.
+  Reassembly* OpenGap(std::int64_t chunk);
+  // Files a counted fragment into its entry, whose fragment count must
+  // cover its index, and completes the chunk when it was the last one
+  // missing. Returns the entry
+  // while the chunk is still incomplete; nullptr once it completed or when
+  // the fragment was a duplicate.
   Reassembly* Reassemble(const NpsFragment& fragment);
-  // Gives up on `seq` and resolves its frame as missed. `lost_chunk` names
-  // the frame of a placeholder, whose metadata never arrived (-1: unknown).
-  void Abandon(std::uint64_t seq, Reassembly& entry, std::int64_t lost_chunk);
+  // Gives up on the entry's chunk and resolves its frame as missed.
+  void Abandon(Reassembly& entry);
   // Completed or abandoned.
-  bool IsDone(std::uint64_t seq) const;
+  bool IsDone(std::int64_t chunk) const;
 
   // Registers the `<prefix>.reassembly_ms` histogram, labeled {stream,
   // name}; give-ups are flight-recorded with `source` as the detail.
@@ -224,7 +220,9 @@ class ReliableReceiver {
                         const char* source);
 
   crrt::Kernel* kernel_;
-  std::map<std::uint64_t, Reassembly> pending_;
+  // The stream's control file, set by the transport before any fragment.
+  const crmedia::ChunkIndex* index_ = nullptr;
+  std::map<std::int64_t, Reassembly> pending_;
 
  private:
   struct ObsState {
@@ -233,16 +231,19 @@ class ReliableReceiver {
     crobs::Histogram* reassembly_ms = nullptr;
   };
 
-  void Complete(std::uint64_t seq, Reassembly& entry);
-  void MarkDone(std::uint64_t seq);
+  // The pending entry for `chunk`, opened from the control file on first use.
+  Reassembly& Pending(std::int64_t chunk);
+  void Complete(Reassembly& entry);
+  // Cancels the entry's timer, records its chunk as done and drops it.
+  void Finish(Reassembly& entry);
 
   cras::TimeDrivenBuffer buffer_;
   cras::LogicalClock clock_;
-  // Done sequence numbers: every one below the low-water mark, plus the few
-  // above it that finished ahead of an older, still pending chunk. Stays
-  // bounded by the reassembly window however long the stream runs.
-  std::uint64_t done_below_ = 0;
-  std::set<std::uint64_t> done_above_;
+  // Done chunks: every one below the low-water mark, plus the few above it
+  // that finished ahead of an older, still pending chunk. Stays bounded by
+  // the reassembly window however long the stream runs.
+  std::int64_t done_below_ = 0;
+  std::set<std::int64_t> done_above_;
   std::unique_ptr<ObsState> obs_;
   crobs::SessionTrace* ftrace_ = nullptr;
 };

@@ -48,7 +48,7 @@ enum class FlightEventKind : std::uint8_t {
   kMemberChange,      // a: disk, detail: new state name
   kStreamShed,        // a: session
   kLeaseReap,         // a: session, value: lease age ms
-  kNakGiveUp,         // a: sequence number, b: NAKs sent, detail: end
+  kNakGiveUp,         // a: chunk index, b: NAKs sent, detail: end
   kFaultInjected,     // a: disk (or 0 for a link), detail: fault kind
   kCachePairFormed,   // a: follower session, b: predecessor, value: reserved bytes
   kCachePairBroken,   // a: follower session, b: predecessor, detail: reason

@@ -105,21 +105,14 @@ TEST(ChunkDeadline, BufferedAndIndexChunksAgree) {
 
 TEST(ChunkDeadline, ReceiverKeepsTheBoundaryChunkRepairable) {
   cras::VolumeTestbed bed;  // engine + kernel; no servers needed
-  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
+  // A 25 KB MPEG2 chunk travels as four crnet::kMaxPacketBytes fragments.
+  const auto movie = *crmedia::WriteMpeg2File(bed.fs, "m", Seconds(4));
   GroupReceiver receiver(bed.kernel, &movie.index);
   crsim::Task reporter = receiver.Start();
 
   // A partial chunk 0 is pending; pin the (stopped) logical clock exactly
   // on its playout deadline. The sweep must NOT abandon it.
-  crnet::NpsFragment fragment;
-  fragment.seq = 0;
-  fragment.frag_index = 0;
-  fragment.frag_count = 2;
-  fragment.bytes = 1024;
-  fragment.chunk.chunk_index = 0;
-  fragment.chunk.timestamp = movie.index.at(0).timestamp;
-  fragment.chunk.duration = movie.index.at(0).duration;
-  fragment.chunk.size = 2048;
+  crnet::NpsFragment fragment{0, 0};
   fragment.multicast = true;
   receiver.OnFragment(fragment);
   ASSERT_EQ(receiver.incomplete_chunks(), 1u);
@@ -144,45 +137,36 @@ TEST(ChunkDeadline, ReceiverKeepsTheBoundaryChunkRepairable) {
 
 TEST(GroupTransport, OneRepairPacketFixesDifferentLossesAtTwoReceivers) {
   cras::VolumeTestbed bed;
-  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
+  // Four fragments per chunk, as above.
+  const auto movie = *crmedia::WriteMpeg2File(bed.fs, "m", Seconds(4));
   GroupReceiver r1(bed.kernel, &movie.index);
   GroupReceiver r2(bed.kernel, &movie.index);
 
-  auto fragment = [&](std::uint64_t seq, int index) {
-    crnet::NpsFragment f;
-    f.seq = seq;
-    f.frag_index = index;
-    f.frag_count = 2;
-    f.bytes = 4096;
-    f.chunk.chunk_index = static_cast<std::int64_t>(seq);
-    f.chunk.timestamp = movie.index.at(seq).timestamp;
-    f.chunk.duration = movie.index.at(seq).duration;
-    f.chunk.size = 8192;
-    f.multicast = true;
-    return f;
+  // Delivers every multicast fragment of `chunk` but `lost` to `receiver`.
+  auto deliver = [&](GroupReceiver& receiver, std::int64_t chunk, int lost) {
+    const int count = crnet::FragmentCount(movie.index.at(static_cast<std::size_t>(chunk)).size);
+    for (int frag = 0; frag < count; ++frag) {
+      crnet::NpsFragment f{chunk, frag};
+      f.multicast = true;
+      if (frag != lost) {
+        receiver.OnFragment(f);
+      }
+    }
   };
   // r1 misses (0,1) but holds chunk 1 complete; r2 holds chunk 0 complete
   // and misses (1,1).
-  r1.OnFragment(fragment(0, 0));
-  r1.OnFragment(fragment(1, 0));
-  r1.OnFragment(fragment(1, 1));
-  r2.OnFragment(fragment(0, 0));
-  r2.OnFragment(fragment(0, 1));
-  r2.OnFragment(fragment(1, 0));
+  deliver(r1, 0, /*lost=*/1);
+  deliver(r1, 1, /*lost=*/-1);
+  deliver(r2, 0, /*lost=*/-1);
+  deliver(r2, 1, /*lost=*/1);
   ASSERT_EQ(r1.stats().chunks_received, 1);
   ASSERT_EQ(r2.stats().chunks_received, 1);
 
   RepairPacket packet;
-  for (std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}}) {
-    crnet::NpsFragment ref;
-    ref.seq = seq;
-    ref.frag_index = 1;
-    ref.frag_count = 2;
-    ref.bytes = 4096;
-    ref.chunk = fragment(seq, 1).chunk;
-    packet.window.push_back(ref);
+  for (std::int64_t chunk : {0, 1}) {
+    packet.window.push_back(crnet::NpsFragment{chunk, 1});
   }
-  packet.bytes = 4096 + 96;
+  packet.bytes = crnet::kMaxPacketBytes + 96;
   r1.OnRepair(packet);
   r2.OnRepair(packet);
 
@@ -373,7 +357,7 @@ TEST(McastIntegration, BridgeRetransmitResendsOnlyTheNamedFragment) {
   auto report_loss = [&](std::int64_t chunk, crbase::Time reading) {
     LossReport report;
     report.member = b.session;
-    report.entries.push_back(crnet::NpsNak{static_cast<std::uint64_t>(chunk), {1}, reading});
+    report.entries.push_back(crnet::NpsNak{chunk, {1}, reading});
     sender.OnLossReport(report);
   };
   report_loss(playing, viewer_now);
@@ -441,7 +425,7 @@ TEST(McastIntegration, ReceiverPastRepairWindowDemotesAndResettles) {
   ASSERT_GT(sender.stats().chunks_multicast, crnet::kRepairWindowChunks);
   LossReport report;
   report.member = b.session;
-  report.entries.push_back(crnet::NpsNak{0, {}, crnet::ChunkDeadline(movie.index.at(0)) + 1});
+  report.entries.push_back(crnet::NpsNak{0, {0}, crnet::ChunkDeadline(movie.index.at(0)) + 1});
   sender.OnLossReport(report);
   bed.engine().RunFor(Milliseconds(100));
   EXPECT_EQ(sender.stats().members_demoted, 0);
@@ -530,7 +514,7 @@ TEST(McastIntegration, ClientCrashDuringDemoteResettleConservesMembership) {
   ASSERT_GT(sender.stats().chunks_multicast, crnet::kRepairWindowChunks);
   LossReport report;
   report.member = b.session;
-  report.entries.push_back(crnet::NpsNak{0, {}, b.receiver->clock().Now()});
+  report.entries.push_back(crnet::NpsNak{0, {0}, b.receiver->clock().Now()});
   sender.OnLossReport(report);
   bed.engine().RunFor(Seconds(16));
 

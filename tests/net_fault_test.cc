@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -264,24 +266,28 @@ TEST(LinkFaults, DestroyedInjectorFiresNoEvents) {
 // cases that describe shared behaviour run against the grouped receiver too.
 
 struct RxRig {
-  crrt::Kernel kernel{crrt::Kernel::Options{}};
-  NpsReceiver receiver{kernel};
-  // A stream laid out as Frag describes it: 10,000 chunks of 100 ms.
-  crmedia::ChunkIndex index = crmedia::BuildCbrIndex(80 * crbase::kKiB, 10, Seconds(1000));
-  crmcast::GroupReceiver group{kernel, &index};
-
-  NpsFragment Frag(std::uint64_t seq, int index, int count) {
-    NpsFragment fragment;
-    fragment.seq = seq;
-    fragment.frag_index = index;
-    fragment.frag_count = count;
-    fragment.bytes = 8 * crbase::kKiB;
-    fragment.chunk.chunk_index = static_cast<std::int64_t>(seq);
-    fragment.chunk.timestamp = Milliseconds(100) * static_cast<std::int64_t>(seq);
-    fragment.chunk.duration = Milliseconds(100);
-    fragment.chunk.size = static_cast<std::int64_t>(count) * 8 * crbase::kKiB;
-    return fragment;
+  // Both receivers hold one control file: 10,000 chunks of 100 ms, chunk k
+  // travelling as frags(k) full fragments (one, unless a case says more).
+  explicit RxRig(const std::function<int(std::int64_t)>& frags = [](std::int64_t) { return 1; })
+      : index(Layout(frags)) {
+    receiver.Open(&index, nullptr);
   }
+
+  static crmedia::ChunkIndex Layout(const std::function<int(std::int64_t)>& frags) {
+    std::vector<crmedia::Chunk> chunks(10000);
+    for (std::size_t k = 0; k < chunks.size(); ++k) {
+      chunks[k].size = frags(static_cast<std::int64_t>(k)) * kMaxPacketBytes;
+      chunks[k].offset = k > 0 ? chunks[k - 1].offset + chunks[k - 1].size : 0;
+      chunks[k].timestamp = Milliseconds(100) * static_cast<std::int64_t>(k);
+      chunks[k].duration = Milliseconds(100);
+    }
+    return crmedia::ChunkIndex(std::move(chunks));
+  }
+
+  crrt::Kernel kernel{crrt::Kernel::Options{}};
+  crmedia::ChunkIndex index;
+  NpsReceiver receiver{kernel};
+  crmcast::GroupReceiver group{kernel, &index};
 
   // Runs `check` against the NPS receiver, then the grouped one.
   template <typename Check>
@@ -298,16 +304,16 @@ struct RxRig {
 };
 
 TEST(NpsReassembly, ReorderedFragmentsAssembleExactlyOnce) {
-  RxRig rig;
-  rig.ForEachReceiver([&rig](auto& receiver) {
+  RxRig rig([](std::int64_t chunk) { return chunk == 0 ? 3 : 1; });
+  rig.ForEachReceiver([](auto& receiver) {
     // The "final" fragment arrives first: a receiver trusting a
     // final-fragment signal would deliver a chunk with holes.
-    receiver.OnFragment(rig.Frag(0, 2, 3));
+    receiver.OnFragment(NpsFragment{0, 2});
     EXPECT_EQ(receiver.stats().chunks_received, 0);
     EXPECT_EQ(receiver.incomplete_chunks(), 1u);
-    receiver.OnFragment(rig.Frag(0, 0, 3));
+    receiver.OnFragment(NpsFragment{0, 0});
     EXPECT_EQ(receiver.stats().chunks_received, 0);
-    receiver.OnFragment(rig.Frag(0, 1, 3));
+    receiver.OnFragment(NpsFragment{0, 1});
     EXPECT_EQ(receiver.stats().chunks_received, 1);
     EXPECT_EQ(receiver.incomplete_chunks(), 0u);
     EXPECT_EQ(receiver.stats().out_of_order_fragments, 2);
@@ -316,16 +322,16 @@ TEST(NpsReassembly, ReorderedFragmentsAssembleExactlyOnce) {
 }
 
 TEST(NpsReassembly, DuplicateFragmentsAreIgnored) {
-  RxRig rig;
-  rig.ForEachReceiver([&rig](auto& receiver) {
-    receiver.OnFragment(rig.Frag(0, 0, 2));
-    receiver.OnFragment(rig.Frag(0, 0, 2));
+  RxRig rig([](std::int64_t chunk) { return chunk == 0 ? 2 : 1; });
+  rig.ForEachReceiver([](auto& receiver) {
+    receiver.OnFragment(NpsFragment{0, 0});
+    receiver.OnFragment(NpsFragment{0, 0});
     EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
     EXPECT_EQ(receiver.stats().chunks_received, 0);
-    receiver.OnFragment(rig.Frag(0, 1, 2));
+    receiver.OnFragment(NpsFragment{0, 1});
     EXPECT_EQ(receiver.stats().chunks_received, 1);
     // A late duplicate of a finished chunk is also just counted.
-    receiver.OnFragment(rig.Frag(0, 1, 2));
+    receiver.OnFragment(NpsFragment{0, 1});
     EXPECT_EQ(receiver.stats().duplicate_fragments, 2);
     EXPECT_EQ(receiver.stats().chunks_received, 1);
     EXPECT_EQ(receiver.stats().bytes_received, 2 * 8 * crbase::kKiB);
@@ -334,53 +340,64 @@ TEST(NpsReassembly, DuplicateFragmentsAreIgnored) {
 
 TEST(NpsReassembly, SequenceGapOpensPlaceholderForLostChunk) {
   RxRig rig;
-  rig.receiver.OnFragment(rig.Frag(0, 0, 1));
-  // Chunk 1 was wholly lost: its existence is only visible as a gap.
-  rig.receiver.OnFragment(rig.Frag(2, 0, 1));
-  EXPECT_EQ(rig.receiver.stats().chunks_received, 2);
-  EXPECT_EQ(rig.receiver.incomplete_chunks(), 1u);  // the placeholder
+  rig.ForEachReceiver([](auto& receiver) {
+    receiver.OnFragment(NpsFragment{0, 0});
+    // Chunk 1 was wholly lost: the jump to chunk 2 reveals it as a gap.
+    receiver.OnFragment(NpsFragment{2, 0});
+    EXPECT_EQ(receiver.stats().chunks_received, 2);
+    EXPECT_EQ(receiver.incomplete_chunks(), 1u);  // the gap
+  });
 }
 
 TEST(NpsReassembly, NakTimersPendOnlyForIncompleteChunks) {
-  RxRig rig;
+  RxRig rig([](std::int64_t chunk) { return chunk == 1 ? 2 : 1; });
   crsim::Engine& engine = rig.kernel.engine();
-  rig.receiver.OnFragment(rig.Frag(0, 0, 1));
-  EXPECT_EQ(engine.pending_events(), 0u);  // complete on arrival
-  rig.receiver.OnFragment(rig.Frag(1, 0, 2));
-  EXPECT_EQ(engine.pending_events(), 1u);  // waits for fragment 1
-  rig.receiver.OnFragment(rig.Frag(3, 0, 1));
-  EXPECT_EQ(engine.pending_events(), 2u);  // placeholder for lost chunk 2
-  rig.receiver.OnFragment(rig.Frag(1, 1, 2));
-  EXPECT_EQ(engine.pending_events(), 1u);
+  rig.ForEachReceiver([&engine](auto& receiver) {
+    // NPS arms a NAK timer per incomplete chunk; the grouped receiver
+    // reports from its sweep thread instead, and arms none.
+    const std::size_t timer =
+        std::is_same_v<std::decay_t<decltype(receiver)>, NpsReceiver> ? 1 : 0;
+    const std::size_t before = engine.pending_events();
+    receiver.OnFragment(NpsFragment{0, 0});
+    EXPECT_EQ(engine.pending_events(), before);  // complete on arrival
+    receiver.OnFragment(NpsFragment{1, 0});
+    EXPECT_EQ(engine.pending_events(), before + timer);  // waits for fragment 1
+    receiver.OnFragment(NpsFragment{3, 0});
+    EXPECT_EQ(receiver.incomplete_chunks(), 2u);  // and the gap: lost chunk 2
+    EXPECT_EQ(engine.pending_events(), before + 2 * timer);
+    receiver.OnFragment(NpsFragment{1, 1});
+    EXPECT_EQ(receiver.incomplete_chunks(), 1u);
+    EXPECT_EQ(engine.pending_events(), before + timer);
+  });
 }
 
 TEST(NpsReassembly, LateRetransmitOfLongFinishedChunkIsADuplicate) {
-  RxRig rig;
-  rig.ForEachReceiver([&rig](auto& receiver) {
+  RxRig rig([](std::int64_t chunk) { return chunk == 0 ? 2 : 1; });
+  rig.ForEachReceiver([](auto& receiver) {
     // Chunk 1 finishes while chunk 0 is still missing a fragment, then
     // chunk 0 completes and a long run of chunks follows.
-    receiver.OnFragment(rig.Frag(0, 0, 2));
-    receiver.OnFragment(rig.Frag(1, 0, 1));
-    receiver.OnFragment(rig.Frag(1, 0, 1));  // done, though chunk 0 is not
+    receiver.OnFragment(NpsFragment{0, 0});
+    receiver.OnFragment(NpsFragment{1, 0});
+    receiver.OnFragment(NpsFragment{1, 0});  // done, though chunk 0 is not
     EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
-    receiver.OnFragment(rig.Frag(0, 1, 2));
-    constexpr std::uint64_t kChunks = 64;
-    for (std::uint64_t seq = 2; seq < kChunks; ++seq) {
-      receiver.OnFragment(rig.Frag(seq, 0, 1));
+    receiver.OnFragment(NpsFragment{0, 1});
+    constexpr std::int64_t kChunks = 64;
+    for (std::int64_t chunk = 2; chunk < kChunks; ++chunk) {
+      receiver.OnFragment(NpsFragment{chunk, 0});
     }
-    EXPECT_EQ(receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+    EXPECT_EQ(receiver.stats().chunks_received, kChunks);
     EXPECT_EQ(receiver.incomplete_chunks(), 0u);
     const std::int64_t bytes = receiver.stats().bytes_received;
 
     // Retransmits of finished chunks, from far behind and just behind the
     // newest: counted, never reassembled or delivered again.
-    for (std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}, kChunks - 1}) {
-      NpsFragment late = rig.Frag(seq, 0, seq == 0 ? 2 : 1);
+    for (std::int64_t chunk : {std::int64_t{0}, std::int64_t{1}, kChunks - 1}) {
+      NpsFragment late{chunk, 0};
       late.retransmit = true;
       receiver.OnFragment(late);
     }
     EXPECT_EQ(receiver.stats().duplicate_fragments, 4);
-    EXPECT_EQ(receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+    EXPECT_EQ(receiver.stats().chunks_received, kChunks);
     EXPECT_EQ(receiver.stats().bytes_received, bytes);
     EXPECT_EQ(receiver.incomplete_chunks(), 0u);
   });
@@ -388,20 +405,20 @@ TEST(NpsReassembly, LateRetransmitOfLongFinishedChunkIsADuplicate) {
 
 TEST(ReliableReceiver, FinishedRecordStaysBoundedOverALongStream) {
   // 10,000 chunks; every hundredth finishes three chunks late. The record
-  // of finished sequence numbers keeps a low-water mark plus only those
-  // finished ahead of a pending chunk, so it never holds more than three.
-  RxRig rig;
-  rig.ForEachReceiver([&rig](auto& receiver) {
-    constexpr std::uint64_t kChunks = 10000;
+  // of finished chunks keeps a low-water mark plus only those finished
+  // ahead of a pending chunk, so it never holds more than three.
+  RxRig rig([](std::int64_t chunk) { return chunk % 100 == 0 ? 2 : 1; });
+  rig.ForEachReceiver([](auto& receiver) {
+    constexpr std::int64_t kChunks = 10000;
     std::size_t most_above = 0;
-    for (std::uint64_t seq = 0; seq < kChunks; ++seq) {
-      receiver.OnFragment(rig.Frag(seq, 0, seq % 100 == 0 ? 2 : 1));
+    for (std::int64_t chunk = 0; chunk < kChunks; ++chunk) {
+      receiver.OnFragment(NpsFragment{chunk, 0});
       most_above = std::max(most_above, receiver.finished_above());
-      if (seq % 100 == 3) {
-        receiver.OnFragment(rig.Frag(seq - 3, 1, 2));
+      if (chunk % 100 == 3) {
+        receiver.OnFragment(NpsFragment{chunk - 3, 1});
       }
     }
-    EXPECT_EQ(receiver.stats().chunks_received, static_cast<std::int64_t>(kChunks));
+    EXPECT_EQ(receiver.stats().chunks_received, kChunks);
     EXPECT_EQ(receiver.incomplete_chunks(), 0u);
     EXPECT_EQ(most_above, 3u);
     EXPECT_EQ(receiver.finished_above(), 0u);
@@ -411,8 +428,8 @@ TEST(ReliableReceiver, FinishedRecordStaysBoundedOverALongStream) {
 TEST(NpsReassembly, BestEffortAbandonsIncompleteChunkAfterGrace) {
   // Without a reverse link there is no repair: an incomplete chunk is
   // abandoned once the reordering grace expires.
-  RxRig rig;
-  rig.receiver.OnFragment(rig.Frag(0, 0, 2));
+  RxRig rig([](std::int64_t chunk) { return chunk == 0 ? 2 : 1; });
+  rig.receiver.OnFragment(NpsFragment{0, 0});
   rig.kernel.engine().RunFor(kNakDelay * 2);
   EXPECT_EQ(rig.receiver.stats().chunks_received, 0);
   EXPECT_EQ(rig.receiver.stats().chunks_abandoned, 1);
@@ -583,13 +600,16 @@ TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
   EXPECT_LT(result.frames_missing, 60);
   EXPECT_EQ(result.frames_ok + result.frames_missing,
             static_cast<std::int64_t>(movie->index.count()));
-  // Both give-up paths fired: the receiver walked away from unrepairable
-  // chunks, and late NAKs were refused at the sender.
-  EXPECT_GT(rig.receiver.stats().chunks_abandoned, 0);
-  EXPECT_GT(rig.receiver.stats().naks_sent, 0);
-  EXPECT_GT(rig.sender.stats().retransmits_abandoned, 0);
-  // A refused chunk stays retained, so each wholly lost chunk's give-up
-  // still names its frame: every missed frame is resolved as missed.
+  // The receiver walked away from unrepairable chunks. Each wholly lost
+  // chunk is a gap that knows its deadline, so the receiver stops NAKing
+  // it there and the sender never has a late NAK to refuse.
+  EXPECT_EQ(rig.receiver.stats().chunks_abandoned, 23);
+  EXPECT_EQ(result.frames_missing, 25);
+  EXPECT_EQ(rig.receiver.stats().naks_sent, 11);
+  EXPECT_EQ(rig.sender.stats().naks_received, rig.receiver.stats().naks_sent);
+  EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 0);
+  // Each give-up names its frame from the control file: every missed frame
+  // is resolved as missed.
   const crobs::StageAttribution& frames = rig.server_host.hub.frames().Totals();
   EXPECT_EQ(frames.frames_missed, result.frames_missing);
   EXPECT_EQ(frames.frames_delivered, result.frames_ok);
@@ -600,8 +620,7 @@ TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
 // The sender judges a NAK by the viewer's clock reading it carries, never
 // by the server's session clock: this rig's viewer plays about 250 ms
 // behind its session. The NAKs are handed to the sender as the reverse link
-// would deliver them. No chunk is skipped, so sequence numbers are chunk
-// indexes.
+// would deliver them. Each names fragment 0 of a one-fragment chunk.
 TEST(NpsReliability, SenderJudgesANakByTheViewersClockReading) {
   LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
   auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
@@ -622,32 +641,151 @@ TEST(NpsReliability, SenderJudgesANakByTheViewersClockReading) {
   const std::int64_t behind = playing - 2;
   ASSERT_LT(deadline_of(behind), server_now);
   ASSERT_LE(viewer_now, deadline_of(behind));
-  rig.sender.OnNak(NpsNak{static_cast<std::uint64_t>(behind), {}, viewer_now});
+  rig.sender.OnNak(NpsNak{behind, {0}, viewer_now});
   EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 1);
   EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 0);
 
   // A chunk already sent (the sender ships 250 ms ahead of the session
   // clock) whose deadline the server's clock has not passed is refused once
   // the reading is past it. The refused chunk is not forgotten: it ages out
-  // of the window like any other, and its frame can still be named.
+  // of the window like any other.
   const std::int64_t ahead = playing + 1;
   ASSERT_LT(ahead, rig.sender.stats().chunks_sent);
   ASSERT_LE(server_now, deadline_of(ahead));
   const std::size_t retained = rig.sender.retained_chunks();
-  const auto seq = static_cast<std::uint64_t>(ahead);
-  rig.sender.OnNak(NpsNak{seq, {}, deadline_of(ahead) + 1});
+  rig.sender.OnNak(NpsNak{ahead, {0}, deadline_of(ahead) + 1});
   EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 1);
   EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 1);
   EXPECT_EQ(rig.sender.retained_chunks(), retained);
-  EXPECT_EQ(rig.sender.ChunkIndexOf(seq), ahead);
   // Asked for at the deadline itself, the same chunk is still resent.
-  rig.sender.OnNak(NpsNak{seq, {}, deadline_of(ahead)});
+  rig.sender.OnNak(NpsNak{ahead, {0}, deadline_of(ahead)});
   EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 2);
   EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 1);
 
   rig.server_host.engine().RunFor(Seconds(6));
   EXPECT_EQ(play.result.frames_missing, 0);
   EXPECT_EQ(rig.receiver.stats().retransmitted_fragments, 2);
+}
+
+// Loses `chunk` whole: the link draws each packet's fate when it accepts
+// it, and the sender hands it all of a chunk's fragments at once, so full
+// loss from just before that send to just after it drops exactly them.
+// Assumes the sender skips nothing, so its count of sent chunks is the index
+// of the next chunk it sends.
+void LoseChunkWhole(LossyQtPlayRig& rig, std::int64_t chunk) {
+  crsim::Engine& engine = rig.server_host.engine();
+  while (rig.sender.stats().chunks_sent < chunk) {
+    engine.RunFor(crbase::Microseconds(100));
+  }
+  rig.forward.SetLoss(1.0);
+  while (rig.sender.stats().chunks_sent == chunk) {
+    engine.RunFor(crbase::Microseconds(100));
+  }
+  rig.forward.SetLoss(0.0);
+}
+
+// A chunk lost whole is a gap the receiver already knows from its control
+// file: the entry it opens has the chunk's size, fragment count and deadline
+// before any fragment arrives, so every NAK it sends names every fragment.
+// Only the first NAK's resends are needed; a later one's may arrive as
+// duplicates.
+TEST(NpsReliability, GapNakNamesEveryFragmentOfItsChunk) {
+  LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
+  auto movie = crmedia::WriteMpeg2File(rig.server_host.fs, "movie", Seconds(4));
+  ASSERT_TRUE(movie.ok());
+  const int fragments = FragmentCount(movie->index.at(30).size);
+  ASSERT_EQ(fragments, 4);
+  Playback play;
+  StartMovie(rig, *movie, &play);
+  LoseChunkWhole(rig, 30);
+  ASSERT_EQ(rig.forward.stats().wire_drops, fragments);
+  rig.server_host.engine().RunFor(Seconds(8));
+
+  const std::int64_t naks = rig.receiver.stats().naks_sent;
+  EXPECT_GT(naks, 0);
+  EXPECT_EQ(rig.sender.stats().naks_received, naks);
+  EXPECT_EQ(rig.sender.stats().fragments_retransmitted, naks * fragments);
+  EXPECT_EQ(rig.receiver.stats().retransmitted_fragments, naks * fragments);
+  EXPECT_LE(rig.receiver.stats().duplicate_fragments, (naks - 1) * fragments);
+  EXPECT_EQ(rig.receiver.stats().chunks_abandoned, 0);
+  EXPECT_EQ(rig.receiver.stats().bytes_received, movie->index.total_bytes());
+  EXPECT_EQ(play.result.frames_missing, 0);
+}
+
+// With no reverse link nothing is repaired, but a chunk lost whole is still
+// a gap the receiver names itself: its give-up resolves the frame as missed
+// on arrival, with no word from the sender.
+TEST(NpsReliability, BestEffortResolvesAWhollyLostChunkAsMissed) {
+  LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/false);
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(4));
+  ASSERT_TRUE(movie.ok());
+  Playback play;
+  StartMovie(rig, *movie, &play);
+  LoseChunkWhole(rig, 30);
+  ASSERT_EQ(rig.forward.stats().wire_drops, 1);
+  rig.server_host.engine().RunFor(Seconds(8));
+
+  EXPECT_EQ(play.result.frames_missing, 1);
+  EXPECT_EQ(rig.receiver.stats().chunks_abandoned, 1);
+  const crobs::SessionTrace* trace = rig.server_host.cras_server.FrameTrace(play.session);
+  ASSERT_NE(trace, nullptr);
+  const crobs::FrameRecord* record = trace->Find(30);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->outcome, crobs::FrameOutcome::kMissed);
+  EXPECT_EQ(record->miss_stage, crobs::FrameStage::kArrived);
+  const crobs::StageAttribution& frames = rig.server_host.hub.frames().Totals();
+  EXPECT_EQ(frames.frames_missed, 1);
+  EXPECT_EQ(frames.frames_resolved(), static_cast<std::int64_t>(movie->index.count()));
+}
+
+// A chunk the sender skips, because it never reached the session's buffer,
+// is a gap like any other: the receiver NAKs it until the chunk's deadline
+// passes on its clock, then gives up. The frame stays resolved as missed
+// where it was lost, at the send.
+TEST(NpsReliability, SkippedChunkIsAnOrdinaryGap) {
+  LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
+  rig.receiver.AttachObs(&rig.server_host.hub, "viewer");
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  Playback play;
+  StartMovie(rig, *movie, &play);
+  // At 2 s the server's session jumps 600 ms ahead and drops its buffer, so
+  // the chunks in between never reach it: the sender skips each one.
+  crsim::Engine& engine = rig.server_host.engine();
+  engine.RunFor(Seconds(2));
+  cras::CrasServer& server = rig.server_host.cras_server;
+  play.tasks.push_back(rig.server_host.kernel.Spawn(
+      "seeker", crrt::kPriorityClient, [&server, &play](crrt::ThreadContext&) -> crsim::Task {
+        const crbase::Time to = server.LogicalNow(play.session) + Milliseconds(600);
+        CRAS_CHECK_OK(co_await server.Seek(play.session, to));
+      }));
+  engine.RunFor(Seconds(8));
+
+  const std::int64_t skipped = rig.sender.stats().chunks_skipped;
+  ASSERT_GT(skipped, 0);
+  EXPECT_EQ(play.result.frames_missing, skipped);
+  EXPECT_EQ(rig.receiver.stats().chunks_abandoned, skipped);
+  EXPECT_GT(rig.receiver.stats().naks_sent, 0);
+  EXPECT_EQ(rig.sender.stats().naks_received, rig.receiver.stats().naks_sent);
+  EXPECT_EQ(rig.sender.stats().fragments_retransmitted, 0);
+  EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 0);
+  const crobs::SessionTrace* trace = server.FrameTrace(play.session);
+  ASSERT_NE(trace, nullptr);
+  std::int64_t give_ups = 0;
+  for (const crobs::FlightEvent& event : rig.server_host.hub.flight().events()) {
+    if (event.kind != crobs::FlightEventKind::kNakGiveUp) {
+      continue;
+    }
+    ++give_ups;
+    EXPECT_EQ(event.detail, "receiver");
+    // The deadline ended the NAKs, not their cap of ten.
+    EXPECT_LT(event.b, 10) << "chunk " << event.a;
+    const crobs::FrameRecord* record = trace->Find(event.a);
+    ASSERT_NE(record, nullptr);
+    EXPECT_EQ(record->outcome, crobs::FrameOutcome::kMissed);
+    EXPECT_EQ(record->miss_stage, crobs::FrameStage::kSent);
+  }
+  EXPECT_EQ(give_ups, skipped);
 }
 
 // ---------------------------------------------------------------------------
